@@ -33,10 +33,6 @@ class EventKind(str, Enum):
     SEND_DATA_CONSUMED = "SendDataConsumed"
 
 
-EXECUTION_KINDS = frozenset({EventKind.MINT_EXECUTED, EventKind.UNLOCK_EXECUTED})
-REGISTRATION_KINDS = frozenset({EventKind.LOCK_REGISTERED, EventKind.BURN_REGISTERED})
-
-
 @dataclass(frozen=True)
 class BlockRef:
     chain: int
@@ -156,8 +152,8 @@ class Chain:
     apply_tx(state, tx, ctx) mutates state in place and emits events via
     ctx; it raises GatewayError to reject the transaction. Rejected
     transactions are still included in the block, marked with the error
-    code, and leave state untouched (the whole per-tx mutation is rolled
-    back from a snapshot).
+    code, and leave state untouched: the block is rebuilt from its parent
+    state without them (see _apply_block).
     """
 
     def __init__(self, chain_id: int, genesis_state: Any, apply_tx: ApplyTx,
@@ -205,26 +201,41 @@ class Chain:
         new_hash = block_hash(parent_hash, height, digests)
         ref = BlockRef(self.chain_id, branch, height, new_hash)
 
-        state = self.states[parent_hash].clone()
-        ctx = BlockCtx(ref)
-        receipts: list[TxReceipt] = []
-        for tx in txs:
-            snapshot = state.clone()
-            events_mark = len(ctx.events)
-            try:
-                extra = self._apply_tx(state, tx, ctx)
-                receipts.append(TxReceipt(tx, "ok", extra=extra))
-            except GatewayError as err:
-                state = snapshot
-                del ctx.events[events_mark:]
-                receipts.append(TxReceipt(tx, err.code, detail=str(err)))
+        state, receipts, events = self._apply_block(
+            self.states[parent_hash], ref, txs)
 
-        block = Block(ref, parent_hash, receipts, ctx.events)
+        block = Block(ref, parent_hash, receipts, events)
         self.blocks[new_hash] = block
         self.states[new_hash] = state
         self.branches[branch] = new_hash
         self._recompute_canonical()
         return ref
+
+    def _apply_block(self, parent_state: Any, ref: BlockRef, txs: list
+                     ) -> tuple[Any, list[TxReceipt], list[ChainEvent]]:
+        """Apply txs in order to a clone of parent_state, which stays untouched.
+
+        A rejected tx may leave the working copy half-mutated, so the copy is
+        dropped: the parent is cloned again and the accepted txs re-applied
+        under a fresh context, which rebuilds the same state and events.
+        """
+        state = parent_state.clone()
+        ctx = BlockCtx(ref)
+        accepted: list = []
+        receipts: list[TxReceipt] = []
+        for tx in txs:
+            try:
+                extra = self._apply_tx(state, tx, ctx)
+            except GatewayError as err:
+                state = parent_state.clone()
+                ctx = BlockCtx(ref)
+                for done in accepted:
+                    self._apply_tx(state, done, ctx)
+                receipts.append(TxReceipt(tx, err.code, detail=str(err)))
+                continue
+            accepted.append(tx)
+            receipts.append(TxReceipt(tx, "ok", extra=extra))
+        return state, receipts, ctx.events
 
     def fork_at(self, height: int, name: str | None = None) -> str:
         """Create a branch rooted at the canonical block at `height`."""
@@ -360,16 +371,9 @@ class Chain:
         """Re-derive the canonical tip state by applying every canonical
         block's transactions against a fresh genesis state."""
         state = self._genesis_state.clone()
-        for block in self.canonical_chain():
-            if block.ref.height == 0:
-                continue
-            ctx = BlockCtx(block.ref)
-            for receipt in block.receipts:
-                snapshot = state.clone()
-                try:
-                    self._apply_tx(state, receipt.tx, ctx)
-                except GatewayError:
-                    state = snapshot
+        for block in self.canonical_chain()[1:]:
+            state, _, _ = self._apply_block(
+                state, block.ref, [r.tx for r in block.receipts])
         return state
 
     def _verify_replay(self) -> None:

@@ -15,7 +15,7 @@ collected for one chain or height cannot be replayed on another.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .chain import BlockCtx, EventKind
 from .crypto import DEFAULT_SCHEME, SignatureScheme
@@ -71,8 +71,11 @@ def verify_signature(scheme: SignatureScheme, key: bytes, message: bytes,
     return scheme.verify(key, message, signature)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pulse:
+    """A registered payload commitment. Immutable: consuming a pulse stores
+    a consumed copy under the same id, so per-block states can share it."""
+
     pulse_id: int
     data_hash: bytes
     declared_height: int
@@ -165,7 +168,7 @@ class NebulaState:
                 f"payload hashes to {revealed.hex()}, pulse committed to "
                 f"{pulse.data_hash.hex()}")
 
-        pulse.consumed = True
+        self.pulses[pulse_id] = replace(pulse, consumed=True)
         self.unconsumed.pop(pulse.data_hash, None)
 
         outcomes: list[str] = []
@@ -185,11 +188,7 @@ class NebulaState:
 
     def clone(self) -> "NebulaState":
         other = NebulaState(self.chain_id, self.roster, self.window)
-        other.pulses = {
-            pid: Pulse(p.pulse_id, p.data_hash, p.declared_height,
-                       p.signatures, p.consumed)
-            for pid, p in self.pulses.items()
-        }
+        other.pulses = dict(self.pulses)
         other.next_pulse_id = self.next_pulse_id
         other.unconsumed = dict(self.unconsumed)
         return other

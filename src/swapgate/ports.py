@@ -17,7 +17,7 @@ execution exactly-once per branch.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 from .chain import BlockCtx, BlockRef, EventKind
@@ -57,13 +57,16 @@ def derive_swap_id(direction: Direction, origin_chain: int, port_address: bytes,
     return sha256(material)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwapRecord:
     """One cross-chain transfer as known to a single port.
 
     sender is None on records created from an attested payload entry: the
     wire format does not carry the originating account, only the executing
     side's receiver.
+
+    Records are immutable: a status change stores a new record under the
+    same swap id (see mark_processed), so per-block states can share them.
     """
 
     swap_id: bytes
@@ -133,15 +136,7 @@ class _PortBase:
         self.swaps[record.swap_id] = record
 
     def _clone_into(self, other: "_PortBase") -> None:
-        other.swaps = {
-            sid: SwapRecord(
-                swap_id=r.swap_id, direction=r.direction, sender=r.sender,
-                receiver=r.receiver, amount=r.amount, token=r.token,
-                status=r.status, registered_at=r.registered_at,
-                processed_at=r.processed_at,
-            )
-            for sid, r in self.swaps.items()
-        }
+        other.swaps = dict(self.swaps)
         other.executed = set(self.executed)
         other.next_seq = self.next_seq
 
@@ -211,7 +206,7 @@ class LockUnlockPort(_PortBase):
 
         # Registered and executed within the same transaction: this port
         # first learns of the swap from the attested entry itself.
-        record = SwapRecord(
+        record = mark_processed(SwapRecord(
             swap_id=entry.swap_id,
             direction=Direction.DESTINATION_TO_ORIGIN,
             sender=None,
@@ -220,9 +215,8 @@ class LockUnlockPort(_PortBase):
             token=token,
             status=SwapStatus.REGISTERED,
             registered_at=ctx.block_ref,
-        )
+        ), ctx.block_ref)
         self._store(record)
-        mark_processed(record, ctx.block_ref)
         self.executed.add(entry.swap_id)
         ctx.emit(EventKind.UNLOCK_EXECUTED, entry.swap_id, {
             "symbol": token.symbol,
@@ -254,16 +248,15 @@ class IssueBurnPort(_PortBase):
                 f"this gateway does not serve tokens from chain "
                 f"{entry.origin_chain}")
         original = TokenId(entry.symbol, entry.origin_chain)
-        wrapped = registry.get(wrapped_symbol(entry.symbol))
-        if wrapped is None:
-            # First transfer of this token: register its wrapped counterpart.
-            wrapped = registry.register(
-                TokenId(wrapped_symbol(entry.symbol), self.chain_id,
-                        wrapped_of=original))
+        wrapped = registry.get(wrapped_symbol(entry.symbol)) or TokenId(
+            wrapped_symbol(entry.symbol), self.chain_id, wrapped_of=original)
         receiver = AccountId(self.chain_id, entry.receiver)
+        # Mint first: it rejects a bad entry before changing anything, and
+        # only then is a first transfer's wrapped token registered.
         ledger.mint(wrapped, receiver, entry.amount, caller=self.address)
+        registry.register(wrapped)
 
-        record = SwapRecord(
+        record = mark_processed(SwapRecord(
             swap_id=entry.swap_id,
             direction=Direction.ORIGIN_TO_DESTINATION,
             sender=None,
@@ -272,9 +265,8 @@ class IssueBurnPort(_PortBase):
             token=original,
             status=SwapStatus.REGISTERED,
             registered_at=ctx.block_ref,
-        )
+        ), ctx.block_ref)
         self._store(record)
-        mark_processed(record, ctx.block_ref)
         self.executed.add(entry.swap_id)
         ctx.emit(EventKind.MINT_EXECUTED, entry.swap_id, {
             "symbol": wrapped.symbol,
@@ -330,8 +322,9 @@ class IssueBurnPort(_PortBase):
         return other
 
 
-def mark_processed(record: SwapRecord, at: BlockRef) -> None:
+def mark_processed(record: SwapRecord, at: BlockRef) -> SwapRecord:
+    """The processed successor of a registered record; the original is
+    left unchanged."""
     if record.status != SwapStatus.REGISTERED:
         raise ValueError(f"cannot process swap in status {record.status.label}")
-    record.status = SwapStatus.PROCESSED
-    record.processed_at = at
+    return replace(record, status=SwapStatus.PROCESSED, processed_at=at)

@@ -8,11 +8,15 @@ from swapgate import (
     OracleIdentity,
     OracleNetwork,
     OracleRoster,
+    PulseTx,
+    SendDataTx,
     StatusController,
     TokenId,
     build_chains,
 )
 from swapgate.crypto import oracle_secret
+from swapgate.encoding import payload_hash
+from swapgate.nebula import pulse_message
 
 ALICE = AccountId(0, bytes.fromhex("aa" * 20))
 BOB = AccountId(1, bytes.fromhex("bb" * 20))
@@ -54,6 +58,15 @@ class World:
     @property
     def destination(self):
         return self.chains[1]
+
+    def attested(self, chain_id, entries, pulse_id, declared_height=0):
+        """A pulse signed by every oracle over `entries`, and its reveal."""
+        data_hash = payload_hash(entries)
+        message = pulse_message(data_hash, declared_height, chain_id)
+        signatures = tuple((i, self.roster.scheme.sign(key, message))
+                           for i, key in enumerate(self.roster.keys))
+        return (PulseTx(chain_id, data_hash, declared_height, signatures, 0),
+                SendDataTx(chain_id, pulse_id, tuple(entries), 0))
 
 
 @pytest.fixture

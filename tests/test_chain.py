@@ -1,10 +1,12 @@
 """Block production, forks, reorgs, canonical selection, replay oracle."""
 
+from dataclasses import dataclass
+
 import pytest
 
-from swapgate import EventKind, LockTx, TransferTx
-from swapgate.crypto import json_digest
-from swapgate.errors import HeightBeyondTip, UnknownBranch
+from swapgate import Chain, Direction, EventKind, LockTx, PayloadEntry, TransferTx
+from swapgate.crypto import canonical_json, json_digest
+from swapgate.errors import HeightBeyondTip, UnknownBranch, ZeroAmount
 
 from conftest import ALICE, BOB, CAROL, World
 
@@ -185,3 +187,106 @@ def test_pending_consumed_once_not_requeued_after_reorg(world):
     kinds = [e.kind for e in world.origin.canonical_events()]
     assert EventKind.LOCK_REGISTERED not in kinds
     assert world.origin.pending == []
+
+
+def test_rejected_tx_mid_block_matches_block_without_it():
+    """Rolling back a rejected tx leaves exactly the state, events and
+    receipts of the block built without it (block hashes aside)."""
+    with_reject, without = World(), World()
+    for tx in (lock_tx(10), lock_tx(10**9), lock_tx(20)):
+        with_reject.origin.submit(tx)
+    for tx in (lock_tx(10), lock_tx(20)):
+        without.origin.submit(tx)
+
+    def produced(world):
+        ref = world.origin.produce_block()
+        block = world.origin.blocks[ref.block_hash]
+        summary = canonical_json(world.origin.canonical_state.summary())
+        return block, summary.replace(ref.block_hash.hex(), "<block>")
+
+    block, summary = produced(with_reject)
+    expected_block, expected_summary = produced(without)
+    assert summary == expected_summary
+    assert [r.status for r in block.receipts] == \
+        ["ok", "InsufficientBalance", "ok"]
+    assert [r.extra for r in block.receipts] == [
+        expected_block.receipts[0].extra, None,
+        expected_block.receipts[1].extra]
+    assert [e.index for e in block.events] == [0, 1]
+    assert [(e.kind, e.swap_id, e.payload) for e in block.events] == \
+        [(e.kind, e.swap_id, e.payload) for e in expected_block.events]
+
+
+class ListState:
+    def __init__(self, values=()):
+        self.values = list(values)
+
+    def clone(self):
+        return ListState(self.values)
+
+    def summary(self):
+        return {"values": self.values}
+
+
+@dataclass(frozen=True)
+class ValueTx:
+    value: int
+
+    def describe(self):
+        return {"value": self.value}
+
+
+def append_then_check(state, tx, ctx):
+    """Mutates state and emits an event before rejecting negative values."""
+    state.values.append(tx.value)
+    ctx.emit(EventKind.LOCK_REGISTERED, None, {"value": tx.value})
+    if tx.value < 0:
+        raise ZeroAmount("negative value")
+    return {"count": len(state.values)}
+
+
+def test_tx_rejected_after_mutating_leaves_no_trace():
+    chain = Chain(7, ListState(), append_then_check)
+    for value in (1, -1, 2, -2, 3):
+        chain.submit(ValueTx(value))
+    ref = chain.produce_block()
+    block = chain.blocks[ref.block_hash]
+
+    assert chain.canonical_state.values == [1, 2, 3]
+    assert [(e.index, e.payload["value"]) for e in block.events] == \
+        [(0, 1), (1, 2), (2, 3)]
+    assert [(r.status, r.extra) for r in block.receipts] == [
+        ("ok", {"count": 1}), ("ZeroAmount", None), ("ok", {"count": 2}),
+        ("ZeroAmount", None), ("ok", {"count": 3})]
+    assert chain.states[chain.canonical_chain()[0].ref.block_hash].values == []
+    assert chain.replay_canonical().values == [1, 2, 3]
+
+
+def test_parent_state_unchanged_by_child_and_sibling_blocks(world):
+    """Per-block states share frozen swap records and pulses; building on a
+    block, on two branches, must not change that block's state."""
+    entry = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x01" * 32, "T",
+                         0, BOB.address, 5)
+    pulse, reveal = world.attested(1, [entry], pulse_id=1)
+    dest = world.destination
+    dest.submit(pulse)
+    parent = dest.produce_block()
+    before = json_digest(dest.states[parent.block_hash].summary())
+
+    dest.submit(reveal)
+    child = dest.produce_block()
+    sibling = dest.fork_at(parent.height, "alt")
+    dest.submit(reveal)
+    dest.submit(reveal)                   # AlreadyConsumed: rolled back
+    dest.extend(sibling, 2)               # alt wins: replay self-check runs
+
+    assert json_digest(dest.states[parent.block_hash].summary()) == before
+    parent_state = dest.states[parent.block_hash]
+    assert not parent_state.nebula.pulses[1].consumed
+    assert parent_state.ib_port.swaps == {}
+    for tip in (child.block_hash, dest.branches[sibling]):
+        state = dest.states[tip]
+        assert state.nebula.pulses[1].consumed
+        assert state.ledger.supply == {"swT": 5}
+    receipts = dest.blocks[dest.canonical_chain()[2].ref.block_hash].receipts
+    assert [r.status for r in receipts] == ["ok", "AlreadyConsumed"]

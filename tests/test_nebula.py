@@ -4,6 +4,7 @@ Expected signatures and hashes in the acceptance-matrix tests come from the
 independent reference codec, never from the production code under test.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -184,6 +185,20 @@ def test_send_data_routes_on_hash_match():
     assert outcomes == ["ok", "ok"]
     assert routed == entries
     assert nebula.pulses[1].consumed
+
+
+def test_pulse_is_frozen_and_consumption_replaces_it():
+    entries = [PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x03" * 32,
+                            "T", 0, b"\x04" * 20, 7)]
+    digest = payload_hash(entries)
+    nebula = make_nebula()
+    nebula.submit_pulse(ctx_at(1), digest, 0, ref_sigs(range(4), digest))
+    registered = nebula.pulses[1]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        registered.consumed = True
+    nebula.submit_send_data(ctx_at(1), 1, entries, router=lambda e: None)
+    assert nebula.pulses[1].consumed and not registered.consumed
+    assert nebula.pulses[1] == dataclasses.replace(registered, consumed=True)
 
 
 def test_send_data_one_flipped_bit_rejected():

@@ -1,5 +1,7 @@
 """Port contracts: swap ids, lifecycle, attested execution, replay guard."""
 
+import dataclasses
+
 import pytest
 
 from swapgate import (
@@ -24,6 +26,7 @@ from swapgate.errors import (
     ZeroAmount,
 )
 from swapgate.gateway import LU_PORT_ADDRESS, IB_PORT_ADDRESS
+from swapgate.ports import mark_processed
 
 from conftest import ALICE, BOB
 
@@ -295,7 +298,6 @@ def test_status_never_regresses_on_port(world):
                                           ctx_for(world.destination),
                                           entry_for(event),
                                           caller=NEBULA_ADDRESS)
-    from swapgate.ports import mark_processed
     with pytest.raises(ValueError):
         mark_processed(record, ctx_for(world.destination).block_ref)
 
@@ -310,3 +312,45 @@ def test_events_pair_with_ledger_changes(world):
     block = world.origin.blocks[ref.block_hash]
     assert block.receipts[0].status == "WrongChain"
     assert block.events == []
+
+
+def test_swap_record_is_frozen(world):
+    event = lock_on(world, 100)
+    record = world.origin.canonical_state.lu_port.record(event.swap_id)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.status = SwapStatus.PROCESSED
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.amount = 1
+
+
+def test_mark_processed_returns_new_record(world):
+    event = lock_on(world, 100)
+    record = world.origin.canonical_state.lu_port.record(event.swap_id)
+    at = ctx_for(world.origin).block_ref
+    processed = mark_processed(record, at)
+    assert processed is not record
+    assert (processed.status, processed.processed_at) == \
+        (SwapStatus.PROCESSED, at)
+    assert (record.status, record.processed_at) == (SwapStatus.REGISTERED, None)
+    assert dataclasses.replace(processed, status=SwapStatus.REGISTERED,
+                               processed_at=None) == record
+
+
+def test_zero_amount_entry_for_new_token_leaves_no_state(world):
+    """A quorum-signed entry that the mint rejects registers no wrapped
+    token and touches no balance."""
+    entry = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x01" * 32, "T",
+                         0, BOB.address, 0)
+    before = world.destination.canonical_state
+    tokens, ledger = before.tokens.summary(), before.ledger.summary()
+    for tx in world.attested(1, [entry], pulse_id=1):
+        world.destination.submit(tx)
+    ref = world.destination.produce_block()
+
+    pulse, reveal = world.destination.blocks[ref.block_hash].receipts
+    assert (pulse.status, reveal.status) == ("ok", "ok")
+    assert reveal.extra == {"entry_outcomes": ["ZeroAmount"]}
+    after = world.destination.canonical_state
+    assert after.tokens.summary() == tokens == {}
+    assert after.ledger.summary() == ledger
+    assert after.ib_port.swaps == {} and after.ib_port.executed == set()
