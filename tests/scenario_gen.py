@@ -137,6 +137,87 @@ def adversarial_scenario(behaviors: list[str], seed: int = 77) -> Scenario:
     })
 
 
+def reorg_scenario(seed: int, rounds: int = 40) -> Scenario:
+    """Forward swaps relayed through forks on both chains, with a Byzantine
+    minority of two among seven oracles (f = 2 < n/3) at seeded positions.
+
+    Some origin forks orphan a lock block before it is confirmed, after a
+    tick has seen it, so the controller drops the registration. Some
+    destination forks orphan a delivered mint after a tick has processed
+    it, so the swap reverts, goes stuck past the recovery timeout and is
+    re-attested. A closing stretch recovers and finalizes every swap.
+    """
+    rng = random.Random(seed)
+    behaviors = ["honest"] * 7
+    for index, behavior in zip(rng.sample(range(7), 2),
+                               rng.sample(ADVERSARIAL_BEHAVIOR_POOL, 2)):
+        behaviors[index] = behavior
+    height = {0: 0, 1: 0}
+    forks = 0
+    timeline: list[dict] = []
+
+    def produce(chain: int, count: int = 1) -> None:
+        timeline.append({"op": "produce_block", "chain": chain, "count": count})
+        height[chain] += count
+
+    def orphan_tip(chain: int) -> None:
+        """Tick, then fork one block below the tip and outgrow it."""
+        nonlocal forks
+        forks += 1
+        name = f"fork{forks}"
+        timeline.append({"op": "tick"})
+        timeline.append({"op": "fork_at", "chain": chain,
+                         "height": height[chain] - 1, "name": name})
+        timeline.append({"op": "extend_branch", "chain": chain,
+                         "branch": name, "count": 2})
+        height[chain] += 1
+
+    for _ in range(rounds):
+        for _ in range(rng.randint(1, 3)):
+            timeline.append({
+                "op": "user_lock", "sender": rng.choice(SENDERS),
+                "token": "T", "amount": rng.randint(1, 500),
+                "receiver": rng.choice(RECEIVERS),
+            })
+        produce(0)
+        if rng.random() < 0.25:
+            orphan_tip(0)
+        produce(0, CONF)
+        timeline.append({"op": "relay_round", "source": 0, "target": 1})
+        produce(1)
+        if rng.random() < 0.3:
+            orphan_tip(1)
+        timeline.append({"op": "tick"})
+
+    # flag whatever is still unexecuted, re-attest it, then finalize
+    produce(1, TIMEOUT + 1)
+    timeline.append({"op": "tick"})
+    timeline.append({"op": "relay_round", "source": 0, "target": 1})
+    produce(1)
+    produce(0, FIN)
+    produce(1, FIN)
+    timeline.append({"op": "tick"})
+    timeline.append({"op": "assert", "check": "backing", "token": "T",
+                     "relation": "eq"})
+    timeline.append({"op": "assert", "check": "no_forged_accepted"})
+
+    return Scenario.from_json({
+        "name": f"reorg_{seed}",
+        "seed": seed,
+        "chains": [
+            {"relevance_window": WINDOW, "confirmation_depth": CONF,
+             "finality_depth": FIN, "recovery_timeout": TIMEOUT},
+            {"relevance_window": WINDOW, "confirmation_depth": CONF,
+             "finality_depth": FIN, "recovery_timeout": TIMEOUT},
+        ],
+        "oracles": {"count": len(behaviors), "behaviors": behaviors},
+        "tokens": ["T"],
+        "balances": [{"account": sender, "token": "T", "amount": 100_000}
+                     for sender in SENDERS],
+        "timeline": timeline,
+    })
+
+
 def backing_holds_throughout(records: list[dict], symbols: list[str]) -> bool:
     """locked(T) on the origin >= supply(swT) on the destination at every
     canonical state reported in the trace."""

@@ -12,6 +12,9 @@ Covered runs: the 12 bundled scenarios, random_happy_scenario seeds 1-5 at
 200 swaps, and one adversarial roster of seven oracles with two Byzantine
 members (f = 2 < n/3): an equivocator at index 1 and a wrong_receiver at
 index 4, both of whose forged payloads compete with the honest quorum.
+reorg_scenario seed 3 adds forks on both chains under a Byzantine
+minority: orphaned registrations, reverted mints, stuck swaps and their
+re-attestation.
 """
 
 import hashlib
@@ -23,7 +26,8 @@ import pytest
 from swapgate.cli import bundled_scenario_names, load_scenario
 from swapgate.scenario import Runner
 
-from scenario_gen import adversarial_scenario, random_happy_scenario
+from scenario_gen import (adversarial_scenario, random_happy_scenario,
+                          reorg_scenario)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "trace_digests.json").read_text())
@@ -32,6 +36,7 @@ ADVERSARIAL_ROSTER = ["honest", "equivocator", "honest", "honest",
                       "wrong_receiver", "honest", "honest"]
 RANDOM_SEEDS = range(1, 6)
 RANDOM_SWAPS = 200
+REORG_SEED = 3
 
 
 def trace_digest(scenario) -> str:
@@ -49,13 +54,14 @@ def pinned_runs():
                lambda seed=seed: random_happy_scenario(seed, RANDOM_SWAPS))
     yield ("adversarial/" + "-".join(ADVERSARIAL_ROSTER),
            lambda: adversarial_scenario(ADVERSARIAL_ROSTER))
+    yield f"reorg/seed{REORG_SEED}", lambda: reorg_scenario(REORG_SEED)
 
 
 RUNS = dict(pinned_runs())
 
 
 def test_every_pinned_run_has_a_digest():
-    assert len(RUNS) == 12 + len(RANDOM_SEEDS) + 1
+    assert len(RUNS) == 12 + len(RANDOM_SEEDS) + 2
     assert sorted(RUNS) == sorted(GOLDEN)
 
 
