@@ -9,6 +9,14 @@ someone calls produce_block, heights are the only notion of time.
 Canonical-branch rule: longest branch wins; equal heights are broken by the
 lexicographically smallest tip hash, then by branch creation order (which
 only matters when two branches point at the very same block).
+
+The chain keeps the canonical branch as one list of blocks indexed by
+height, plus an index from swap id to that swap's canonical events. When
+the tip extends, the list grows by one block. On a reorg it is spliced:
+the new tip is walked back until it meets the list, the list is cut
+there and the new blocks are appended; the meeting height is the fork
+height. Both indexes change only by the blocks cut and appended, so the
+cost follows the reorg depth, not the chain height.
 """
 
 from __future__ import annotations
@@ -31,6 +39,10 @@ class EventKind(str, Enum):
     UNLOCK_EXECUTED = "UnlockExecuted"
     PULSE_ACCEPTED = "PulseAccepted"
     SEND_DATA_CONSUMED = "SendDataConsumed"
+
+
+REGISTRATION_KINDS = (EventKind.LOCK_REGISTERED, EventKind.BURN_REGISTERED)
+EXECUTION_KINDS = (EventKind.MINT_EXECUTED, EventKind.UNLOCK_EXECUTED)
 
 
 @dataclass(frozen=True)
@@ -174,9 +186,10 @@ class Chain:
         self._branch_order: list[str] = ["main"]
         self.pending: list[Any] = []
         self._fork_seq = 0
-        self._canonical_cache: tuple[bytes, list[Block]] | None = None
+        self._canonical_tip = g_ref
+        self._canonical: list[Block] = [genesis]
+        self._swap_events: dict[bytes, list[ChainEvent]] = {}
         self.last_reorg: ReorgInfo | None = None
-        self._recompute_canonical()
 
     # --- transaction queue -------------------------------------------------
 
@@ -205,6 +218,11 @@ class Chain:
             self.states[parent_hash], ref, txs)
 
         block = Block(ref, parent_hash, receipts, events)
+        if self.is_canonical(ref):
+            # a canonical block produced again on another branch has the
+            # same hash; self.blocks keeps the new object, so the list drops
+            # its twin here and the splice re-appends from the new one
+            self._truncate(height - 1)
         self.blocks[new_hash] = block
         self.states[new_hash] = state
         self.branches[branch] = new_hash
@@ -259,7 +277,6 @@ class Chain:
     # --- canonical selection -----------------------------------------------
 
     def _recompute_canonical(self) -> None:
-        prev_tip = getattr(self, "_canonical_tip", None)
         best = None
         for name in self._branch_order:
             tip_hash = self.branches[name]
@@ -269,18 +286,38 @@ class Chain:
                 best = (key, name, tip_hash)
         assert best is not None
         _, name, tip_hash = best
+        prev_tip = self._canonical_tip
         block = self.blocks[tip_hash]
         self._canonical_tip = BlockRef(self.chain_id, name, block.ref.height, tip_hash)
-        self._canonical_cache = None
+
+        added: list[Block] = []
+        while not self.is_canonical(block.ref):
+            added.append(block)
+            block = self.blocks[block.parent_hash]
+        fork_height = block.ref.height
+        self._truncate(fork_height)
+        for block in reversed(added):
+            self._canonical.append(block)
+            for event in block.events:
+                if event.swap_id is not None:
+                    self._swap_events.setdefault(event.swap_id, []).append(event)
 
         self.last_reorg = None
-        if prev_tip is not None and prev_tip.block_hash != tip_hash:
-            if not self._is_ancestor(prev_tip.block_hash, tip_hash):
-                fork_height = self._common_ancestor_height(
-                    prev_tip.block_hash, tip_hash)
-                self.last_reorg = ReorgInfo(prev_tip, self._canonical_tip, fork_height)
-                if self.self_check:
-                    self._verify_replay()
+        if not self.is_canonical(prev_tip):
+            self.last_reorg = ReorgInfo(prev_tip, self._canonical_tip, fork_height)
+            if self.self_check:
+                self._verify_replay()
+
+    def _truncate(self, height: int) -> None:
+        """Cut the canonical list above `height` and unindex its events."""
+        for block in reversed(self._canonical[height + 1:]):
+            for event in reversed(block.events):
+                if event.swap_id is not None:
+                    events = self._swap_events[event.swap_id]
+                    events.pop()
+                    if not events:
+                        del self._swap_events[event.swap_id]
+        del self._canonical[height + 1:]
 
     @property
     def canonical_tip(self) -> BlockRef:
@@ -291,54 +328,16 @@ class Chain:
         return self._canonical_tip.branch
 
     def canonical_chain(self) -> list[Block]:
-        """Blocks from genesis to the canonical tip, inclusive."""
-        tip_hash = self._canonical_tip.block_hash
-        if self._canonical_cache and self._canonical_cache[0] == tip_hash:
-            return self._canonical_cache[1]
-        chain: list[Block] = []
-        cursor = tip_hash
-        while True:
-            block = self.blocks[cursor]
-            chain.append(block)
-            if block.parent_hash == GENESIS_PARENT:
-                break
-            cursor = block.parent_hash
-        chain.reverse()
-        self._canonical_cache = (tip_hash, chain)
-        return chain
+        """Blocks from genesis to the canonical tip, inclusive, indexed by
+        height. This is the chain's own list, updated in place by every
+        block: callers index it and do not hold it across blocks."""
+        return self._canonical
 
     def is_canonical(self, block_ref: BlockRef) -> bool:
-        chain = self.canonical_chain()
+        chain = self._canonical
         if block_ref.height >= len(chain):
             return False
         return chain[block_ref.height].ref.block_hash == block_ref.block_hash
-
-    def _is_ancestor(self, ancestor_hash: bytes, descendant_hash: bytes) -> bool:
-        cursor = descendant_hash
-        target_height = self.blocks[ancestor_hash].ref.height
-        while True:
-            block = self.blocks[cursor]
-            if block.ref.height < target_height:
-                return False
-            if cursor == ancestor_hash:
-                return True
-            if block.parent_hash == GENESIS_PARENT and block.ref.height == 0:
-                return False
-            cursor = block.parent_hash
-
-    def _common_ancestor_height(self, a: bytes, b: bytes) -> int:
-        ancestors_a = set()
-        cursor = a
-        while True:
-            ancestors_a.add(cursor)
-            block = self.blocks[cursor]
-            if block.parent_hash == GENESIS_PARENT:
-                break
-            cursor = block.parent_hash
-        cursor = b
-        while cursor not in ancestors_a:
-            cursor = self.blocks[cursor].parent_hash
-        return self.blocks[cursor].ref.height
 
     # --- queries ------------------------------------------------------------
 
@@ -356,11 +355,14 @@ class Chain:
     def events_since(self, cursor: int) -> list[ChainEvent]:
         """Canonical events above `cursor`, in (height, intra-block) order."""
         out: list[ChainEvent] = []
-        for block in self.canonical_chain():
-            if block.ref.height <= cursor:
-                continue
-            out.extend(block.events)
+        for height in range(max(cursor + 1, 0), len(self._canonical)):
+            out.extend(self._canonical[height].events)
         return out
+
+    def swap_events(self, swap_id: bytes) -> list[ChainEvent]:
+        """Canonical events of one swap, in canonical order. Like
+        canonical_chain() this is the chain's own list: read, don't keep."""
+        return self._swap_events.get(swap_id, [])
 
     def canonical_events(self) -> list[ChainEvent]:
         return self.events_since(-1)

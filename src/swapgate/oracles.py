@@ -1,15 +1,17 @@
 """Off-chain oracle network: extraction, quorum, signing, submission.
 
-Each oracle independently reads confirmed port events from the source chain
-and turns them into a relay payload. A round succeeds when at least
-`threshold` oracles produced byte-identical payloads; the agreeing oracles
-sign the payload hash and the lowest-indexed signer enqueues the pulse and
-reveal transactions on the target chain. Anything less is a lost round, not
-a safety problem: a forged payload needs a full quorum of identical
-signatures to ever reach a port.
+Every round starts from one honest extraction of the confirmed port events
+on the source chain, read from one cursor per source chain; each oracle
+turns it into relay payload candidates according to its profile. A round
+succeeds when at least `threshold` oracles produced byte-identical
+payloads; the agreeing oracles sign the payload hash and the
+lowest-indexed signer enqueues the pulse and reveal transactions on the
+target chain. Anything less is a lost round, not a safety problem: a
+forged payload needs a full quorum of identical signatures to ever reach
+a port.
 
-Byzantine profiles perturb extraction deterministically so that runs stay
-replayable:
+Byzantine profiles are deterministic transforms of the honest extraction,
+so that runs stay replayable:
 
     silent          extracts nothing and signs nothing
     wrong_amount    doubles every amount
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .chain import Chain, ChainEvent, EventKind
+from .chain import REGISTRATION_KINDS, Chain, ChainEvent, EventKind
 from .crypto import sha256
 from .encoding import MAX_AMOUNT, Direction, PayloadEntry, encode_payload
 from .gateway import PulseTx, SendDataTx
@@ -104,10 +106,10 @@ class OracleNetwork:
         self.oracles = list(oracles)
         self.roster = roster
         self.confirmation_depth = dict(confirmation_depth)
-        self.cursors: dict[tuple[int, int], int] = {}
-        self.reference_cursors: dict[int, int] = {}
-        # replayers accumulate per (oracle, source chain) extraction history
-        self.replay_history: dict[tuple[int, int], list[PayloadEntry]] = {}
+        # per source chain: the confirmed height extracted up to, and every
+        # entry extracted so far (what a replayer re-emits)
+        self.cursors: dict[int, int] = {}
+        self.replay_history: dict[int, list[PayloadEntry]] = {}
         self.reattest_requests: set[bytes] = set()
 
     # --- extraction ---------------------------------------------------------
@@ -118,71 +120,25 @@ class OracleNetwork:
     def _confirmed_upper(self, chain: Chain) -> int:
         return chain.canonical_tip.height - self.confirmation_depth[chain.chain_id]
 
-    def _honest_entries(self, chain: Chain, cursor: int) -> tuple[list[PayloadEntry], int]:
-        """Confirmed registration events past the cursor, plus any flagged
-        re-attestations whose registration is confirmed on this chain."""
+    def extract(self, chain: Chain) -> list[PayloadEntry]:
+        """The honest extraction of one round: confirmed registrations above
+        the chain's cursor, plus any flagged re-attestations whose
+        registration is confirmed on this chain, in canonical order. The
+        cursor advances to the confirmed frontier, extraction being total."""
         upper = self._confirmed_upper(chain)
-        picked: list[tuple[int, int, PayloadEntry]] = []
-        seen: set[bytes] = set()
-        for event in chain.events_since(cursor):
-            if event.block.height > upper:
-                break
-            if event.kind not in (EventKind.LOCK_REGISTERED,
-                                  EventKind.BURN_REGISTERED):
-                continue
-            entry = entry_from_event(event)
-            picked.append((event.block.height, event.index, entry))
-            seen.add(entry.swap_id)
-        if self.reattest_requests:
-            for event in chain.events_since(-1):
-                if event.block.height > upper:
-                    break
-                if event.kind not in (EventKind.LOCK_REGISTERED,
-                                      EventKind.BURN_REGISTERED):
-                    continue
-                if event.swap_id in self.reattest_requests and event.swap_id not in seen:
-                    entry = entry_from_event(event)
-                    picked.append((event.block.height, event.index, entry))
-                    seen.add(entry.swap_id)
-        picked.sort(key=lambda item: (item[0], item[1]))
-        return [entry for _, _, entry in picked], max(cursor, upper)
-
-    def extract(self, oracle: OracleIdentity, chain: Chain) -> list[list[PayloadEntry]]:
-        """One oracle's payload candidates for the current round.
-
-        Honest oracles produce zero or one candidate; the equivocator may
-        produce two. The per-oracle cursor always advances to the confirmed
-        frontier, extraction being total.
-        """
-        key = (oracle.index, chain.chain_id)
-        cursor = self.cursors.get(key, 0)
-        entries, new_cursor = self._honest_entries(chain, cursor)
-        self.cursors[key] = new_cursor
-
-        if oracle.behavior == Behavior.SILENT:
-            return []
-        if oracle.behavior == Behavior.HONEST:
-            return [entries] if entries else []
-        if oracle.behavior == Behavior.WRONG_AMOUNT:
-            if not entries:
-                return []
-            return [[_with_amount(e, min(e.amount * 2, MAX_AMOUNT)) for e in entries]]
-        if oracle.behavior == Behavior.WRONG_RECEIVER:
-            if not entries:
-                return []
-            return [[_with_receiver(e, ATTACKER_ADDRESS) for e in entries]]
-        if oracle.behavior == Behavior.REPLAYER:
-            history = self.replay_history.setdefault(key, [])
-            payload = list(history) + entries
-            history.extend(entries)
-            return [payload] if payload else []
-        if oracle.behavior == Behavior.EQUIVOCATOR:
-            if not entries:
-                return []
-            twin = [_with_amount(e, e.amount + 1 if e.amount < MAX_AMOUNT
-                                 else e.amount - 1) for e in entries]
-            return [entries, twin]
-        raise ValueError(f"unhandled behavior {oracle.behavior}")
+        cursor = self.cursors.get(chain.chain_id, 0)
+        picked = [event for event in chain.events_since(cursor)
+                  if event.block.height <= upper
+                  and event.kind in REGISTRATION_KINDS]
+        seen = {event.swap_id for event in picked}
+        for swap_id in self.reattest_requests - seen:
+            first = next((event for event in chain.swap_events(swap_id)
+                          if event.kind in REGISTRATION_KINDS), None)
+            if first is not None and first.block.height <= upper:
+                picked.append(first)
+        picked.sort(key=lambda event: (event.block.height, event.index))
+        self.cursors[chain.chain_id] = max(cursor, upper)
+        return [entry_from_event(event) for event in picked]
 
     def sign_payload(self, oracle: OracleIdentity, data_hash: bytes,
                      declared_height: int, target_chain: int,
@@ -197,9 +153,8 @@ class OracleNetwork:
     # --- one relay round ------------------------------------------------------
 
     def relay_round(self, source: Chain, target: Chain) -> RoundReport:
-        reference_entries, ref_cursor = self._honest_entries(
-            source, self.reference_cursors.get(source.chain_id, 0))
-        self.reference_cursors[source.chain_id] = ref_cursor
+        reference_entries = self.extract(source)
+        history = self.replay_history.setdefault(source.chain_id, [])
         reference_bytes = (encode_payload(reference_entries)
                            if reference_entries else None)
         reference_hash = sha256(reference_bytes) if reference_bytes else None
@@ -209,13 +164,15 @@ class OracleNetwork:
         per_oracle_hashes: dict[int, set[bytes]] = {}
         for oracle in self.oracles:
             hashes: set[bytes] = set()
-            for candidate in self.extract(oracle, source):
+            for candidate in candidates(oracle.behavior, reference_entries,
+                                        history):
                 raw = encode_payload(candidate)
                 digest = sha256(raw)
                 by_payload.setdefault(digest, candidate)
                 endorsements.setdefault(digest, set()).add(oracle.index)
                 hashes.add(digest)
             per_oracle_hashes[oracle.index] = hashes
+        history.extend(reference_entries)
 
         candidates_json = [
             {
@@ -283,6 +240,32 @@ class OracleNetwork:
         report.pulse_id = predicted_pulse_id
         report.entries = [e.to_json() for e in chosen]
         return report
+
+
+def candidates(behavior: Behavior, entries: list[PayloadEntry],
+               history: list[PayloadEntry]) -> list[list[PayloadEntry]]:
+    """One oracle's payload candidates for a round whose honest extraction
+    is `entries`; `history` holds the earlier rounds' extractions from the
+    same source chain. Honest oracles produce zero or one candidate; the
+    equivocator may produce two."""
+    if behavior == Behavior.SILENT:
+        return []
+    if behavior == Behavior.REPLAYER:
+        payload = history + entries
+        return [payload] if payload else []
+    if not entries:
+        return []
+    if behavior == Behavior.HONEST:
+        return [entries]
+    if behavior == Behavior.WRONG_AMOUNT:
+        return [[_with_amount(e, min(e.amount * 2, MAX_AMOUNT)) for e in entries]]
+    if behavior == Behavior.WRONG_RECEIVER:
+        return [[_with_receiver(e, ATTACKER_ADDRESS) for e in entries]]
+    if behavior == Behavior.EQUIVOCATOR:
+        twin = [_with_amount(e, e.amount + 1 if e.amount < MAX_AMOUNT
+                             else e.amount - 1) for e in entries]
+        return [entries, twin]
+    raise ValueError(f"unhandled behavior {behavior}")
 
 
 def _with_amount(entry: PayloadEntry, amount: int) -> PayloadEntry:

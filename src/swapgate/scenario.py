@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import trace as trace_mod
-from .chain import Chain
+from .chain import EXECUTION_KINDS, Chain, EventKind
 from .controller import FinalityPolicy, StatusController
 from .crypto import oracle_secret, sha256
 from .errors import HeightBeyondTip, InvalidScenario
@@ -610,7 +610,7 @@ class Runner:
             if forged:
                 for cid, chain in sorted(self.chains.items()):
                     for event in chain.canonical_events():
-                        if event.kind.value != "PulseAccepted":
+                        if event.kind != EventKind.PULSE_ACCEPTED:
                             continue
                         key = (event.payload["data_hash"],
                                event.payload["declared_height"], cid)
@@ -623,12 +623,9 @@ class Runner:
             swap_id = self._swap_id_for(step["swap"])
             if swap_id is None:
                 return step["expect"] == 0, "swap not yet registered"
-            count = 0
-            for chain in self.chains.values():
-                for event in chain.canonical_events():
-                    if event.swap_id == swap_id and \
-                            event.kind.value in trace_mod.EXECUTION_EVENT_KINDS:
-                        count += 1
+            count = sum(1 for chain in self.chains.values()
+                        for event in chain.swap_events(swap_id)
+                        if event.kind in EXECUTION_KINDS)
             return count == step["expect"], f"{count} canonical executions"
         raise InvalidScenario(f"unknown check {check!r}")
 

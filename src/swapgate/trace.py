@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .chain import EXECUTION_KINDS, REGISTRATION_KINDS
 from .crypto import canonical_json
 from .errors import MalformedTrace
 
-EXECUTION_EVENT_KINDS = ("MintExecuted", "UnlockExecuted")
-REGISTRATION_EVENT_KINDS = ("LockRegistered", "BurnRegistered")
+EXECUTION_EVENT_KINDS = tuple(kind.value for kind in EXECUTION_KINDS)
+REGISTRATION_EVENT_KINDS = tuple(kind.value for kind in REGISTRATION_KINDS)
 
 _STATUS_NEXT = {None: "registered", "registered": "processed",
                 "processed": "finalized"}

@@ -1,4 +1,7 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from swapgate import (
     AccountId,
@@ -17,6 +20,11 @@ from swapgate import (
 from swapgate.crypto import oracle_secret
 from swapgate.encoding import payload_hash
 from swapgate.nebula import pulse_message
+
+# CI selects this profile with HYPOTHESIS_PROFILE=ci: the same examples on
+# every run, and no per-example deadline on a slow shared runner
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 ALICE = AccountId(0, bytes.fromhex("aa" * 20))
 BOB = AccountId(1, bytes.fromhex("bb" * 20))

@@ -4,7 +4,7 @@ import itertools
 
 from swapgate import Behavior, EventKind, LockTx
 from swapgate.encoding import encode_payload
-from swapgate.oracles import ATTACKER_ADDRESS
+from swapgate.oracles import ATTACKER_ADDRESS, candidates
 
 from conftest import ALICE, BOB, World
 
@@ -30,21 +30,19 @@ def test_extraction_depth_boundary():
     w.origin.produce_block()              # lock at h1
     w.origin.produce_block()
     w.origin.produce_block()              # tip h3: depth 2 < 3
-    oracle = w.network.oracles[0]
-    assert w.network.extract(oracle, w.origin) == []
+    assert w.network.extract(w.origin) == []
     w.origin.produce_block()              # tip h4: depth 3 == conf depth
-    candidates = w.network.extract(oracle, w.origin)
-    assert len(candidates) == 1
-    assert candidates[0][0].amount == 100
+    entries = w.network.extract(w.origin)
+    assert len(entries) == 1
+    assert entries[0].amount == 100
 
 
 def test_extraction_empty_past_cursor():
     w = World()
     lock_and_confirm(w)
-    oracle = w.network.oracles[0]
-    assert len(w.network.extract(oracle, w.origin)) == 1
+    assert len(w.network.extract(w.origin)) == 1
     # nothing new: cursor advanced, extraction is now empty
-    assert w.network.extract(oracle, w.origin) == []
+    assert w.network.extract(w.origin) == []
 
 
 def test_reorged_lock_never_extracted():
@@ -56,8 +54,9 @@ def test_reorged_lock_never_extracted():
     fork = w.origin.fork_at(0, "alt")
     w.origin.extend(fork, 2)              # reorg: lock gone
     for _ in range(8):                    # plenty of rounds afterwards
+        entries = w.network.extract(w.origin)
         for oracle in w.network.oracles:
-            for payload in w.network.extract(oracle, w.origin):
+            for payload in candidates(oracle.behavior, entries, []):
                 assert all(e.amount != 100 for e in payload)
         w.origin.produce_block(w.origin.canonical_branch)
 
@@ -99,10 +98,9 @@ def test_forged_payload_cannot_reach_threshold_with_minority():
             lock_and_confirm(w, amount=1)  # amount 1 maximizes collisions
             endorsements: dict[bytes, set[int]] = {}
             reference = None
+            entries = w.network.extract(w.origin)
             for oracle in w.network.oracles:
-                if oracle.behavior == Behavior.HONEST:
-                    pass
-                for payload in w.network.extract(oracle, w.origin):
+                for payload in candidates(oracle.behavior, entries, []):
                     raw = encode_payload(payload)
                     endorsements.setdefault(raw, set()).add(oracle.index)
                     if oracle.behavior == Behavior.HONEST:
@@ -177,7 +175,7 @@ def test_honest_oracle_refuses_foreign_payload():
     w = World()
     lock_and_confirm(w)
     oracle = w.network.oracles[0]
-    own = w.network.extract(oracle, w.origin)
+    own = candidates(oracle.behavior, w.network.extract(w.origin), [])
     own_hashes = {encode_payload(p) for p in own}
     from swapgate.crypto import sha256
     own_hashes = {sha256(raw) for raw in own_hashes}
@@ -228,3 +226,42 @@ def test_round_reports_deterministic():
         return [r1.to_json(), r2.to_json()]
 
     assert play() == play()
+
+
+def test_reattestation_finds_registration_reincluded_at_new_height():
+    """A lock is relayed, its mint is orphaned, and an origin reorg moves
+    the lock to a new height the round cursor has already passed. Once the
+    swap goes stuck, re-attestation finds it through the canonical swap
+    index and it is minted exactly once."""
+    w = World(conf_depth=2, fin_depth=3, timeout=6)
+    lock = LockTx(0, ALICE, "T", 100, BOB)
+    w.origin.submit(lock)
+    w.origin.produce_block()              # lock at h1
+    w.origin.extend("main", 4)            # tip h5: round cursor moves to 3
+    assert w.network.relay_round(w.origin, w.destination).outcome == "submitted"
+    w.destination.produce_block()         # mint at destination h1
+    w.controller.tick(w.chains)
+    sid = w.origin.canonical_events()[0].swap_id
+
+    w.destination.extend(w.destination.fork_at(0, "dest_alt"), 2)
+    alt = w.origin.fork_at(0, "alt")
+    w.origin.produce_block(alt)
+    w.origin.submit(lock)                 # same sender, amount and sequence
+    w.origin.produce_block(alt)           # the lock again, now at h2
+    w.origin.extend(alt, 4)               # alt wins at h6
+    assert [e.block.height for e in w.origin.swap_events(sid)] == [2]
+    assert w.network.relay_round(w.origin, w.destination).outcome == "empty"
+
+    w.destination.extend(w.destination.canonical_branch, 6)
+    result = w.controller.tick(w.chains)
+    assert result.requeue == [sid]
+    w.network.request_reattestation(sid)
+    report = w.network.relay_round(w.origin, w.destination)
+    assert report.outcome == "submitted"
+    assert [e["swap_id"] for e in report.entries] == [sid.hex()]
+    w.destination.produce_block(w.destination.canonical_branch)
+    mints = [e for e in w.destination.canonical_events()
+             if e.kind == EventKind.MINT_EXECUTED]
+    assert [e.swap_id for e in mints] == [sid]
+    assert w.destination.canonical_state.ledger.supply["swT"] == 100
+    assert sid not in w.network.reattest_requests
