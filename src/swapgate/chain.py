@@ -17,6 +17,13 @@ the new tip is walked back until it meets the list, the list is cut
 there and the new blocks are appended; the meeting height is the fork
 height. Both indexes change only by the blocks cut and appended, so the
 cost follows the reorg depth, not the chain height.
+
+After every reorg the chain checks itself: it replays the canonical chain
+from genesis and requires the result to equal the incremental tip state.
+Embedded states therefore compare by value (see EmbeddedState), and what
+they store must not depend on the branch a block was produced on: a block
+produced again on another branch has the same hash and replaces its twin,
+so records name blocks by BlockId, which leaves the branch out.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Any, Callable, Protocol
 
 from .crypto import json_digest, sha256
@@ -56,6 +64,22 @@ class BlockRef:
         return {
             "chain": self.chain,
             "branch": self.branch,
+            "height": self.height,
+            "hash": self.block_hash.hex(),
+        }
+
+
+@dataclass(frozen=True)
+class BlockId:
+    """A block as chain state names it: a BlockRef without the branch."""
+
+    chain: int
+    height: int
+    block_hash: bytes
+
+    def to_json(self) -> dict:
+        return {
+            "chain": self.chain,
             "height": self.height,
             "hash": self.block_hash.hex(),
         }
@@ -126,9 +150,22 @@ class ReorgInfo:
 
 
 class EmbeddedState(Protocol):
+    """What a Chain needs of its per-block state.
+
+    clone() returns a copy that later transactions can change without
+    touching the original. Two states compare equal (==) exactly when
+    every field of the one equals the same field of the other; the replay
+    self-check relies on that, so each state type derives its equality
+    from all of its fields (a dataclass with eq). summary() is a JSON view
+    for tests and for naming the parts of a state that differ; equality
+    covers at least what it shows.
+    """
+
     def clone(self) -> "EmbeddedState": ...
 
     def summary(self) -> dict: ...
+
+    def __eq__(self, other: object) -> bool: ...
 
 
 class BlockCtx:
@@ -141,6 +178,13 @@ class BlockCtx:
     @property
     def height(self) -> int:
         return self.block_ref.height
+
+    @cached_property
+    def block_id(self) -> BlockId:
+        """The block as records in state name it; built on first use, so a
+        block that stores no record never builds one."""
+        ref = self.block_ref
+        return BlockId(ref.chain, ref.height, ref.block_hash)
 
     def emit(self, kind: EventKind, swap_id: bytes | None, payload: dict) -> ChainEvent:
         event = ChainEvent(kind, swap_id, self.block_ref, len(self.events), payload)
@@ -379,9 +423,24 @@ class Chain:
         return state
 
     def _verify_replay(self) -> None:
-        replayed = json_digest(self.replay_canonical().summary())
-        incremental = json_digest(self.canonical_state.summary())
-        if replayed != incremental:
-            raise RuntimeError(
-                f"chain {self.chain_id}: canonical replay diverged from "
-                f"incremental state after reorg")
+        replayed = self.replay_canonical()
+        if replayed != self.canonical_state:
+            raise RuntimeError(self._divergence(replayed))
+
+    def _divergence(self, replayed: Any) -> str:
+        """The self-check's failure message: the reorg, and the top-level
+        summary() parts in which the two states differ."""
+        ours, theirs = self.canonical_state.summary(), replayed.summary()
+        differing = [key for key in sorted(ours.keys() | theirs.keys())
+                     if ours.get(key) != theirs.get(key)]
+        info = self.last_reorg
+        assert info is not None
+
+        def tip(ref: BlockRef) -> str:
+            return f"{ref.branch}@{ref.height} ({ref.block_hash.hex()[:12]})"
+
+        parts = ", ".join(differing) or "fields outside summary()"
+        return (f"chain {self.chain_id}: canonical replay diverged from "
+                f"incremental state after reorg from {tip(info.old_tip)} to "
+                f"{tip(info.new_tip)} (fork height {info.fork_height}); "
+                f"differing: {parts}")

@@ -125,17 +125,16 @@ Tx = TransferTx | LockTx | BurnTx | PulseTx | SendDataTx
 # --- embedded chain state -----------------------------------------------------
 
 
+@dataclass
 class GatewayState:
-    """Everything a branch snapshot carries besides the blocks themselves."""
+    """Everything a branch snapshot carries besides the blocks themselves.
+    Two states are equal when all five components are (see EmbeddedState)."""
 
-    def __init__(self, ledger: Ledger, tokens: TokenRegistry,
-                 lu_port: LockUnlockPort | None, ib_port: IssueBurnPort | None,
-                 nebula: NebulaState):
-        self.ledger = ledger
-        self.tokens = tokens
-        self.lu_port = lu_port
-        self.ib_port = ib_port
-        self.nebula = nebula
+    ledger: Ledger
+    tokens: TokenRegistry
+    lu_port: LockUnlockPort | None
+    ib_port: IssueBurnPort | None
+    nebula: NebulaState
 
     def clone(self) -> "GatewayState":
         return GatewayState(

@@ -58,11 +58,11 @@ def wrapped_symbol(original: str) -> str:
     return WRAPPED_PREFIX + original
 
 
+@dataclass
 class TokenRegistry:
     """Symbols known on one chain. Registration is append-only."""
 
-    def __init__(self, tokens: dict[str, TokenId] | None = None):
-        self.tokens: dict[str, TokenId] = dict(tokens) if tokens else {}
+    tokens: dict[str, TokenId] = field(default_factory=dict)
 
     def register(self, token: TokenId) -> TokenId:
         existing = self.tokens.get(token.symbol)
@@ -83,7 +83,7 @@ class TokenRegistry:
         return token
 
     def clone(self) -> "TokenRegistry":
-        return TokenRegistry(self.tokens)
+        return TokenRegistry(dict(self.tokens))
 
     def summary(self) -> dict:
         return {sym: tok.to_json() for sym, tok in sorted(self.tokens.items())}

@@ -15,7 +15,7 @@ collected for one chain or height cannot be replayed on another.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 from .chain import BlockCtx, EventKind
 from .crypto import DEFAULT_SCHEME, SignatureScheme
@@ -96,15 +96,18 @@ class Pulse:
         }
 
 
+@dataclass
 class NebulaState:
-    def __init__(self, chain_id: int, roster: OracleRoster, window: int):
-        self.chain_id = chain_id
-        self.roster = roster
-        self.window = window
-        self.pulses: dict[int, Pulse] = {}
-        self.next_pulse_id = 1
-        # data hash -> pulse id, for the registered-and-unconsumed uniqueness rule
-        self.unconsumed: dict[bytes, int] = {}
+    """Verification contract state; equal states hold equal values in every
+    field, full pulse signatures and `unconsumed` included."""
+
+    chain_id: int
+    roster: OracleRoster
+    window: int
+    pulses: dict[int, Pulse] = field(default_factory=dict)
+    next_pulse_id: int = 1
+    # data hash -> pulse id, for the registered-and-unconsumed uniqueness rule
+    unconsumed: dict[bytes, int] = field(default_factory=dict)
 
     def submit_pulse(self, ctx: BlockCtx, data_hash: bytes, declared_height: int,
                      signatures: list[tuple[int, bytes]]) -> int:
@@ -168,7 +171,9 @@ class NebulaState:
                 f"payload hashes to {revealed.hex()}, pulse committed to "
                 f"{pulse.data_hash.hex()}")
 
-        self.pulses[pulse_id] = replace(pulse, consumed=True)
+        self.pulses[pulse_id] = Pulse(pulse_id, pulse.data_hash,
+                                      pulse.declared_height, pulse.signatures,
+                                      consumed=True)
         self.unconsumed.pop(pulse.data_hash, None)
 
         outcomes: list[str] = []
@@ -187,11 +192,9 @@ class NebulaState:
         return outcomes
 
     def clone(self) -> "NebulaState":
-        other = NebulaState(self.chain_id, self.roster, self.window)
-        other.pulses = dict(self.pulses)
-        other.next_pulse_id = self.next_pulse_id
-        other.unconsumed = dict(self.unconsumed)
-        return other
+        return NebulaState(self.chain_id, self.roster, self.window,
+                           dict(self.pulses), self.next_pulse_id,
+                           dict(self.unconsumed))
 
     def summary(self) -> dict:
         return {

@@ -155,9 +155,8 @@ class OracleNetwork:
     def relay_round(self, source: Chain, target: Chain) -> RoundReport:
         reference_entries = self.extract(source)
         history = self.replay_history.setdefault(source.chain_id, [])
-        reference_bytes = (encode_payload(reference_entries)
-                           if reference_entries else None)
-        reference_hash = sha256(reference_bytes) if reference_bytes else None
+        reference_hash = (sha256(encode_payload(reference_entries))
+                          if reference_entries else None)
 
         by_payload: dict[bytes, list[PayloadEntry]] = {}
         endorsements: dict[bytes, set[int]] = {}
@@ -166,8 +165,9 @@ class OracleNetwork:
             hashes: set[bytes] = set()
             for candidate in candidates(oracle.behavior, reference_entries,
                                         history):
-                raw = encode_payload(candidate)
-                digest = sha256(raw)
+                # an honest candidate is the extraction itself, already hashed
+                digest = (reference_hash if candidate is reference_entries
+                          else sha256(encode_payload(candidate)))
                 by_payload.setdefault(digest, candidate)
                 endorsements.setdefault(digest, set()).add(oracle.index)
                 hashes.add(digest)

@@ -17,10 +17,10 @@ execution exactly-once per branch.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .chain import BlockCtx, BlockRef, EventKind
+from .chain import BlockCtx, BlockId, EventKind
 from .crypto import sha256
 from .encoding import Direction, PayloadEntry
 from .errors import (
@@ -65,8 +65,9 @@ class SwapRecord:
     wire format does not carry the originating account, only the executing
     side's receiver.
 
-    Records are immutable: a status change stores a new record under the
-    same swap id (see mark_processed), so per-block states can share them.
+    Records are immutable: per-block states share them, and a port stores
+    a record once, in its final status for that block. Blocks are named by
+    BlockId, so a record does not depend on the branch that produced it.
     """
 
     swap_id: bytes
@@ -76,8 +77,8 @@ class SwapRecord:
     amount: int
     token: TokenId            # the original (unwrapped) token
     status: SwapStatus
-    registered_at: BlockRef
-    processed_at: BlockRef | None = None
+    registered_at: BlockId
+    processed_at: BlockId | None = None
 
     def to_json(self) -> dict:
         return {
@@ -93,16 +94,17 @@ class SwapRecord:
         }
 
 
+@dataclass
 class _PortBase:
-    def __init__(self, chain_id: int, counterpart_chain: int, address: bytes,
-                 router_address: bytes):
-        self.chain_id = chain_id
-        self.counterpart_chain = counterpart_chain
-        self.address = address
-        self.router_address = router_address
-        self.swaps: dict[bytes, SwapRecord] = {}
-        self.executed: set[bytes] = set()
-        self.next_seq = 0
+    """Port state; equal ports hold equal values in every field."""
+
+    chain_id: int
+    counterpart_chain: int
+    address: bytes
+    router_address: bytes
+    swaps: dict[bytes, SwapRecord] = field(default_factory=dict)
+    executed: set[bytes] = field(default_factory=set)
+    next_seq: int = 0
 
     def status(self, swap_id: bytes) -> SwapStatus:
         record = self.swaps.get(swap_id)
@@ -135,10 +137,10 @@ class _PortBase:
             raise RuntimeError(f"swap id collision: {record.swap_id.hex()}")
         self.swaps[record.swap_id] = record
 
-    def _clone_into(self, other: "_PortBase") -> None:
-        other.swaps = dict(self.swaps)
-        other.executed = set(self.executed)
-        other.next_seq = self.next_seq
+    def _clone(self) -> "_PortBase":
+        return type(self)(self.chain_id, self.counterpart_chain, self.address,
+                          self.router_address, dict(self.swaps),
+                          set(self.executed), self.next_seq)
 
     def summary(self) -> dict:
         return {
@@ -175,7 +177,7 @@ class LockUnlockPort(_PortBase):
             amount=amount,
             token=token,
             status=SwapStatus.REGISTERED,
-            registered_at=ctx.block_ref,
+            registered_at=ctx.block_id,
         )
         self._store(record)
         ctx.emit(EventKind.LOCK_REGISTERED, swap_id, {
@@ -206,16 +208,17 @@ class LockUnlockPort(_PortBase):
 
         # Registered and executed within the same transaction: this port
         # first learns of the swap from the attested entry itself.
-        record = mark_processed(SwapRecord(
+        record = SwapRecord(
             swap_id=entry.swap_id,
             direction=Direction.DESTINATION_TO_ORIGIN,
             sender=None,
             receiver=receiver,
             amount=entry.amount,
             token=token,
-            status=SwapStatus.REGISTERED,
-            registered_at=ctx.block_ref,
-        ), ctx.block_ref)
+            status=SwapStatus.PROCESSED,
+            registered_at=ctx.block_id,
+            processed_at=ctx.block_id,
+        )
         self._store(record)
         self.executed.add(entry.swap_id)
         ctx.emit(EventKind.UNLOCK_EXECUTED, entry.swap_id, {
@@ -226,10 +229,7 @@ class LockUnlockPort(_PortBase):
         return record
 
     def clone(self) -> "LockUnlockPort":
-        other = LockUnlockPort(self.chain_id, self.counterpart_chain,
-                               self.address, self.router_address)
-        self._clone_into(other)
-        return other
+        return self._clone()
 
 
 class IssueBurnPort(_PortBase):
@@ -256,16 +256,17 @@ class IssueBurnPort(_PortBase):
         ledger.mint(wrapped, receiver, entry.amount, caller=self.address)
         registry.register(wrapped)
 
-        record = mark_processed(SwapRecord(
+        record = SwapRecord(
             swap_id=entry.swap_id,
             direction=Direction.ORIGIN_TO_DESTINATION,
             sender=None,
             receiver=receiver,
             amount=entry.amount,
             token=original,
-            status=SwapStatus.REGISTERED,
-            registered_at=ctx.block_ref,
-        ), ctx.block_ref)
+            status=SwapStatus.PROCESSED,
+            registered_at=ctx.block_id,
+            processed_at=ctx.block_id,
+        )
         self._store(record)
         self.executed.add(entry.swap_id)
         ctx.emit(EventKind.MINT_EXECUTED, entry.swap_id, {
@@ -303,7 +304,7 @@ class IssueBurnPort(_PortBase):
             amount=amount,
             token=original,
             status=SwapStatus.REGISTERED,
-            registered_at=ctx.block_ref,
+            registered_at=ctx.block_id,
         )
         self._store(record)
         ctx.emit(EventKind.BURN_REGISTERED, swap_id, {
@@ -316,15 +317,4 @@ class IssueBurnPort(_PortBase):
         return record
 
     def clone(self) -> "IssueBurnPort":
-        other = IssueBurnPort(self.chain_id, self.counterpart_chain,
-                              self.address, self.router_address)
-        self._clone_into(other)
-        return other
-
-
-def mark_processed(record: SwapRecord, at: BlockRef) -> SwapRecord:
-    """The processed successor of a registered record; the original is
-    left unchanged."""
-    if record.status != SwapStatus.REGISTERED:
-        raise ValueError(f"cannot process swap in status {record.status.label}")
-    return replace(record, status=SwapStatus.PROCESSED, processed_at=at)
+        return self._clone()

@@ -1,6 +1,6 @@
 """Block production, forks, reorgs, canonical selection, replay oracle."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -217,12 +217,12 @@ def test_rejected_tx_mid_block_matches_block_without_it():
         [(e.kind, e.swap_id, e.payload) for e in expected_block.events]
 
 
+@dataclass
 class ListState:
-    def __init__(self, values=()):
-        self.values = list(values)
+    values: list = field(default_factory=list)
 
     def clone(self):
-        return ListState(self.values)
+        return ListState(list(self.values))
 
     def summary(self):
         return {"values": self.values}
@@ -290,3 +290,27 @@ def test_parent_state_unchanged_by_child_and_sibling_blocks(world):
         assert state.ledger.supply == {"swT": 5}
     receipts = dest.blocks[dest.canonical_chain()[2].ref.block_hash].receipts
     assert [r.status for r in receipts] == ["ok", "AlreadyConsumed"]
+
+
+def test_twin_block_on_another_branch_keeps_replay_consistent(world):
+    """A lock block produced again on a second branch has the same hash and
+    replaces its twin in the block tree; the records it registers must not
+    depend on which branch produced it, or the replay self-check of a later
+    reorg disagrees with the states built on the first twin."""
+    origin = world.origin
+    origin.produce_block()
+    origin.fork_at(1, "alt")
+    origin.submit(lock_tx(amount=5))
+    first = origin.produce_block("main")
+    origin.produce_block("main")
+    origin.submit(lock_tx(amount=5))
+    twin = origin.produce_block("alt")
+    assert twin.block_hash == first.block_hash
+    origin.fork_at(1, "x")
+    origin.extend("x", 3)
+    assert origin.canonical_branch == "x"
+    origin.extend("main", 2)              # main wins again: replay self-check
+
+    assert origin.canonical_branch == "main"
+    assert origin.replay_canonical() == origin.canonical_state
+    assert origin.canonical_state.ledger.locked == {"T": 5}

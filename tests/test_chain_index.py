@@ -9,7 +9,7 @@ by walking back from the tip, a reorg by an ancestor walk and a
 common-ancestor walk.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,12 +31,12 @@ class EventTx:
         return {"kind": self.kind, "swap": self.swap}
 
 
+@dataclass
 class Values:
-    def __init__(self, values=()):
-        self.values = list(values)
+    values: list = field(default_factory=list)
 
     def clone(self):
-        return Values(self.values)
+        return Values(list(self.values))
 
     def summary(self):
         return {"values": self.values}

@@ -26,7 +26,6 @@ from swapgate.errors import (
     ZeroAmount,
 )
 from swapgate.gateway import LU_PORT_ADDRESS, IB_PORT_ADDRESS
-from swapgate.ports import mark_processed
 
 from conftest import ALICE, BOB
 
@@ -291,15 +290,20 @@ def test_status_queries(world):
 
 
 def test_status_never_regresses_on_port(world):
-    """Port-side statuses only ever step forward."""
+    """Port-side statuses only ever step forward: a processed swap cannot be
+    executed, or stored, again."""
     event = lock_on(world, 100)
     dstate = world.destination.canonical_state
     record = dstate.ib_port.mint_attested(dstate.ledger, dstate.tokens,
                                           ctx_for(world.destination),
                                           entry_for(event),
                                           caller=NEBULA_ADDRESS)
-    with pytest.raises(ValueError):
-        mark_processed(record, ctx_for(world.destination).block_ref)
+    with pytest.raises(DuplicateExecution):
+        dstate.ib_port.mint_attested(dstate.ledger, dstate.tokens,
+                                     ctx_for(world.destination),
+                                     entry_for(event), caller=NEBULA_ADDRESS)
+    assert dstate.ib_port.record(event.swap_id) is record
+    assert record.status == SwapStatus.PROCESSED
 
 
 def test_events_pair_with_ledger_changes(world):
@@ -323,17 +327,22 @@ def test_swap_record_is_frozen(world):
         record.amount = 1
 
 
-def test_mark_processed_returns_new_record(world):
+def test_attested_execution_stores_one_processed_record(world):
+    """An attested mint stores its record once, already processed, naming
+    its block without the branch; the origin's lock record is untouched."""
     event = lock_on(world, 100)
-    record = world.origin.canonical_state.lu_port.record(event.swap_id)
-    at = ctx_for(world.origin).block_ref
-    processed = mark_processed(record, at)
-    assert processed is not record
-    assert (processed.status, processed.processed_at) == \
-        (SwapStatus.PROCESSED, at)
-    assert (record.status, record.processed_at) == (SwapStatus.REGISTERED, None)
-    assert dataclasses.replace(processed, status=SwapStatus.REGISTERED,
-                               processed_at=None) == record
+    lock_record = world.origin.canonical_state.lu_port.record(event.swap_id)
+    dstate = world.destination.canonical_state
+    ctx = ctx_for(world.destination)
+    record = dstate.ib_port.mint_attested(dstate.ledger, dstate.tokens, ctx,
+                                          entry_for(event),
+                                          caller=NEBULA_ADDRESS)
+    assert dstate.ib_port.record(event.swap_id) is record
+    assert (record.status, record.registered_at, record.processed_at) == \
+        (SwapStatus.PROCESSED, ctx.block_id, ctx.block_id)
+    assert ctx.block_id == ctx_for(world.destination, branch="alt").block_id
+    assert (lock_record.status, lock_record.processed_at) == \
+        (SwapStatus.REGISTERED, None)
 
 
 def test_zero_amount_entry_for_new_token_leaves_no_state(world):
