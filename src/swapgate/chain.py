@@ -240,9 +240,6 @@ class Chain:
     def submit(self, tx: Any) -> None:
         self.pending.append(tx)
 
-    def pending_txs(self) -> tuple:
-        return tuple(self.pending)
-
     # --- block production --------------------------------------------------
 
     def produce_block(self, branch: str = "main") -> BlockRef:

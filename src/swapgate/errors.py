@@ -95,14 +95,6 @@ class UnknownPulse(GatewayError):
     code = "UnknownPulse"
 
 
-class HashMismatch(GatewayError):
-    code = "HashMismatch"
-
-
-class AlreadyConsumed(GatewayError):
-    code = "AlreadyConsumed"
-
-
 class MalformedPayload(GatewayError):
     code = "MalformedPayload"
 

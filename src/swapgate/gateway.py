@@ -104,8 +104,9 @@ class PulseTx:
 
 @dataclass(frozen=True)
 class SendDataTx:
+    """Reveals a payload; it opens the pulse committed to the payload's hash."""
+
     chain: int
-    pulse_id: int
     entries: tuple[PayloadEntry, ...]
     submitter: int
 
@@ -113,7 +114,6 @@ class SendDataTx:
         return {
             "kind": "send_data",
             "chain": self.chain,
-            "pulse_id": self.pulse_id,
             "entries": [e.to_json() for e in self.entries],
             "submitter": self.submitter,
         }
@@ -194,7 +194,7 @@ def apply_tx(state: GatewayState, tx: Tx, ctx: BlockCtx) -> dict | None:
         return None
     if isinstance(tx, SendDataTx):
         outcomes = state.nebula.submit_send_data(
-            ctx, tx.pulse_id, list(tx.entries),
+            ctx, list(tx.entries),
             router=lambda entry: state.route_entry(entry, ctx))
         return {"entry_outcomes": outcomes}
     raise TypeError(f"unknown transaction type {type(tx).__name__}")

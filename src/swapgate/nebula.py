@@ -4,9 +4,13 @@ Data reaches a port in two steps. A pulse transaction registers the hash of
 a payload together with oracle signatures; the contract checks that every
 signature verifies, that enough distinct oracles signed, and that the
 declared height falls inside the relevance window. A send-data transaction
-then reveals the payload; it is accepted only if its canonical encoding
-hashes to the registered commitment, after which each entry is routed to
-the local port. A consumed pulse can never be revealed twice.
+then reveals the payload, and nothing else: the pulse it opens is the one
+whose commitment equals the hash of the payload's canonical encoding. A
+reveal that matches no open pulse (a tampered payload, a second reveal of a
+consumed one, or a payload never committed on this branch) is rejected.
+Otherwise the pulse is consumed and each entry is routed to the local port.
+`unconsumed` is the one record of open commitments: a pulse is consumed
+exactly when its hash no longer maps to its id there.
 
 Signatures bind (data hash, declared height, chain id) so that a signature
 collected for one chain or height cannot be replayed on another.
@@ -21,11 +25,9 @@ from .chain import BlockCtx, EventKind
 from .crypto import DEFAULT_SCHEME, SignatureScheme
 from .encoding import PayloadEntry, payload_hash
 from .errors import (
-    AlreadyConsumed,
     DuplicatePulse,
     FutureHeight,
     GatewayError,
-    HashMismatch,
     InsufficientSignatures,
     InvalidSignature,
     StaleHeight,
@@ -73,26 +75,25 @@ def verify_signature(scheme: SignatureScheme, key: bytes, message: bytes,
 
 @dataclass(frozen=True)
 class Pulse:
-    """A registered payload commitment. Immutable: consuming a pulse stores
-    a consumed copy under the same id, so per-block states can share it."""
+    """A registered payload commitment. Immutable, so per-block states can
+    share it; whether it is consumed is NebulaState's to say."""
 
     pulse_id: int
     data_hash: bytes
     declared_height: int
     signatures: tuple[tuple[int, bytes], ...]
-    consumed: bool = False
 
     @property
     def signers(self) -> tuple[int, ...]:
         return tuple(sorted({idx for idx, _ in self.signatures}))
 
-    def to_json(self) -> dict:
+    def to_json(self, consumed: bool) -> dict:
         return {
             "pulse_id": self.pulse_id,
             "data_hash": self.data_hash.hex(),
             "declared_height": self.declared_height,
             "signers": list(self.signers),
-            "consumed": self.consumed,
+            "consumed": consumed,
         }
 
 
@@ -106,7 +107,8 @@ class NebulaState:
     window: int
     pulses: dict[int, Pulse] = field(default_factory=dict)
     next_pulse_id: int = 1
-    # data hash -> pulse id, for the registered-and-unconsumed uniqueness rule
+    # data hash -> id of the open pulse committed to it: the uniqueness rule
+    # for pulses and the lookup for reveals
     unconsumed: dict[bytes, int] = field(default_factory=dict)
 
     def submit_pulse(self, ctx: BlockCtx, data_hash: bytes, declared_height: int,
@@ -152,29 +154,19 @@ class NebulaState:
         })
         return pulse.pulse_id
 
-    def submit_send_data(self, ctx: BlockCtx, pulse_id: int,
-                         entries: list[PayloadEntry], router) -> list[str]:
-        """Reveal a payload and route it entry by entry.
+    def submit_send_data(self, ctx: BlockCtx, entries: list[PayloadEntry],
+                         router) -> list[str]:
+        """Reveal a payload, consume the open pulse committed to its hash and
+        route the payload entry by entry.
 
         router(entry) executes one entry against the local port and raises a
         GatewayError on rejection. A rejected entry is recorded but does not
         roll back its siblings; the pulse is consumed either way.
         """
-        pulse = self.pulses.get(pulse_id)
-        if pulse is None:
-            raise UnknownPulse(f"no pulse {pulse_id}")
-        if pulse.consumed:
-            raise AlreadyConsumed(f"pulse {pulse_id} already consumed")
-        revealed = payload_hash(entries)
-        if revealed != pulse.data_hash:
-            raise HashMismatch(
-                f"payload hashes to {revealed.hex()}, pulse committed to "
-                f"{pulse.data_hash.hex()}")
-
-        self.pulses[pulse_id] = Pulse(pulse_id, pulse.data_hash,
-                                      pulse.declared_height, pulse.signatures,
-                                      consumed=True)
-        self.unconsumed.pop(pulse.data_hash, None)
+        data_hash = payload_hash(entries)
+        pulse_id = self.unconsumed.pop(data_hash, None)
+        if pulse_id is None:
+            raise UnknownPulse(f"no open pulse for hash {data_hash.hex()}")
 
         outcomes: list[str] = []
         for entry in entries:
@@ -185,7 +177,7 @@ class NebulaState:
                 outcomes.append(err.code)
         ctx.emit(EventKind.SEND_DATA_CONSUMED, None, {
             "pulse_id": pulse_id,
-            "data_hash": pulse.data_hash.hex(),
+            "data_hash": data_hash.hex(),
             "entries": len(entries),
             "outcomes": list(outcomes),
         })
@@ -199,5 +191,6 @@ class NebulaState:
     def summary(self) -> dict:
         return {
             "next_pulse_id": self.next_pulse_id,
-            "pulses": {str(pid): p.to_json() for pid, p in sorted(self.pulses.items())},
+            "pulses": {str(pid): p.to_json(self.unconsumed.get(p.data_hash) != pid)
+                       for pid, p in sorted(self.pulses.items())},
         }

@@ -77,7 +77,6 @@ class RoundReport:
     forged_chosen: bool = False
     signers: list[int] = field(default_factory=list)
     declared_height: int | None = None
-    pulse_id: int | None = None
     entries: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -91,7 +90,6 @@ class RoundReport:
             "forged_chosen": self.forged_chosen,
             "signers": self.signers,
             "declared_height": self.declared_height,
-            "pulse_id": self.pulse_id,
             "entries": self.entries,
         }
 
@@ -210,10 +208,6 @@ class OracleNetwork:
             if sig is not None:
                 signatures.append((oracle.index, sig))
 
-        pending_pulses = sum(1 for tx in target.pending_txs()
-                             if isinstance(tx, PulseTx))
-        predicted_pulse_id = (target.canonical_state.nebula.next_pulse_id
-                              + pending_pulses)
         submitter = min(idx for idx, _ in signatures)
         target.submit(PulseTx(
             chain=target.chain_id,
@@ -224,7 +218,6 @@ class OracleNetwork:
         ))
         target.submit(SendDataTx(
             chain=target.chain_id,
-            pulse_id=predicted_pulse_id,
             entries=tuple(chosen),
             submitter=submitter,
         ))
@@ -237,7 +230,6 @@ class OracleNetwork:
         report.forged_chosen = digest != reference_hash
         report.signers = sorted(idx for idx, _ in signatures)
         report.declared_height = declared_height
-        report.pulse_id = predicted_pulse_id
         report.entries = [e.to_json() for e in chosen]
         return report
 

@@ -67,14 +67,14 @@ class World:
     def destination(self):
         return self.chains[1]
 
-    def attested(self, chain_id, entries, pulse_id, declared_height=0):
+    def attested(self, chain_id, entries, declared_height=0):
         """A pulse signed by every oracle over `entries`, and its reveal."""
         data_hash = payload_hash(entries)
         message = pulse_message(data_hash, declared_height, chain_id)
         signatures = tuple((i, self.roster.scheme.sign(key, message))
                            for i, key in enumerate(self.roster.keys))
         return (PulseTx(chain_id, data_hash, declared_height, signatures, 0),
-                SendDataTx(chain_id, pulse_id, tuple(entries), 0))
+                SendDataTx(chain_id, tuple(entries), 0))
 
 
 @pytest.fixture

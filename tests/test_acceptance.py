@@ -19,13 +19,12 @@ from swapgate.cli import load_scenario
 from swapgate.encoding import Direction, PayloadEntry, decode_payload, \
     encode_payload, payload_hash
 from swapgate.errors import (
-    AlreadyConsumed,
     DuplicatePulse,
     FutureHeight,
-    HashMismatch,
     InsufficientSignatures,
     InvalidSignature,
     StaleHeight,
+    UnknownPulse,
 )
 from swapgate.nebula import NebulaState, OracleRoster
 from swapgate.scenario import Runner
@@ -244,7 +243,8 @@ def test_criterion_5_nebula_rules():
     with pytest.raises(DuplicatePulse):
         dup.submit_pulse(ctx(2), data_hash, 1, sigs(range(4), data_hash, 1))
 
-    # reveal: hash match routes, one-bit flip rejects, one-shot consumption
+    # reveal by payload hash: a match routes, a one-bit flip matches no open
+    # pulse, and a consumed pulse is never opened again
     entries = [PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x31" * 32,
                             "T", 0, b"\x32" * 20, 64)]
     digest = ref_payload_hash([(0, b"\x31" * 32, "T", 0, b"\x32" * 20, 64)])
@@ -252,19 +252,22 @@ def test_criterion_5_nebula_rules():
     reveal = nebula()
     reveal.submit_pulse(ctx(1), digest, 0, sigs(range(4), digest, 0))
     routed = []
-    assert reveal.submit_send_data(ctx(1), 1, entries,
+    assert reveal.submit_send_data(ctx(1), entries,
                                    router=routed.append) == ["ok"]
-    assert routed == entries
+    assert routed == entries and reveal.unconsumed == {}
     flipped = [PayloadEntry(entries[0].direction, entries[0].swap_id,
                             entries[0].symbol, entries[0].origin_chain,
                             entries[0].receiver, entries[0].amount ^ 1)]
     fresh = nebula()
     fresh.submit_pulse(ctx(1), digest, 0, sigs(range(4), digest, 0))
-    with pytest.raises(HashMismatch):
-        fresh.submit_send_data(ctx(1), 1, flipped, router=lambda e: None)
-    fresh.submit_send_data(ctx(1), 1, entries, router=lambda e: None)
-    with pytest.raises(AlreadyConsumed):
-        fresh.submit_send_data(ctx(1), 1, entries, router=lambda e: None)
+    routed = []
+    with pytest.raises(UnknownPulse):
+        fresh.submit_send_data(ctx(1), flipped, router=routed.append)
+    assert routed == [] and fresh.unconsumed == {digest: 1}
+    fresh.submit_send_data(ctx(1), entries, router=lambda e: None)
+    with pytest.raises(UnknownPulse):
+        fresh.submit_send_data(ctx(1), entries, router=routed.append)
+    assert routed == [] and fresh.unconsumed == {}
 
 
 @criterion(6, "canonical encoding: 1000-payload round trip plus golden bytes")

@@ -267,7 +267,7 @@ def test_parent_state_unchanged_by_child_and_sibling_blocks(world):
     block, on two branches, must not change that block's state."""
     entry = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x01" * 32, "T",
                          0, BOB.address, 5)
-    pulse, reveal = world.attested(1, [entry], pulse_id=1)
+    pulse, reveal = world.attested(1, [entry])
     dest = world.destination
     dest.submit(pulse)
     parent = dest.produce_block()
@@ -277,19 +277,19 @@ def test_parent_state_unchanged_by_child_and_sibling_blocks(world):
     child = dest.produce_block()
     sibling = dest.fork_at(parent.height, "alt")
     dest.submit(reveal)
-    dest.submit(reveal)                   # AlreadyConsumed: rolled back
+    dest.submit(reveal)                   # UnknownPulse: rolled back
     dest.extend(sibling, 2)               # alt wins: replay self-check runs
 
     assert json_digest(dest.states[parent.block_hash].summary()) == before
     parent_state = dest.states[parent.block_hash]
-    assert not parent_state.nebula.pulses[1].consumed
+    assert parent_state.nebula.unconsumed == {pulse.data_hash: 1}
     assert parent_state.ib_port.swaps == {}
     for tip in (child.block_hash, dest.branches[sibling]):
         state = dest.states[tip]
-        assert state.nebula.pulses[1].consumed
+        assert state.nebula.unconsumed == {}
         assert state.ledger.supply == {"swT": 5}
     receipts = dest.blocks[dest.canonical_chain()[2].ref.block_hash].receipts
-    assert [r.status for r in receipts] == ["ok", "AlreadyConsumed"]
+    assert [r.status for r in receipts] == ["ok", "UnknownPulse"]
 
 
 def test_twin_block_on_another_branch_keeps_replay_consistent(world):

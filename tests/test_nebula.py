@@ -14,10 +14,8 @@ from swapgate.chain import BlockCtx, BlockRef
 from swapgate.crypto import HashMacScheme
 from swapgate.encoding import Direction, PayloadEntry, payload_hash
 from swapgate.errors import (
-    AlreadyConsumed,
     DuplicatePulse,
     FutureHeight,
-    HashMismatch,
     InsufficientSignatures,
     InvalidSignature,
     StaleHeight,
@@ -161,7 +159,7 @@ def test_hash_can_reregister_after_consumption():
     digest = payload_hash(entries)
     nebula = make_nebula()
     nebula.submit_pulse(ctx_at(1), digest, 0, ref_sigs(range(4), digest))
-    nebula.submit_send_data(ctx_at(1), 1, entries, router=lambda e: None)
+    nebula.submit_send_data(ctx_at(1), entries, router=lambda e: None)
     assert nebula.submit_pulse(ctx_at(2), digest, 1,
                                ref_sigs(range(4), digest, height=1)) == 2
 
@@ -180,14 +178,16 @@ def test_send_data_routes_on_hash_match():
     nebula = make_nebula()
     nebula.submit_pulse(ctx_at(1), digest, 0, ref_sigs(range(5), digest))
     routed = []
-    outcomes = nebula.submit_send_data(ctx_at(1), 1, entries,
+    outcomes = nebula.submit_send_data(ctx_at(1), entries,
                                        router=routed.append)
     assert outcomes == ["ok", "ok"]
     assert routed == entries
-    assert nebula.pulses[1].consumed
+    assert nebula.unconsumed == {}
 
 
-def test_pulse_is_frozen_and_consumption_replaces_it():
+def test_pulse_is_frozen_and_consumption_leaves_it_in_place():
+    """Consuming a pulse only closes its hash in `unconsumed`; the pulse
+    record stays the same object, and summary() reads it as consumed."""
     entries = [PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x03" * 32,
                             "T", 0, b"\x04" * 20, 7)]
     digest = payload_hash(entries)
@@ -195,10 +195,13 @@ def test_pulse_is_frozen_and_consumption_replaces_it():
     nebula.submit_pulse(ctx_at(1), digest, 0, ref_sigs(range(4), digest))
     registered = nebula.pulses[1]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        registered.consumed = True
-    nebula.submit_send_data(ctx_at(1), 1, entries, router=lambda e: None)
-    assert nebula.pulses[1].consumed and not registered.consumed
-    assert nebula.pulses[1] == dataclasses.replace(registered, consumed=True)
+        registered.declared_height = 5
+    assert nebula.unconsumed == {digest: 1}
+    assert not nebula.summary()["pulses"]["1"]["consumed"]
+    nebula.submit_send_data(ctx_at(1), entries, router=lambda e: None)
+    assert nebula.pulses[1] is registered
+    assert nebula.unconsumed == {}
+    assert nebula.summary()["pulses"]["1"]["consumed"]
 
 
 def test_send_data_one_flipped_bit_rejected():
@@ -210,9 +213,11 @@ def test_send_data_one_flipped_bit_rejected():
     tampered = [PayloadEntry(entries[0].direction, entries[0].swap_id,
                              entries[0].symbol, entries[0].origin_chain,
                              entries[0].receiver, entries[0].amount ^ 1)]
-    with pytest.raises(HashMismatch):
-        nebula.submit_send_data(ctx_at(1), 1, tampered, router=lambda e: None)
-    assert not nebula.pulses[1].consumed
+    routed = []
+    with pytest.raises(UnknownPulse):
+        nebula.submit_send_data(ctx_at(1), tampered, router=routed.append)
+    assert routed == []
+    assert nebula.unconsumed == {digest: 1}
 
 
 def test_send_data_one_shot():
@@ -221,15 +226,23 @@ def test_send_data_one_shot():
     digest = payload_hash(entries)
     nebula = make_nebula()
     nebula.submit_pulse(ctx_at(1), digest, 0, ref_sigs(range(4), digest))
-    nebula.submit_send_data(ctx_at(1), 1, entries, router=lambda e: None)
-    with pytest.raises(AlreadyConsumed):
-        nebula.submit_send_data(ctx_at(1), 1, entries, router=lambda e: None)
+    nebula.submit_send_data(ctx_at(1), entries, router=lambda e: None)
+    routed = []
+    with pytest.raises(UnknownPulse):
+        nebula.submit_send_data(ctx_at(1), entries, router=routed.append)
+    assert routed == []
+    assert nebula.unconsumed == {}
 
 
 def test_send_data_unknown_pulse():
+    """A payload whose hash no pulse committed to is rejected, by name."""
+    entries = [PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x0e" * 32,
+                            "T", 0, b"\x0f" * 20, 4)]
     nebula = make_nebula()
-    with pytest.raises(UnknownPulse):
-        nebula.submit_send_data(ctx_at(1), 3, [], router=lambda e: None)
+    nebula.submit_pulse(ctx_at(1), DATA_HASH, 0, ref_sigs(range(4)))
+    with pytest.raises(UnknownPulse, match=payload_hash(entries).hex()):
+        nebula.submit_send_data(ctx_at(1), entries, router=lambda e: None)
+    assert nebula.unconsumed == {DATA_HASH: 1}
 
 
 def test_entry_failures_do_not_roll_back_siblings():
@@ -251,7 +264,7 @@ def test_entry_failures_do_not_roll_back_siblings():
             raise DuplicateExecution("replayed")
         executed.append(entry)
 
-    outcomes = nebula.submit_send_data(ctx_at(1), 1, entries, router=router)
+    outcomes = nebula.submit_send_data(ctx_at(1), entries, router=router)
     assert outcomes == ["DuplicateExecution", "ok"]
     assert len(executed) == 1
 

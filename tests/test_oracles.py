@@ -265,3 +265,47 @@ def test_reattestation_finds_registration_reincluded_at_new_height():
     assert [e.swap_id for e in mints] == [sid]
     assert w.destination.canonical_state.ledger.supply["swT"] == 100
     assert sid not in w.network.reattest_requests
+
+
+def test_delivery_crossing_a_destination_fork_is_not_wedged():
+    """A relay submitted just before a destination reorg lands on a branch
+    that forked below an earlier delivery. Its pulse is accepted there; the
+    reveal must open that pulse by its payload hash. Were it to name the
+    pulse by an id guessed from the old branch, the reveal would miss, the
+    orphaned pulse would stay open on the winning branch, and every
+    re-attestation of the same payload would hit DuplicatePulse for good.
+    Each swap is minted exactly once."""
+    w = World(conf_depth=2, fin_depth=3, timeout=6)
+    dest = w.destination
+
+    def tick():
+        for swap_id in w.controller.tick(w.chains).requeue:
+            w.network.request_reattestation(swap_id)
+
+    for amount in (5, 6):
+        lock_and_confirm(w, amount)
+        assert w.network.relay_round(w.origin, dest).outcome == "submitted"
+        dest.produce_block()              # mints at destination h1, h2
+        tick()
+    alt = dest.fork_at(1, "alt")          # keeps the 5-mint, drops the 6-mint
+    lock_and_confirm(w, 7)
+    assert w.network.relay_round(w.origin, dest).outcome == "submitted"
+    dest.extend(alt, 2)                   # the 7-delivery lands on alt h2
+    assert dest.canonical_branch == alt
+
+    # the 6-swap goes stuck a block before the 7-swap would, so each is
+    # re-attested on its own, with the payload hash of its first delivery
+    for _ in range(60):
+        tick()
+        w.network.relay_round(w.origin, dest)
+        dest.produce_block(dest.canonical_branch)
+
+    swap_ids = [e.swap_id for e in w.origin.canonical_events()
+                if e.kind == EventKind.LOCK_REGISTERED]
+    assert len(swap_ids) == 3
+    for swap_id in swap_ids:
+        mints = [e for e in dest.swap_events(swap_id)
+                 if e.kind == EventKind.MINT_EXECUTED]
+        assert len(mints) == 1, swap_id.hex()
+    assert dest.canonical_state.ledger.supply["swT"] == 5 + 6 + 7
+    assert dest.canonical_state.nebula.unconsumed == {}

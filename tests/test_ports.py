@@ -352,7 +352,7 @@ def test_zero_amount_entry_for_new_token_leaves_no_state(world):
                          0, BOB.address, 0)
     before = world.destination.canonical_state
     tokens, ledger = before.tokens.summary(), before.ledger.summary()
-    for tx in world.attested(1, [entry], pulse_id=1):
+    for tx in world.attested(1, [entry]):
         world.destination.submit(tx)
     ref = world.destination.produce_block()
 

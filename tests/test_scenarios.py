@@ -1,7 +1,9 @@
-"""Bundled scenarios, trace determinism, the check command, CLI surface."""
+"""Bundled and regression scenarios, trace determinism, the check command,
+CLI surface."""
 
 import json
 import copy
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,10 @@ BUNDLED = [
     "byzantine_equivocator", "equivocation", "reorg_before_conf",
     "stuck_swap_recovery", "replay_attack",
 ]
+
+
+REGRESSION_SCENARIOS = sorted(
+    (Path(__file__).parent / "scenarios").glob("*.json"))
 
 
 def run_bundled(name, seed=None):
@@ -55,6 +61,14 @@ def test_check_agrees_with_run(name):
     exit_code, violations = check_trace_text(text)
     assert exit_code == result.exit_code
     assert violations == []
+
+
+@pytest.mark.parametrize("path", REGRESSION_SCENARIOS, ids=lambda p: p.stem)
+def test_regression_scenario_passes_and_checks(path):
+    result = Runner(load_scenario(str(path))).run()
+    assert result.exit_code == 0, result.violations
+    text = "\n".join(result.trace_lines()) + "\n"
+    assert check_trace_text(text) == (0, [])
 
 
 def test_check_flags_duplicate_execution(tmp_path):

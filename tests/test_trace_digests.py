@@ -14,7 +14,9 @@ members (f = 2 < n/3): an equivocator at index 1 and a wrong_receiver at
 index 4, both of whose forged payloads compete with the honest quorum.
 reorg_scenario seed 3 adds forks on both chains under a Byzantine
 minority: orphaned registrations, reverted mints, stuck swaps and their
-re-attestation.
+re-attestation. The regression scenarios under tests/scenarios/ are
+pinned too; they are not bundled, so that the benchmark's bundled suite
+stays as it is.
 """
 
 import hashlib
@@ -29,8 +31,9 @@ from swapgate.scenario import Runner
 from scenario_gen import (adversarial_scenario, random_happy_scenario,
                           reorg_scenario)
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "golden" / "trace_digests.json").read_text())
+HERE = Path(__file__).parent
+GOLDEN = json.loads((HERE / "golden" / "trace_digests.json").read_text())
+REGRESSION_SCENARIOS = sorted((HERE / "scenarios").glob("*.json"))
 
 ADVERSARIAL_ROSTER = ["honest", "equivocator", "honest", "honest",
                       "wrong_receiver", "honest", "honest"]
@@ -49,6 +52,9 @@ def trace_digest(scenario) -> str:
 def pinned_runs():
     for name in bundled_scenario_names():
         yield f"bundled/{name}", lambda name=name: load_scenario(name)
+    for path in REGRESSION_SCENARIOS:
+        yield (f"scenarios/{path.stem}",
+               lambda path=path: load_scenario(str(path)))
     for seed in RANDOM_SEEDS:
         yield (f"random_happy/seed{seed}_swaps{RANDOM_SWAPS}",
                lambda seed=seed: random_happy_scenario(seed, RANDOM_SWAPS))
@@ -61,7 +67,7 @@ RUNS = dict(pinned_runs())
 
 
 def test_every_pinned_run_has_a_digest():
-    assert len(RUNS) == 12 + len(RANDOM_SEEDS) + 2
+    assert len(RUNS) == 12 + len(RANDOM_SEEDS) + 3
     assert sorted(RUNS) == sorted(GOLDEN)
 
 
