@@ -3,8 +3,8 @@
 Every field that summary() shows must make two states unequal when it
 differs, and so must the one it leaves out (full pulse signatures). The
 unconsumed-hash map is shown: each pulse's `consumed` flag is read from it.
-A state bug that survives a reorg must make the
-self-check raise and name what differs.
+A state bug that survives a reorg must make the self-check raise and name
+what differs.
 """
 
 import dataclasses
