@@ -1,7 +1,7 @@
 """Deterministic single-process blockchain simulator.
 
 A Chain owns a block tree, named branches, a pending transaction queue and
-one embedded state snapshot per block. Contract logic is injected as an
+the embedded states a reorg can reach. Contract logic is injected as an
 ``apply_tx`` callable so the block machinery stays independent of what the
 transactions mean. Everything is driven externally: blocks exist only when
 someone calls produce_block, heights are the only notion of time.
@@ -9,6 +9,12 @@ someone calls produce_block, heights are the only notion of time.
 Canonical-branch rule: longest branch wins; equal heights are broken by the
 lexicographically smallest tip hash, then by branch creation order (which
 only matters when two branches point at the very same block).
+
+Finality bound: a fork_at more than ``finality_depth`` below the tip, or a
+block whose reorg (equal-height flips included) would abandon more blocks,
+raises BeyondFinality before anything changes. A canonical block deeper
+than that can never be abandoned or forked from, so its state is dropped
+unless it is genesis or a branch tip.
 
 The chain keeps the canonical branch as one list of blocks indexed by
 height, plus an index from swap id to that swap's canonical events. When
@@ -35,7 +41,7 @@ from functools import cached_property
 from typing import Any, Callable, Protocol
 
 from .crypto import json_digest, sha256
-from .errors import GatewayError, HeightBeyondTip, UnknownBranch
+from .errors import BeyondFinality, GatewayError, HeightBeyondTip, UnknownBranch
 
 GENESIS_PARENT = bytes(32)
 
@@ -210,13 +216,18 @@ class Chain:
     transactions are still included in the block, marked with the error
     code, and leave state untouched: the block is rebuilt from its parent
     state without them (see _apply_block).
+
+    finality_depth is the deepest reorg accepted; a deeper one is refused
+    with the chain left exactly as it was, pending txs included. states
+    holds genesis, the branch tips, the canonical blocks within
+    finality_depth of the tip and blocks orphaned by a reorg.
     """
 
     def __init__(self, chain_id: int, genesis_state: Any, apply_tx: ApplyTx,
-                 self_check: bool = True):
+                 finality_depth: int):
         self.chain_id = chain_id
         self._apply_tx = apply_tx
-        self.self_check = self_check
+        self.finality_depth = finality_depth
         self._genesis_state = genesis_state.clone()
 
         genesis_digest = sha256(b"genesis" + struct.pack(">B", chain_id))
@@ -249,12 +260,17 @@ class Chain:
         parent = self.blocks[parent_hash]
         height = parent.ref.height + 1
 
-        txs = self.pending
-        self.pending = []
-        digests = [json_digest(tx.describe()) for tx in txs]
+        digests = [json_digest(tx.describe()) for tx in self.pending]
         new_hash = block_hash(parent_hash, height, digests)
         ref = BlockRef(self.chain_id, branch, height, new_hash)
+        abandoned = self._abandoned_by(ref, parent)
+        if abandoned > self.finality_depth:
+            raise BeyondFinality(
+                f"chain {self.chain_id}: reorg abandoned {abandoned} blocks, "
+                f"deeper than the finality depth {self.finality_depth}")
 
+        txs = self.pending
+        self.pending = []
         state, receipts, events = self._apply_block(
             self.states[parent_hash], ref, txs)
 
@@ -268,7 +284,35 @@ class Chain:
         self.states[new_hash] = state
         self.branches[branch] = new_hash
         self._recompute_canonical()
+        # only two blocks can just have fallen out of reach: the branch's old
+        # tip, and the canonical block the tip's growth pushed past the
+        # depth (a bounded reorg replaces no canonical block deeper than it)
+        self._prune(parent)
+        deepest_kept = self._canonical_tip.height - self.finality_depth
+        if deepest_kept > 1:
+            self._prune(self._canonical[deepest_kept - 1])
         return ref
+
+    def _abandoned_by(self, ref: BlockRef, parent: Block) -> int:
+        """How many canonical blocks a reorg to the new block `ref` on
+        `parent` would abandon; 0 when `ref` would not become the tip."""
+        tip = self._canonical_tip
+        # the canonical rule's order: taller, then the smaller hash
+        if (-ref.height, ref.block_hash) >= (-tip.height, tip.block_hash):
+            return 0
+        fork = parent
+        while not self.is_canonical(fork.ref):
+            fork = self.blocks[fork.parent_hash]
+        return tip.height - fork.ref.height
+
+    def _prune(self, block: Block) -> None:
+        """Drop the state of `block` if it is canonical, deeper than the
+        finality depth, and neither genesis nor a branch tip."""
+        height = block.ref.height
+        if 0 < height < self._canonical_tip.height - self.finality_depth \
+                and self.is_canonical(block.ref) \
+                and block.ref.block_hash not in self.branches.values():
+            self.states.pop(block.ref.block_hash, None)
 
     def _apply_block(self, parent_state: Any, ref: BlockRef, txs: list
                      ) -> tuple[Any, list[TxReceipt], list[ChainEvent]]:
@@ -302,6 +346,10 @@ class Chain:
         if height > tip.height:
             raise HeightBeyondTip(
                 f"fork height {height} beyond canonical tip {tip.height}")
+        if tip.height - height > self.finality_depth:
+            raise BeyondFinality(
+                f"fork at height {height} is deeper than the finality depth "
+                f"below tip {tip.height}")
         base = self.canonical_chain()[height]
         if name is None:
             self._fork_seq += 1
@@ -346,8 +394,7 @@ class Chain:
         self.last_reorg = None
         if not self.is_canonical(prev_tip):
             self.last_reorg = ReorgInfo(prev_tip, self._canonical_tip, fork_height)
-            if self.self_check:
-                self._verify_replay()
+            self._verify_replay()
 
     def _truncate(self, height: int) -> None:
         """Cut the canonical list above `height` and unindex its events."""
@@ -385,13 +432,6 @@ class Chain:
     @property
     def canonical_state(self) -> Any:
         return self.states[self._canonical_tip.block_hash]
-
-    def confirmations(self, event: ChainEvent) -> int | None:
-        """Depth of the event's block under the canonical tip; None when the
-        block is not on the canonical branch."""
-        if not self.is_canonical(event.block):
-            return None
-        return self._canonical_tip.height - event.block.height
 
     def events_since(self, cursor: int) -> list[ChainEvent]:
         """Canonical events above `cursor`, in (height, intra-block) order."""

@@ -55,6 +55,10 @@ class HeightBeyondTip(GatewayError):
     code = "HeightBeyondTip"
 
 
+class BeyondFinality(GatewayError):
+    code = "BeyondFinality"
+
+
 # --- ports ----------------------------------------------------------------
 
 class WrongChainReceiver(GatewayError):

@@ -17,6 +17,9 @@ from .ledger import AccountId, Ledger, TokenId, TokenRegistry
 from .nebula import NebulaState, OracleRoster
 from .ports import IssueBurnPort, LockUnlockPort
 
+ORIGIN = 0
+DESTINATION = 1
+
 # Reserved contract addresses, identical on every chain.
 LU_PORT_ADDRESS = sha256(b"contract:lock-unlock-port")[:20]
 IB_PORT_ADDRESS = sha256(b"contract:issue-burn-port")[:20]
@@ -205,60 +208,52 @@ def apply_tx(state: GatewayState, tx: Tx, ctx: BlockCtx) -> dict | None:
 
 @dataclass
 class GatewayConfig:
-    """Static configuration of one two-chain gateway instance."""
+    """Static configuration of one two-chain gateway instance; the dicts
+    are keyed by chain id."""
 
-    origin_chain: int = 0
-    destination_chain: int = 1
-    roster: OracleRoster | None = None
-    relevance_window: dict[int, int] | None = None   # per chain, default 10
-
-    def window(self, chain_id: int) -> int:
-        if self.relevance_window and chain_id in self.relevance_window:
-            return self.relevance_window[chain_id]
-        return 10
+    roster: OracleRoster
+    relevance_window: dict[int, int]
+    finality_depth: dict[int, int]
 
 
 def build_chains(config: GatewayConfig,
                  tokens: list[TokenId],
-                 initial_balances: list[tuple[TokenId, AccountId, int]],
-                 self_check: bool = True) -> dict[int, Chain]:
+                 initial_balances: list[tuple[TokenId, AccountId, int]]
+                 ) -> dict[int, Chain]:
     """Create the origin and destination chains with their genesis states."""
-    assert config.roster is not None, "gateway needs an oracle roster"
-    origin, destination = config.origin_chain, config.destination_chain
-
     origin_registry = TokenRegistry()
     for token in tokens:
-        if token.chain != origin:
+        if token.chain != ORIGIN:
             raise ValueError(f"original token {token.symbol!r} must live on "
-                             f"chain {origin}")
+                             f"chain {ORIGIN}")
         origin_registry.register(token)
 
-    origin_ledger = Ledger(origin, lock_authority=LU_PORT_ADDRESS)
-    destination_ledger = Ledger(destination, mint_authority=IB_PORT_ADDRESS)
+    origin_ledger = Ledger(ORIGIN, lock_authority=LU_PORT_ADDRESS)
+    destination_ledger = Ledger(DESTINATION, mint_authority=IB_PORT_ADDRESS)
     for token, account, amount in initial_balances:
-        if account.chain != origin:
+        if account.chain != ORIGIN:
             raise ValueError("initial balances are seeded on the origin chain")
         origin_ledger.credit_initial(token, account, amount)
 
-    origin_state = GatewayState(
-        ledger=origin_ledger,
-        tokens=origin_registry,
-        lu_port=LockUnlockPort(origin, destination, LU_PORT_ADDRESS,
-                               NEBULA_ADDRESS),
-        ib_port=None,
-        nebula=NebulaState(origin, config.roster, config.window(origin)),
-    )
-    destination_state = GatewayState(
-        ledger=destination_ledger,
-        tokens=TokenRegistry(),
-        lu_port=None,
-        ib_port=IssueBurnPort(destination, origin, IB_PORT_ADDRESS,
-                              NEBULA_ADDRESS),
-        nebula=NebulaState(destination, config.roster,
-                           config.window(destination)),
-    )
-    return {
-        origin: Chain(origin, origin_state, apply_tx, self_check=self_check),
-        destination: Chain(destination, destination_state, apply_tx,
-                           self_check=self_check),
+    states = {
+        ORIGIN: GatewayState(
+            ledger=origin_ledger,
+            tokens=origin_registry,
+            lu_port=LockUnlockPort(ORIGIN, DESTINATION, LU_PORT_ADDRESS,
+                                   NEBULA_ADDRESS),
+            ib_port=None,
+            nebula=NebulaState(ORIGIN, config.roster,
+                               config.relevance_window[ORIGIN]),
+        ),
+        DESTINATION: GatewayState(
+            ledger=destination_ledger,
+            tokens=TokenRegistry(),
+            lu_port=None,
+            ib_port=IssueBurnPort(DESTINATION, ORIGIN, IB_PORT_ADDRESS,
+                                  NEBULA_ADDRESS),
+            nebula=NebulaState(DESTINATION, config.roster,
+                               config.relevance_window[DESTINATION]),
+        ),
     }
+    return {cid: Chain(cid, state, apply_tx, config.finality_depth[cid])
+            for cid, state in states.items()}

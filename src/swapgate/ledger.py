@@ -109,20 +109,6 @@ class Ledger:
     def balance(self, token: TokenId, account: AccountId) -> int:
         return self.balances.get(token.symbol, {}).get(account.address, 0)
 
-    def locked_amount(self, token: TokenId) -> int:
-        return self.locked.get(token.symbol, 0)
-
-    def total_supply(self, token: TokenId) -> int:
-        return self.supply.get(token.symbol, 0)
-
-    def conservation_ok(self) -> bool:
-        symbols = set(self.supply) | set(self.locked) | set(self.balances)
-        for sym in symbols:
-            held = sum(self.balances.get(sym, {}).values())
-            if self.supply.get(sym, 0) != held + self.locked.get(sym, 0):
-                return False
-        return True
-
     # --- internal mutators ----------------------------------------------------
 
     def _credit(self, symbol: str, address: bytes, amount: int) -> None:

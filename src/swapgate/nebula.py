@@ -53,11 +53,6 @@ class OracleRoster:
             raise ValueError(
                 f"threshold {self.threshold} out of range for {len(self.keys)} oracles")
 
-    @classmethod
-    def with_default_threshold(cls, keys: tuple[bytes, ...],
-                               scheme: SignatureScheme = DEFAULT_SCHEME) -> "OracleRoster":
-        return cls(keys=keys, threshold=default_threshold(len(keys)), scheme=scheme)
-
     @property
     def size(self) -> int:
         return len(self.keys)

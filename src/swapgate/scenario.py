@@ -9,8 +9,10 @@ always produces a byte-identical trace; the seed only diversifies the
 oracle key material.
 
 Exit codes: 0 all assertions and invariants hold, 1 something failed,
-2 the scenario itself is invalid (including forks or reorgs deeper than the
-finality depth, which would break the finalization contract).
+2 the scenario itself is invalid. That includes a fork above a chain's tip,
+and a fork or reorg deeper than its finality depth, which would break the
+finalization contract: the finality depth is also the Chain's own reorg
+bound, so the Chain refuses such a step and the runner reports the refusal.
 """
 
 from __future__ import annotations
@@ -23,14 +25,12 @@ from . import trace as trace_mod
 from .chain import EXECUTION_KINDS, Chain, EventKind
 from .controller import FinalityPolicy, StatusController
 from .crypto import oracle_secret, sha256
-from .errors import HeightBeyondTip, InvalidScenario
-from .gateway import BurnTx, GatewayConfig, LockTx, build_chains
+from .errors import BeyondFinality, HeightBeyondTip, InvalidScenario
+from .gateway import (DESTINATION, ORIGIN, BurnTx, GatewayConfig, LockTx,
+                      build_chains)
 from .ledger import AccountId, TokenId, wrapped_symbol
 from .nebula import OracleRoster, default_threshold
 from .oracles import Behavior, OracleIdentity, OracleNetwork, RoundReport
-
-ORIGIN = 0
-DESTINATION = 1
 
 STEP_OPS = {"produce_block", "user_lock", "user_burn", "relay_round",
             "fork_at", "extend_branch", "tick", "assert"}
@@ -317,6 +317,7 @@ class Runner:
         self.seed = scenario.seed if seed is None else seed
 
         cfg = scenario.oracles
+        params = dict(enumerate(scenario.chains))   # chain id -> ChainParams
         secrets = [oracle_secret(i, self.seed) for i in range(cfg.count)]
         scheme_keys = tuple(secrets)  # MAC scheme: verification key == secret
         roster = OracleRoster(keys=scheme_keys,
@@ -325,10 +326,8 @@ class Runner:
             oracles=[OracleIdentity(i, secrets[i], Behavior(cfg.behaviors[i]))
                      for i in range(cfg.count)],
             roster=roster,
-            confirmation_depth={
-                ORIGIN: scenario.chains[ORIGIN].confirmation_depth,
-                DESTINATION: scenario.chains[DESTINATION].confirmation_depth,
-            },
+            confirmation_depth={cid: p.confirmation_depth
+                                for cid, p in params.items()},
         )
 
         tokens = [TokenId(symbol, ORIGIN) for symbol in scenario.tokens]
@@ -340,20 +339,14 @@ class Runner:
         ]
         gateway_cfg = GatewayConfig(
             roster=roster,
-            relevance_window={
-                ORIGIN: scenario.chains[ORIGIN].relevance_window,
-                DESTINATION: scenario.chains[DESTINATION].relevance_window,
-            },
+            relevance_window={cid: p.relevance_window
+                              for cid, p in params.items()},
+            finality_depth={cid: p.finality_depth for cid, p in params.items()},
         )
         self.chains = build_chains(gateway_cfg, tokens, initial)
         self.controller = StatusController({
-            ORIGIN: FinalityPolicy(
-                scenario.chains[ORIGIN].finality_depth,
-                scenario.chains[ORIGIN].recovery_timeout),
-            DESTINATION: FinalityPolicy(
-                scenario.chains[DESTINATION].finality_depth,
-                scenario.chains[DESTINATION].recovery_timeout),
-        })
+            cid: FinalityPolicy(p.finality_depth, p.recovery_timeout)
+            for cid, p in params.items()})
 
         self.records: list[dict] = []
         self.reports: list[RoundReport] = []
@@ -408,16 +401,10 @@ class Runner:
             if handle is not None and receipt.status == "ok":
                 self.swap_ids[handle] = bytes.fromhex(receipt.extra["swap_id"])
 
-    def _guard_reorg_depth(self, chain: Chain) -> dict | None:
+    def _reorg_record(self, chain: Chain) -> dict | None:
         info = chain.last_reorg
         if info is None:
             return None
-        limit = self.scenario.chains[chain.chain_id].finality_depth
-        if info.abandoned_depth > limit:
-            raise InvalidScenario(
-                f"chain {chain.chain_id}: reorg abandoned "
-                f"{info.abandoned_depth} blocks, deeper than the finality "
-                f"depth {limit}")
         return {
             "old_tip": info.old_tip.to_json(),
             "new_tip": info.new_tip.to_json(),
@@ -432,7 +419,8 @@ class Runner:
             self.records.append(self._header_record())
             for step_index, step in enumerate(self.scenario.timeline):
                 self._execute_step(step_index, step)
-        except InvalidScenario as exc:
+        # a step a Chain refuses makes the timeline invalid
+        except (InvalidScenario, HeightBeyondTip, BeyondFinality) as exc:
             return RunResult(exit_code=2, records=self.records, error=str(exc),
                              chains=self.chains, controller=self.controller,
                              network=self.network, reports=self.reports,
@@ -457,7 +445,7 @@ class Runner:
         reorg = None
         for _ in range(count):
             ref = chain.produce_block(branch)
-            reorg = self._guard_reorg_depth(chain) or reorg
+            reorg = self._reorg_record(chain) or reorg
             self._resolve_new_swaps(chain, ref)
             blocks.append(self._block_json(chain, ref))
         self.records.append({
@@ -477,16 +465,7 @@ class Runner:
             self._produce(op, index, chain, step["branch"], step["count"])
         elif op == "fork_at":
             chain = self.chains[step["chain"]]
-            tip = chain.canonical_tip
-            if tip.height - step["height"] > \
-                    self.scenario.chains[chain.chain_id].finality_depth:
-                raise InvalidScenario(
-                    f"fork at height {step['height']} is deeper than the "
-                    f"finality depth below tip {tip.height}")
-            try:
-                name = chain.fork_at(step["height"], step["name"])
-            except HeightBeyondTip as exc:
-                raise InvalidScenario(str(exc)) from None
+            name = chain.fork_at(step["height"], step["name"])
             base = chain.branches[name]
             self.records.append({
                 "op": op, "step": index, "chain": chain.chain_id,

@@ -16,14 +16,18 @@ from swapgate import (
     StatusController,
     TokenId,
     build_chains,
+    default_threshold,
 )
 from swapgate.crypto import oracle_secret
 from swapgate.encoding import payload_hash
 from swapgate.nebula import pulse_message
 
-# CI selects this profile with HYPOTHESIS_PROFILE=ci: the same examples on
-# every run, and no per-example deadline on a slow shared runner
+# CI selects a profile with HYPOTHESIS_PROFILE. Push and pull-request runs
+# use "ci": the same examples on every run, and no per-example deadline on a
+# slow shared runner. The weekly run uses "deep": fresh random examples, ten
+# times as many, so the property tests keep searching new interleavings.
 settings.register_profile("ci", derandomize=True, deadline=None)
+settings.register_profile("deep", max_examples=1000, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 ALICE = AccountId(0, bytes.fromhex("aa" * 20))
@@ -32,18 +36,25 @@ CAROL = AccountId(0, bytes.fromhex("cc" * 20))
 
 
 class World:
-    """A fully wired two-chain gateway for direct-API tests."""
+    """A fully wired two-chain gateway for direct-API tests.
+
+    Its chains refuse reorgs deeper than `fin_depth`, the controller's
+    finality depth, unless a test passes a deeper `reorg_depth`: to reach
+    the controller's backstop, or to keep a random walk unbounded.
+    """
 
     def __init__(self, behaviors=None, seed=99, conf_depth=2, fin_depth=3,
-                 timeout=6, window=10, initial=1000):
+                 timeout=6, window=10, initial=1000, reorg_depth=None):
         behaviors = behaviors or [Behavior.HONEST] * 5
         n = len(behaviors)
         secrets = [oracle_secret(i, seed) for i in range(n)]
-        self.roster = OracleRoster.with_default_threshold(tuple(secrets))
+        self.roster = OracleRoster(tuple(secrets), default_threshold(n))
         self.token = TokenId("T", 0)
+        reorg_depth = fin_depth if reorg_depth is None else reorg_depth
         self.chains = build_chains(
             GatewayConfig(roster=self.roster,
-                          relevance_window={0: window, 1: window}),
+                          relevance_window={0: window, 1: window},
+                          finality_depth={0: reorg_depth, 1: reorg_depth}),
             [self.token],
             [(self.token, ALICE, initial)],
         )

@@ -94,12 +94,12 @@ def test_reorg_switches_canonical_and_drops_events(world):
     world.origin.submit(lock_tx())
     world.origin.produce_block()          # h1 with lock
     event = world.origin.canonical_events()[0]
-    assert world.origin.confirmations(event) == 0
+    assert world.origin.is_canonical(event.block)
 
     fork = world.origin.fork_at(0, "alt")
     world.origin.extend(fork, 2)          # alt is longer -> reorg
     assert world.origin.canonical_branch == "alt"
-    assert world.origin.confirmations(event) is None
+    assert not world.origin.is_canonical(event.block)
     assert world.origin.canonical_state.ledger.locked == {}
     info = world.origin.last_reorg
     assert info is not None and info.fork_height == 0
@@ -134,7 +134,8 @@ def test_confirmations_arithmetic(world):
     event = world.origin.canonical_events()[0]
     for depth in range(1, 7):
         world.origin.produce_block()
-        assert world.origin.confirmations(event) == depth
+        assert world.origin.is_canonical(event.block)
+        assert world.origin.canonical_tip.height - event.block.height == depth
 
 
 def test_confirmations_monotone_without_reorg(world):
@@ -143,7 +144,8 @@ def test_confirmations_monotone_without_reorg(world):
     event = world.origin.canonical_events()[0]
     seen = []
     for _ in range(10):
-        seen.append(world.origin.confirmations(event))
+        assert world.origin.is_canonical(event.block)
+        seen.append(world.origin.canonical_tip.height - event.block.height)
         world.origin.produce_block()
     assert seen == sorted(seen)
 
@@ -246,7 +248,7 @@ def append_then_check(state, tx, ctx):
 
 
 def test_tx_rejected_after_mutating_leaves_no_trace():
-    chain = Chain(7, ListState(), append_then_check)
+    chain = Chain(7, ListState(), append_then_check, finality_depth=6)
     for value in (1, -1, 2, -2, 3):
         chain.submit(ValueTx(value))
     ref = chain.produce_block()

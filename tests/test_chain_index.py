@@ -1,4 +1,5 @@
-"""The canonical list and swap index of Chain against a full recomputation.
+"""The canonical list, swap index, reorg bound and state retention of Chain
+against a full recomputation.
 
 Random sequences of produce_block on any branch, fork_at and extend (which
 include equal-height tie-break flips and blocks re-produced with the same
@@ -7,16 +8,32 @@ everything from the block tree alone, the way the chain did before it kept
 an index: the canonical tip by scanning every branch, the canonical chain
 by walking back from the tip, a reorg by an ancestor walk and a
 common-ancestor walk.
+
+Each walk runs twice: with a finality depth above any height it reaches,
+and with a depth of 2. With the small depth the reference predicts every
+refusal from the depth of the fork, or of the reorg that the next block
+would cause (it hashes that block itself), and a refused call must leave
+the chain equal to a snapshot taken before it. After every step genesis,
+every branch tip and every canonical block within the depth have a state,
+and no other canonical block has one.
 """
 
+import copy
 from dataclasses import dataclass, field
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from swapgate import Chain, EventKind
 from swapgate.chain import GENESIS_PARENT, BlockRef, ReorgInfo
-from swapgate.errors import ZeroAmount
+from swapgate.crypto import json_digest
+from swapgate.errors import BeyondFinality, ZeroAmount
+
+from reference_codec import ref_block_hash
+
+UNBOUNDED = 10**6           # a finality depth above any height a walk reaches
+SMALL = 2
 
 KINDS = [EventKind.LOCK_REGISTERED, EventKind.MINT_EXECUTED,
          EventKind.PULSE_ACCEPTED]
@@ -53,54 +70,92 @@ def apply_event_tx(state, tx, ctx):
 
 
 class Reference:
-    """Old-style canonical queries over a chain's block tree."""
+    """Old-style canonical queries over a chain's block tree. The tree maps
+    a block hash to (parent hash, height); it is the chain's own tree
+    unless a prediction adds blocks not produced yet."""
 
     def __init__(self, chain: Chain):
         self.chain = chain
         self.order = ["main"]       # branch creation order
 
-    def tip(self, branches: dict[str, bytes]) -> BlockRef:
+    def tree(self) -> dict[bytes, tuple[bytes, int]]:
+        return {h: (b.parent_hash, b.ref.height)
+                for h, b in self.chain.blocks.items()}
+
+    def tip(self, branches: dict[str, bytes], tree=None) -> BlockRef:
+        tree = tree or self.tree()
         best = None
         for name in self.order:
             tip_hash = branches[name]
-            key = (-self.chain.blocks[tip_hash].ref.height, tip_hash)
+            key = (-tree[tip_hash][1], tip_hash)
             if best is None or key < best[0]:
                 best = (key, name, tip_hash)
         _, name, tip_hash = best
-        return BlockRef(self.chain.chain_id, name,
-                        self.chain.blocks[tip_hash].ref.height, tip_hash)
+        return BlockRef(self.chain.chain_id, name, tree[tip_hash][1], tip_hash)
 
-    def walk(self, tip_hash: bytes) -> list:
+    def ancestry(self, tip_hash: bytes, tree=None) -> list[bytes]:
+        """Hashes from genesis to `tip_hash`."""
+        tree = tree or self.tree()
         out, cursor = [], tip_hash
         while cursor != GENESIS_PARENT:
-            out.append(self.chain.blocks[cursor])
-            cursor = out[-1].parent_hash
+            out.append(cursor)
+            cursor = tree[cursor][0]
         return out[::-1]
 
-    def is_ancestor(self, ancestor: bytes, descendant: bytes) -> bool:
-        return any(b.ref.block_hash == ancestor for b in self.walk(descendant))
+    def walk(self, tip_hash: bytes) -> list:
+        return [self.chain.blocks[h] for h in self.ancestry(tip_hash)]
 
-    def common_height(self, a: bytes, b: bytes) -> int:
-        ancestors = {blk.ref.block_hash for blk in self.walk(a)}
-        return max(blk.ref.height for blk in self.walk(b)
-                   if blk.ref.block_hash in ancestors)
+    def common_height(self, a: bytes, b: bytes, tree=None) -> int:
+        tree = tree or self.tree()
+        ancestors = set(self.ancestry(a, tree))
+        return max(tree[h][1] for h in self.ancestry(b, tree)
+                   if h in ancestors)
 
-    def reorg(self, before: dict[str, bytes], after: dict[str, bytes]):
-        old, new = self.tip(before), self.tip(after)
-        if old.block_hash == new.block_hash or \
-                self.is_ancestor(old.block_hash, new.block_hash):
+    def reorg(self, before: dict[str, bytes], after: dict[str, bytes],
+              tree=None):
+        tree = tree or self.tree()
+        old, new = self.tip(before, tree), self.tip(after, tree)
+        if old.block_hash in self.ancestry(new.block_hash, tree):
             return None
-        return ReorgInfo(old, new, self.common_height(old.block_hash,
-                                                      new.block_hash))
+        return ReorgInfo(old, new, self.common_height(
+            old.block_hash, new.block_hash, tree))
+
+    def fork_refused(self, height: int, bound: int) -> bool:
+        return self.tip(self.chain.branches).height - height > bound
+
+    def blocks_accepted(self, branch: str, count: int, bound: int) -> int:
+        """How many of `count` blocks produced on `branch` the chain accepts
+        before one whose reorg would abandon more than `bound` blocks."""
+        tree, branches = self.tree(), dict(self.chain.branches)
+        digests = [json_digest(tx.describe()) for tx in self.chain.pending]
+        for accepted in range(count):
+            parent = branches[branch]
+            height = tree[parent][1] + 1
+            new_hash = ref_block_hash(parent, height, digests)
+            digests = []
+            after = dict(branches, **{branch: new_hash})
+            tree[new_hash] = (parent, height)
+            reorg = self.reorg(branches, after, tree)
+            if reorg is not None and reorg.abandoned_depth > bound:
+                return accepted
+            branches = after
+        return count
 
 
-def check(chain: Chain, ref: Reference, expected_reorg) -> None:
+def check(chain: Chain, ref: Reference, expected_reorg, bound: int) -> None:
     tip = ref.tip(chain.branches)
     assert chain.canonical_tip == tip
     canonical = ref.walk(tip.block_hash)
     assert chain.canonical_chain() == canonical
     assert all(a is b for a, b in zip(chain.canonical_chain(), canonical))
     assert chain.last_reorg == expected_reorg
+
+    tips = set(chain.branches.values())
+    assert tips <= set(chain.states)
+    for block in canonical:
+        kept = (block.ref.height == 0 or block.ref.block_hash in tips
+                or tip.height - block.ref.height <= bound)
+        assert (block.ref.block_hash in chain.states) == kept
 
     events = [e for block in canonical for e in block.events]
     for cursor in range(-2, tip.height + 2):
@@ -111,11 +166,7 @@ def check(chain: Chain, ref: Reference, expected_reorg) -> None:
     for block in chain.blocks.values():
         assert chain.is_canonical(block.ref) == \
             (block.ref.block_hash in on_chain)
-        for event in block.events:
-            depth = tip.height - event.block.height
-            assert chain.confirmations(event) == \
-                (depth if block.ref.block_hash in on_chain else None)
-            swap_ids.add(event.swap_id)
+        swap_ids.update(event.swap_id for event in block.events)
     for swap_id in swap_ids - {None}:
         assert chain.swap_events(swap_id) == \
             [e for e in events if e.swap_id == swap_id]
@@ -130,33 +181,54 @@ steps = st.lists(st.one_of(
 ), max_size=30)
 
 
-def replay(ops) -> None:
-    chain = Chain(5, Values(), apply_event_tx)
+def refused(call, chain: Chain) -> None:
+    """`call` must raise BeyondFinality and leave `chain` as it was."""
+    before = copy.deepcopy(vars(chain))
+    with pytest.raises(BeyondFinality, match="finality depth"):
+        call()
+    assert vars(chain) == before
+
+
+def replay(ops, bound: int = UNBOUNDED) -> None:
+    chain = Chain(5, Values(), apply_event_tx, finality_depth=bound)
     ref = Reference(chain)
     reorg = None
-    check(chain, ref, reorg)
+    check(chain, ref, reorg, bound)
     for op, arg, extra in ops:
         if op == "fork":
-            name = chain.fork_at(arg % (chain.canonical_tip.height + 1))
-            ref.order.append(name)
+            tip = chain.canonical_tip.height
+            height = tip - arg % (min(tip, bound + 1) + 1)
+            if ref.fork_refused(height, bound):
+                refused(lambda: chain.fork_at(height), chain)
+            else:
+                ref.order.append(chain.fork_at(height))
         else:
             branch = ref.order[arg % len(ref.order)]
             if op == "produce":
                 for tx in extra:
                     chain.submit(tx)
-                before = dict(chain.branches)
-                chain.produce_block(branch)
-            else:
-                chain.extend(branch, extra)
+            count = 1 if op == "produce" else extra
+            accepted = ref.blocks_accepted(branch, count, bound)
+            if accepted:
+                # extend() is produce_block on one branch, `accepted` times
+                chain.extend(branch, accepted)
                 before = dict(chain.branches)
                 before[branch] = chain.blocks[before[branch]].parent_hash
-            reorg = ref.reorg(before, chain.branches)
-        check(chain, ref, reorg)
+                reorg = ref.reorg(before, chain.branches)
+            if accepted < count:
+                check(chain, ref, reorg, bound)
+                refused(lambda: chain.extend(branch, count - accepted), chain)
+        check(chain, ref, reorg, bound)
 
 
 @given(steps)
 def test_index_matches_full_recomputation(ops):
     replay(ops)
+
+
+@given(steps)
+def test_reorg_bound_and_state_retention(ops):
+    replay(ops, bound=SMALL)
 
 
 def test_equal_height_flip_and_twin_block():
@@ -169,10 +241,28 @@ def test_equal_height_flip_and_twin_block():
                ("produce", 1, []), ("produce", 0, [EventTx(1, swap)]),
                ("fork", 0, None), ("produce", 2, [])]
         replay(ops)
-        chain = Chain(5, Values(), apply_event_tx)
+        chain = Chain(5, Values(), apply_event_tx, finality_depth=UNBOUNDED)
         chain.produce_block()
         chain.fork_at(0, "rival")
         chain.submit(EventTx(0, swap))
         chain.produce_block("rival")
         flips += chain.last_reorg is not None
     assert 0 < flips < 6
+
+
+def test_refused_block_leaves_its_pending_txs_queued():
+    """A block refused for its reorg depth takes no pending tx; the next
+    accepted block includes them."""
+    chain = Chain(5, Values(), apply_event_tx, finality_depth=SMALL)
+    chain.produce_block()
+    chain.fork_at(1, "alt")
+    chain.extend("main", 3)
+    chain.submit(EventTx(0, 0))
+    chain.extend("alt", 3)                # alt h4 loses the tie to main h4
+    assert chain.canonical_branch == "main"
+    tx = EventTx(1, 1)
+    chain.submit(tx)
+    refused(lambda: chain.produce_block("alt"), chain)  # would abandon 3
+    assert chain.pending == [tx]
+    ref = chain.produce_block("main")
+    assert [r.tx for r in chain.blocks[ref.block_hash].receipts] == [tx]

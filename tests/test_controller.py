@@ -120,7 +120,8 @@ def test_registration_reorged_drops_record():
 
 
 def test_deep_reorg_after_finalization_is_fatal():
-    w = World(conf_depth=2, fin_depth=3, timeout=6)
+    # the chains accept the deep reorg that the controller must refuse
+    w = World(conf_depth=2, fin_depth=3, timeout=6, reorg_depth=20)
     sid = processed_swap(w)
     for _ in range(3):
         w.destination.produce_block()

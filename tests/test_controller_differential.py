@@ -121,7 +121,8 @@ def test_two_reorgs_on_one_chain_between_ticks():
 
 
 def test_finalized_execution_reorged_is_fatal_in_both():
-    t = Twins(conf_depth=2, fin_depth=3, timeout=6)
+    # the chains accept the deep reorg that both controllers must refuse
+    t = Twins(conf_depth=2, fin_depth=3, timeout=6, reorg_depth=20)
     lock(t, 7)
     t.produce(0, 3)
     t.relay(0)
@@ -148,7 +149,8 @@ def test_random_timelines_match_reference(steps):
     after some steps. A fork may tie (and win or lose on its tip hash),
     overtake, or stay behind until a later `grow` step extends it; one
     deeper than the finality depth makes both controllers raise."""
-    t = Twins(conf_depth=1, fin_depth=3, timeout=5)
+    # no reorg bound: a fork or a `grow` step may go past finality
+    t = Twins(conf_depth=1, fin_depth=3, timeout=5, reorg_depth=10**6)
     branches = {0: ["main"], 1: ["main"]}
     for (op, *args), tick in steps:
         if op == "lock":

@@ -11,7 +11,7 @@ receipts are walked from genesis against a model of the open commitments:
 - the wrapped supply equals the sum of the accepted entries.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from swapgate import Direction, PayloadEntry, PulseTx, SendDataTx
 from swapgate.encoding import payload_hash
@@ -66,10 +66,10 @@ def check_canonical_receipts(chain) -> None:
     assert state.ledger.supply.get("swT", 0) == minted
 
 
-@settings(max_examples=60)
 @given(STEPS)
 def test_reveal_opens_exactly_the_open_pulse_of_its_hash(steps):
-    world = World(window=1000)
+    # no reorg bound: extending a stale branch may reorg past finality
+    world = World(window=1000, reorg_depth=10**6)
     dest = world.destination
     txs = [world.attested(1, payload) for payload in POOL]
     for step in steps:

@@ -12,6 +12,8 @@ from swapgate.errors import InvalidScenario, MalformedTrace
 from swapgate.scenario import Runner, Scenario
 from swapgate.trace import check_trace_text, parse_trace
 
+from scenario_gen import random_happy_scenario
+
 BUNDLED = [
     "happy_path", "reverse_path", "round_trip", "byzantine_minority",
     "byzantine_wrong_receiver", "byzantine_silent", "byzantine_replayer",
@@ -122,6 +124,50 @@ def test_fork_deeper_than_finality_is_invalid_scenario():
     result = Runner(Scenario.from_json(scenario)).run()
     assert result.exit_code == 2
     assert "finality depth" in result.error
+
+
+def stale_branch_overtakes(main_height):
+    """happy_path's chains (finality depth 6), with an origin branch forked
+    at genesis 6 below the tip. The main branch then grows to
+    `main_height`, and the fork overtakes it, abandoning every main block."""
+    scenario = load_scenario("happy_path").to_json()
+    timeline = [
+        {"op": "user_lock", "sender": "alice", "token": "T", "amount": 10,
+         "receiver": "bob"},
+        {"op": "produce_block", "chain": 0, "count": 6},
+        {"op": "fork_at", "chain": 0, "height": 0, "name": "late"},
+    ]
+    if main_height > 6:
+        timeline.append({"op": "produce_block", "chain": 0,
+                         "count": main_height - 6})
+    timeline.append({"op": "extend_branch", "chain": 0, "branch": "late",
+                     "count": main_height + 1})
+    scenario["timeline"] = timeline
+    return Runner(Scenario.from_json(scenario)).run()
+
+
+def test_reorg_deeper_than_finality_is_invalid_scenario():
+    result = stale_branch_overtakes(7)
+    assert result.exit_code == 2
+    assert "finality depth" in result.error
+
+
+def test_reorg_at_finality_depth_runs():
+    result = stale_branch_overtakes(6)
+    assert result.exit_code == 0, result.error
+    reorgs = [r["reorg"] for r in result.records if r.get("reorg")]
+    assert [r["abandoned_depth"] for r in reorgs] == [6]
+
+
+def test_chains_keep_only_states_a_reorg_can_reach():
+    """Memory guard: a long run keeps genesis, the branch tips and the
+    blocks within the finality depth; 156 and 108 states before pruning."""
+    scenario = random_happy_scenario(seed=1, swaps=200)
+    result = Runner(scenario).run()
+    assert result.exit_code == 0, result.violations
+    for cid, chain in result.chains.items():
+        depth = scenario.chains[cid].finality_depth
+        assert len(chain.states) <= depth + 2, cid
 
 
 def test_fork_beyond_tip_is_invalid_scenario():

@@ -171,7 +171,7 @@ def append_shared(state, tx, ctx):
 
 
 def test_aliasing_bug_caught_by_replay_self_check():
-    chain = Chain(3, Counts(), append_shared)
+    chain = Chain(3, Counts(), append_shared, finality_depth=6)
     chain.submit(AddTx("a", 1))
     chain.produce_block()                  # list for "a" created at height 1
     chain.submit(AddTx("a", 2))
