@@ -208,8 +208,7 @@ def apply_tx(state: GatewayState, tx: Tx, ctx: BlockCtx) -> dict | None:
 
 @dataclass
 class GatewayConfig:
-    """Static configuration of one two-chain gateway instance; the dicts
-    are keyed by chain id."""
+    """Static configuration of one two-chain gateway; dicts map chain id."""
 
     roster: OracleRoster
     relevance_window: dict[int, int]

@@ -9,10 +9,9 @@ always produces a byte-identical trace; the seed only diversifies the
 oracle key material.
 
 Exit codes: 0 all assertions and invariants hold, 1 something failed,
-2 the scenario itself is invalid. That includes a fork above a chain's tip,
-and a fork or reorg deeper than its finality depth, which would break the
-finalization contract: the finality depth is also the Chain's own reorg
-bound, so the Chain refuses such a step and the runner reports the refusal.
+2 the scenario itself is invalid, including a step its Chain refuses: a fork
+above the tip, or a fork or reorg deeper than the finality depth (the Chain's
+own bound), which would break the finalization contract.
 """
 
 from __future__ import annotations
@@ -419,7 +418,6 @@ class Runner:
             self.records.append(self._header_record())
             for step_index, step in enumerate(self.scenario.timeline):
                 self._execute_step(step_index, step)
-        # a step a Chain refuses makes the timeline invalid
         except (InvalidScenario, HeightBeyondTip, BeyondFinality) as exc:
             return RunResult(exit_code=2, records=self.records, error=str(exc),
                              chains=self.chains, controller=self.controller,
