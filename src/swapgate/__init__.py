@@ -39,7 +39,6 @@ from .nebula import (
     Pulse,
     default_threshold,
     pulse_message,
-    verify_signature,
 )
 from .oracles import (
     ATTACKER_ADDRESS,

@@ -228,7 +228,6 @@ class Chain:
         self.chain_id = chain_id
         self._apply_tx = apply_tx
         self.finality_depth = finality_depth
-        self._genesis_state = genesis_state.clone()
 
         genesis_digest = sha256(b"genesis" + struct.pack(">B", chain_id))
         g_hash = block_hash(GENESIS_PARENT, 0, [genesis_digest])
@@ -237,8 +236,8 @@ class Chain:
 
         self.blocks: dict[bytes, Block] = {g_hash: genesis}
         self.states: dict[bytes, Any] = {g_hash: genesis_state.clone()}
+        # insertion order is creation order, the canonical rule's last tie-break
         self.branches: dict[str, bytes] = {"main": g_hash}
-        self._branch_order: list[str] = ["main"]
         self.pending: list[Any] = []
         self._fork_seq = 0
         self._canonical_tip = g_ref
@@ -357,7 +356,6 @@ class Chain:
         if name in self.branches:
             raise UnknownBranch(f"branch name {name!r} already in use")
         self.branches[name] = base.ref.block_hash
-        self._branch_order.append(name)
         return name
 
     def extend(self, branch: str, count: int) -> list[BlockRef]:
@@ -367,8 +365,7 @@ class Chain:
 
     def _recompute_canonical(self) -> None:
         best = None
-        for name in self._branch_order:
-            tip_hash = self.branches[name]
+        for name, tip_hash in self.branches.items():
             height = self.blocks[tip_hash].ref.height
             key = (-height, tip_hash)
             if best is None or key < best[0]:
@@ -452,9 +449,11 @@ class Chain:
 
     def replay_canonical(self) -> Any:
         """Re-derive the canonical tip state by applying every canonical
-        block's transactions against a fresh genesis state."""
-        state = self._genesis_state.clone()
-        for block in self.canonical_chain()[1:]:
+        block's transactions against a fresh copy of the genesis state,
+        which is never pruned or changed."""
+        genesis, *blocks = self.canonical_chain()
+        state = self.states[genesis.ref.block_hash].clone()
+        for block in blocks:
             state, _, _ = self._apply_block(
                 state, block.ref, [r.tx for r in block.receipts])
         return state

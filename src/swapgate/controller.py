@@ -12,17 +12,18 @@ If an execution event disappears in a reorg before the controller saw it
 finalize, the view reverts to Registered and the timeout clock keeps
 running from the original observation, so recovery fires as early as
 possible. A Finalized swap losing its execution event would mean the chain
-reorged deeper than the finality depth, which the scenario layer rejects
-outright; the controller treats it as fatal.
+reorged deeper than the finality depth, which the Chain itself refuses; the
+controller treats it as fatal.
 
 Each tick reads only what is new. Per chain the controller keeps a cursor,
-the last canonical block it indexed, and indexes of the canonical
-registration and execution events by swap id. When the cursor block is no
-longer canonical, however many reorgs happened since, the cursor walks
-back to the newest of its ancestors that still is: the fork height. Index
-entries above it are dropped, and the events above it are read again. The
-tick then revisits only the swaps that are not finalized and those whose
-indexed events the rewind dropped. Transitions come out in canonical
+the last canonical block it read. When the cursor block is no longer
+canonical, however many reorgs happened since, the cursor walks back to the
+newest of its ancestors that still is: the fork height. The swaps named in
+the orphaned blocks it passes are revisited, and the events above the fork
+height are read again for new registrations. A swap's first canonical
+registration and execution come from the chain's own swap index
+(Chain.swap_events). The tick revisits only the swaps that are not
+finalized and those the walk passed. Transitions come out in canonical
 registration order (chain by chain), exactly as a full rescan would emit
 them, and retractions in the order the swaps were first observed.
 """
@@ -32,7 +33,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .chain import EXECUTION_KINDS, REGISTRATION_KINDS, Block, Chain, ChainEvent
+from .chain import (EXECUTION_KINDS, REGISTRATION_KINDS, Block, Chain, ChainEvent,
+                    EventKind)
 from .errors import InvalidScenario
 from .ports import SwapStatus
 
@@ -50,9 +52,6 @@ class FinalityPolicy:
 @dataclass
 class _SwapView:
     status: SwapStatus
-    registration_chain: int
-    execution_chain: int
-    registered_height: int
     first_seen_exec_height: int
     observed: int                 # the order in which views were created
     last_stuck_height: int | None = None
@@ -73,8 +72,6 @@ class StatusController:
         self.policies = dict(policies)
         self.views: dict[bytes, _SwapView] = {}
         self._cursors: dict[int, Block] = {}
-        self._registrations = {chain_id: {} for chain_id in self.policies}
-        self._executions = {chain_id: {} for chain_id in self.policies}
         self._open: set[bytes] = set()      # registered, not yet finalized
         self._observed = itertools.count()
 
@@ -93,7 +90,7 @@ class StatusController:
         for chain_id in sorted(chains):
             touched |= self._advance(chains[chain_id])
         live = [event for swap_id in self._open | touched
-                if (event := self._registration(swap_id)) is not None]
+                if (event := self._registration(chains, swap_id)) is not None]
         live.sort(key=lambda e: (e.block.chain, e.block.height, e.index))
 
         for reg_event in live:
@@ -106,9 +103,6 @@ class StatusController:
             if view is None:
                 view = _SwapView(
                     status=SwapStatus.REGISTERED,
-                    registration_chain=reg_chain,
-                    execution_chain=exec_chain,
-                    registered_height=reg_event.block.height,
                     first_seen_exec_height=exec_tip,
                     observed=next(self._observed),
                 )
@@ -116,7 +110,7 @@ class StatusController:
                 self._transition(result, swap_id, None, SwapStatus.REGISTERED,
                                  "registration_observed", chain=reg_chain)
 
-            exec_event = self._executions[exec_chain].get(swap_id)
+            exec_event = _first(chains[exec_chain], swap_id, EXECUTION_KINDS)
             if exec_event is not None:
                 depth = exec_tip - exec_event.block.height
                 policy = self.policies[exec_chain]
@@ -159,7 +153,7 @@ class StatusController:
                     result.requeue.append(swap_id)
 
         gone = [swap_id for swap_id in touched if swap_id in self.views
-                and self._registration(swap_id) is None]
+                and self._registration(chains, swap_id) is None]
         for swap_id in sorted(gone, key=lambda s: self.views[s].observed):
             view = self.views.pop(swap_id)
             self._open.discard(swap_id)
@@ -170,35 +164,31 @@ class StatusController:
     # --- helpers -----------------------------------------------------------
 
     def _advance(self, chain: Chain) -> set[bytes]:
-        """Rewind this chain's indexes to the newest indexed block that is
-        still canonical, then index the canonical events above it. Returns
-        the swaps whose indexed events the rewind dropped."""
-        registrations = self._registrations[chain.chain_id]
-        executions = self._executions[chain.chain_id]
+        """Walk this chain's cursor back to the newest block it read that is
+        still canonical, note the new registrations above it and move the
+        cursor to the tip. Returns the swaps named in the orphaned blocks
+        the walk passed."""
         cursor = self._cursors.get(chain.chain_id)
+        touched: set[bytes] = set()
         while cursor is not None and not chain.is_canonical(cursor.ref):
+            touched.update(event.swap_id for event in cursor.events
+                           if event.swap_id is not None)
             cursor = chain.blocks[cursor.parent_hash]
         height = cursor.ref.height if cursor is not None else -1
-        touched: set[bytes] = set()
-        for index in (registrations, executions):
-            # both indexes are in canonical order, so the rewind pops a tail
-            while index and index[next(reversed(index))].block.height > height:
-                touched.add(index.popitem()[0])
-        for event in chain.events_since(height):
-            if event.kind in REGISTRATION_KINDS and \
-                    event.swap_id not in registrations:
-                registrations[event.swap_id] = event
-                self._open.add(event.swap_id)
-            elif event.kind in EXECUTION_KINDS:
-                executions.setdefault(event.swap_id, event)
+        self._open.update(event.swap_id for event in chain.events_since(height)
+                          if event.kind in REGISTRATION_KINDS)
         self._cursors[chain.chain_id] = chain.blocks[chain.canonical_tip.block_hash]
         return touched
 
-    def _registration(self, swap_id: bytes) -> ChainEvent | None:
+    @staticmethod
+    def _registration(chains: dict[int, Chain],
+                      swap_id: bytes) -> ChainEvent | None:
         """The swap's first canonical registration, lowest chain id first."""
-        return next((index[swap_id] for _, index in
-                     sorted(self._registrations.items()) if swap_id in index),
-                    None)
+        for chain_id in sorted(chains):
+            event = _first(chains[chain_id], swap_id, REGISTRATION_KINDS)
+            if event is not None:
+                return event
+        return None
 
     @staticmethod
     def _counterpart(chains: dict[int, Chain], chain_id: int) -> int:
@@ -219,3 +209,12 @@ class StatusController:
             "revert": revert,
             "chain": chain,
         })
+
+
+def _first(chain: Chain, swap_id: bytes,
+           kinds: tuple[EventKind, ...]) -> ChainEvent | None:
+    """The swap's first canonical event of one of `kinds` on `chain`."""
+    for event in chain.swap_events(swap_id):
+        if event.kind in kinds:
+            return event
+    return None

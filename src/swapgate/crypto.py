@@ -1,17 +1,16 @@
-"""Hashing and the pluggable oracle signature scheme.
+"""Hashing and the oracle signature scheme.
 
-The default scheme is a deterministic keyed MAC: sign(secret, m) =
+The scheme is a deterministic keyed MAC: sign(secret, m) =
 SHA-256(secret || m), with the verification key equal to the secret. It is
 unforgeable for any party that does not hold the secret, which is exactly
-the adversary model simulated here, and it keeps runs reproducible. Any
-scheme implementing SignatureScheme can be slotted in instead.
+the adversary model simulated here, and it keeps runs reproducible.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Protocol
+from typing import Any
 
 
 def sha256(data: bytes) -> bytes:
@@ -27,25 +26,14 @@ def json_digest(obj: Any) -> bytes:
     return sha256(canonical_json(obj).encode("utf-8"))
 
 
-class SignatureScheme(Protocol):
-    def verification_key(self, secret: bytes) -> bytes: ...
-
-    def sign(self, secret: bytes, message: bytes) -> bytes: ...
-
-    def verify(self, verification_key: bytes, message: bytes, signature: bytes) -> bool: ...
-
-
 class HashMacScheme:
     """signature = SHA-256(secret || message); verification key = secret."""
-
-    def verification_key(self, secret: bytes) -> bytes:
-        return secret
 
     def sign(self, secret: bytes, message: bytes) -> bytes:
         return sha256(secret + message)
 
-    def verify(self, verification_key: bytes, message: bytes, signature: bytes) -> bool:
-        return signature == sha256(verification_key + message)
+    def verify(self, key: bytes, message: bytes, signature: bytes) -> bool:
+        return signature == sha256(key + message)
 
 
 DEFAULT_SCHEME = HashMacScheme()

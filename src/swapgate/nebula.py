@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .chain import BlockCtx, EventKind
-from .crypto import DEFAULT_SCHEME, SignatureScheme
+from .crypto import DEFAULT_SCHEME
 from .encoding import PayloadEntry, payload_hash
 from .errors import (
     DuplicatePulse,
@@ -46,7 +46,6 @@ class OracleRoster:
 
     keys: tuple[bytes, ...]
     threshold: int
-    scheme: SignatureScheme = DEFAULT_SCHEME
 
     def __post_init__(self):
         if not 1 <= self.threshold <= len(self.keys):
@@ -61,11 +60,6 @@ class OracleRoster:
 def pulse_message(data_hash: bytes, declared_height: int, chain_id: int) -> bytes:
     """The exact bytes an oracle signs for one pulse."""
     return data_hash + struct.pack(">Q", declared_height) + struct.pack(">B", chain_id)
-
-
-def verify_signature(scheme: SignatureScheme, key: bytes, message: bytes,
-                     signature: bytes) -> bool:
-    return scheme.verify(key, message, signature)
 
 
 @dataclass(frozen=True)
@@ -100,8 +94,9 @@ class NebulaState:
     chain_id: int
     roster: OracleRoster
     window: int
+    # ids run 1, 2, ... and no pulse is ever removed: the next id is
+    # len(pulses) + 1
     pulses: dict[int, Pulse] = field(default_factory=dict)
-    next_pulse_id: int = 1
     # data hash -> id of the open pulse committed to it: the uniqueness rule
     # for pulses and the lookup for reveals
     unconsumed: dict[bytes, int] = field(default_factory=dict)
@@ -113,7 +108,7 @@ class NebulaState:
         for idx, sig in signatures:
             if not 0 <= idx < self.roster.size:
                 raise InvalidSignature(f"no oracle at roster index {idx}")
-            if not self.roster.scheme.verify(self.roster.keys[idx], message, sig):
+            if not DEFAULT_SCHEME.verify(self.roster.keys[idx], message, sig):
                 raise InvalidSignature(f"signature from oracle {idx} does not verify")
             signers.add(idx)
         if len(signers) < self.roster.threshold:
@@ -133,12 +128,11 @@ class NebulaState:
                 f"hash {data_hash.hex()} already registered and unconsumed")
 
         pulse = Pulse(
-            pulse_id=self.next_pulse_id,
+            pulse_id=len(self.pulses) + 1,
             data_hash=data_hash,
             declared_height=declared_height,
             signatures=tuple((idx, sig) for idx, sig in signatures),
         )
-        self.next_pulse_id += 1
         self.pulses[pulse.pulse_id] = pulse
         self.unconsumed[data_hash] = pulse.pulse_id
         ctx.emit(EventKind.PULSE_ACCEPTED, None, {
@@ -180,12 +174,11 @@ class NebulaState:
 
     def clone(self) -> "NebulaState":
         return NebulaState(self.chain_id, self.roster, self.window,
-                           dict(self.pulses), self.next_pulse_id,
-                           dict(self.unconsumed))
+                           dict(self.pulses), dict(self.unconsumed))
 
     def summary(self) -> dict:
         return {
-            "next_pulse_id": self.next_pulse_id,
+            "next_pulse_id": len(self.pulses) + 1,
             "pulses": {str(pid): p.to_json(self.unconsumed.get(p.data_hash) != pid)
                        for pid, p in sorted(self.pulses.items())},
         }

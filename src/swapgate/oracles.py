@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .chain import REGISTRATION_KINDS, Chain, ChainEvent, EventKind
-from .crypto import sha256
+from .crypto import DEFAULT_SCHEME, sha256
 from .encoding import MAX_AMOUNT, Direction, PayloadEntry, encode_payload
 from .gateway import PulseTx, SendDataTx
 from .nebula import OracleRoster, pulse_message
@@ -138,15 +138,12 @@ class OracleNetwork:
         self.cursors[chain.chain_id] = max(cursor, upper)
         return [entry_from_event(event) for event in picked]
 
-    def sign_payload(self, oracle: OracleIdentity, data_hash: bytes,
-                     declared_height: int, target_chain: int,
-                     own_hashes: set[bytes]) -> bytes | None:
-        """Sign the domain-separated pulse message, but only for a payload
-        the oracle itself extracted this round."""
-        if data_hash not in own_hashes:
-            return None
+    @staticmethod
+    def sign_payload(oracle: OracleIdentity, data_hash: bytes,
+                     declared_height: int, target_chain: int) -> bytes:
+        """Sign the domain-separated pulse message."""
         message = pulse_message(data_hash, declared_height, target_chain)
-        return self.roster.scheme.sign(oracle.secret, message)
+        return DEFAULT_SCHEME.sign(oracle.secret, message)
 
     # --- one relay round ------------------------------------------------------
 
@@ -158,9 +155,7 @@ class OracleNetwork:
 
         by_payload: dict[bytes, list[PayloadEntry]] = {}
         endorsements: dict[bytes, set[int]] = {}
-        per_oracle_hashes: dict[int, set[bytes]] = {}
         for oracle in self.oracles:
-            hashes: set[bytes] = set()
             for candidate in candidates(oracle.behavior, reference_entries,
                                         history):
                 # an honest candidate is the extraction itself, already hashed
@@ -168,8 +163,6 @@ class OracleNetwork:
                           else sha256(encode_payload(candidate)))
                 by_payload.setdefault(digest, candidate)
                 endorsements.setdefault(digest, set()).add(oracle.index)
-                hashes.add(digest)
-            per_oracle_hashes[oracle.index] = hashes
         history.extend(reference_entries)
 
         candidates_json = [
@@ -200,13 +193,11 @@ class OracleNetwork:
 
         chosen = by_payload[digest]
         declared_height = target.canonical_tip.height
-        signatures: list[tuple[int, bytes]] = []
-        for oracle in self.oracles:
-            sig = self.sign_payload(oracle, digest, declared_height,
-                                    target.chain_id,
-                                    per_oracle_hashes[oracle.index])
-            if sig is not None:
-                signatures.append((oracle.index, sig))
+        # an oracle signs only a payload it produced itself: its endorsement
+        signatures = [(oracle.index,
+                       self.sign_payload(oracle, digest, declared_height,
+                                         target.chain_id))
+                      for oracle in self.oracles if oracle.index in endorsers]
 
         submitter = min(idx for idx, _ in signatures)
         target.submit(PulseTx(

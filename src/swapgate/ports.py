@@ -9,9 +9,11 @@ extractors and the contracts agree on identifiers without any coordination.
 Attested executions (mint / unlock) may only be invoked by the local
 verification contract; the executing port learns about a foreign-originated
 swap from the attested payload entry itself, records it and executes it in
-the same transaction. A per-port set of executed swap ids - stored in chain
-state, hence rolled back by reorgs together with the assets - makes
-execution exactly-once per branch.
+the same transaction, storing the record already Processed. That record is
+the port's one account of the execution: it lives in chain state, hence is
+rolled back by reorgs together with the assets, and the duplicate guard
+refuses any swap whose record is Processed, which makes execution
+exactly-once per branch.
 """
 
 from __future__ import annotations
@@ -103,7 +105,6 @@ class _PortBase:
     address: bytes
     router_address: bytes
     swaps: dict[bytes, SwapRecord] = field(default_factory=dict)
-    executed: set[bytes] = field(default_factory=set)
     next_seq: int = 0
 
     def status(self, swap_id: bytes) -> SwapStatus:
@@ -126,7 +127,8 @@ class _PortBase:
                 "attested executions must come from the verification contract")
 
     def _guard_duplicate(self, swap_id: bytes) -> None:
-        if swap_id in self.executed:
+        record = self.swaps.get(swap_id)
+        if record is not None and record.status == SwapStatus.PROCESSED:
             raise DuplicateExecution(f"swap {swap_id.hex()} already executed")
 
     def _store(self, record: SwapRecord) -> None:
@@ -139,13 +141,11 @@ class _PortBase:
 
     def _clone(self) -> "_PortBase":
         return type(self)(self.chain_id, self.counterpart_chain, self.address,
-                          self.router_address, dict(self.swaps),
-                          set(self.executed), self.next_seq)
+                          self.router_address, dict(self.swaps), self.next_seq)
 
     def summary(self) -> dict:
         return {
             "swaps": {sid.hex(): r.to_json() for sid, r in sorted(self.swaps.items())},
-            "executed": sorted(sid.hex() for sid in self.executed),
             "next_seq": self.next_seq,
         }
 
@@ -220,7 +220,6 @@ class LockUnlockPort(_PortBase):
             processed_at=ctx.block_id,
         )
         self._store(record)
-        self.executed.add(entry.swap_id)
         ctx.emit(EventKind.UNLOCK_EXECUTED, entry.swap_id, {
             "symbol": token.symbol,
             "receiver": receiver.to_json(),
@@ -268,7 +267,6 @@ class IssueBurnPort(_PortBase):
             processed_at=ctx.block_id,
         )
         self._store(record)
-        self.executed.add(entry.swap_id)
         ctx.emit(EventKind.MINT_EXECUTED, entry.swap_id, {
             "symbol": wrapped.symbol,
             "receiver": receiver.to_json(),

@@ -17,7 +17,7 @@ own bound), which would break the finalization contract.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import trace as trace_mod
@@ -48,20 +48,10 @@ class ChainParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChainParams":
-        return cls(
-            relevance_window=obj.get("relevance_window", 10),
-            confirmation_depth=obj.get("confirmation_depth", 6),
-            finality_depth=obj.get("finality_depth", 6),
-            recovery_timeout=obj.get("recovery_timeout", 50),
-        )
+        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
 
     def to_json(self) -> dict:
-        return {
-            "relevance_window": self.relevance_window,
-            "confirmation_depth": self.confirmation_depth,
-            "finality_depth": self.finality_depth,
-            "recovery_timeout": self.recovery_timeout,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -73,10 +63,13 @@ class OracleConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "OracleConfig":
         count = obj.get("count", 5)
+        if not isinstance(count, int):
+            raise InvalidScenario("oracles: count must be an integer")
         return cls(
             count=count,
             threshold=obj.get("threshold"),
-            behaviors=list(obj.get("behaviors", ["honest"] * count)),
+            behaviors=list(_shaped(obj.get("behaviors", ["honest"] * count),
+                                   list, "oracles: behaviors")),
         )
 
     def effective_threshold(self) -> int:
@@ -103,15 +96,17 @@ class Scenario:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Scenario":
-        chains_raw = obj.get("chains", [{}, {}])
+        chains = _shaped(obj.get("chains", [{}, {}]), list, "chains")
         scenario = cls(
             name=obj.get("name", "unnamed"),
             seed=obj.get("seed", 0),
-            chains=[ChainParams.from_json(c) for c in chains_raw],
-            oracles=OracleConfig.from_json(obj.get("oracles", {})),
-            tokens=list(obj.get("tokens", [])),
-            balances=list(obj.get("balances", [])),
-            timeline=list(obj.get("timeline", [])),
+            chains=[ChainParams.from_json(_shaped(c, dict, f"chain {i}"))
+                    for i, c in enumerate(chains)],
+            oracles=OracleConfig.from_json(
+                _shaped(obj.get("oracles", {}), dict, "oracles")),
+            tokens=list(_shaped(obj.get("tokens", []), list, "tokens")),
+            balances=list(_shaped(obj.get("balances", []), list, "balances")),
+            timeline=list(_shaped(obj.get("timeline", []), list, "timeline")),
         )
         scenario.validate()
         return scenario
@@ -129,12 +124,12 @@ class Scenario:
     # --- validation ---------------------------------------------------------
 
     def validate(self) -> None:
+        if not isinstance(self.seed, int):
+            raise InvalidScenario("seed must be an integer")
         if len(self.chains) != 2:
             raise InvalidScenario("exactly two chains are required")
         for idx, params in enumerate(self.chains):
-            for name in ("relevance_window", "confirmation_depth",
-                         "finality_depth", "recovery_timeout"):
-                value = getattr(params, name)
+            for name, value in vars(params).items():
                 if not isinstance(value, int) or value < 0:
                     raise InvalidScenario(
                         f"chain {idx}: {name} must be a non-negative integer")
@@ -149,11 +144,13 @@ class Scenario:
         cfg = self.oracles
         if cfg.count < 1:
             raise InvalidScenario("at least one oracle is required")
+        if not isinstance(cfg.threshold, (int, type(None))):
+            raise InvalidScenario("oracles: threshold must be an integer")
         if len(cfg.behaviors) != cfg.count:
             raise InvalidScenario("one behavior per oracle is required")
         valid_behaviors = {b.value for b in Behavior}
         for b in cfg.behaviors:
-            if b not in valid_behaviors:
+            if not isinstance(b, str) or b not in valid_behaviors:
                 raise InvalidScenario(f"unknown oracle behavior {b!r}")
         threshold = cfg.effective_threshold()
         if not 1 <= threshold <= cfg.count:
@@ -174,6 +171,7 @@ class Scenario:
             seen_tokens.add(symbol)
 
         for balance in self.balances:
+            _shaped(balance, dict, "each balance")
             if balance.get("token") not in seen_tokens:
                 raise InvalidScenario(
                     f"balance references unknown token {balance.get('token')!r}")
@@ -189,7 +187,10 @@ class Scenario:
         relay_steps = 0
         for idx, step in enumerate(self.timeline):
             where = f"timeline step {idx}"
-            op = step.get("op")
+            try:
+                op = step.get("op")
+            except AttributeError:      # not a JSON object; costs nothing if it is
+                raise InvalidScenario(f"{where} must be a JSON object") from None
             if op not in STEP_OPS:
                 raise InvalidScenario(f"{where}: unknown op {op!r}")
             if op in ("produce_block", "fork_at", "extend_branch"):
@@ -278,6 +279,15 @@ class Scenario:
             "balances": list(self.balances),
             "timeline": list(self.timeline),
         }
+
+
+def _shaped(value, kind: type, what: str):
+    """`value`, if it is a JSON list or object as `kind` says; a malformed
+    section is an invalid scenario, not a crash further on."""
+    if not isinstance(value, kind):
+        name = "list" if kind is list else "object"
+        raise InvalidScenario(f"{what} must be a JSON {name}")
+    return value
 
 
 def resolve_address(spec) -> bytes:

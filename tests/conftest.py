@@ -18,7 +18,7 @@ from swapgate import (
     build_chains,
     default_threshold,
 )
-from swapgate.crypto import oracle_secret
+from swapgate.crypto import DEFAULT_SCHEME, oracle_secret
 from swapgate.encoding import payload_hash
 from swapgate.nebula import pulse_message
 
@@ -82,7 +82,7 @@ class World:
         """A pulse signed by every oracle over `entries`, and its reveal."""
         data_hash = payload_hash(entries)
         message = pulse_message(data_hash, declared_height, chain_id)
-        signatures = tuple((i, self.roster.scheme.sign(key, message))
+        signatures = tuple((i, DEFAULT_SCHEME.sign(key, message))
                            for i, key in enumerate(self.roster.keys))
         return (PulseTx(chain_id, data_hash, declared_height, signatures, 0),
                 SendDataTx(chain_id, tuple(entries), 0))

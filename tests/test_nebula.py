@@ -26,7 +26,6 @@ from swapgate.nebula import (
     OracleRoster,
     default_threshold,
     pulse_message,
-    verify_signature,
 )
 
 from reference_codec import (
@@ -278,7 +277,7 @@ def test_sign_verify_roundtrip():
     message = b"attest this"
     sig = scheme.sign(secret, message)
     assert sig == ref_signature(secret, message)
-    assert verify_signature(scheme, scheme.verification_key(secret), message, sig)
+    assert scheme.verify(secret, message, sig)
 
 
 def test_verify_wrong_key_fails():

@@ -171,20 +171,6 @@ def test_equivocator_second_payload_never_accepted():
     assert w.destination.canonical_state.ledger.supply["swT"] == 100
 
 
-def test_honest_oracle_refuses_foreign_payload():
-    w = World()
-    lock_and_confirm(w)
-    oracle = w.network.oracles[0]
-    own = candidates(oracle.behavior, w.network.extract(w.origin), [])
-    own_hashes = {encode_payload(p) for p in own}
-    from swapgate.crypto import sha256
-    own_hashes = {sha256(raw) for raw in own_hashes}
-    foreign = sha256(b"not my extraction")
-    assert w.network.sign_payload(oracle, foreign, 0, 1, own_hashes) is None
-    mine = next(iter(own_hashes))
-    assert w.network.sign_payload(oracle, mine, 0, 1, own_hashes) is not None
-
-
 def test_silent_oracle_signs_nothing():
     w = World(behaviors=[Behavior.SILENT] + [Behavior.HONEST] * 4)
     lock_and_confirm(w)

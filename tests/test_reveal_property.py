@@ -8,12 +8,15 @@ receipts are walked from genesis against a model of the open commitments:
 - every accepted reveal matches a pulse accepted earlier on that branch and
   not consumed since;
 - every reveal rejected with UnknownPulse had no such pulse;
-- the wrapped supply equals the sum of the accepted entries.
+- the wrapped supply equals the sum of the accepted entries;
+- the port's Processed records are exactly the swaps with a canonical
+  MintExecuted event: the port's one record agrees with the chain's index.
 """
 
 from hypothesis import given, strategies as st
 
-from swapgate import Direction, PayloadEntry, PulseTx, SendDataTx
+from swapgate import (Direction, EventKind, PayloadEntry, PulseTx,
+                      SendDataTx, SwapStatus)
 from swapgate.encoding import payload_hash
 
 from conftest import BOB, World
@@ -64,6 +67,10 @@ def check_canonical_receipts(chain) -> None:
     state = chain.canonical_state
     assert set(state.nebula.unconsumed) == open_hashes
     assert state.ledger.supply.get("swT", 0) == minted
+    processed = {swap_id for swap_id, record in state.ib_port.swaps.items()
+                 if record.status == SwapStatus.PROCESSED}
+    assert processed == {event.swap_id for event in chain.canonical_events()
+                         if event.kind == EventKind.MINT_EXECUTED}
 
 
 @given(STEPS)

@@ -286,6 +286,21 @@ def test_cli_run_invalid_scenario_file(tmp_path):
     assert main(["run", str(path)]) == 2
 
 
+@pytest.mark.parametrize("section", [
+    {"chains": [5, {}]}, {"chains": {}}, {"tokens": "T"}, {"oracles": 5},
+    {"oracles": {"count": "3"}}, {"oracles": {"threshold": "3"}},
+    {"oracles": {"behaviors": 5}}, {"balances": [5]}, {"balances": {}},
+    {"timeline": [5]}, {"timeline": {}}, {"seed": "x"},
+], ids=json.dumps)
+def test_cli_run_malformed_section_is_invalid(tmp_path, capsys, section):
+    """A section of the wrong JSON shape is an invalid scenario (exit 2),
+    not a crash (exit 1, the code of a failed check)."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"tokens": ["T"], **section}))
+    assert main(["run", str(path)]) == 2
+    assert "invalid scenario" in capsys.readouterr().err
+
+
 def test_cli_check_truncated(tmp_path):
     trace_path = tmp_path / "t.jsonl"
     main(["run", "happy_path", "--trace", str(trace_path)])

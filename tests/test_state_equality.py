@@ -62,10 +62,6 @@ def change_record(s):
     s.lu_port.swaps[sid] = dataclasses.replace(s.lu_port.swaps[sid], amount=1)
 
 
-def add_executed(s):
-    s.lu_port.executed.add(b"\x02" * 32)
-
-
 def bump_seq(s):
     s.lu_port.next_seq += 1
 
@@ -78,10 +74,6 @@ def change_pulse(s):
 def unconsume_pulse(s):
     """The consumed pulse's hash re-added to `unconsumed`."""
     s.nebula.unconsumed[s.nebula.pulses[1].data_hash] = 1
-
-
-def bump_pulse_id(s):
-    s.nebula.next_pulse_id += 1
 
 
 def change_signature(s):
@@ -99,11 +91,11 @@ def drop_unconsumed(s):
 ORIGIN_CASES = [
     ("ledger", bump_balance), ("ledger", bump_locked), ("tokens", add_token),
     ("tokens", change_token), ("lu_port", change_record),
-    ("lu_port", add_executed), ("lu_port", bump_seq),
+    ("lu_port", bump_seq),
 ]
 DESTINATION_CASES = [
     ("ledger", bump_supply), ("nebula", change_pulse),
-    ("nebula", unconsume_pulse), ("nebula", bump_pulse_id),
+    ("nebula", unconsume_pulse),
     ("nebula", drop_unconsumed),
 ]
 OUTSIDE_SUMMARY = [("nebula", change_signature)]
