@@ -10,7 +10,7 @@ fully replayable timeline.
 """
 
 from .chain import Block, BlockRef, Chain, ChainEvent, EventKind
-from .controller import FinalityPolicy, StatusController, TickResult
+from .controller import StatusController, TickResult
 from .encoding import (
     Direction,
     PayloadEntry,
@@ -23,10 +23,7 @@ from .gateway import (
     BurnTx,
     GatewayConfig,
     GatewayState,
-    IB_PORT_ADDRESS,
-    LU_PORT_ADDRESS,
     LockTx,
-    NEBULA_ADDRESS,
     PulseTx,
     SendDataTx,
     TransferTx,
@@ -34,6 +31,7 @@ from .gateway import (
 )
 from .ledger import AccountId, Ledger, TokenId, TokenRegistry, wrapped_symbol
 from .nebula import (
+    NEBULA_ADDRESS,
     NebulaState,
     OracleRoster,
     Pulse,
@@ -48,13 +46,15 @@ from .oracles import (
     RoundReport,
 )
 from .ports import (
+    IB_PORT_ADDRESS,
+    LU_PORT_ADDRESS,
     IssueBurnPort,
     LockUnlockPort,
     SwapRecord,
     SwapStatus,
     derive_swap_id,
 )
-from .scenario import Runner, RunResult, Scenario, run_scenario
+from .scenario import Runner, RunResult, Scenario
 from .trace import check_trace, evaluate_records, parse_trace, write_trace
 
 __version__ = "0.1.0"

@@ -239,7 +239,6 @@ class Chain:
         # insertion order is creation order, the canonical rule's last tie-break
         self.branches: dict[str, bytes] = {"main": g_hash}
         self.pending: list[Any] = []
-        self._fork_seq = 0
         self._canonical_tip = g_ref
         self._canonical: list[Block] = [genesis]
         self._swap_events: dict[bytes, list[ChainEvent]] = {}
@@ -339,7 +338,7 @@ class Chain:
             receipts.append(TxReceipt(tx, "ok", extra=extra))
         return state, receipts, ctx.events
 
-    def fork_at(self, height: int, name: str | None = None) -> str:
+    def fork_at(self, height: int, name: str) -> str:
         """Create a branch rooted at the canonical block at `height`."""
         tip = self.canonical_tip
         if height > tip.height:
@@ -350,9 +349,6 @@ class Chain:
                 f"fork at height {height} is deeper than the finality depth "
                 f"below tip {tip.height}")
         base = self.canonical_chain()[height]
-        if name is None:
-            self._fork_seq += 1
-            name = f"fork{self._fork_seq}"
         if name in self.branches:
             raise UnknownBranch(f"branch name {name!r} already in use")
         self.branches[name] = base.ref.block_hash
@@ -430,6 +426,11 @@ class Chain:
     def canonical_state(self) -> Any:
         return self.states[self._canonical_tip.block_hash]
 
+    @property
+    def genesis_state(self) -> Any:
+        """The genesis block's state, which is never pruned or changed."""
+        return self.states[self._canonical[0].ref.block_hash]
+
     def events_since(self, cursor: int) -> list[ChainEvent]:
         """Canonical events above `cursor`, in (height, intra-block) order."""
         out: list[ChainEvent] = []
@@ -451,9 +452,8 @@ class Chain:
         """Re-derive the canonical tip state by applying every canonical
         block's transactions against a fresh copy of the genesis state,
         which is never pruned or changed."""
-        genesis, *blocks = self.canonical_chain()
-        state = self.states[genesis.ref.block_hash].clone()
-        for block in blocks:
+        state = self.genesis_state.clone()
+        for block in self.canonical_chain()[1:]:
             state, _, _ = self._apply_block(
                 state, block.ref, [r.tx for r in block.receipts])
         return state

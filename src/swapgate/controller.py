@@ -3,17 +3,18 @@
 The controller never writes to a chain. It watches canonical events on both
 chains and keeps its own per-swap view: a swap becomes Processed when its
 execution event is canonical, Finalized once that event is buried at least
-the finality depth, and flagged stuck when it has sat unexecuted past the
-recovery timeout (measured in blocks of the chain that should execute it).
+the executing chain's finality depth (Chain.finality_depth, the one setting
+of it), and flagged stuck when it has sat unexecuted past the recovery
+timeout (measured in blocks of the chain that should execute it).
 A flagged swap is handed back to the oracle network for re-attestation; the
 executing port's duplicate guard makes a re-delivered entry harmless.
 
 If an execution event disappears in a reorg before the controller saw it
 finalize, the view reverts to Registered and the timeout clock keeps
 running from the original observation, so recovery fires as early as
-possible. A Finalized swap losing its execution event would mean the chain
-reorged deeper than the finality depth, which the Chain itself refuses; the
-controller treats it as fatal.
+possible. A Finalized swap cannot lose its execution event: that would take
+a reorg deeper than the depth that finalized it, and the Chain refuses any
+reorg deeper than its finality depth.
 
 Each tick reads only what is new. Per chain the controller keeps a cursor,
 the last canonical block it read. When the cursor block is no longer
@@ -35,18 +36,7 @@ from dataclasses import dataclass, field
 
 from .chain import (EXECUTION_KINDS, REGISTRATION_KINDS, Block, Chain, ChainEvent,
                     EventKind)
-from .errors import InvalidScenario
 from .ports import SwapStatus
-
-
-@dataclass
-class FinalityPolicy:
-    finality_depth: int = 6
-    recovery_timeout: int = 50
-
-    def __post_init__(self):
-        if self.finality_depth < 1:
-            raise ValueError("finality depth must be at least 1")
 
 
 @dataclass
@@ -68,8 +58,8 @@ class TickResult:
 
 
 class StatusController:
-    def __init__(self, policies: dict[int, FinalityPolicy]):
-        self.policies = dict(policies)
+    def __init__(self, recovery_timeout: dict[int, int]):
+        self.recovery_timeout = dict(recovery_timeout)
         self.views: dict[bytes, _SwapView] = {}
         self._cursors: dict[int, Block] = {}
         self._open: set[bytes] = set()      # registered, not yet finalized
@@ -113,8 +103,8 @@ class StatusController:
             exec_event = _first(chains[exec_chain], swap_id, EXECUTION_KINDS)
             if exec_event is not None:
                 depth = exec_tip - exec_event.block.height
-                policy = self.policies[exec_chain]
-                target = (SwapStatus.FINALIZED if depth >= policy.finality_depth
+                target = (SwapStatus.FINALIZED
+                          if depth >= chains[exec_chain].finality_depth
                           else SwapStatus.PROCESSED)
                 if view.status == SwapStatus.REGISTERED and \
                         target >= SwapStatus.PROCESSED:
@@ -132,17 +122,15 @@ class StatusController:
                 if view.status == SwapStatus.FINALIZED:
                     self._open.discard(swap_id)
             else:
-                if view.status == SwapStatus.FINALIZED:
-                    raise InvalidScenario(
-                        f"finalized swap {swap_id.hex()} lost its execution "
-                        f"event: reorg deeper than the finality depth")
+                assert view.status != SwapStatus.FINALIZED, \
+                    "the Chain refuses a reorg deeper than the finalizing depth"
                 if view.status == SwapStatus.PROCESSED:
                     self._transition(result, swap_id, SwapStatus.PROCESSED,
                                      SwapStatus.REGISTERED, "execution_reorged",
                                      revert=True, chain=exec_chain)
                     view.status = SwapStatus.REGISTERED
                 waited = exec_tip - view.first_seen_exec_height
-                if waited > self.policies[exec_chain].recovery_timeout and \
+                if waited > self.recovery_timeout[exec_chain] and \
                         view.last_stuck_height != exec_tip:
                     view.last_stuck_height = exec_tip
                     result.stuck.append({

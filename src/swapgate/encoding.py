@@ -71,17 +71,6 @@ class PayloadEntry:
             "amount": self.amount,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "PayloadEntry":
-        return cls(
-            direction=Direction(obj["direction"]),
-            swap_id=bytes.fromhex(obj["swap_id"]),
-            symbol=obj["symbol"],
-            origin_chain=obj["origin_chain"],
-            receiver=bytes.fromhex(obj["receiver"]),
-            amount=obj["amount"],
-        )
-
 
 def encode_payload(entries: list[PayloadEntry]) -> bytes:
     if not entries:

@@ -65,6 +65,10 @@ class WrongChainReceiver(GatewayError):
     code = "WrongChainReceiver"
 
 
+class AmountTooLarge(GatewayError):
+    code = "AmountTooLarge"
+
+
 class DuplicateExecution(GatewayError):
     code = "DuplicateExecution"
 

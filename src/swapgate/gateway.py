@@ -10,20 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import BlockCtx, Chain
-from .crypto import sha256
 from .encoding import Direction, PayloadEntry
 from .errors import UnknownSwap, WrongChain
 from .ledger import AccountId, Ledger, TokenId, TokenRegistry
-from .nebula import NebulaState, OracleRoster
-from .ports import IssueBurnPort, LockUnlockPort
-
-ORIGIN = 0
-DESTINATION = 1
-
-# Reserved contract addresses, identical on every chain.
-LU_PORT_ADDRESS = sha256(b"contract:lock-unlock-port")[:20]
-IB_PORT_ADDRESS = sha256(b"contract:issue-burn-port")[:20]
-NEBULA_ADDRESS = sha256(b"contract:nebula")[:20]
+from .nebula import NEBULA_ADDRESS, NebulaState, OracleRoster
+from .ports import (DESTINATION, IB_PORT_ADDRESS, LU_PORT_ADDRESS, ORIGIN,
+                    IssueBurnPort, LockUnlockPort)
 
 
 # --- transactions -----------------------------------------------------------
@@ -238,8 +230,7 @@ def build_chains(config: GatewayConfig,
         ORIGIN: GatewayState(
             ledger=origin_ledger,
             tokens=origin_registry,
-            lu_port=LockUnlockPort(ORIGIN, DESTINATION, LU_PORT_ADDRESS,
-                                   NEBULA_ADDRESS),
+            lu_port=LockUnlockPort(),
             ib_port=None,
             nebula=NebulaState(ORIGIN, config.roster,
                                config.relevance_window[ORIGIN]),
@@ -248,8 +239,7 @@ def build_chains(config: GatewayConfig,
             ledger=destination_ledger,
             tokens=TokenRegistry(),
             lu_port=None,
-            ib_port=IssueBurnPort(DESTINATION, ORIGIN, IB_PORT_ADDRESS,
-                                  NEBULA_ADDRESS),
+            ib_port=IssueBurnPort(),
             nebula=NebulaState(DESTINATION, config.roster,
                                config.relevance_window[DESTINATION]),
         ),

@@ -22,7 +22,7 @@ import struct
 from dataclasses import dataclass, field
 
 from .chain import BlockCtx, EventKind
-from .crypto import DEFAULT_SCHEME
+from .crypto import DEFAULT_SCHEME, sha256
 from .encoding import PayloadEntry, payload_hash
 from .errors import (
     DuplicatePulse,
@@ -33,6 +33,10 @@ from .errors import (
     StaleHeight,
     UnknownPulse,
 )
+
+# The contract's reserved address, identical on every chain: the only caller
+# the ports accept for attested executions.
+NEBULA_ADDRESS = sha256(b"contract:nebula")[:20]
 
 
 def default_threshold(n: int) -> int:

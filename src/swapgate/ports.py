@@ -2,9 +2,13 @@
 
 The lock-unlock port lives on the origin chain and custodies original
 tokens; the issue-burn port lives on the destination chain and manages the
-wrapped counterparts. A swap id is derived on-chain from the initiating
+wrapped counterparts. Both placements are fixed, so a port class holds its
+chain ids and address as constants, and a port's state is its swap records
+and sequence counter. A swap id is derived on-chain from the initiating
 transfer's parameters plus the port's own sequence counter, so the off-chain
-extractors and the contracts agree on identifiers without any coordination.
+extractors and the contracts agree on identifiers without any coordination;
+the id packs the amount as a u64, so a larger lock or burn is refused before
+it changes anything.
 
 Attested executions (mint / unlock) may only be invoked by the local
 verification contract; the executing port learns about a foreign-originated
@@ -24,8 +28,9 @@ from enum import IntEnum
 
 from .chain import BlockCtx, BlockId, EventKind
 from .crypto import sha256
-from .encoding import Direction, PayloadEntry
+from .encoding import MAX_AMOUNT, Direction, PayloadEntry
 from .errors import (
+    AmountTooLarge,
     DuplicateExecution,
     NotAuthorized,
     NotWrappedToken,
@@ -35,6 +40,14 @@ from .errors import (
     ZeroAmount,
 )
 from .ledger import AccountId, Ledger, TokenId, TokenRegistry, wrapped_symbol
+from .nebula import NEBULA_ADDRESS
+
+ORIGIN = 0
+DESTINATION = 1
+
+# Reserved contract addresses, identical on every chain.
+LU_PORT_ADDRESS = sha256(b"contract:lock-unlock-port")[:20]
+IB_PORT_ADDRESS = sha256(b"contract:issue-burn-port")[:20]
 
 
 class SwapStatus(IntEnum):
@@ -68,8 +81,10 @@ class SwapRecord:
     side's receiver.
 
     Records are immutable: per-block states share them, and a port stores
-    a record once, in its final status for that block. Blocks are named by
-    BlockId, so a record does not depend on the branch that produced it.
+    a record once, in its final status for that block. A Processed record is
+    registered and executed in one transaction, so registered_at is also its
+    execution block. Blocks are named by BlockId, so a record does not depend
+    on the branch that produced it.
     """
 
     swap_id: bytes
@@ -80,7 +95,6 @@ class SwapRecord:
     token: TokenId            # the original (unwrapped) token
     status: SwapStatus
     registered_at: BlockId
-    processed_at: BlockId | None = None
 
     def to_json(self) -> dict:
         return {
@@ -92,7 +106,6 @@ class SwapRecord:
             "token": self.token.to_json(),
             "status": self.status.label,
             "registered_at": self.registered_at.to_json(),
-            "processed_at": self.processed_at.to_json() if self.processed_at else None,
         }
 
 
@@ -100,10 +113,6 @@ class SwapRecord:
 class _PortBase:
     """Port state; equal ports hold equal values in every field."""
 
-    chain_id: int
-    counterpart_chain: int
-    address: bytes
-    router_address: bytes
     swaps: dict[bytes, SwapRecord] = field(default_factory=dict)
     next_seq: int = 0
 
@@ -122,7 +131,7 @@ class _PortBase:
         return seq
 
     def _require_router(self, caller: bytes) -> None:
-        if caller != self.router_address:
+        if caller != NEBULA_ADDRESS:
             raise NotAuthorized(
                 "attested executions must come from the verification contract")
 
@@ -140,8 +149,7 @@ class _PortBase:
         self.swaps[record.swap_id] = record
 
     def _clone(self) -> "_PortBase":
-        return type(self)(self.chain_id, self.counterpart_chain, self.address,
-                          self.router_address, dict(self.swaps), self.next_seq)
+        return type(self)(dict(self.swaps), self.next_seq)
 
     def summary(self) -> dict:
         return {
@@ -153,11 +161,17 @@ class _PortBase:
 class LockUnlockPort(_PortBase):
     """Origin-chain port: locks originals on the way out, unlocks on return."""
 
+    chain_id = ORIGIN
+    counterpart_chain = DESTINATION
+    address = LU_PORT_ADDRESS
+
     def lock(self, ledger: Ledger, registry: TokenRegistry, ctx: BlockCtx,
              sender: AccountId, symbol: str, amount: int,
              receiver: AccountId) -> SwapRecord:
         if amount <= 0:
             raise ZeroAmount("cannot lock a zero amount")
+        if amount > MAX_AMOUNT:
+            raise AmountTooLarge(f"amount {amount} does not fit in u64")
         if receiver.chain != self.counterpart_chain:
             raise WrongChainReceiver(
                 f"receiver must live on chain {self.counterpart_chain}")
@@ -217,7 +231,6 @@ class LockUnlockPort(_PortBase):
             token=token,
             status=SwapStatus.PROCESSED,
             registered_at=ctx.block_id,
-            processed_at=ctx.block_id,
         )
         self._store(record)
         ctx.emit(EventKind.UNLOCK_EXECUTED, entry.swap_id, {
@@ -234,6 +247,10 @@ class LockUnlockPort(_PortBase):
 class IssueBurnPort(_PortBase):
     """Destination-chain port: mints wrapped tokens on attested locks, burns
     them to start the return trip."""
+
+    chain_id = DESTINATION
+    counterpart_chain = ORIGIN
+    address = IB_PORT_ADDRESS
 
     def mint_attested(self, ledger: Ledger, registry: TokenRegistry,
                       ctx: BlockCtx, entry: PayloadEntry,
@@ -264,7 +281,6 @@ class IssueBurnPort(_PortBase):
             token=original,
             status=SwapStatus.PROCESSED,
             registered_at=ctx.block_id,
-            processed_at=ctx.block_id,
         )
         self._store(record)
         ctx.emit(EventKind.MINT_EXECUTED, entry.swap_id, {
@@ -279,6 +295,8 @@ class IssueBurnPort(_PortBase):
              receiver: AccountId) -> SwapRecord:
         if amount <= 0:
             raise ZeroAmount("cannot burn a zero amount")
+        if amount > MAX_AMOUNT:
+            raise AmountTooLarge(f"amount {amount} does not fit in u64")
         token = registry.get(symbol)
         if token is None:
             raise UnknownToken(f"token {symbol!r} is not registered here")

@@ -22,21 +22,33 @@ from pathlib import Path
 
 from . import trace as trace_mod
 from .chain import EXECUTION_KINDS, Chain, EventKind
-from .controller import FinalityPolicy, StatusController
+from .controller import StatusController
 from .crypto import oracle_secret, sha256
 from .errors import BeyondFinality, HeightBeyondTip, InvalidScenario
-from .gateway import (DESTINATION, ORIGIN, BurnTx, GatewayConfig, LockTx,
-                      build_chains)
+from .gateway import BurnTx, GatewayConfig, LockTx, build_chains
 from .ledger import AccountId, TokenId, wrapped_symbol
 from .nebula import OracleRoster, default_threshold
 from .oracles import Behavior, OracleIdentity, OracleNetwork, RoundReport
+from .ports import DESTINATION, ORIGIN
 
 STEP_OPS = {"produce_block", "user_lock", "user_burn", "relay_round",
             "fork_at", "extend_branch", "tick", "assert"}
 
-ASSERT_CHECKS = {"status", "port_status", "balance", "locked", "supply",
-                 "backing", "ledgers_match_initial", "relay_outcome",
-                 "no_forged_accepted", "exec_count"}
+# The fields each assert check reads, with their JSON types. A swap or round
+# is the index of an earlier user or relay step; backing may also name a
+# relation, "geq" (the default) or "eq".
+ASSERT_CHECKS: dict[str, dict[str, type]] = {
+    "status": {"swap": int, "expect": str},
+    "port_status": {"swap": int, "chain": int, "expect": str},
+    "balance": {"chain": int, "token": str, "account": str, "expect": int},
+    "locked": {"chain": int, "token": str, "expect": int},
+    "supply": {"chain": int, "token": str, "expect": int},
+    "backing": {"token": str},
+    "ledgers_match_initial": {},
+    "relay_outcome": {"round": int, "expect": str},
+    "no_forged_accepted": {},
+    "exec_count": {"swap": int, "expect": int},
+}
 
 
 @dataclass
@@ -56,30 +68,25 @@ class ChainParams:
 
 @dataclass
 class OracleConfig:
-    count: int = 5
-    threshold: int | None = None
-    behaviors: list[str] = field(default_factory=list)
+    count: int
+    threshold: int
+    behaviors: list[str]
 
     @classmethod
     def from_json(cls, obj: dict) -> "OracleConfig":
-        count = obj.get("count", 5)
-        if not isinstance(count, int):
-            raise InvalidScenario("oracles: count must be an integer")
+        count = _int(obj.get("count", 5), "oracles: count", 1)
         return cls(
             count=count,
-            threshold=obj.get("threshold"),
+            threshold=_int(obj.get("threshold", default_threshold(count)),
+                           "oracles: threshold"),
             behaviors=list(_shaped(obj.get("behaviors", ["honest"] * count),
                                    list, "oracles: behaviors")),
         )
 
-    def effective_threshold(self) -> int:
-        return self.threshold if self.threshold is not None \
-            else default_threshold(self.count)
-
     def to_json(self) -> dict:
         return {
             "count": self.count,
-            "threshold": self.effective_threshold(),
+            "threshold": self.threshold,
             "behaviors": list(self.behaviors),
         }
 
@@ -124,15 +131,16 @@ class Scenario:
     # --- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        if not isinstance(self.seed, int):
-            raise InvalidScenario("seed must be an integer")
+        """Check every field the runner reads, so that a run never meets a
+        value of the wrong type or range."""
+        if not isinstance(self.name, str):
+            raise InvalidScenario("name must be a string")
+        _int(self.seed, "seed")
         if len(self.chains) != 2:
             raise InvalidScenario("exactly two chains are required")
         for idx, params in enumerate(self.chains):
             for name, value in vars(params).items():
-                if not isinstance(value, int) or value < 0:
-                    raise InvalidScenario(
-                        f"chain {idx}: {name} must be a non-negative integer")
+                _int(value, f"chain {idx}: {name}", 0)
             if params.finality_depth < 1:
                 raise InvalidScenario(f"chain {idx}: finality depth must be >= 1")
             if params.recovery_timeout <= (params.confirmation_depth
@@ -142,20 +150,14 @@ class Scenario:
                     f"confirmation depth + finality depth")
 
         cfg = self.oracles
-        if cfg.count < 1:
-            raise InvalidScenario("at least one oracle is required")
-        if not isinstance(cfg.threshold, (int, type(None))):
-            raise InvalidScenario("oracles: threshold must be an integer")
         if len(cfg.behaviors) != cfg.count:
             raise InvalidScenario("one behavior per oracle is required")
         valid_behaviors = {b.value for b in Behavior}
         for b in cfg.behaviors:
-            if not isinstance(b, str) or b not in valid_behaviors:
-                raise InvalidScenario(f"unknown oracle behavior {b!r}")
-        threshold = cfg.effective_threshold()
-        if not 1 <= threshold <= cfg.count:
+            _member(b, valid_behaviors, "unknown oracle behavior")
+        if not 1 <= cfg.threshold <= cfg.count:
             raise InvalidScenario(
-                f"threshold {threshold} out of range for {cfg.count} oracles")
+                f"threshold {cfg.threshold} out of range for {cfg.count} oracles")
 
         if not self.tokens:
             raise InvalidScenario("at least one token is required")
@@ -172,12 +174,10 @@ class Scenario:
 
         for balance in self.balances:
             _shaped(balance, dict, "each balance")
-            if balance.get("token") not in seen_tokens:
-                raise InvalidScenario(
-                    f"balance references unknown token {balance.get('token')!r}")
-            if not isinstance(balance.get("amount"), int) or balance["amount"] <= 0:
-                raise InvalidScenario("initial balances must be positive integers")
-            resolve_address(balance.get("account"))
+            _member(balance.get("token"), seen_tokens,
+                    "balance references unknown token")
+            _int(balance.get("amount"), "initial balance amount", 1)
+            _account(balance.get("account"), "balance")
 
         self._validate_timeline(seen_tokens)
 
@@ -191,83 +191,51 @@ class Scenario:
                 op = step.get("op")
             except AttributeError:      # not a JSON object; costs nothing if it is
                 raise InvalidScenario(f"{where} must be a JSON object") from None
-            if op not in STEP_OPS:
+            # the checks of the frequent ops are inlined: they cost set-up
+            # time in proportion to the timeline
+            if type(op) is not str or op not in STEP_OPS:
                 raise InvalidScenario(f"{where}: unknown op {op!r}")
             if op in ("produce_block", "fork_at", "extend_branch"):
-                chain = step.get("chain")
-                if chain not in (ORIGIN, DESTINATION):
-                    raise InvalidScenario(f"{where}: bad chain {chain!r}")
+                known = branches[_chain(step.get("chain"), where)]
             if op == "produce_block":
-                count = step.get("count", 1)
-                if not isinstance(count, int) or count < 1:
-                    raise InvalidScenario(f"{where}: count must be >= 1")
-                branch = step.get("branch")
-                if branch is not None and branch not in branches[step["chain"]]:
-                    raise InvalidScenario(f"{where}: unknown branch {branch!r}")
+                if "count" in step:
+                    _int(step["count"], f"{where}: count", 1)
+                if step.get("branch") is not None:
+                    _member(step["branch"], known, f"{where}: unknown branch")
             elif op == "fork_at":
                 name = step.get("name")
                 if not name or not isinstance(name, str) or name == "main":
                     raise InvalidScenario(f"{where}: fork needs a fresh branch name")
-                if name in branches[step["chain"]]:
+                if name in known:
                     raise InvalidScenario(f"{where}: branch {name!r} already exists")
-                if not isinstance(step.get("height"), int) or step["height"] < 0:
-                    raise InvalidScenario(f"{where}: fork height must be >= 0")
-                branches[step["chain"]].add(name)
+                _int(step.get("height"), f"{where}: fork height", 0)
+                known.add(name)
             elif op == "extend_branch":
-                if step.get("branch") not in branches[step["chain"]]:
-                    raise InvalidScenario(
-                        f"{where}: unknown branch {step.get('branch')!r}")
-                count = step.get("count")
-                if not isinstance(count, int) or count < 1:
-                    raise InvalidScenario(f"{where}: count must be >= 1")
+                _member(step.get("branch"), known, f"{where}: unknown branch")
+                _int(step.get("count"), f"{where}: count", 1)
             elif op == "user_lock":
-                if step.get("token") not in tokens:
-                    raise InvalidScenario(
-                        f"{where}: unknown token {step.get('token')!r}")
-                if not isinstance(step.get("amount"), int):
-                    raise InvalidScenario(f"{where}: amount must be an integer")
-                resolve_address(step.get("sender"))
-                resolve_address(step.get("receiver"))
+                _member(step.get("token"), tokens, f"{where}: unknown token")
+                _int(step.get("amount"), f"{where}: amount")
+                _account(step.get("sender"), where)
+                _account(step.get("receiver"), where)
                 user_steps += 1
             elif op == "user_burn":
                 symbol = step.get("token")
                 if not isinstance(symbol, str) or not symbol.startswith("sw"):
                     raise InvalidScenario(
                         f"{where}: burn needs a wrapped token symbol")
-                if not isinstance(step.get("amount"), int):
-                    raise InvalidScenario(f"{where}: amount must be an integer")
-                resolve_address(step.get("holder"))
-                resolve_address(step.get("receiver"))
+                _int(step.get("amount"), f"{where}: amount")
+                _account(step.get("holder"), where)
+                _account(step.get("receiver"), where)
                 user_steps += 1
             elif op == "relay_round":
                 source, target = step.get("source"), step.get("target")
-                if source not in (ORIGIN, DESTINATION) or \
-                        target not in (ORIGIN, DESTINATION) or source == target:
+                if type(source) is not int or type(target) is not int or \
+                        {source, target} != {ORIGIN, DESTINATION}:
                     raise InvalidScenario(f"{where}: bad relay direction")
                 relay_steps += 1
             elif op == "assert":
-                self._validate_assert(step, idx, tokens, user_steps, relay_steps)
-
-    def _validate_assert(self, step: dict, idx: int, tokens: set[str],
-                         user_steps: int, relay_steps: int) -> None:
-        where = f"timeline step {idx}"
-        check = step.get("check")
-        if check not in ASSERT_CHECKS:
-            raise InvalidScenario(f"{where}: unknown check {check!r}")
-        if check in ("status", "port_status", "exec_count"):
-            swap = step.get("swap")
-            if not isinstance(swap, int) or not 0 <= swap < user_steps:
-                raise InvalidScenario(
-                    f"{where}: swap index {swap!r} does not reference an "
-                    f"earlier user step")
-        if check == "relay_outcome":
-            rnd = step.get("round")
-            if not isinstance(rnd, int) or not 0 <= rnd < relay_steps:
-                raise InvalidScenario(
-                    f"{where}: round index {rnd!r} does not reference an "
-                    f"earlier relay step")
-        if check == "balance":
-            resolve_address(step.get("account"))
+                _validate_assert(step, where, user_steps, relay_steps)
 
     def to_json(self) -> dict:
         return {
@@ -281,6 +249,32 @@ class Scenario:
         }
 
 
+def _validate_assert(step: dict, where: str, user_steps: int,
+                     relay_steps: int) -> None:
+    check = step.get("check")
+    _member(check, ASSERT_CHECKS, f"{where}: unknown check")
+    needs = ASSERT_CHECKS[check]
+    for name, kind in needs.items():
+        if type(step.get(name)) is not kind:
+            raise InvalidScenario(
+                f"{where}: {check} needs a JSON "
+                f"{'integer' if kind is int else 'string'} {name}")
+    if "chain" in needs:
+        _chain(step["chain"], where)
+    if "swap" in needs and not 0 <= step["swap"] < user_steps:
+        raise InvalidScenario(
+            f"{where}: swap index {step['swap']!r} does not reference an "
+            f"earlier user step")
+    if "round" in needs and not 0 <= step["round"] < relay_steps:
+        raise InvalidScenario(
+            f"{where}: round index {step['round']!r} does not reference an "
+            f"earlier relay step")
+    if "account" in needs:
+        _account(step["account"], where)
+    if check == "backing" and step.get("relation", "geq") not in ("geq", "eq"):
+        raise InvalidScenario(f"{where}: relation must be \"geq\" or \"eq\"")
+
+
 def _shaped(value, kind: type, what: str):
     """`value`, if it is a JSON list or object as `kind` says; a malformed
     section is an invalid scenario, not a crash further on."""
@@ -290,10 +284,36 @@ def _shaped(value, kind: type, what: str):
     return value
 
 
-def resolve_address(spec) -> bytes:
-    """An account is either 40 hex chars or an alias hashed to an address."""
+def _int(value, what: str, low: int | None = None) -> int:
+    """`value`, if it is a JSON integer of at least `low`; a JSON true or
+    false is not one, though Python counts bool as int."""
+    if type(value) is not int or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise InvalidScenario(f"{what} must be an integer{bound}")
+    return value
+
+
+def _member(value, allowed, what: str) -> None:
+    """Require a string in `allowed`; the type is checked first, so an
+    unhashable value is reported, not looked up."""
+    if not isinstance(value, str) or value not in allowed:
+        raise InvalidScenario(f"{what} {value!r}")
+
+
+def _chain(value, where: str) -> int:
+    if type(value) is not int or value not in (ORIGIN, DESTINATION):
+        raise InvalidScenario(f"{where}: bad chain {value!r}")
+    return value
+
+
+def _account(spec, where: str) -> None:
     if not isinstance(spec, str) or not spec:
-        raise InvalidScenario(f"bad account spec {spec!r}")
+        raise InvalidScenario(f"{where}: bad account spec {spec!r}")
+
+
+def resolve_address(spec: str) -> bytes:
+    """An account is either 40 hex chars or an alias hashed to an address;
+    validation has checked that `spec` is a non-empty string."""
     if len(spec) == 40:
         try:
             return bytes.fromhex(spec)
@@ -329,8 +349,7 @@ class Runner:
         params = dict(enumerate(scenario.chains))   # chain id -> ChainParams
         secrets = [oracle_secret(i, self.seed) for i in range(cfg.count)]
         scheme_keys = tuple(secrets)  # MAC scheme: verification key == secret
-        roster = OracleRoster(keys=scheme_keys,
-                              threshold=cfg.effective_threshold())
+        roster = OracleRoster(keys=scheme_keys, threshold=cfg.threshold)
         self.network = OracleNetwork(
             oracles=[OracleIdentity(i, secrets[i], Behavior(cfg.behaviors[i]))
                      for i in range(cfg.count)],
@@ -353,18 +372,13 @@ class Runner:
             finality_depth={cid: p.finality_depth for cid, p in params.items()},
         )
         self.chains = build_chains(gateway_cfg, tokens, initial)
-        self.controller = StatusController({
-            cid: FinalityPolicy(p.finality_depth, p.recovery_timeout)
-            for cid, p in params.items()})
+        self.controller = StatusController(
+            {cid: p.recovery_timeout for cid, p in params.items()})
 
         self.records: list[dict] = []
         self.reports: list[RoundReport] = []
         self.swap_ids: list[bytes | None] = []
         self._tx_handles: dict[int, int] = {}  # id(tx) -> user step handle
-        self._initial_ledgers = {
-            cid: chain.canonical_state.ledger.summary()
-            for cid, chain in self.chains.items()
-        }
 
     # --- trace helpers -------------------------------------------------------
 
@@ -582,7 +596,7 @@ class Runner:
             return ok, f"locked {locked} vs wrapped supply {supply}"
         if check == "ledgers_match_initial":
             for cid, chain in sorted(self.chains.items()):
-                if chain.canonical_state.ledger.summary() != self._initial_ledgers[cid]:
+                if chain.canonical_state.ledger != chain.genesis_state.ledger:
                     return False, f"chain {cid} ledger differs from initial state"
             return True, "ledgers identical to initial state"
         if check == "relay_outcome":
@@ -615,7 +629,3 @@ class Runner:
                         if event.kind in EXECUTION_KINDS)
             return count == step["expect"], f"{count} canonical executions"
         raise InvalidScenario(f"unknown check {check!r}")
-
-
-def run_scenario(scenario: Scenario, seed: int | None = None) -> RunResult:
-    return Runner(scenario, seed=seed).run()

@@ -6,7 +6,6 @@ from hypothesis import settings
 from swapgate import (
     AccountId,
     Behavior,
-    FinalityPolicy,
     GatewayConfig,
     OracleIdentity,
     OracleNetwork,
@@ -38,23 +37,24 @@ CAROL = AccountId(0, bytes.fromhex("cc" * 20))
 class World:
     """A fully wired two-chain gateway for direct-API tests.
 
-    Its chains refuse reorgs deeper than `fin_depth`, the controller's
-    finality depth, unless a test passes a deeper `reorg_depth`: to reach
-    the controller's backstop, or to keep a random walk unbounded.
+    A chain's finality depth is `fin_depth`, or `fin_depth[chain id]` for
+    a dict: the chain refuses a deeper reorg, and the controller finalizes
+    the swaps that chain executes at that depth.
     """
 
     def __init__(self, behaviors=None, seed=99, conf_depth=2, fin_depth=3,
-                 timeout=6, window=10, initial=1000, reorg_depth=None):
+                 timeout=6, window=10, initial=1000):
         behaviors = behaviors or [Behavior.HONEST] * 5
         n = len(behaviors)
         secrets = [oracle_secret(i, seed) for i in range(n)]
         self.roster = OracleRoster(tuple(secrets), default_threshold(n))
         self.token = TokenId("T", 0)
-        reorg_depth = fin_depth if reorg_depth is None else reorg_depth
+        if not isinstance(fin_depth, dict):
+            fin_depth = {0: fin_depth, 1: fin_depth}
         self.chains = build_chains(
             GatewayConfig(roster=self.roster,
                           relevance_window={0: window, 1: window},
-                          finality_depth={0: reorg_depth, 1: reorg_depth}),
+                          finality_depth=fin_depth),
             [self.token],
             [(self.token, ALICE, initial)],
         )
@@ -63,12 +63,8 @@ class World:
             self.roster,
             {0: conf_depth, 1: conf_depth},
         )
-        self.controller = StatusController({
-            0: FinalityPolicy(fin_depth, timeout),
-            1: FinalityPolicy(fin_depth, timeout),
-        })
+        self.controller = StatusController({0: timeout, 1: timeout})
         self.conf_depth = conf_depth
-        self.fin_depth = fin_depth
 
     @property
     def origin(self):

@@ -82,7 +82,7 @@ def test_fork_at_tip_is_canonical_prefix(world):
 
 def test_fork_beyond_tip(world):
     with pytest.raises(HeightBeyondTip):
-        world.origin.fork_at(5)
+        world.origin.fork_at(5, "ahead")
 
 
 def test_unknown_branch(world):

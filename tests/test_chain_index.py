@@ -199,9 +199,9 @@ def replay(ops, bound: int = UNBOUNDED) -> None:
             tip = chain.canonical_tip.height
             height = tip - arg % (min(tip, bound + 1) + 1)
             if ref.fork_refused(height, bound):
-                refused(lambda: chain.fork_at(height), chain)
+                refused(lambda: chain.fork_at(height, "refused"), chain)
             else:
-                ref.order.append(chain.fork_at(height))
+                ref.order.append(chain.fork_at(height, f"fork{len(ref.order)}"))
         else:
             branch = ref.order[arg % len(ref.order)]
             if op == "produce":

@@ -2,8 +2,8 @@
 
 import pytest
 
-from swapgate import LockTx, SwapStatus
-from swapgate.errors import InvalidScenario
+from swapgate import BurnTx, LockTx, SwapStatus
+from swapgate.errors import BeyondFinality
 
 from conftest import ALICE, BOB, World
 
@@ -119,26 +119,62 @@ def test_registration_reorged_drops_record():
     assert w.controller.status_of(sid) is None
 
 
-def test_deep_reorg_after_finalization_is_fatal():
-    # the chains accept the deep reorg that the controller must refuse
-    w = World(conf_depth=2, fin_depth=3, timeout=6, reorg_depth=20)
+def test_reorg_below_finalized_execution_is_refused():
+    """The depth that finalizes a swap is its chain's reorg bound, so no
+    reorg can take a finalized execution away: the chain refuses it."""
+    w = World(conf_depth=2, fin_depth=3, timeout=6)
     sid = processed_swap(w)
     for _ in range(3):
         w.destination.produce_block()
     w.controller.tick(w.chains)
     assert w.controller.status_of(sid) == SwapStatus.FINALIZED
 
-    # a reorg beneath the finality depth is a scenario-validation error;
-    # driving the chain there by hand must trip the controller's backstop
-    fork = w.destination.fork_at(0, "alt")
-    w.destination.extend(fork, 5)
-    with pytest.raises(InvalidScenario):
-        w.controller.tick(w.chains)
+    with pytest.raises(BeyondFinality):
+        fork = w.destination.fork_at(0, "alt")   # the mint is at height 1
+        w.destination.extend(fork, 5)
+    result = w.controller.tick(w.chains)
+    assert (result.transitions, result.stuck) == ([], [])
+    assert w.controller.status_of(sid) == SwapStatus.FINALIZED
+
+
+def test_each_chain_finalizes_at_its_own_depth():
+    """Origin finality 3, destination 5: a mint finalizes at depth 5 and an
+    unlock at depth 3, the depth of the chain that executes the swap."""
+    w = World(conf_depth=2, fin_depth={0: 3, 1: 5}, timeout=12)
+
+    def finalizing_ticks(chain, blocks, swap_id):
+        """Produce `blocks` blocks on `chain`, ticking after each one; the
+        reasons of the swap's finalizing transitions, per tick."""
+        reasons = []
+        for _ in range(blocks):
+            chain.produce_block()
+            result = w.controller.tick(w.chains)
+            reasons.append([t["reason"] for t in result.transitions
+                            if t["swap_id"] == swap_id.hex()
+                            and t["to"] == "finalized"])
+        return reasons
+
+    mint = processed_swap(w)                # mint at destination height 1
+    w.controller.tick(w.chains)
+    assert w.controller.status_of(mint) == SwapStatus.PROCESSED
+    assert finalizing_ticks(w.destination, 5, mint) == \
+        [[], [], [], [], ["execution_depth_5"]]
+
+    w.destination.submit(BurnTx(1, BOB, "swT", 40, ALICE))
+    for _ in range(1 + w.conf_depth):
+        w.destination.produce_block()
+    w.network.relay_round(w.destination, w.origin)
+    w.origin.produce_block()
+    (unlock,) = [e for e in w.origin.canonical_events()
+                 if e.kind.value == "UnlockExecuted"]
+    w.controller.tick(w.chains)
+    assert w.controller.status_of(unlock.swap_id) == SwapStatus.PROCESSED
+    assert finalizing_ticks(w.origin, 3, unlock.swap_id) == \
+        [[], [], ["execution_depth_3"]]
 
 
 def test_reverse_swap_executes_on_origin_chain():
     """For a burn-initiated swap the controller watches the origin chain."""
-    from swapgate import BurnTx
     w = World(conf_depth=2, fin_depth=3, timeout=6)
     processed_swap(w)
     w.destination.submit(BurnTx(1, BOB, "swT", 100, ALICE))

@@ -2,18 +2,21 @@
 
 Both controllers watch the same two chains and are ticked together; after
 every tick their results, requeues and per-swap views (statuses and view
-order) must be identical, and where one raises InvalidScenario the other
-must raise it with the same message. The timelines fork both chains, so
-origin forks orphan registrations and destination forks orphan mints,
-land several reorgs between two ticks, tick with no new block, and keep
-finalized swaps around while later reorgs happen.
+order) must be identical. The timelines fork both chains, so origin forks
+orphan registrations and destination forks orphan mints, land several
+reorgs between two ticks, tick with no new block, and keep finalized swaps
+around while later reorgs happen. The chains refuse any reorg deeper than
+their finality depth, the depth at which both controllers finalize.
 """
 
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swapgate import BurnTx, LockTx
-from swapgate.errors import InvalidScenario
+from swapgate import BurnTx, LockTx, SwapStatus
+from swapgate.errors import BeyondFinality
 
 from conftest import ALICE, BOB, World
 from reference_controller import ReferenceController
@@ -24,22 +27,19 @@ class Twins:
 
     def __init__(self, **world_args):
         self.w = World(**world_args)
-        self.reference = ReferenceController(self.w.controller.policies)
+        # the reference reads both settings from one object per chain
+        self.reference = ReferenceController({
+            cid: SimpleNamespace(
+                finality_depth=chain.finality_depth,
+                recovery_timeout=self.w.controller.recovery_timeout[cid])
+            for cid, chain in self.w.chains.items()})
         self.forks = 0
         self.ticks = []
 
-    def tick(self) -> bool:
-        """Tick both controllers; False once both have raised."""
-        outcomes = []
-        for controller in (self.w.controller, self.reference):
-            try:
-                outcomes.append(controller.tick(self.w.chains))
-            except InvalidScenario as exc:
-                outcomes.append(str(exc))
-        new, old = outcomes
-        if isinstance(old, str):
-            assert new == old
-            return False
+    def tick(self) -> None:
+        """Tick both controllers and require identical outcomes."""
+        new = self.w.controller.tick(self.w.chains)
+        old = self.reference.tick(self.w.chains)
         assert new.to_json() == old.to_json()
         assert new.requeue == old.requeue
         assert list(self.w.controller.views) == list(self.reference.views)
@@ -49,7 +49,6 @@ class Twins:
         for swap_id in new.requeue:
             self.w.network.request_reattestation(swap_id)
         self.ticks.append(new.to_json())
-        return True
 
     def fork(self, chain_id: int, depth: int, extend: int = 0) -> str:
         chain = self.w.chains[chain_id]
@@ -80,28 +79,28 @@ def test_forks_on_both_chains_between_ticks():
     t.produce(0, 3)
     t.relay(0)
     t.produce(1)                    # mint at destination height 1
-    assert t.tick()
+    t.tick()
     lock(t, 20)
     t.produce(0)                    # second lock, unconfirmed
-    assert t.tick()
+    t.tick()
     t.fork(0, 1, extend=2)          # origin fork orphans the second lock
     t.fork(1, 1, extend=2)          # destination fork orphans the mint
-    assert t.tick()                 # both reorgs land in one tick
-    assert t.tick()                 # no new block: nothing to say
+    t.tick()                        # both reorgs land in one tick
+    t.tick()                        # no new block: nothing to say
     assert t.ticks[-1] == {"transitions": [], "stuck": []}
     reasons = [x["reason"] for x in t.ticks[-2]["transitions"]]
     assert reasons == ["execution_reorged", "registration_reorged"]
 
     t.produce(1, 6)
-    assert t.tick()                 # stuck: requeued for re-attestation
+    t.tick()                        # stuck: requeued for re-attestation
     assert t.ticks[-1]["stuck"]
     t.relay(0)
     t.produce(1, 4)                 # re-minted and buried past finality
-    assert t.tick()
+    t.tick()
     t.produce(0, 2)
     t.produce(1, 2)
     t.fork(1, 2, extend=3)          # shallower than the finalized mint
-    assert t.tick()
+    t.tick()
     assert t.ticks[-1] == {"transitions": [], "stuck": []}
 
 
@@ -111,25 +110,31 @@ def test_two_reorgs_on_one_chain_between_ticks():
     t.produce(0, 3)
     t.relay(0)
     t.produce(1, 2)
-    assert t.tick()
+    t.tick()
     first = t.fork(1, 2, extend=3)  # mint orphaned
     t.fork(1, 2, extend=3)          # then a second branch wins over the first
     t.w.destination.extend(first, 2)  # and the first wins back
-    assert t.tick()
+    t.tick()
     assert [x["reason"] for x in t.ticks[-1]["transitions"]] == \
         ["execution_reorged"]
 
 
-def test_finalized_execution_reorged_is_fatal_in_both():
-    # the chains accept the deep reorg that both controllers must refuse
-    t = Twins(conf_depth=2, fin_depth=3, timeout=6, reorg_depth=20)
+def test_finalized_execution_survives_refused_reorg_in_both():
+    """A reorg that would orphan a finalized mint is deeper than the
+    finality depth, so the chain refuses it and both controllers keep the
+    swap finalized."""
+    t = Twins(conf_depth=2, fin_depth=3, timeout=6)
     lock(t, 7)
     t.produce(0, 3)
     t.relay(0)
-    t.produce(1, 4)
-    assert t.tick()
-    t.fork(1, 4, extend=5)          # deeper than the finality depth
-    assert not t.tick()
+    t.produce(1, 4)                 # mint at height 1, finalized at depth 3
+    t.tick()
+    with pytest.raises(BeyondFinality):
+        t.fork(1, 4, extend=5)      # would abandon the mint's block
+    t.tick()
+    assert t.ticks[-1] == {"transitions": [], "stuck": []}
+    (sid,) = t.reference.views
+    assert t.w.controller.status_of(sid) == SwapStatus.FINALIZED
 
 
 ops = st.lists(st.tuples(st.one_of(
@@ -147,30 +152,34 @@ ops = st.lists(st.tuples(st.one_of(
 def test_random_timelines_match_reference(steps):
     """Locks and burns relayed between forks of either chain, with a tick
     after some steps. A fork may tie (and win or lose on its tip hash),
-    overtake, or stay behind until a later `grow` step extends it; one
-    deeper than the finality depth makes both controllers raise."""
-    # no reorg bound: a fork or a `grow` step may go past finality
-    t = Twins(conf_depth=1, fin_depth=3, timeout=5, reorg_depth=10**6)
+    overtake, or stay behind until a later `grow` step extends it. A fork
+    or `grow` step that the chain refuses for going deeper than the
+    finality depth changes nothing and is skipped, tick included."""
+    t = Twins(conf_depth=1, fin_depth=3, timeout=5)
     branches = {0: ["main"], 1: ["main"]}
     for (op, *args), tick in steps:
-        if op == "lock":
-            lock(t, args[0])
-            t.produce(0)
-        elif op == "burn":
-            t.w.destination.submit(BurnTx(1, BOB, "swT", args[0], ALICE))
-            t.produce(1)
-        elif op == "relay":
-            t.produce(args[0], t.w.conf_depth)
-            t.relay(args[0])
-            t.produce(1 - args[0])
-        elif op == "wait":
-            t.produce(*args)
-        elif op == "fork":
-            chain, depth, lead = args
-            branches[chain].append(t.fork(chain, depth, extend=depth + lead))
-        else:
-            names = branches[args[0]]
-            t.w.chains[args[0]].produce_block(names[args[1] % len(names)])
-        if tick and not t.tick():
-            return
+        try:
+            if op == "lock":
+                lock(t, args[0])
+                t.produce(0)
+            elif op == "burn":
+                t.w.destination.submit(BurnTx(1, BOB, "swT", args[0], ALICE))
+                t.produce(1)
+            elif op == "relay":
+                t.produce(args[0], t.w.conf_depth)
+                t.relay(args[0])
+                t.produce(1 - args[0])
+            elif op == "wait":
+                t.produce(*args)
+            elif op == "fork":
+                chain, depth, lead = args
+                branches[chain].append(
+                    t.fork(chain, depth, extend=depth + lead))
+            else:
+                names = branches[args[0]]
+                t.w.chains[args[0]].produce_block(names[args[1] % len(names)])
+        except BeyondFinality:
+            continue
+        if tick:
+            t.tick()
     t.tick()

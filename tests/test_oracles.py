@@ -219,8 +219,8 @@ def test_reattestation_finds_registration_reincluded_at_new_height():
     the lock to a new height the round cursor has already passed. Once the
     swap goes stuck, re-attestation finds it through the canonical swap
     index and it is minted exactly once."""
-    # the origin reorg abandons 5 blocks, past the controller's finality
-    w = World(conf_depth=2, fin_depth=3, timeout=6, reorg_depth=5)
+    # the origin reorg abandons 5 blocks, so the chains' finality depth is 5
+    w = World(conf_depth=2, fin_depth=5, timeout=6)
     lock = LockTx(0, ALICE, "T", 100, BOB)
     w.origin.submit(lock)
     w.origin.produce_block()              # lock at h1

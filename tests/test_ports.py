@@ -7,6 +7,8 @@ import pytest
 from swapgate import (
     Direction,
     EventKind,
+    IB_PORT_ADDRESS,
+    LU_PORT_ADDRESS,
     LockTx,
     BurnTx,
     NEBULA_ADDRESS,
@@ -15,6 +17,7 @@ from swapgate import (
     derive_swap_id,
 )
 from swapgate.chain import BlockCtx, BlockRef
+from swapgate.encoding import MAX_AMOUNT
 from swapgate.errors import (
     DuplicateExecution,
     InsufficientLocked,
@@ -25,9 +28,8 @@ from swapgate.errors import (
     WrongChainReceiver,
     ZeroAmount,
 )
-from swapgate.gateway import LU_PORT_ADDRESS, IB_PORT_ADDRESS
 
-from conftest import ALICE, BOB
+from conftest import ALICE, BOB, World
 
 from reference_codec import ref_swap_id
 
@@ -71,6 +73,38 @@ def test_lock_zero_amount_rejected(world):
     ref = world.origin.produce_block()
     receipt = world.origin.blocks[ref.block_hash].receipts[0]
     assert receipt.status == "ZeroAmount"
+
+
+def rejected_in_its_block(chain, tx):
+    """Include `tx` alone in a new block; its receipt status, and whether
+    the block's state equals its parent's."""
+    chain.submit(tx)
+    ref = chain.produce_block()
+    block = chain.blocks[ref.block_hash]
+    unchanged = chain.states[ref.block_hash] == chain.states[block.parent_hash]
+    return block.receipts[0].status, unchanged
+
+
+def test_lock_beyond_u64_rejected_before_any_write():
+    """A swap id packs the amount as a u64, so a larger lock is refused
+    before the ledger moves: the tx gets a receipt, the run goes on."""
+    world = World(initial=2**64)
+    assert rejected_in_its_block(
+        world.origin, LockTx(0, ALICE, "T", MAX_AMOUNT + 1, BOB)) == \
+        ("AmountTooLarge", True)
+
+
+def test_burn_beyond_u64_rejected_before_any_write(world):
+    entries = [PayloadEntry(Direction.ORIGIN_TO_DESTINATION, bytes([i]) * 32,
+                            "T", 0, BOB.address, 2**63) for i in (1, 2)]
+    for entry in entries:
+        for tx in world.attested(1, [entry]):
+            world.destination.submit(tx)
+    world.destination.produce_block()
+    assert world.destination.canonical_state.ledger.supply["swT"] == 2**64
+    assert rejected_in_its_block(
+        world.destination, BurnTx(1, BOB, "swT", 2**64, ALICE)) == \
+        ("AmountTooLarge", True)
 
 
 def test_lock_wrong_chain_receiver(world):
@@ -338,11 +372,10 @@ def test_attested_execution_stores_one_processed_record(world):
                                           entry_for(event),
                                           caller=NEBULA_ADDRESS)
     assert dstate.ib_port.record(event.swap_id) is record
-    assert (record.status, record.registered_at, record.processed_at) == \
-        (SwapStatus.PROCESSED, ctx.block_id, ctx.block_id)
+    assert (record.status, record.registered_at) == \
+        (SwapStatus.PROCESSED, ctx.block_id)
     assert ctx.block_id == ctx_for(world.destination, branch="alt").block_id
-    assert (lock_record.status, lock_record.processed_at) == \
-        (SwapStatus.REGISTERED, None)
+    assert lock_record.status == SwapStatus.REGISTERED
 
 
 def test_zero_amount_entry_for_new_token_leaves_no_state(world):

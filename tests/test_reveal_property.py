@@ -75,8 +75,8 @@ def check_canonical_receipts(chain) -> None:
 
 @given(STEPS)
 def test_reveal_opens_exactly_the_open_pulse_of_its_hash(steps):
-    # no reorg bound: extending a stale branch may reorg past finality
-    world = World(window=1000, reorg_depth=10**6)
+    # no reorg bound: extending a stale branch may reorg arbitrarily deep
+    world = World(window=1000, fin_depth=10**6)
     dest = world.destination
     txs = [world.attested(1, payload) for payload in POOL]
     for step in steps:

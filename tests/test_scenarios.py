@@ -301,6 +301,47 @@ def test_cli_run_malformed_section_is_invalid(tmp_path, capsys, section):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+LOCK = {"op": "user_lock", "sender": "alice", "token": "T", "amount": 5,
+        "receiver": "bob"}
+
+
+def asserting(**check):
+    return {"timeline": [LOCK, {"op": "assert", **check}]}
+
+
+@pytest.mark.parametrize("fields", [
+    # an unhashable value where a set lookup expects a string
+    {"balances": [{"account": "alice", "token": [], "amount": 5}]},
+    {"timeline": [{"op": "produce_block", "chain": 0, "branch": []}]},
+    {"timeline": [dict(LOCK, token=[])]},
+    {"timeline": [{"op": []}]},
+    asserting(check="backing", token=[]),
+    # a field an assert check reads that is missing or out of range
+    asserting(check="balance", chain=5, token="T", account="alice", expect=0),
+    asserting(check="locked", token="T", expect=0),
+    asserting(check="supply", chain=1, token="swT"),
+    asserting(check="status", swap=0),
+    # a value of another JSON type that would be read as a valid one
+    {"chains": [{"finality_depth": True}, {}]},
+    {"oracles": {"count": True}},
+    {"timeline": [{"op": "produce_block", "chain": 0, "count": True}]},
+    {"timeline": [{"op": "produce_block", "chain": True}]},
+    asserting(check="backing", token="T", relation="lt"),
+    {"name": ["x"]},
+], ids=json.dumps)
+def test_cli_run_field_of_wrong_type_is_invalid(tmp_path, capsys, fields):
+    """Every field the runner reads is checked before the run: a wrong type
+    or a missing field is an invalid scenario (exit 2), neither a crash
+    (exit 1) nor a value read as something else."""
+    scenario = {"tokens": ["T"],
+                "balances": [{"account": "alice", "token": "T", "amount": 10}],
+                **fields}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path)]) == 2
+    assert "invalid scenario" in capsys.readouterr().err
+
+
 def test_cli_check_truncated(tmp_path):
     trace_path = tmp_path / "t.jsonl"
     main(["run", "happy_path", "--trace", str(trace_path)])
