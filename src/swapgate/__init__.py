@@ -21,12 +21,10 @@ from .encoding import (
 from .errors import GatewayError, InvalidScenario, MalformedTrace
 from .gateway import (
     BurnTx,
-    GatewayConfig,
     GatewayState,
     LockTx,
     PulseTx,
     SendDataTx,
-    TransferTx,
     build_chains,
 )
 from .ledger import AccountId, Ledger, TokenId, TokenRegistry, wrapped_symbol

@@ -25,8 +25,10 @@ height. Both indexes change only by the blocks cut and appended, so the
 cost follows the reorg depth, not the chain height.
 
 After every reorg the chain checks itself: it replays the canonical chain
-from genesis and requires the result to equal the incremental tip state.
-Embedded states therefore compare by value (see EmbeddedState), and what
+from genesis and requires the result to equal the incremental tip state;
+on a mismatch it names the top-level state fields that differ. Embedded
+states are therefore dataclasses that compare by value (see EmbeddedState),
+and what
 they store must not depend on the branch a block was produced on: a block
 produced again on another branch has the same hash and replaces its twin,
 so records name blocks by BlockId, which leaves the branch out.
@@ -35,7 +37,7 @@ so records name blocks by BlockId, which leaves the branch out.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Any, Callable, Protocol
@@ -82,13 +84,6 @@ class BlockId:
     chain: int
     height: int
     block_hash: bytes
-
-    def to_json(self) -> dict:
-        return {
-            "chain": self.chain,
-            "height": self.height,
-            "hash": self.block_hash.hex(),
-        }
 
 
 @dataclass(frozen=True)
@@ -159,17 +154,15 @@ class EmbeddedState(Protocol):
     """What a Chain needs of its per-block state.
 
     clone() returns a copy that later transactions can change without
-    touching the original. Two states compare equal (==) exactly when
-    every field of the one equals the same field of the other; the replay
-    self-check relies on that, so each state type derives its equality
-    from all of its fields (a dataclass with eq). summary() is a JSON view
-    for tests and for naming the parts of a state that differ; equality
-    covers at least what it shows.
+    touching the original. A state is a dataclass, and two states compare
+    equal (==) exactly when every field of the one equals the same field of
+    the other; the replay self-check relies on that, so each state type
+    derives its equality from all of its fields (a dataclass with eq), and
+    on a mismatch it names the top-level fields that differ
+    (dataclasses.fields).
     """
 
     def clone(self) -> "EmbeddedState": ...
-
-    def summary(self) -> dict: ...
 
     def __eq__(self, other: object) -> bool: ...
 
@@ -465,18 +458,17 @@ class Chain:
 
     def _divergence(self, replayed: Any) -> str:
         """The self-check's failure message: the reorg, and the top-level
-        summary() parts in which the two states differ."""
-        ours, theirs = self.canonical_state.summary(), replayed.summary()
-        differing = [key for key in sorted(ours.keys() | theirs.keys())
-                     if ours.get(key) != theirs.get(key)]
+        fields in which the two states differ."""
+        ours = self.canonical_state
+        differing = [f.name for f in fields(ours)
+                     if getattr(ours, f.name) != getattr(replayed, f.name)]
         info = self.last_reorg
         assert info is not None
 
         def tip(ref: BlockRef) -> str:
             return f"{ref.branch}@{ref.height} ({ref.block_hash.hex()[:12]})"
 
-        parts = ", ".join(differing) or "fields outside summary()"
         return (f"chain {self.chain_id}: canonical replay diverged from "
                 f"incremental state after reorg from {tip(info.old_tip)} to "
                 f"{tip(info.new_tip)} (fork height {info.fork_height}); "
-                f"differing: {parts}")
+                f"differing: {', '.join(differing)}")

@@ -32,10 +32,6 @@ class Direction(IntEnum):
     ORIGIN_TO_DESTINATION = 0
     DESTINATION_TO_ORIGIN = 1
 
-    @property
-    def label(self) -> str:
-        return "origin_to_destination" if self == 0 else "destination_to_origin"
-
 
 @dataclass(frozen=True)
 class PayloadEntry:

@@ -1,9 +1,9 @@
 """Fungible-token accounting embedded in a chain's state.
 
 Amounts are unsigned integers in minimal units. Maps are kept sparse (zero
-entries are pruned) so that two ledgers with the same holdings compare and
-serialize identically. The privileged pool operations are gated to the
-configured port contract addresses.
+entries are pruned) so that two ledgers with the same holdings compare
+equal. Past genesis seeding, balances change only through the pool and
+supply operations, each gated to the configured port contract address.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class TokenId:
     def is_wrapped(self) -> bool:
         return self.wrapped_of is not None
 
-    def to_json(self) -> dict:
-        out: dict = {"symbol": self.symbol, "chain": self.chain}
-        if self.wrapped_of is not None:
-            out["wrapped_of"] = self.wrapped_of.to_json()
-        return out
-
 
 def wrapped_symbol(original: str) -> str:
     return WRAPPED_PREFIX + original
@@ -84,9 +78,6 @@ class TokenRegistry:
 
     def clone(self) -> "TokenRegistry":
         return TokenRegistry(dict(self.tokens))
-
-    def summary(self) -> dict:
-        return {sym: tok.to_json() for sym, tok in sorted(self.tokens.items())}
 
 
 @dataclass
@@ -148,16 +139,7 @@ class Ledger:
         self._credit(token.symbol, account.address, amount)
         self.supply[token.symbol] = self.supply.get(token.symbol, 0) + amount
 
-    # --- public operations -------------------------------------------------------
-
-    def transfer(self, token: TokenId, sender: AccountId, receiver: AccountId,
-                 amount: int) -> None:
-        self._check_amount(amount)
-        self._check_token_chain(token)
-        if sender.chain != self.chain_id or receiver.chain != self.chain_id:
-            raise WrongChain("transfer accounts must live on this chain")
-        self._debit(token.symbol, sender.address, amount)
-        self._credit(token.symbol, receiver.address, amount)
+    # --- port operations ---------------------------------------------------------
 
     def lock(self, token: TokenId, owner: AccountId, amount: int,
              caller: bytes) -> None:
@@ -233,14 +215,4 @@ class Ledger:
                 "balances_sum": sum(self.balances.get(sym, {}).values()),
             }
             for sym in symbols
-        }
-
-    def summary(self) -> dict:
-        return {
-            "balances": {
-                sym: {addr.hex(): amt for addr, amt in sorted(per.items())}
-                for sym, per in sorted(self.balances.items())
-            },
-            "locked": dict(sorted(self.locked.items())),
-            "supply": dict(sorted(self.supply.items())),
         }

@@ -80,15 +80,6 @@ class Pulse:
     def signers(self) -> tuple[int, ...]:
         return tuple(sorted({idx for idx, _ in self.signatures}))
 
-    def to_json(self, consumed: bool) -> dict:
-        return {
-            "pulse_id": self.pulse_id,
-            "data_hash": self.data_hash.hex(),
-            "declared_height": self.declared_height,
-            "signers": list(self.signers),
-            "consumed": consumed,
-        }
-
 
 @dataclass
 class NebulaState:
@@ -179,10 +170,3 @@ class NebulaState:
     def clone(self) -> "NebulaState":
         return NebulaState(self.chain_id, self.roster, self.window,
                            dict(self.pulses), dict(self.unconsumed))
-
-    def summary(self) -> dict:
-        return {
-            "next_pulse_id": len(self.pulses) + 1,
-            "pulses": {str(pid): p.to_json(self.unconsumed.get(p.data_hash) != pid)
-                       for pid, p in sorted(self.pulses.items())},
-        }

@@ -10,8 +10,10 @@ extractors and the contracts agree on identifiers without any coordination;
 the id packs the amount as a u64, so a larger lock or burn is refused before
 it changes anything.
 
-Attested executions (mint / unlock) may only be invoked by the local
-verification contract; the executing port learns about a foreign-originated
+Each port has one attested execution, execute_attested: the issue-burn
+port mints for an outbound swap, the lock-unlock port unlocks for a return
+swap, and each refuses the other direction as an unknown swap. It may only
+be invoked by the local verification contract; the executing port learns about a foreign-originated
 swap from the attested payload entry itself, records it and executes it in
 the same transaction, storing the record already Processed. That record is
 the port's one account of the execution: it lives in chain state, hence is
@@ -96,18 +98,6 @@ class SwapRecord:
     status: SwapStatus
     registered_at: BlockId
 
-    def to_json(self) -> dict:
-        return {
-            "swap_id": self.swap_id.hex(),
-            "direction": self.direction.label,
-            "sender": self.sender.to_json() if self.sender else None,
-            "receiver": self.receiver.to_json(),
-            "amount": self.amount,
-            "token": self.token.to_json(),
-            "status": self.status.label,
-            "registered_at": self.registered_at.to_json(),
-        }
-
 
 @dataclass
 class _PortBase:
@@ -150,12 +140,6 @@ class _PortBase:
 
     def _clone(self) -> "_PortBase":
         return type(self)(dict(self.swaps), self.next_seq)
-
-    def summary(self) -> dict:
-        return {
-            "swaps": {sid.hex(): r.to_json() for sid, r in sorted(self.swaps.items())},
-            "next_seq": self.next_seq,
-        }
 
 
 class LockUnlockPort(_PortBase):
@@ -203,9 +187,9 @@ class LockUnlockPort(_PortBase):
         })
         return record
 
-    def unlock_attested(self, ledger: Ledger, registry: TokenRegistry,
-                        ctx: BlockCtx, entry: PayloadEntry,
-                        caller: bytes) -> SwapRecord:
+    def execute_attested(self, ledger: Ledger, registry: TokenRegistry,
+                         ctx: BlockCtx, entry: PayloadEntry,
+                         caller: bytes) -> SwapRecord:
         self._require_router(caller)
         if entry.direction != Direction.DESTINATION_TO_ORIGIN:
             raise UnknownSwap("lock-unlock port only executes return swaps")
@@ -252,9 +236,9 @@ class IssueBurnPort(_PortBase):
     counterpart_chain = ORIGIN
     address = IB_PORT_ADDRESS
 
-    def mint_attested(self, ledger: Ledger, registry: TokenRegistry,
-                      ctx: BlockCtx, entry: PayloadEntry,
-                      caller: bytes) -> SwapRecord:
+    def execute_attested(self, ledger: Ledger, registry: TokenRegistry,
+                         ctx: BlockCtx, entry: PayloadEntry,
+                         caller: bytes) -> SwapRecord:
         self._require_router(caller)
         if entry.direction != Direction.ORIGIN_TO_DESTINATION:
             raise UnknownSwap("issue-burn port only executes outbound swaps")

@@ -25,7 +25,7 @@ from .chain import EXECUTION_KINDS, Chain, EventKind
 from .controller import StatusController
 from .crypto import oracle_secret, sha256
 from .errors import BeyondFinality, HeightBeyondTip, InvalidScenario
-from .gateway import BurnTx, GatewayConfig, LockTx, build_chains
+from .gateway import BurnTx, LockTx, build_chains
 from .ledger import AccountId, TokenId, wrapped_symbol
 from .nebula import OracleRoster, default_threshold
 from .oracles import Behavior, OracleIdentity, OracleNetwork, RoundReport
@@ -324,15 +324,13 @@ def resolve_address(spec: str) -> bytes:
 
 @dataclass
 class RunResult:
+    """A run's outcome; the chains, controller, network, round reports and
+    swap ids stay on the Runner that made it."""
+
     exit_code: int
     records: list[dict]
     violations: list[dict] = field(default_factory=list)
     error: str | None = None
-    chains: dict[int, Chain] | None = None
-    controller: StatusController | None = None
-    network: OracleNetwork | None = None
-    reports: list[RoundReport] = field(default_factory=list)
-    swap_ids: list[bytes | None] = field(default_factory=list)
 
     def trace_lines(self) -> list[str]:
         return trace_mod.records_to_lines(self.records)
@@ -365,13 +363,11 @@ class Runner:
              b["amount"])
             for b in scenario.balances
         ]
-        gateway_cfg = GatewayConfig(
-            roster=roster,
-            relevance_window={cid: p.relevance_window
-                              for cid, p in params.items()},
-            finality_depth={cid: p.finality_depth for cid, p in params.items()},
-        )
-        self.chains = build_chains(gateway_cfg, tokens, initial)
+        self.chains = build_chains(
+            roster,
+            {cid: p.relevance_window for cid, p in params.items()},
+            {cid: p.finality_depth for cid, p in params.items()},
+            tokens, initial)
         self.controller = StatusController(
             {cid: p.recovery_timeout for cid, p in params.items()})
 
@@ -382,7 +378,7 @@ class Runner:
 
     # --- trace helpers -------------------------------------------------------
 
-    def _canonical_summary(self) -> dict:
+    def _canonical_json(self) -> dict:
         out = {}
         for cid, chain in sorted(self.chains.items()):
             tip = chain.canonical_tip
@@ -443,10 +439,7 @@ class Runner:
             for step_index, step in enumerate(self.scenario.timeline):
                 self._execute_step(step_index, step)
         except (InvalidScenario, HeightBeyondTip, BeyondFinality) as exc:
-            return RunResult(exit_code=2, records=self.records, error=str(exc),
-                             chains=self.chains, controller=self.controller,
-                             network=self.network, reports=self.reports,
-                             swap_ids=self.swap_ids)
+            return RunResult(exit_code=2, records=self.records, error=str(exc))
 
         violations = trace_mod.evaluate_records(self.records)
         exit_code = 1 if violations else 0
@@ -454,12 +447,10 @@ class Runner:
             "op": "end",
             "exit": exit_code,
             "violations": violations,
-            "canonical": self._canonical_summary(),
+            "canonical": self._canonical_json(),
         })
         return RunResult(exit_code=exit_code, records=self.records,
-                         violations=violations, chains=self.chains,
-                         controller=self.controller, network=self.network,
-                         reports=self.reports, swap_ids=self.swap_ids)
+                         violations=violations)
 
     def _produce(self, op: str, index: int, chain: Chain, branch: str,
                  count: int) -> None:
@@ -473,7 +464,7 @@ class Runner:
         self.records.append({
             "op": op, "step": index, "chain": chain.chain_id,
             "branch": branch, "blocks": blocks, "reorg": reorg,
-            "canonical": self._canonical_summary(),
+            "canonical": self._canonical_json(),
         })
 
     def _execute_step(self, index: int, step: dict) -> None:
@@ -564,9 +555,8 @@ class Runner:
             swap_id = self._swap_id_for(step["swap"])
             if swap_id is None:
                 return step["expect"] == "unknown", "swap not yet registered"
-            state = self.chains[step["chain"]].canonical_state
-            port = state.lu_port or state.ib_port
-            record = port.record(swap_id) if port else None
+            port = self.chains[step["chain"]].canonical_state.port
+            record = port.record(swap_id)
             actual = record.status.label if record else "unknown"
             return actual == step["expect"], f"port status {actual}"
         if check == "balance":

@@ -6,7 +6,6 @@ from hypothesis import settings
 from swapgate import (
     AccountId,
     Behavior,
-    GatewayConfig,
     OracleIdentity,
     OracleNetwork,
     OracleRoster,
@@ -52,12 +51,8 @@ class World:
         if not isinstance(fin_depth, dict):
             fin_depth = {0: fin_depth, 1: fin_depth}
         self.chains = build_chains(
-            GatewayConfig(roster=self.roster,
-                          relevance_window={0: window, 1: window},
-                          finality_depth=fin_depth),
-            [self.token],
-            [(self.token, ALICE, initial)],
-        )
+            self.roster, {0: window, 1: window}, fin_depth,
+            [self.token], [(self.token, ALICE, initial)])
         self.network = OracleNetwork(
             [OracleIdentity(i, secrets[i], behaviors[i]) for i in range(n)],
             self.roster,

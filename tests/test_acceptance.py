@@ -7,7 +7,6 @@ criteria assert their stated wall-clock budgets.
 
 import functools
 import itertools
-import json
 import random
 import time
 from pathlib import Path
@@ -95,14 +94,15 @@ def test_criterion_1_conservation_quiescence():
     started = time.monotonic()
     for seed in range(100):
         scenario = random_happy_scenario(seed, swaps=50)
-        result = Runner(scenario).run()
+        runner = Runner(scenario)
+        result = runner.run()
         assert result.exit_code == 0, (seed, result.violations, result.error)
-        assert all(sid is not None for sid in result.swap_ids), seed
-        for sid in result.swap_ids:
-            status = result.controller.status_of(sid)
+        assert all(sid is not None for sid in runner.swap_ids), seed
+        for sid in runner.swap_ids:
+            status = runner.controller.status_of(sid)
             assert status is not None and status.label == "finalized", seed
-        ledger0 = result.chains[0].canonical_state.ledger
-        ledger1 = result.chains[1].canonical_state.ledger
+        ledger0 = runner.chains[0].canonical_state.ledger
+        ledger1 = runner.chains[1].canonical_state.ledger
         for sym in scenario.tokens:
             locked = ledger0.locked.get(sym, 0)
             supply = ledger1.supply.get("sw" + sym, 0)
@@ -123,9 +123,10 @@ def test_criterion_2_byzantine_minority_safety():
                 behaviors = ["honest"] * 5
                 for pos, profile in zip(positions, profiles):
                     behaviors[pos] = profile
-                result = Runner(adversarial_scenario(behaviors)).run()
+                runner = Runner(adversarial_scenario(behaviors))
+                result = runner.run()
                 assert result.exit_code == 0, (behaviors, result.error)
-                for report in result.reports:
+                for report in runner.reports:
                     assert not (report.outcome == "submitted"
                                 and report.forged_chosen), behaviors
                 assert backing_holds_throughout(result.records, ["T"]), behaviors
@@ -133,9 +134,10 @@ def test_criterion_2_byzantine_minority_safety():
     assert checked == 1526  # sum of C(5,k) * 5^k for k in 0..3
 
     for name in BUNDLED_MINORITY_ADVERSARIAL:
-        result = Runner(load_scenario(name)).run()
+        runner = Runner(load_scenario(name))
+        result = runner.run()
         assert result.exit_code == 0, name
-        for report in result.reports:
+        for report in runner.reports:
             assert not (report.outcome == "submitted" and report.forged_chosen), name
         symbols = load_scenario(name).tokens
         assert backing_holds_throughout(result.records, symbols), name
@@ -147,10 +149,11 @@ def test_criterion_2_byzantine_minority_safety():
 def test_criterion_3_exactly_once_under_recovery():
     started = time.monotonic()
     for name in ("stuck_swap_recovery", "reorg_before_conf"):
-        result = Runner(load_scenario(name)).run()
+        runner = Runner(load_scenario(name))
+        result = runner.run()
         assert result.exit_code == 0, (name, result.violations)
-        registered = canonical_registrations(result.chains)
-        counts = canonical_execution_counts(result.chains)
+        registered = canonical_registrations(runner.chains)
+        counts = canonical_execution_counts(runner.chains)
         assert registered, name
         for sid in registered:
             assert counts.get(sid, 0) == 1, (name, sid.hex(), counts)
@@ -315,11 +318,9 @@ def test_criterion_7_replay_determinism():
 
 @criterion(8, "end-to-end round trip restores both ledgers exactly")
 def test_criterion_8_round_trip_identity():
-    result = Runner(load_scenario("round_trip")).run()
+    runner = Runner(load_scenario("round_trip"))
+    result = runner.run()
     assert result.exit_code == 0, result.violations
-    for chain_id, chain in sorted(result.chains.items()):
-        genesis_hash = chain.canonical_chain()[0].ref.block_hash
-        initial = chain.states[genesis_hash].ledger.summary()
-        final = chain.canonical_state.ledger.summary()
-        assert json.dumps(final, sort_keys=True) == \
-            json.dumps(initial, sort_keys=True), chain_id
+    for chain_id, chain in sorted(runner.chains.items()):
+        assert chain.canonical_state.ledger == chain.genesis_state.ledger, \
+            chain_id

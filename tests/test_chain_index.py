@@ -55,9 +55,6 @@ class Values:
     def clone(self):
         return Values(list(self.values))
 
-    def summary(self):
-        return {"values": self.values}
-
 
 def apply_event_tx(state, tx, ctx):
     if tx.kind < 0:

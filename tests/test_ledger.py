@@ -1,16 +1,15 @@
 """Token accounting: conservation, gating, inverse pairs."""
 
+import copy
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from swapgate.errors import (
-    InsufficientBalance,
     InsufficientLocked,
     NotAuthorized,
     NotWrappedToken,
-    ZeroAmount,
 )
 from swapgate.ledger import AccountId, Ledger, TokenId
 
@@ -34,33 +33,13 @@ def conserved(ledger: Ledger) -> bool:
                for row in ledger.accounting().values())
 
 
-def test_transfer_full_balance():
-    ledger = fresh_ledger(100)
-    ledger.transfer(T, A1, A2, 100)
-    assert ledger.balance(T, A1) == 0
-    assert ledger.balance(T, A2) == 100
-    assert ledger.supply["T"] == 100
-
-
-def test_transfer_zero_amount():
-    ledger = fresh_ledger()
-    with pytest.raises(ZeroAmount):
-        ledger.transfer(T, A1, A2, 0)
-
-
-def test_transfer_insufficient():
-    ledger = fresh_ledger(50)
-    with pytest.raises(InsufficientBalance):
-        ledger.transfer(T, A1, A2, 100)
-
-
 def test_lock_unlock_inverse_pair():
     ledger = fresh_ledger(100)
-    before = ledger.summary()
+    before = copy.deepcopy(ledger)
     ledger.lock(T, A1, 100, caller=PORT)
     assert ledger.locked["T"] == 100
     ledger.unlock(T, A1, 100, caller=PORT)
-    assert ledger.summary() == before
+    assert ledger == before
 
 
 def test_unlock_empty_pool():
@@ -82,7 +61,7 @@ def test_mint_and_burn_inverse():
     assert ledger.balance(SWT, A1) == 100
     ledger.burn(SWT, A1, 100, caller=MINT_PORT)
     assert ledger.supply.get("swT", 0) == 0
-    assert ledger.summary() == Ledger(0, mint_authority=MINT_PORT).summary()
+    assert ledger == Ledger(0, mint_authority=MINT_PORT)
 
 
 def test_mint_non_wrapped_rejected():
@@ -97,8 +76,7 @@ def test_mint_requires_port_caller():
         ledger.mint(SWT, A1, 10, caller=PORT)
 
 
-@given(st.lists(st.tuples(st.sampled_from(["transfer", "lock", "unlock",
-                                           "mint", "burn"]),
+@given(st.lists(st.tuples(st.sampled_from(["lock", "unlock", "mint", "burn"]),
                           st.integers(0, 150)),
                 max_size=30))
 def test_non_port_callers_never_touch_pools(ops):
@@ -108,9 +86,7 @@ def test_non_port_callers_never_touch_pools(ops):
     ledger.credit_initial(T, A1, 1000)
     for op, amount in ops:
         try:
-            if op == "transfer":
-                ledger.transfer(T, A1, A2, amount)
-            elif op == "lock":
+            if op == "lock":
                 ledger.lock(T, A1, amount, caller=A1.address)
             elif op == "unlock":
                 ledger.unlock(T, A1, amount, caller=A1.address)
@@ -132,13 +108,11 @@ def test_conservation_under_random_port_traffic():
     ledger.credit_initial(T, A1, 10_000)
     accounts = [A1, A2, AccountId(0, bytes.fromhex("cc" * 20))]
     for _ in range(500):
-        op = rng.choice(["transfer", "lock", "unlock", "mint", "burn"])
+        op = rng.choice(["lock", "unlock", "mint", "burn"])
         amount = rng.randint(0, 400)
         frm, to = rng.sample(accounts, 2)
         try:
-            if op == "transfer":
-                ledger.transfer(T, frm, to, amount)
-            elif op == "lock":
+            if op == "lock":
                 ledger.lock(T, frm, amount, caller=PORT)
             elif op == "unlock":
                 ledger.unlock(T, to, amount, caller=PORT)
@@ -154,12 +128,12 @@ def test_conservation_under_random_port_traffic():
 def test_clone_is_independent():
     ledger = fresh_ledger(100)
     copy = ledger.clone()
-    ledger.transfer(T, A1, A2, 40)
+    ledger.lock(T, A1, 40, caller=PORT)
     assert copy.balance(T, A1) == 100
-    assert copy.balance(T, A2) == 0
+    assert copy.locked == {}
 
 
 def test_zero_balances_pruned():
     ledger = fresh_ledger(100)
-    ledger.transfer(T, A1, A2, 100)
+    ledger.lock(T, A1, 100, caller=PORT)
     assert A1.address not in ledger.balances.get("T", {})

@@ -186,7 +186,7 @@ def test_send_data_routes_on_hash_match():
 
 def test_pulse_is_frozen_and_consumption_leaves_it_in_place():
     """Consuming a pulse only closes its hash in `unconsumed`; the pulse
-    record stays the same object, and summary() reads it as consumed."""
+    record stays the same object, and `unconsumed` no longer holds it."""
     entries = [PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x03" * 32,
                             "T", 0, b"\x04" * 20, 7)]
     digest = payload_hash(entries)
@@ -196,11 +196,10 @@ def test_pulse_is_frozen_and_consumption_leaves_it_in_place():
     with pytest.raises(dataclasses.FrozenInstanceError):
         registered.declared_height = 5
     assert nebula.unconsumed == {digest: 1}
-    assert not nebula.summary()["pulses"]["1"]["consumed"]
     nebula.submit_send_data(ctx_at(1), entries, router=lambda e: None)
+    assert nebula.pulses == {1: registered}
     assert nebula.pulses[1] is registered
     assert nebula.unconsumed == {}
-    assert nebula.summary()["pulses"]["1"]["consumed"]
 
 
 def test_send_data_one_flipped_bit_rejected():

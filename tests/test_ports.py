@@ -1,5 +1,6 @@
 """Port contracts: swap ids, lifecycle, attested execution, replay guard."""
 
+import copy
 import dataclasses
 
 import pytest
@@ -14,6 +15,7 @@ from swapgate import (
     NEBULA_ADDRESS,
     PayloadEntry,
     SwapStatus,
+    TokenRegistry,
     derive_swap_id,
 )
 from swapgate.chain import BlockCtx, BlockRef
@@ -62,7 +64,7 @@ def entry_for(event):
 def test_lock_registers_swap(world):
     event = lock_on(world, 100)
     state = world.origin.canonical_state
-    record = state.lu_port.record(event.swap_id)
+    record = state.port.record(event.swap_id)
     assert record.status == SwapStatus.REGISTERED
     assert record.sender == ALICE and record.receiver == BOB
     assert state.ledger.locked["T"] == 100
@@ -110,8 +112,8 @@ def test_burn_beyond_u64_rejected_before_any_write(world):
 def test_lock_wrong_chain_receiver(world):
     state = world.origin.canonical_state
     with pytest.raises(WrongChainReceiver):
-        state.lu_port.lock(state.ledger, state.tokens, ctx_for(world.origin),
-                           ALICE, "T", 10, ALICE)  # receiver on origin chain
+        state.port.lock(state.ledger, state.tokens, ctx_for(world.origin),
+                        ALICE, "T", 10, ALICE)  # receiver on origin chain
 
 
 def test_identical_locks_get_distinct_ids(world):
@@ -136,7 +138,7 @@ def test_mint_attested_happy(world):
     event = lock_on(world, 100)
     state = world.destination.canonical_state
     ctx = ctx_for(world.destination)
-    record = state.ib_port.mint_attested(state.ledger, state.tokens, ctx,
+    record = state.port.execute_attested(state.ledger, state.tokens, ctx,
                                          entry_for(event),
                                          caller=NEBULA_ADDRESS)
     assert record.status == SwapStatus.PROCESSED
@@ -151,7 +153,7 @@ def test_mint_requires_router_caller(world):
     event = lock_on(world, 100)
     state = world.destination.canonical_state
     with pytest.raises(NotAuthorized):
-        state.ib_port.mint_attested(state.ledger, state.tokens,
+        state.port.execute_attested(state.ledger, state.tokens,
                                     ctx_for(world.destination),
                                     entry_for(event), caller=ALICE.address)
 
@@ -160,11 +162,11 @@ def test_mint_replay_rejected(world):
     event = lock_on(world, 100)
     state = world.destination.canonical_state
     entry = entry_for(event)
-    state.ib_port.mint_attested(state.ledger, state.tokens,
+    state.port.execute_attested(state.ledger, state.tokens,
                                 ctx_for(world.destination), entry,
                                 caller=NEBULA_ADDRESS)
     with pytest.raises(DuplicateExecution):
-        state.ib_port.mint_attested(state.ledger, state.tokens,
+        state.port.execute_attested(state.ledger, state.tokens,
                                     ctx_for(world.destination), entry,
                                     caller=NEBULA_ADDRESS)
     assert state.ledger.supply["swT"] == 100
@@ -177,7 +179,7 @@ def test_mint_foreign_chain_token_rejected(world):
                           5, entry.receiver, entry.amount)
     state = world.destination.canonical_state
     with pytest.raises(UnknownToken):
-        state.ib_port.mint_attested(state.ledger, state.tokens,
+        state.port.execute_attested(state.ledger, state.tokens,
                                     ctx_for(world.destination), forged,
                                     caller=NEBULA_ADDRESS)
 
@@ -185,12 +187,12 @@ def test_mint_foreign_chain_token_rejected(world):
 def test_burn_registers_reverse_swap(world):
     event = lock_on(world, 100)
     dstate = world.destination.canonical_state
-    dstate.ib_port.mint_attested(dstate.ledger, dstate.tokens,
+    dstate.port.execute_attested(dstate.ledger, dstate.tokens,
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
     ctx = ctx_for(world.destination)
-    record = dstate.ib_port.burn(dstate.ledger, dstate.tokens, ctx,
-                                 BOB, "swT", 100, ALICE)
+    record = dstate.port.burn(dstate.ledger, dstate.tokens, ctx,
+                              BOB, "swT", 100, ALICE)
     assert record.direction == Direction.DESTINATION_TO_ORIGIN
     assert record.status == SwapStatus.REGISTERED
     assert record.token.symbol == "T"
@@ -201,62 +203,62 @@ def test_burn_registers_reverse_swap(world):
 def test_burn_more_than_held(world):
     event = lock_on(world, 100)
     dstate = world.destination.canonical_state
-    dstate.ib_port.mint_attested(dstate.ledger, dstate.tokens,
+    dstate.port.execute_attested(dstate.ledger, dstate.tokens,
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
     from swapgate.errors import InsufficientBalance
     with pytest.raises(InsufficientBalance):
-        dstate.ib_port.burn(dstate.ledger, dstate.tokens,
-                            ctx_for(world.destination), BOB, "swT", 500, ALICE)
-    assert not dstate.ib_port.swaps.keys() - {event.swap_id}
+        dstate.port.burn(dstate.ledger, dstate.tokens,
+                         ctx_for(world.destination), BOB, "swT", 500, ALICE)
+    assert not dstate.port.swaps.keys() - {event.swap_id}
 
 
 def test_burn_non_wrapped_rejected(world):
     dstate = world.destination.canonical_state
     with pytest.raises(UnknownToken):
-        dstate.ib_port.burn(dstate.ledger, dstate.tokens,
-                            ctx_for(world.destination), BOB, "T", 10, ALICE)
+        dstate.port.burn(dstate.ledger, dstate.tokens,
+                         ctx_for(world.destination), BOB, "T", 10, ALICE)
     # a registered but unwrapped token is rejected for what it is
     from swapgate.ledger import TokenId
     dstate.tokens.register(TokenId("NATIVE", 1))
     with pytest.raises(NotWrappedToken):
-        dstate.ib_port.burn(dstate.ledger, dstate.tokens,
-                            ctx_for(world.destination), BOB, "NATIVE", 10, ALICE)
+        dstate.port.burn(dstate.ledger, dstate.tokens,
+                         ctx_for(world.destination), BOB, "NATIVE", 10, ALICE)
 
 
 def test_burn_zero_amount(world):
     dstate = world.destination.canonical_state
     with pytest.raises(ZeroAmount):
-        dstate.ib_port.burn(dstate.ledger, dstate.tokens,
-                            ctx_for(world.destination), BOB, "swT", 0, ALICE)
+        dstate.port.burn(dstate.ledger, dstate.tokens,
+                         ctx_for(world.destination), BOB, "swT", 0, ALICE)
 
 
 def test_unlock_attested_roundtrip_restores_ledgers(world):
     """lock -> mint -> burn -> unlock leaves both ledgers exactly as they
     started."""
-    initial0 = world.origin.canonical_state.ledger.summary()
-    initial1 = world.destination.canonical_state.ledger.summary()
+    initial0 = copy.deepcopy(world.origin.canonical_state.ledger)
+    initial1 = copy.deepcopy(world.destination.canonical_state.ledger)
 
     event = lock_on(world, 100)
     dstate = world.destination.canonical_state
-    dstate.ib_port.mint_attested(dstate.ledger, dstate.tokens,
+    dstate.port.execute_attested(dstate.ledger, dstate.tokens,
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
     burn_ctx = ctx_for(world.destination)
-    burn_rec = dstate.ib_port.burn(dstate.ledger, dstate.tokens, burn_ctx,
-                                   BOB, "swT", 100, ALICE)
+    burn_rec = dstate.port.burn(dstate.ledger, dstate.tokens, burn_ctx,
+                                BOB, "swT", 100, ALICE)
     burn_event = burn_ctx.events[0]
 
     ostate = world.origin.canonical_state
     back = PayloadEntry(Direction.DESTINATION_TO_ORIGIN, burn_rec.swap_id,
                         "T", 0, ALICE.address, 100)
-    record = ostate.lu_port.unlock_attested(ostate.ledger, ostate.tokens,
-                                            ctx_for(world.origin), back,
-                                            caller=NEBULA_ADDRESS)
+    record = ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+                                          ctx_for(world.origin), back,
+                                          caller=NEBULA_ADDRESS)
     assert record.status == SwapStatus.PROCESSED
     assert burn_event.payload["amount"] == 100
-    assert ostate.ledger.summary() == initial0
-    assert dstate.ledger.summary() == initial1
+    assert ostate.ledger == initial0
+    assert dstate.ledger == initial1
 
 
 def test_unlock_replay_rejected(world):
@@ -264,29 +266,29 @@ def test_unlock_replay_rejected(world):
     ostate = world.origin.canonical_state
     entry = PayloadEntry(Direction.DESTINATION_TO_ORIGIN, b"\x11" * 32, "T", 0,
                          ALICE.address, 40)
-    ostate.lu_port.unlock_attested(ostate.ledger, ostate.tokens,
-                                   ctx_for(world.origin), entry,
-                                   caller=NEBULA_ADDRESS)
-    before = ostate.ledger.summary()
+    ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+                                 ctx_for(world.origin), entry,
+                                 caller=NEBULA_ADDRESS)
+    before = copy.deepcopy(ostate.ledger)
     with pytest.raises(DuplicateExecution):
-        ostate.lu_port.unlock_attested(ostate.ledger, ostate.tokens,
-                                       ctx_for(world.origin), entry,
-                                       caller=NEBULA_ADDRESS)
-    assert ostate.ledger.summary() == before
+        ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+                                     ctx_for(world.origin), entry,
+                                     caller=NEBULA_ADDRESS)
+    assert ostate.ledger == before
 
 
 def test_unlock_beyond_locked_pool_rejected(world):
     """A forged amount larger than the locked pool cannot drain the port."""
     lock_on(world, 100)
     ostate = world.origin.canonical_state
-    before = ostate.ledger.summary()
+    before = copy.deepcopy(ostate.ledger)
     forged = PayloadEntry(Direction.DESTINATION_TO_ORIGIN, b"\x22" * 32, "T", 0,
                           ALICE.address, 101)
     with pytest.raises(InsufficientLocked):
-        ostate.lu_port.unlock_attested(ostate.ledger, ostate.tokens,
-                                       ctx_for(world.origin), forged,
-                                       caller=NEBULA_ADDRESS)
-    assert ostate.ledger.summary() == before
+        ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+                                     ctx_for(world.origin), forged,
+                                     caller=NEBULA_ADDRESS)
+    assert ostate.ledger == before
 
 
 def test_unlock_requires_router(world):
@@ -294,9 +296,9 @@ def test_unlock_requires_router(world):
     entry = PayloadEntry(Direction.DESTINATION_TO_ORIGIN, b"\x33" * 32, "T", 0,
                          ALICE.address, 1)
     with pytest.raises(NotAuthorized):
-        ostate.lu_port.unlock_attested(ostate.ledger, ostate.tokens,
-                                       ctx_for(world.origin), entry,
-                                       caller=ALICE.address)
+        ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+                                     ctx_for(world.origin), entry,
+                                     caller=ALICE.address)
 
 
 def test_unlock_wrong_direction_rejected(world):
@@ -304,23 +306,23 @@ def test_unlock_wrong_direction_rejected(world):
     entry = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x44" * 32, "T", 0,
                          ALICE.address, 1)
     with pytest.raises(UnknownSwap):
-        ostate.lu_port.unlock_attested(ostate.ledger, ostate.tokens,
-                                       ctx_for(world.origin), entry,
-                                       caller=NEBULA_ADDRESS)
+        ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+                                     ctx_for(world.origin), entry,
+                                     caller=NEBULA_ADDRESS)
 
 
 def test_status_queries(world):
     event = lock_on(world, 100)
     ostate = world.origin.canonical_state
-    assert ostate.lu_port.status(event.swap_id) == SwapStatus.REGISTERED
+    assert ostate.port.status(event.swap_id) == SwapStatus.REGISTERED
     with pytest.raises(UnknownSwap):
-        ostate.lu_port.status(b"\x00" * 32)
+        ostate.port.status(b"\x00" * 32)
 
     dstate = world.destination.canonical_state
-    dstate.ib_port.mint_attested(dstate.ledger, dstate.tokens,
+    dstate.port.execute_attested(dstate.ledger, dstate.tokens,
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
-    assert dstate.ib_port.status(event.swap_id) == SwapStatus.PROCESSED
+    assert dstate.port.status(event.swap_id) == SwapStatus.PROCESSED
 
 
 def test_status_never_regresses_on_port(world):
@@ -328,15 +330,15 @@ def test_status_never_regresses_on_port(world):
     executed, or stored, again."""
     event = lock_on(world, 100)
     dstate = world.destination.canonical_state
-    record = dstate.ib_port.mint_attested(dstate.ledger, dstate.tokens,
+    record = dstate.port.execute_attested(dstate.ledger, dstate.tokens,
                                           ctx_for(world.destination),
                                           entry_for(event),
                                           caller=NEBULA_ADDRESS)
     with pytest.raises(DuplicateExecution):
-        dstate.ib_port.mint_attested(dstate.ledger, dstate.tokens,
+        dstate.port.execute_attested(dstate.ledger, dstate.tokens,
                                      ctx_for(world.destination),
                                      entry_for(event), caller=NEBULA_ADDRESS)
-    assert dstate.ib_port.record(event.swap_id) is record
+    assert dstate.port.record(event.swap_id) is record
     assert record.status == SwapStatus.PROCESSED
 
 
@@ -354,7 +356,7 @@ def test_events_pair_with_ledger_changes(world):
 
 def test_swap_record_is_frozen(world):
     event = lock_on(world, 100)
-    record = world.origin.canonical_state.lu_port.record(event.swap_id)
+    record = world.origin.canonical_state.port.record(event.swap_id)
     with pytest.raises(dataclasses.FrozenInstanceError):
         record.status = SwapStatus.PROCESSED
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -365,13 +367,13 @@ def test_attested_execution_stores_one_processed_record(world):
     """An attested mint stores its record once, already processed, naming
     its block without the branch; the origin's lock record is untouched."""
     event = lock_on(world, 100)
-    lock_record = world.origin.canonical_state.lu_port.record(event.swap_id)
+    lock_record = world.origin.canonical_state.port.record(event.swap_id)
     dstate = world.destination.canonical_state
     ctx = ctx_for(world.destination)
-    record = dstate.ib_port.mint_attested(dstate.ledger, dstate.tokens, ctx,
+    record = dstate.port.execute_attested(dstate.ledger, dstate.tokens, ctx,
                                           entry_for(event),
                                           caller=NEBULA_ADDRESS)
-    assert dstate.ib_port.record(event.swap_id) is record
+    assert dstate.port.record(event.swap_id) is record
     assert (record.status, record.registered_at) == \
         (SwapStatus.PROCESSED, ctx.block_id)
     assert ctx.block_id == ctx_for(world.destination, branch="alt").block_id
@@ -384,7 +386,7 @@ def test_zero_amount_entry_for_new_token_leaves_no_state(world):
     entry = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x01" * 32, "T",
                          0, BOB.address, 0)
     before = world.destination.canonical_state
-    tokens, ledger = before.tokens.summary(), before.ledger.summary()
+    tokens, ledger = copy.deepcopy((before.tokens, before.ledger))
     for tx in world.attested(1, [entry]):
         world.destination.submit(tx)
     ref = world.destination.produce_block()
@@ -393,6 +395,6 @@ def test_zero_amount_entry_for_new_token_leaves_no_state(world):
     assert (pulse.status, reveal.status) == ("ok", "ok")
     assert reveal.extra == {"entry_outcomes": ["ZeroAmount"]}
     after = world.destination.canonical_state
-    assert after.tokens.summary() == tokens == {}
-    assert after.ledger.summary() == ledger
-    assert after.ib_port.swaps == {}
+    assert after.tokens == tokens == TokenRegistry()
+    assert after.ledger == ledger
+    assert after.port.swaps == {}

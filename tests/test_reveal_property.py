@@ -67,7 +67,7 @@ def check_canonical_receipts(chain) -> None:
     state = chain.canonical_state
     assert set(state.nebula.unconsumed) == open_hashes
     assert state.ledger.supply.get("swT", 0) == minted
-    processed = {swap_id for swap_id, record in state.ib_port.swaps.items()
+    processed = {swap_id for swap_id, record in state.port.swaps.items()
                  if record.status == SwapStatus.PROCESSED}
     assert processed == {event.swap_id for event in chain.canonical_events()
                          if event.kind == EventKind.MINT_EXECUTED}

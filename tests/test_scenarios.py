@@ -163,9 +163,10 @@ def test_chains_keep_only_states_a_reorg_can_reach():
     """Memory guard: a long run keeps genesis, the branch tips and the
     blocks within the finality depth; 156 and 108 states before pruning."""
     scenario = random_happy_scenario(seed=1, swaps=200)
-    result = Runner(scenario).run()
+    runner = Runner(scenario)
+    result = runner.run()
     assert result.exit_code == 0, result.violations
-    for cid, chain in result.chains.items():
+    for cid, chain in runner.chains.items():
         depth = scenario.chains[cid].finality_depth
         assert len(chain.states) <= depth + 2, cid
 
@@ -385,10 +386,11 @@ def test_failed_lock_does_not_shift_swap_handles():
         {"op": "assert", "check": "port_status", "chain": 0, "swap": 1,
          "expect": "registered"},
     ]
-    result = Runner(Scenario.from_json(scenario)).run()
+    runner = Runner(Scenario.from_json(scenario))
+    result = runner.run()
     assert result.exit_code == 0, result.violations
-    assert result.swap_ids[0] is None
-    assert result.swap_ids[1] is not None
+    assert runner.swap_ids[0] is None
+    assert runner.swap_ids[1] is not None
 
 
 def test_failed_assert_gives_exit_1():
