@@ -31,8 +31,19 @@ from .nebula import OracleRoster, default_threshold
 from .oracles import Behavior, OracleIdentity, OracleNetwork, RoundReport
 from .ports import DESTINATION, ORIGIN
 
-STEP_OPS = {"produce_block", "user_lock", "user_burn", "relay_round",
-            "fork_at", "extend_branch", "tick", "assert"}
+# The keys each timeline op may carry; an assert step may also carry the
+# fields its check reads (ASSERT_CHECKS), and a backing check its relation.
+STEP_KEYS: dict[str, set[str]] = {
+    "produce_block": {"op", "chain", "branch", "count"},
+    "extend_branch": {"op", "chain", "branch", "count"},
+    "fork_at": {"op", "chain", "height", "name"},
+    "user_lock": {"op", "sender", "token", "amount", "receiver"},
+    "user_burn": {"op", "holder", "token", "amount", "receiver"},
+    "relay_round": {"op", "source", "target"},
+    "tick": {"op"},
+    "assert": {"op", "check"},
+}
+BALANCE_KEYS = {"account", "token", "amount"}
 
 # The fields each assert check reads, with their JSON types. A swap or round
 # is the index of an earlier user or relay step; backing may also name a
@@ -59,8 +70,9 @@ class ChainParams:
     recovery_timeout: int = 50
 
     @classmethod
-    def from_json(cls, obj: dict) -> "ChainParams":
-        return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
+    def from_json(cls, obj: dict, what: str) -> "ChainParams":
+        _known_keys(obj, {f.name for f in fields(cls)}, what)
+        return cls(**obj)
 
     def to_json(self) -> dict:
         return dict(vars(self))
@@ -74,6 +86,7 @@ class OracleConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OracleConfig":
+        _known_keys(obj, {f.name for f in fields(cls)}, "oracles")
         count = _int(obj.get("count", 5), "oracles: count", 1)
         return cls(
             count=count,
@@ -103,11 +116,13 @@ class Scenario:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Scenario":
+        _known_keys(obj, {f.name for f in fields(cls)}, "scenario")
         chains = _shaped(obj.get("chains", [{}, {}]), list, "chains")
         scenario = cls(
             name=obj.get("name", "unnamed"),
             seed=obj.get("seed", 0),
-            chains=[ChainParams.from_json(_shaped(c, dict, f"chain {i}"))
+            chains=[ChainParams.from_json(_shaped(c, dict, f"chain {i}"),
+                                          f"chain {i}")
                     for i, c in enumerate(chains)],
             oracles=OracleConfig.from_json(
                 _shaped(obj.get("oracles", {}), dict, "oracles")),
@@ -172,8 +187,9 @@ class Scenario:
                 raise InvalidScenario(f"duplicate token {symbol!r}")
             seen_tokens.add(symbol)
 
-        for balance in self.balances:
+        for idx, balance in enumerate(self.balances):
             _shaped(balance, dict, "each balance")
+            _known_keys(balance, BALANCE_KEYS, f"balance {idx}")
             _member(balance.get("token"), seen_tokens,
                     "balance references unknown token")
             _int(balance.get("amount"), "initial balance amount", 1)
@@ -193,8 +209,11 @@ class Scenario:
                 raise InvalidScenario(f"{where} must be a JSON object") from None
             # the checks of the frequent ops are inlined: they cost set-up
             # time in proportion to the timeline
-            if type(op) is not str or op not in STEP_OPS:
+            allowed = STEP_KEYS.get(op) if type(op) is str else None
+            if allowed is None:
                 raise InvalidScenario(f"{where}: unknown op {op!r}")
+            if op != "assert" and not step.keys() <= allowed:
+                _known_keys(step, allowed, where)
             if op in ("produce_block", "fork_at", "extend_branch"):
                 known = branches[_chain(step.get("chain"), where)]
             if op == "produce_block":
@@ -254,6 +273,8 @@ def _validate_assert(step: dict, where: str, user_steps: int,
     check = step.get("check")
     _member(check, ASSERT_CHECKS, f"{where}: unknown check")
     needs = ASSERT_CHECKS[check]
+    _known_keys(step, STEP_KEYS["assert"] | needs.keys()
+                | ({"relation"} if check == "backing" else set()), where)
     for name, kind in needs.items():
         if type(step.get(name)) is not kind:
             raise InvalidScenario(
@@ -273,6 +294,15 @@ def _validate_assert(step: dict, where: str, user_steps: int,
         _account(step["account"], where)
     if check == "backing" and step.get("relation", "geq") not in ("geq", "eq"):
         raise InvalidScenario(f"{where}: relation must be \"geq\" or \"eq\"")
+
+
+def _known_keys(obj: dict, allowed, what: str) -> None:
+    """Reject a key `allowed` does not name, so that a misspelt setting is
+    reported instead of silently taking its default."""
+    unknown = obj.keys() - allowed
+    if unknown:
+        raise InvalidScenario(
+            f"{what}: unknown key {', '.join(map(repr, sorted(unknown)))}")
 
 
 def _shaped(value, kind: type, what: str):

@@ -199,6 +199,8 @@ def test_fork_beyond_tip_is_invalid_scenario():
                                      "swap": 99, "expect": "registered"}),
      "swap index"),
     (lambda s: s["chains"][0].update(recovery_timeout=5), "recovery timeout"),
+    (lambda s: s["chains"][0].update(finality_dept=1),
+     "chain 0: unknown key 'finality_dept'"),
 ])
 def test_invalid_scenarios_rejected(mutate, message):
     scenario = load_scenario("happy_path").to_json()
@@ -329,6 +331,18 @@ def asserting(**check):
     {"timeline": [{"op": "produce_block", "chain": True}]},
     asserting(check="backing", token="T", relation="lt"),
     {"name": ["x"]},
+    # a misspelt key, which would otherwise leave its default in place
+    {"timelime": [LOCK]},
+    {"chains": [{"finality_dept": 1}, {}]},
+    {"oracles": {"cuont": 3}},
+    {"balances": [{"account": "alice", "token": "T", "amount": 10,
+                   "amout": 5}]},
+    {"timeline": [{"op": "produce_block", "chain": 0, "cuont": 3},
+                  {"op": "tick"}]},
+    {"timeline": [dict(LOCK, recevier="carol")]},
+    {"timeline": [{"op": "tick", "chain": 0}]},
+    asserting(check="locked", chain=0, token="T", expect=0, relation="eq"),
+    asserting(check="no_forged_accepted", swap=0),
 ], ids=json.dumps)
 def test_cli_run_field_of_wrong_type_is_invalid(tmp_path, capsys, fields):
     """Every field the runner reads is checked before the run: a wrong type
