@@ -192,7 +192,11 @@ class OracleNetwork:
             return report
 
         chosen = by_payload[digest]
-        declared_height = target.canonical_tip.height
+        # the newest height every branch the pulse can land on contains: a
+        # fork deeper than the finality depth is refused, so any block that
+        # includes the pending pulse is higher than this
+        declared_height = max(0, target.canonical_tip.height
+                              - target.finality_depth)
         # an oracle signs only a payload it produced itself: its endorsement
         signatures = [(oracle.index,
                        self.sign_payload(oracle, digest, declared_height,

@@ -158,6 +158,10 @@ class Scenario:
                 _int(value, f"chain {idx}: {name}", 0)
             if params.finality_depth < 1:
                 raise InvalidScenario(f"chain {idx}: finality depth must be >= 1")
+            if params.relevance_window <= params.finality_depth:
+                # a relay declares the tip minus the finality depth
+                raise InvalidScenario(
+                    f"chain {idx}: relevance window must exceed finality depth")
             if params.recovery_timeout <= (params.confirmation_depth
                                            + params.finality_depth):
                 raise InvalidScenario(

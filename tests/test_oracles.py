@@ -296,3 +296,30 @@ def test_delivery_crossing_a_destination_fork_is_not_wedged():
         assert len(mints) == 1, swap_id.hex()
     assert dest.canonical_state.ledger.supply["swT"] == 5 + 6 + 7
     assert dest.canonical_state.nebula.unconsumed == {}
+
+
+def test_pulse_relayed_before_a_fork_is_accepted_on_the_fork():
+    """A relay declares a height that every branch the pending pulse can
+    land on contains: the tip minus the finality depth. Declared at the
+    tip, a pulse included on a fork below it was rejected FutureHeight, and
+    the quorum-signed delivery waited out the recovery timeout."""
+    w = World(conf_depth=2, fin_depth=3)
+    dest = w.destination
+    dest.extend("main", 3)                # destination tip h3
+    lock_and_confirm(w, 100)
+    report = w.network.relay_round(w.origin, dest)
+    assert report.outcome == "submitted"
+    assert report.declared_height == 0    # max(0, 3 - 3)
+    alt = dest.fork_at(1, "alt")
+    dest.extend(alt, 3)                   # the delivery lands on alt h2
+    assert dest.canonical_branch == alt
+
+    block = dest.canonical_chain()[2]
+    assert [r.status for r in block.receipts] == ["ok", "ok"]
+    assert block.receipts[1].extra == {"entry_outcomes": ["ok"]}
+    (swap_id,) = [e.swap_id for e in w.origin.canonical_events()
+                  if e.kind == EventKind.LOCK_REGISTERED]
+    mints = [e for e in dest.swap_events(swap_id)
+             if e.kind == EventKind.MINT_EXECUTED]
+    assert len(mints) == 1
+    assert dest.canonical_state.ledger.supply["swT"] == 100

@@ -199,6 +199,8 @@ def test_fork_beyond_tip_is_invalid_scenario():
                                      "swap": 99, "expect": "registered"}),
      "swap index"),
     (lambda s: s["chains"][0].update(recovery_timeout=5), "recovery timeout"),
+    (lambda s: s["chains"][1].update(relevance_window=6, finality_depth=6),
+     "chain 1: relevance window must exceed finality depth"),
     (lambda s: s["chains"][0].update(finality_dept=1),
      "chain 0: unknown key 'finality_dept'"),
 ])
