@@ -27,11 +27,11 @@ cost follows the reorg depth, not the chain height.
 After every reorg the chain checks itself: it replays the canonical chain
 from genesis and requires the result to equal the incremental tip state;
 on a mismatch it names the top-level state fields that differ. Embedded
-states are therefore dataclasses that compare by value (see EmbeddedState),
-and what
-they store must not depend on the branch a block was produced on: a block
-produced again on another branch has the same hash and replaces its twin,
-so records name blocks by BlockId, which leaves the branch out.
+states are therefore dataclasses that compare by value (see
+EmbeddedState), and what they store must not depend on the branch a block
+was produced on: a block produced again on another branch has the same
+hash and replaces its twin, so records name blocks by BlockId, which
+leaves the branch out.
 """
 
 from __future__ import annotations
@@ -154,12 +154,9 @@ class EmbeddedState(Protocol):
     """What a Chain needs of its per-block state.
 
     clone() returns a copy that later transactions can change without
-    touching the original. A state is a dataclass, and two states compare
-    equal (==) exactly when every field of the one equals the same field of
-    the other; the replay self-check relies on that, so each state type
-    derives its equality from all of its fields (a dataclass with eq), and
-    on a mismatch it names the top-level fields that differ
-    (dataclasses.fields).
+    touching the original. A state is a dataclass whose equality (==)
+    compares every field; the replay self-check relies on that, and on a
+    mismatch names the top-level fields that differ (dataclasses.fields).
     """
 
     def clone(self) -> "EmbeddedState": ...

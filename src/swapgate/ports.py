@@ -13,13 +13,13 @@ it changes anything.
 Each port has one attested execution, execute_attested: the issue-burn
 port mints for an outbound swap, the lock-unlock port unlocks for a return
 swap, and each refuses the other direction as an unknown swap. It may only
-be invoked by the local verification contract; the executing port learns about a foreign-originated
-swap from the attested payload entry itself, records it and executes it in
-the same transaction, storing the record already Processed. That record is
-the port's one account of the execution: it lives in chain state, hence is
-rolled back by reorgs together with the assets, and the duplicate guard
-refuses any swap whose record is Processed, which makes execution
-exactly-once per branch.
+be invoked by the local verification contract; the executing port learns
+about a foreign-originated swap from the attested payload entry itself,
+records it and executes it in the same transaction, storing the record
+already Processed. That record is the port's one account of the
+execution: it lives in chain state, hence is rolled back by reorgs
+together with the assets, and the duplicate guard refuses any swap whose
+record is Processed, which makes execution exactly-once per branch.
 """
 
 from __future__ import annotations

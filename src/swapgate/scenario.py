@@ -43,7 +43,6 @@ STEP_KEYS: dict[str, set[str]] = {
     "tick": {"op"},
     "assert": {"op", "check"},
 }
-BALANCE_KEYS = {"account", "token", "amount"}
 
 # The fields each assert check reads, with their JSON types. A swap or round
 # is the index of an earlier user or relay step; backing may also name a
@@ -193,7 +192,8 @@ class Scenario:
 
         for idx, balance in enumerate(self.balances):
             _shaped(balance, dict, "each balance")
-            _known_keys(balance, BALANCE_KEYS, f"balance {idx}")
+            _known_keys(balance, {"account", "token", "amount"},
+                        f"balance {idx}")
             _member(balance.get("token"), seen_tokens,
                     "balance references unknown token")
             _int(balance.get("amount"), "initial balance amount", 1)
