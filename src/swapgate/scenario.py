@@ -216,7 +216,7 @@ class Scenario:
             allowed = STEP_KEYS.get(op) if type(op) is str else None
             if allowed is None:
                 raise InvalidScenario(f"{where}: unknown op {op!r}")
-            if op != "assert" and not step.keys() <= allowed:
+            if not allowed.issuperset(step) and op != "assert":
                 _known_keys(step, allowed, where)
             if op in ("produce_block", "fork_at", "extend_branch"):
                 known = branches[_chain(step.get("chain"), where)]
