@@ -31,8 +31,8 @@ from .nebula import OracleRoster, default_threshold
 from .oracles import Behavior, OracleIdentity, OracleNetwork, RoundReport
 from .ports import DESTINATION, ORIGIN
 
-# The keys each timeline op may carry; an assert step may also carry the
-# fields its check reads (ASSERT_CHECKS), and a backing check its relation.
+# The keys each timeline op may carry; an assert step's keys depend on its
+# check (ASSERT_KEYS).
 STEP_KEYS: dict[str, set[str]] = {
     "produce_block": {"op", "chain", "branch", "count"},
     "extend_branch": {"op", "chain", "branch", "count"},
@@ -59,6 +59,9 @@ ASSERT_CHECKS: dict[str, dict[str, type]] = {
     "no_forged_accepted": {},
     "exec_count": {"swap": int, "expect": int},
 }
+ASSERT_KEYS = {check: STEP_KEYS["assert"] | needs.keys()
+               for check, needs in ASSERT_CHECKS.items()}
+ASSERT_KEYS["backing"].add("relation")
 
 
 @dataclass
@@ -70,7 +73,7 @@ class ChainParams:
 
     @classmethod
     def from_json(cls, obj: dict, what: str) -> "ChainParams":
-        _known_keys(obj, {f.name for f in fields(cls)}, what)
+        _known_keys(obj, SECTION_KEYS[cls], what)
         return cls(**obj)
 
     def to_json(self) -> dict:
@@ -85,7 +88,7 @@ class OracleConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OracleConfig":
-        _known_keys(obj, {f.name for f in fields(cls)}, "oracles")
+        _known_keys(obj, SECTION_KEYS[cls], "oracles")
         count = _int(obj.get("count", 5), "oracles: count", 1)
         return cls(
             count=count,
@@ -115,7 +118,7 @@ class Scenario:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Scenario":
-        _known_keys(obj, {f.name for f in fields(cls)}, "scenario")
+        _known_keys(obj, SECTION_KEYS[cls], "scenario")
         chains = _shaped(obj.get("chains", [{}, {}]), list, "chains")
         scenario = cls(
             name=obj.get("name", "unnamed"),
@@ -206,59 +209,62 @@ class Scenario:
         user_steps = 0
         relay_steps = 0
         for idx, step in enumerate(self.timeline):
-            where = f"timeline step {idx}"
             try:
                 op = step.get("op")
             except AttributeError:      # not a JSON object; costs nothing if it is
-                raise InvalidScenario(f"{where} must be a JSON object") from None
-            # the checks of the frequent ops are inlined: they cost set-up
-            # time in proportion to the timeline
-            allowed = STEP_KEYS.get(op) if type(op) is str else None
-            if allowed is None:
-                raise InvalidScenario(f"{where}: unknown op {op!r}")
-            if not allowed.issuperset(step) and op != "assert":
-                _known_keys(step, allowed, where)
-            if op in ("produce_block", "fork_at", "extend_branch"):
-                known = branches[_chain(step.get("chain"), where)]
-            if op == "produce_block":
-                if "count" in step:
-                    _int(step["count"], f"{where}: count", 1)
-                if step.get("branch") is not None:
-                    _member(step["branch"], known, f"{where}: unknown branch")
-            elif op == "fork_at":
-                name = step.get("name")
-                if not name or not isinstance(name, str) or name == "main":
-                    raise InvalidScenario(f"{where}: fork needs a fresh branch name")
-                if name in known:
-                    raise InvalidScenario(f"{where}: branch {name!r} already exists")
-                _int(step.get("height"), f"{where}: fork height", 0)
-                known.add(name)
-            elif op == "extend_branch":
-                _member(step.get("branch"), known, f"{where}: unknown branch")
-                _int(step.get("count"), f"{where}: count", 1)
-            elif op == "user_lock":
-                _member(step.get("token"), tokens, f"{where}: unknown token")
-                _int(step.get("amount"), f"{where}: amount")
-                _account(step.get("sender"), where)
-                _account(step.get("receiver"), where)
-                user_steps += 1
-            elif op == "user_burn":
-                symbol = step.get("token")
-                if not isinstance(symbol, str) or not symbol.startswith("sw"):
-                    raise InvalidScenario(
-                        f"{where}: burn needs a wrapped token symbol")
-                _int(step.get("amount"), f"{where}: amount")
-                _account(step.get("holder"), where)
-                _account(step.get("receiver"), where)
-                user_steps += 1
-            elif op == "relay_round":
-                source, target = step.get("source"), step.get("target")
-                if type(source) is not int or type(target) is not int or \
-                        {source, target} != {ORIGIN, DESTINATION}:
-                    raise InvalidScenario(f"{where}: bad relay direction")
-                relay_steps += 1
-            elif op == "assert":
-                _validate_assert(step, where, user_steps, relay_steps)
+                raise InvalidScenario(
+                    f"timeline step {idx} must be a JSON object") from None
+            # the checks of the frequent ops are inlined, and a message names
+            # its step only once a check fails: both would otherwise cost
+            # set-up time in proportion to the timeline
+            try:
+                allowed = STEP_KEYS.get(op) if type(op) is str else None
+                if allowed is None:
+                    raise InvalidScenario(f"unknown op {op!r}")
+                if not allowed.issuperset(step) and op != "assert":
+                    _known_keys(step, allowed, op)
+                if op in ("produce_block", "fork_at", "extend_branch"):
+                    known = branches[_chain(step.get("chain"))]
+                if op == "produce_block":
+                    if "count" in step:
+                        _int(step["count"], "count", 1)
+                    if step.get("branch") is not None:
+                        _member(step["branch"], known, "unknown branch")
+                elif op == "fork_at":
+                    name = step.get("name")
+                    if not name or not isinstance(name, str) or name == "main":
+                        raise InvalidScenario("fork needs a fresh branch name")
+                    if name in known:
+                        raise InvalidScenario(f"branch {name!r} already exists")
+                    _int(step.get("height"), "fork height", 0)
+                    known.add(name)
+                elif op == "extend_branch":
+                    _member(step.get("branch"), known, "unknown branch")
+                    _int(step.get("count"), "count", 1)
+                elif op == "user_lock":
+                    _member(step.get("token"), tokens, "unknown token")
+                    _int(step.get("amount"), "amount")
+                    _account(step.get("sender"), "sender")
+                    _account(step.get("receiver"), "receiver")
+                    user_steps += 1
+                elif op == "user_burn":
+                    symbol = step.get("token")
+                    if not isinstance(symbol, str) or not symbol.startswith("sw"):
+                        raise InvalidScenario("burn needs a wrapped token symbol")
+                    _int(step.get("amount"), "amount")
+                    _account(step.get("holder"), "holder")
+                    _account(step.get("receiver"), "receiver")
+                    user_steps += 1
+                elif op == "relay_round":
+                    source, target = step.get("source"), step.get("target")
+                    if type(source) is not int or type(target) is not int or \
+                            {source, target} != {ORIGIN, DESTINATION}:
+                        raise InvalidScenario("bad relay direction")
+                    relay_steps += 1
+                elif op == "assert":
+                    _validate_assert(step, user_steps, relay_steps)
+            except InvalidScenario as exc:
+                raise InvalidScenario(f"timeline step {idx}: {exc}") from None
 
     def to_json(self) -> dict:
         return {
@@ -272,41 +278,43 @@ class Scenario:
         }
 
 
-def _validate_assert(step: dict, where: str, user_steps: int,
-                     relay_steps: int) -> None:
+# The keys each scenario section may carry: its dataclass's fields.
+SECTION_KEYS = {cls: {f.name for f in fields(cls)}
+                for cls in (ChainParams, OracleConfig, Scenario)}
+
+
+def _validate_assert(step: dict, user_steps: int, relay_steps: int) -> None:
     check = step.get("check")
-    _member(check, ASSERT_CHECKS, f"{where}: unknown check")
+    _member(check, ASSERT_CHECKS, "unknown check")
     needs = ASSERT_CHECKS[check]
-    _known_keys(step, STEP_KEYS["assert"] | needs.keys()
-                | ({"relation"} if check == "backing" else set()), where)
+    _known_keys(step, ASSERT_KEYS[check], check)
     for name, kind in needs.items():
         if type(step.get(name)) is not kind:
             raise InvalidScenario(
-                f"{where}: {check} needs a JSON "
+                f"{check} needs a JSON "
                 f"{'integer' if kind is int else 'string'} {name}")
     if "chain" in needs:
-        _chain(step["chain"], where)
+        _chain(step["chain"])
     if "swap" in needs and not 0 <= step["swap"] < user_steps:
         raise InvalidScenario(
-            f"{where}: swap index {step['swap']!r} does not reference an "
+            f"swap index {step['swap']!r} does not reference an "
             f"earlier user step")
     if "round" in needs and not 0 <= step["round"] < relay_steps:
         raise InvalidScenario(
-            f"{where}: round index {step['round']!r} does not reference an "
+            f"round index {step['round']!r} does not reference an "
             f"earlier relay step")
     if "account" in needs:
-        _account(step["account"], where)
+        _account(step["account"], "account")
     if check == "backing" and step.get("relation", "geq") not in ("geq", "eq"):
-        raise InvalidScenario(f"{where}: relation must be \"geq\" or \"eq\"")
+        raise InvalidScenario("relation must be \"geq\" or \"eq\"")
 
 
-def _known_keys(obj: dict, allowed, what: str) -> None:
+def _known_keys(obj: dict, allowed: set[str], what: str) -> None:
     """Reject a key `allowed` does not name, so that a misspelt setting is
     reported instead of silently taking its default."""
-    unknown = obj.keys() - allowed
-    if unknown:
-        raise InvalidScenario(
-            f"{what}: unknown key {', '.join(map(repr, sorted(unknown)))}")
+    if not allowed.issuperset(obj):
+        unknown = ", ".join(map(repr, sorted(obj.keys() - allowed)))
+        raise InvalidScenario(f"{what}: unknown key {unknown}")
 
 
 def _shaped(value, kind: type, what: str):
@@ -334,15 +342,15 @@ def _member(value, allowed, what: str) -> None:
         raise InvalidScenario(f"{what} {value!r}")
 
 
-def _chain(value, where: str) -> int:
+def _chain(value) -> int:
     if type(value) is not int or value not in (ORIGIN, DESTINATION):
-        raise InvalidScenario(f"{where}: bad chain {value!r}")
+        raise InvalidScenario(f"bad chain {value!r}")
     return value
 
 
-def _account(spec, where: str) -> None:
+def _account(spec, what: str) -> None:
     if not isinstance(spec, str) or not spec:
-        raise InvalidScenario(f"{where}: bad account spec {spec!r}")
+        raise InvalidScenario(f"{what}: bad account spec {spec!r}")
 
 
 def resolve_address(spec: str) -> bytes:
