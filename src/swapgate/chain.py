@@ -25,13 +25,21 @@ height. Both indexes change only by the blocks cut and appended, so the
 cost follows the reorg depth, not the chain height.
 
 After every reorg the chain checks itself: it replays the canonical chain
-from genesis and requires the result to equal the incremental tip state;
-on a mismatch it names the top-level state fields that differ. Embedded
-states are therefore dataclasses that compare by value (see
-EmbeddedState), and what they store must not depend on the branch a block
-was produced on: a block produced again on another branch has the same
-hash and replaces its twin, so records name blocks by BlockId, which
-leaves the branch out.
+and requires the result to equal the incremental tip state; on a mismatch
+it names the top-level state fields that differ. Embedded states are
+therefore dataclasses that compare by value (see EmbeddedState), and what
+they store must not depend on the branch a block was produced on: a block
+produced again on another branch has the same hash and replaces its twin,
+so records name blocks by BlockId, which leaves the branch out.
+
+The replay starts from a checkpoint: the replay's own state at the deepest
+block it has replayed that was at most finality_depth below the tip
+(genesis at first). A reorg therefore costs the blocks since the last one
+plus the finality depth, not the chain height, and the check is still the
+replay from genesis: the checkpoint state was built only by replaying from
+genesis, never taken from the incremental states, and a block that deep
+stays canonical for good, because the tip height never falls and no reorg
+abandons more than finality_depth blocks.
 """
 
 from __future__ import annotations
@@ -233,6 +241,8 @@ class Chain:
         self._canonical: list[Block] = [genesis]
         self._swap_events: dict[bytes, list[ChainEvent]] = {}
         self.last_reorg: ReorgInfo | None = None
+        # the replay's checkpoint: (block, the replay's state at it)
+        self._replayed: tuple[Block, Any] = (genesis, self.states[g_hash])
 
     # --- transaction queue -------------------------------------------------
 
@@ -439,13 +449,27 @@ class Chain:
     # --- replay oracle -------------------------------------------------------
 
     def replay_canonical(self) -> Any:
-        """Re-derive the canonical tip state by applying every canonical
-        block's transactions against a fresh copy of the genesis state,
-        which is never pruned or changed."""
-        state = self.genesis_state.clone()
-        for block in self.canonical_chain()[1:]:
+        """Re-derive the canonical tip state by applying the transactions
+        of the canonical blocks above the checkpoint to its state.
+
+        The checkpoint starts at genesis and moves up to the deepest block
+        this replay passes at most finality_depth below the tip; such a
+        block can never be abandoned, so the result equals a replay from
+        genesis. _apply_block clones its parent state, so the checkpoint
+        state is never changed. The result may be the checkpoint state
+        itself (no block above it): read it, don't change it.
+        """
+        block, state = self._replayed
+        if not self.is_canonical(block.ref):
+            raise RuntimeError(
+                f"chain {self.chain_id}: replay checkpoint at height "
+                f"{block.ref.height} is no longer canonical")
+        final = self._canonical_tip.height - self.finality_depth
+        for block in self._canonical[block.ref.height + 1:]:
             state, _, _ = self._apply_block(
                 state, block.ref, [r.tx for r in block.receipts])
+            if block.ref.height <= final:
+                self._replayed = (block, state)
         return state
 
     def _verify_replay(self) -> None:

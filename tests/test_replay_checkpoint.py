@@ -1,0 +1,117 @@
+"""The reorg self-check's replay from its checkpoint.
+
+Chain.replay_canonical replays from the deepest block it has passed at most
+finality_depth below the tip, not from genesis. After every reorg of a
+generated, adversarial or regression run it must equal the replay from
+genesis (reference_replay) and the incremental tip state; a rejected tx
+above the checkpoint must roll back on the replay side without touching
+the checkpoint; and a checkpoint that is no longer canonical is refused.
+test_state_equality checks that a state bug still makes the self-check
+raise once the checkpoint has left genesis.
+"""
+
+import copy
+from pathlib import Path
+
+import pytest
+
+from swapgate import Chain, LockTx
+from swapgate.cli import load_scenario
+from swapgate.scenario import Runner
+
+from conftest import ALICE, BOB, World
+from reference_replay import assert_replay_matches_genesis
+from scenario_gen import adversarial_scenario, reorg_scenario
+from test_trace_digests import ADVERSARIAL_ROSTER
+
+HERE = Path(__file__).parent
+FORK_CROSSING = HERE / "scenarios" / "fork_crossing_delivery.json"
+
+RUNS = {
+    **{f"reorg/seed{seed}": (lambda seed=seed: reorg_scenario(seed), True)
+       for seed in range(1, 6)},
+    "adversarial": (lambda: adversarial_scenario(ADVERSARIAL_ROSTER), False),
+    "fork_crossing_delivery": (lambda: load_scenario(str(FORK_CROSSING)),
+                               True),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RUNS))
+def test_checkpoint_replay_equals_genesis_replay(key, monkeypatch):
+    make, reorgs = RUNS[key]
+    checked = []
+    verify = Chain._verify_replay
+
+    def verify_against_genesis(chain):
+        verify(chain)
+        assert_replay_matches_genesis(chain)
+        checked.append(chain.chain_id)
+
+    monkeypatch.setattr(Chain, "_verify_replay", verify_against_genesis)
+    runner = Runner(make())
+    result = runner.run()
+    assert result.exit_code == 0, (result.error, result.violations)
+    assert bool(checked) == reorgs
+    for chain in runner.chains.values():
+        assert_replay_matches_genesis(chain)
+
+
+def test_checkpoint_leaves_genesis_and_shares_no_state():
+    """After a reorg-heavy run each chain's checkpoint is above genesis and
+    its state is the replay's own, not one of the incremental states."""
+    runner = Runner(reorg_scenario(3))
+    assert runner.run().exit_code == 0
+    for chain in runner.chains.values():
+        block, state = chain._replayed
+        assert block.ref.height > 0
+        assert chain.is_canonical(block.ref)
+        assert all(state is not kept for kept in chain.states.values())
+
+
+def lock(amount):
+    return LockTx(0, ALICE, "T", amount, BOB)
+
+
+def test_replay_rolls_back_a_rejected_tx_above_the_checkpoint():
+    origin = World(fin_depth=1).origin
+    origin.submit(lock(2))
+    origin.extend("main", 3)
+    origin.fork_at(2, "x")
+    origin.submit(lock(1))
+    origin.extend("x", 2)                    # x wins: the checkpoint moves up
+    assert origin.canonical_branch == "x"
+    base, base_state = origin._replayed
+    assert base.ref.height >= 2
+    for amount in (10, 10**9, 20):
+        origin.submit(lock(amount))
+    rejecting = origin.produce_block("x")
+    origin.produce_block("x")
+    snapshot = copy.deepcopy(base_state)
+
+    origin.fork_at(rejecting.height, "y")
+    origin.submit(lock(3))
+    origin.extend("y", 2)                    # the replay passes `rejecting`
+
+    assert origin.canonical_branch == "y"    # x's tip block is abandoned
+    assert [r.status for r in origin.blocks[rejecting.block_hash].receipts] \
+        == ["ok", "InsufficientBalance", "ok"]
+    assert origin._replayed[0].ref.height >= rejecting.height
+    assert origin.replay_canonical() == origin.canonical_state
+    assert base_state == snapshot
+    assert_replay_matches_genesis(origin)
+
+
+def test_checkpoint_no_longer_canonical_raises():
+    """A checkpoint that a reorg abandons breaks the argument that the
+    replay equals the replay from genesis; the replay refuses to run."""
+    origin = World(fin_depth=1).origin
+    origin.submit(lock(1))
+    origin.produce_block()
+    doomed = origin.produce_block()
+    origin._replayed = (origin.blocks[doomed.block_hash],
+                        origin.states[doomed.block_hash])
+    origin.fork_at(1, "alt")
+    origin.submit(lock(2))
+    with pytest.raises(RuntimeError, match="checkpoint at height 2 is no "
+                                           "longer canonical"):
+        origin.extend("alt", 2)

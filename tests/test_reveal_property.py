@@ -10,7 +10,9 @@ receipts are walked from genesis against a model of the open commitments:
 - every reveal rejected with UnknownPulse had no such pulse;
 - the wrapped supply equals the sum of the accepted entries;
 - the port's Processed records are exactly the swaps with a canonical
-  MintExecuted event: the port's one record agrees with the chain's index.
+  MintExecuted event: the port's one record agrees with the chain's index;
+- the self-check's replay equals the replay from genesis and the
+  incremental tip state.
 """
 
 from hypothesis import given, strategies as st
@@ -20,6 +22,7 @@ from swapgate import (Direction, EventKind, PayloadEntry, PulseTx,
 from swapgate.encoding import payload_hash
 
 from conftest import BOB, World
+from reference_replay import assert_replay_matches_genesis
 
 
 def entry(tag: int, amount: int) -> PayloadEntry:
@@ -93,3 +96,4 @@ def test_reveal_opens_exactly_the_open_pulse_of_its_hash(steps):
             branches = sorted(dest.branches)
             dest.extend(branches[step[1] % len(branches)], step[2])
         check_canonical_receipts(dest)
+        assert_replay_matches_genesis(dest)

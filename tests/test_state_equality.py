@@ -166,6 +166,35 @@ def test_aliasing_bug_caught_by_replay_self_check():
     assert message.endswith("differing: counts")
 
 
+def test_aliasing_bug_caught_after_checkpoint_left_genesis():
+    """test_aliasing_bug_caught_by_replay_self_check on a chain whose
+    checkpoint has moved up: the replay no longer starts at genesis, and
+    the shared list still makes it disagree."""
+    chain = Chain(3, Counts(), append_shared, finality_depth=1)
+    for height in range(1, 4):               # a new list per block: no sharing
+        chain.submit(AddTx(f"k{height}", height))
+        chain.produce_block()
+    chain.fork_at(2, "x")
+    chain.submit(AddTx("x", 0))
+    chain.extend("x", 2)                     # x wins: the self-check passes
+    assert chain.canonical_branch == "x"
+    assert chain._replayed[0].ref.height >= 2
+
+    chain.submit(AddTx("a", 1))
+    chain.produce_block("x")                 # list for "a" created at height 5
+    chain.submit(AddTx("a", 2))
+    chain.produce_block("x")                 # appends into height 5's list too
+    chain.fork_at(5, "alt")
+    chain.submit(AddTx("a", 3))
+    with pytest.raises(RuntimeError) as caught:
+        chain.extend("alt", 2)               # alt wins at height 6 or 7
+    message = str(caught.value)
+    assert "canonical replay diverged" in message
+    assert "from x@6" in message and "to alt@" in message
+    assert "fork height 5" in message
+    assert message.endswith("differing: counts")
+
+
 def test_self_check_names_the_differing_gateway_component(world):
     """A corrupted state that a reorg builds on: the replay from genesis
     disagrees, and the message names the GatewayState field that differs."""
