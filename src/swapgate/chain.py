@@ -8,7 +8,14 @@ someone calls produce_block, heights are the only notion of time.
 
 Canonical-branch rule: longest branch wins; equal heights are broken by the
 lexicographically smallest tip hash, then by branch creation order (which
-only matters when two branches point at the very same block).
+only matters when two branches point at the very same block). A block moves
+one branch tip, and every other tip already lost to the canonical tip, so
+each block compares its branch's new tip with the canonical tip alone; the
+cost does not grow with the number of branches.
+
+Stored states are never changed: a block is applied to a clone of its
+parent's state, and a block without transactions stores its parent's state
+object itself.
 
 Finality bound: a fork_at more than ``finality_depth`` below the tip, or a
 block whose reorg (equal-height flips included) would abandon more blocks,
@@ -33,13 +40,14 @@ produced again on another branch has the same hash and replaces its twin,
 so records name blocks by BlockId, which leaves the branch out.
 
 The replay starts from a checkpoint: the replay's own state at the deepest
-block it has replayed that was at most finality_depth below the tip
-(genesis at first). A reorg therefore costs the blocks since the last one
-plus the finality depth, not the chain height, and the check is still the
-replay from genesis: the checkpoint state was built only by replaying from
-genesis, never taken from the incremental states, and a block that deep
-stays canonical for good, because the tip height never falls and no reorg
-abandons more than finality_depth blocks.
+block it has replayed that was at most finality_depth below the tip (at
+first its own clone of the genesis state, so that the replay never holds a
+state object of the chain's). A reorg therefore costs the blocks since the
+last one plus the finality depth, not the chain height, and the check is
+still the replay from genesis: the checkpoint state was built only by
+replaying from genesis, never taken from the incremental states, and a
+block that deep stays canonical for good, because the tip height never
+falls and no reorg abandons more than finality_depth blocks.
 """
 
 from __future__ import annotations
@@ -162,7 +170,9 @@ class EmbeddedState(Protocol):
     """What a Chain needs of its per-block state.
 
     clone() returns a copy that later transactions can change without
-    touching the original. A state is a dataclass whose equality (==)
+    touching the original. The chain never changes a state it has stored,
+    and shares one between a block without transactions and its parent;
+    callers only read them. A state is a dataclass whose equality (==)
     compares every field; the replay self-check relies on that, and on a
     mismatch names the top-level fields that differ (dataclasses.fields).
     """
@@ -241,8 +251,9 @@ class Chain:
         self._canonical: list[Block] = [genesis]
         self._swap_events: dict[bytes, list[ChainEvent]] = {}
         self.last_reorg: ReorgInfo | None = None
-        # the replay's checkpoint: (block, the replay's state at it)
-        self._replayed: tuple[Block, Any] = (genesis, self.states[g_hash])
+        # the replay's checkpoint: (block, the replay's state at it); its own
+        # clone, so that the replay shares no state object with self.states
+        self._replayed: tuple[Block, Any] = (genesis, genesis_state.clone())
 
     # --- transaction queue -------------------------------------------------
 
@@ -281,7 +292,7 @@ class Chain:
         self.blocks[new_hash] = block
         self.states[new_hash] = state
         self.branches[branch] = new_hash
-        self._recompute_canonical()
+        self._recompute_canonical(branch)
         # only two blocks can just have fallen out of reach: the branch's old
         # tip, and the canonical block the tip's growth pushed past the
         # depth (a bounded reorg replaces no canonical block deeper than it)
@@ -316,10 +327,15 @@ class Chain:
                      ) -> tuple[Any, list[TxReceipt], list[ChainEvent]]:
         """Apply txs in order to a clone of parent_state, which stays untouched.
 
-        A rejected tx may leave the working copy half-mutated, so the copy is
-        dropped: the parent is cloned again and the accepted txs re-applied
-        under a fresh context, which rebuilds the same state and events.
+        A block without txs changes nothing, so it returns parent_state
+        itself: such blocks share their parent's state object, which is safe
+        because no stored state is ever changed. A rejected tx may leave the
+        working copy half-mutated, so the copy is dropped: the parent is
+        cloned again and the accepted txs re-applied under a fresh context,
+        which rebuilds the same state and events.
         """
+        if not txs:
+            return parent_state, [], []
         state = parent_state.clone()
         ctx = BlockCtx(ref)
         accepted: list = []
@@ -359,18 +375,27 @@ class Chain:
 
     # --- canonical selection -----------------------------------------------
 
-    def _recompute_canonical(self) -> None:
-        best = None
-        for name, tip_hash in self.branches.items():
-            height = self.blocks[tip_hash].ref.height
-            key = (-height, tip_hash)
-            if best is None or key < best[0]:
-                best = (key, name, tip_hash)
-        assert best is not None
-        _, name, tip_hash = best
+    def _recompute_canonical(self, branch: str) -> None:
+        """Apply the canonical rule after `branch` got a new tip.
+
+        Only that tip moved, and every other branch tip already lost to the
+        canonical tip, so the new tip is compared with the canonical tip
+        alone. On an exact tie (a twin of the canonical tip) the older of the
+        two branches wins, as in a scan of every branch in creation order.
+        """
         prev_tip = self._canonical_tip
+        tip_hash = self.branches[branch]
         block = self.blocks[tip_hash]
-        self._canonical_tip = BlockRef(self.chain_id, name, block.ref.height, tip_hash)
+        key = (-block.ref.height, tip_hash)
+        prev_key = (-prev_tip.height, prev_tip.block_hash)
+        if key == prev_key:
+            name = next(n for n in self.branches
+                        if n in (branch, prev_tip.branch))
+        else:
+            name = branch if key < prev_key else prev_tip.branch
+        block = self.blocks[self.branches[name]]
+        self._canonical_tip = BlockRef(self.chain_id, name, block.ref.height,
+                                       block.ref.block_hash)
 
         added: list[Block] = []
         while not self.is_canonical(block.ref):
@@ -455,9 +480,11 @@ class Chain:
         The checkpoint starts at genesis and moves up to the deepest block
         this replay passes at most finality_depth below the tip; such a
         block can never be abandoned, so the result equals a replay from
-        genesis. _apply_block clones its parent state, so the checkpoint
-        state is never changed. The result may be the checkpoint state
-        itself (no block above it): read it, don't change it.
+        genesis. The checkpoint starts from the replay's own clone of the
+        genesis state, and _apply_block never changes its parent state, so
+        the checkpoint state is never changed. The result may be the
+        checkpoint state itself (no block above it, or none with a
+        transaction): read it, don't change it.
         """
         block, state = self._replayed
         if not self.is_canonical(block.ref):

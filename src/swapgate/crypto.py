@@ -17,9 +17,16 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+# json.dumps would build an encoder per call; the records are trees, never
+# cyclic, so the cycle check is skipped too
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            check_circular=False)
+
+
 def canonical_json(obj: Any) -> str:
-    """Deterministic JSON used for tx digests and trace records."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON used for tx digests and trace records: the bytes
+    of json.dumps(obj, sort_keys=True, separators=(",", ":"))."""
+    return _ENCODER.encode(obj)
 
 
 def json_digest(obj: Any) -> bytes:

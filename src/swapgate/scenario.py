@@ -25,7 +25,7 @@ from .chain import EXECUTION_KINDS, Chain, EventKind
 from .controller import StatusController
 from .crypto import oracle_secret, sha256
 from .errors import BeyondFinality, HeightBeyondTip, InvalidScenario
-from .gateway import BurnTx, LockTx, build_chains
+from .gateway import BurnTx, GatewayState, LockTx, build_chains
 from .ledger import AccountId, TokenId, wrapped_symbol
 from .nebula import OracleRoster, default_threshold
 from .oracles import Behavior, OracleIdentity, OracleNetwork, RoundReport
@@ -379,7 +379,13 @@ class RunResult:
 
 
 class Runner:
-    """Executes one scenario deterministically."""
+    """Executes one scenario deterministically.
+
+    The trace records it builds are read-only and may share sub-dicts:
+    sections that name the same state of a chain one after another (the
+    header's genesis, block records, canonical sections) hold one
+    accounting dict. Copy a record before changing it.
+    """
 
     def __init__(self, scenario: Scenario, seed: int | None = None):
         self.scenario = scenario
@@ -417,6 +423,8 @@ class Runner:
         self.reports: list[RoundReport] = []
         self.swap_ids: list[bytes | None] = []
         self._tx_handles: dict[int, int] = {}  # id(tx) -> user step handle
+        # chain id -> (state, its ledger accounting), see _accounting
+        self._last_accounting: dict[int, tuple[GatewayState, dict]] = {}
 
     # --- trace helpers -------------------------------------------------------
 
@@ -428,15 +436,27 @@ class Runner:
                 "tip": tip.block_hash.hex(),
                 "height": tip.height,
                 "branch": tip.branch,
-                "accounting": chain.canonical_state.ledger.accounting(),
+                "accounting": self._accounting(chain, tip.block_hash),
             }
         return out
 
     def _block_json(self, chain: Chain, ref) -> dict:
         block = chain.blocks[ref.block_hash]
         out = block.to_json()
-        out["accounting"] = chain.states[ref.block_hash].ledger.accounting()
+        out["accounting"] = self._accounting(chain, ref.block_hash)
         return out
+
+    def _accounting(self, chain: Chain, block_hash: bytes) -> dict:
+        """The ledger accounting of a block's state. Each chain's last value
+        is kept with its state and reused while blocks share that state
+        object, so a block record and the canonical section that follows it
+        share one dict."""
+        state = chain.states[block_hash]
+        last = self._last_accounting.get(chain.chain_id)
+        if last is None or last[0] is not state:
+            last = (state, state.ledger.accounting())
+            self._last_accounting[chain.chain_id] = last
+        return last[1]
 
     def _header_record(self) -> dict:
         genesis = {}
@@ -444,7 +464,7 @@ class Runner:
             g = chain.canonical_chain()[0]
             genesis[str(cid)] = {
                 "hash": g.ref.block_hash.hex(),
-                "accounting": chain.states[g.ref.block_hash].ledger.accounting(),
+                "accounting": self._accounting(chain, g.ref.block_hash),
             }
         return {
             "op": "header",

@@ -26,6 +26,23 @@ def test_empty_block_on_genesis(world):
     assert world.origin.canonical_state == before
 
 
+def test_block_without_txs_stores_its_parents_state_object(world):
+    """A block with no txs changes nothing, so it stores its parent's state
+    object instead of a clone; a block with a tx stores a state of its own,
+    and an empty block on top of it shares that one."""
+    origin = world.origin
+    empty = origin.produce_block()
+    assert origin.states[empty.block_hash] is origin.genesis_state
+    origin.submit(lock_tx())
+    locked = origin.produce_block()
+    assert origin.states[locked.block_hash] is not origin.genesis_state
+    alt = origin.fork_at(locked.height, "alt")
+    for branch in ("main", alt):
+        on_top = origin.produce_block(branch)
+        assert origin.states[on_top.block_hash] is \
+            origin.states[locked.block_hash]
+
+
 def test_lock_tx_emits_event(world):
     world.origin.submit(lock_tx())
     ref = world.origin.produce_block()

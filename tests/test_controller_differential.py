@@ -155,6 +155,11 @@ def test_random_timelines_match_reference(steps):
     overtake, or stay behind until a later `grow` step extends it. A fork
     or `grow` step that the chain refuses for going deeper than the
     finality depth changes nothing and is skipped, tick included."""
+    play(steps)
+
+
+def play(steps) -> None:
+    """Run one `ops` timeline on a fresh Twins, ticking as it says."""
     t = Twins(conf_depth=1, fin_depth=3, timeout=5)
     branches = {0: ["main"], 1: ["main"]}
     for (op, *args), tick in steps:

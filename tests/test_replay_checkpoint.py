@@ -68,6 +68,22 @@ def test_checkpoint_leaves_genesis_and_shares_no_state():
         assert all(state is not kept for kept in chain.states.values())
 
 
+def test_checkpoint_starts_from_its_own_genesis_clone():
+    """Empty blocks store their parent's state object, so the stored genesis
+    state is the state of every empty block above it too. The checkpoint
+    starts from a clone of it instead: otherwise a state corrupted in place
+    would be corrupted on the replay side as well, and the self-check would
+    stay silent (test_state_equality)."""
+    origin = World().origin
+    block, state = origin._replayed
+    assert block is origin.canonical_chain()[0]
+    assert state is not origin.genesis_state
+    assert state == origin.genesis_state
+    origin.extend("main", 2)
+    assert origin.canonical_state is origin.genesis_state
+    assert origin.replay_canonical() is state
+
+
 def lock(amount):
     return LockTx(0, ALICE, "T", amount, BOB)
 

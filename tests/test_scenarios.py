@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from swapgate.cli import bundled_scenario_names, load_scenario, main
+from swapgate.crypto import canonical_json
 from swapgate.errors import InvalidScenario, MalformedTrace
 from swapgate.scenario import Runner, Scenario
 from swapgate.trace import check_trace_text, parse_trace
@@ -209,6 +210,21 @@ def test_invalid_scenarios_rejected(mutate, message):
     mutate(scenario)
     with pytest.raises(InvalidScenario, match=message):
         Scenario.from_json(scenario)
+
+
+def test_canonical_json_is_json_dumps_of_every_record():
+    """canonical_json's shared encoder writes the bytes of json.dumps, also
+    for a record whose block and canonical sections share one accounting
+    dict (the Runner computes it once per state)."""
+    shared = 0
+    for name in BUNDLED:
+        for record in run_bundled(name).records:
+            assert canonical_json(record) == json.dumps(
+                record, sort_keys=True, separators=(",", ":"))
+            for block in record.get("blocks", []):
+                canonical = record["canonical"][str(block["chain"])]
+                shared += block["accounting"] is canonical["accounting"]
+    assert shared
 
 
 def test_ledger_changes_always_emit_events():
