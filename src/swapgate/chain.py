@@ -468,6 +468,14 @@ class Chain:
         canonical_chain() this is the chain's own list: read, don't keep."""
         return self._swap_events.get(swap_id, [])
 
+    def first_event(self, swap_id: bytes,
+                    kinds: tuple[EventKind, ...]) -> ChainEvent | None:
+        """The swap's first canonical event of one of `kinds`."""
+        for event in self._swap_events.get(swap_id, ()):
+            if event.kind in kinds:
+                return event
+        return None
+
     def canonical_events(self) -> list[ChainEvent]:
         return self.events_since(-1)
 

@@ -31,11 +31,9 @@ them, and retractions in the order the swaps were first observed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .chain import (EXECUTION_KINDS, REGISTRATION_KINDS, Block, Chain, ChainEvent,
-                    EventKind)
+from .chain import EXECUTION_KINDS, REGISTRATION_KINDS, Block, Chain, ChainEvent
 from .ports import SwapStatus
 
 
@@ -43,7 +41,6 @@ from .ports import SwapStatus
 class _SwapView:
     status: SwapStatus
     first_seen_exec_height: int
-    observed: int                 # the order in which views were created
     last_stuck_height: int | None = None
 
 
@@ -63,7 +60,6 @@ class StatusController:
         self.views: dict[bytes, _SwapView] = {}
         self._cursors: dict[int, Block] = {}
         self._open: set[bytes] = set()      # registered, not yet finalized
-        self._observed = itertools.count()
 
     def status_of(self, swap_id: bytes) -> SwapStatus | None:
         view = self.views.get(swap_id)
@@ -91,16 +87,13 @@ class StatusController:
             exec_tip = chains[exec_chain].canonical_tip.height
             view = self.views.get(swap_id)
             if view is None:
-                view = _SwapView(
-                    status=SwapStatus.REGISTERED,
-                    first_seen_exec_height=exec_tip,
-                    observed=next(self._observed),
-                )
+                view = _SwapView(status=SwapStatus.REGISTERED,
+                                 first_seen_exec_height=exec_tip)
                 self.views[swap_id] = view
                 self._transition(result, swap_id, None, SwapStatus.REGISTERED,
                                  "registration_observed", chain=reg_chain)
 
-            exec_event = _first(chains[exec_chain], swap_id, EXECUTION_KINDS)
+            exec_event = chains[exec_chain].first_event(swap_id, EXECUTION_KINDS)
             if exec_event is not None:
                 depth = exec_tip - exec_event.block.height
                 target = (SwapStatus.FINALIZED
@@ -140,13 +133,15 @@ class StatusController:
                     })
                     result.requeue.append(swap_id)
 
-        gone = [swap_id for swap_id in touched if swap_id in self.views
-                and self._registration(chains, swap_id) is None]
-        for swap_id in sorted(gone, key=lambda s: self.views[s].observed):
-            view = self.views.pop(swap_id)
-            self._open.discard(swap_id)
-            self._transition(result, swap_id, view.status, None,
-                             "registration_reorged", revert=True)
+        gone = {swap_id for swap_id in touched if swap_id in self.views
+                and self._registration(chains, swap_id) is None}
+        if gone:
+            # views is in observation order: a re-created view is appended
+            for swap_id in [s for s in self.views if s in gone]:
+                view = self.views.pop(swap_id)
+                self._open.discard(swap_id)
+                self._transition(result, swap_id, view.status, None,
+                                 "registration_reorged", revert=True)
         return result
 
     # --- helpers -----------------------------------------------------------
@@ -173,7 +168,7 @@ class StatusController:
                       swap_id: bytes) -> ChainEvent | None:
         """The swap's first canonical registration, lowest chain id first."""
         for chain_id in sorted(chains):
-            event = _first(chains[chain_id], swap_id, REGISTRATION_KINDS)
+            event = chains[chain_id].first_event(swap_id, REGISTRATION_KINDS)
             if event is not None:
                 return event
         return None
@@ -197,12 +192,3 @@ class StatusController:
             "revert": revert,
             "chain": chain,
         })
-
-
-def _first(chain: Chain, swap_id: bytes,
-           kinds: tuple[EventKind, ...]) -> ChainEvent | None:
-    """The swap's first canonical event of one of `kinds` on `chain`."""
-    for event in chain.swap_events(swap_id):
-        if event.kind in kinds:
-            return event
-    return None

@@ -1,9 +1,9 @@
 """Fungible-token accounting embedded in a chain's state.
 
 Amounts are unsigned integers in minimal units. Maps are kept sparse (zero
-entries are pruned) so that two ledgers with the same holdings compare
-equal. Past genesis seeding, balances change only through the pool and
-supply operations, each gated to the configured port contract address.
+entries are pruned, all by _add) so that two ledgers with the same holdings
+compare equal. Past genesis seeding, balances change only through the pool
+and supply operations, each gated to the configured port contract address.
 """
 
 from __future__ import annotations
@@ -80,12 +80,24 @@ class TokenRegistry:
         return TokenRegistry(dict(self.tokens))
 
 
+def _add(counts: dict, key, delta: int) -> None:
+    """Add delta to counts[key] and drop the entry when it reaches zero."""
+    total = counts.get(key, 0) + delta
+    if total:
+        counts[key] = total
+    else:
+        del counts[key]
+
+
 @dataclass
 class Ledger:
     """Balances, the locked pool and total supply for one chain.
 
     lock_authority / mint_authority are the only addresses allowed to touch
     the locked pool / wrapped supply; they are the local port contracts.
+    Every balance, locked and supply update goes through _add, the one
+    place that keeps the maps sparse; _debit also drops a token's balance
+    map once it is empty.
     """
 
     chain_id: int
@@ -103,8 +115,7 @@ class Ledger:
     # --- internal mutators ----------------------------------------------------
 
     def _credit(self, symbol: str, address: bytes, amount: int) -> None:
-        per_token = self.balances.setdefault(symbol, {})
-        per_token[address] = per_token.get(address, 0) + amount
+        _add(self.balances.setdefault(symbol, {}), address, amount)
 
     def _debit(self, symbol: str, address: bytes, amount: int) -> None:
         per_token = self.balances.get(symbol, {})
@@ -112,13 +123,9 @@ class Ledger:
         if held < amount:
             raise InsufficientBalance(
                 f"{symbol}: account holds {held}, needs {amount}")
-        remaining = held - amount
-        if remaining:
-            per_token[address] = remaining
-        else:
-            per_token.pop(address, None)
-            if not per_token:
-                self.balances.pop(symbol, None)
+        _add(per_token, address, -amount)
+        if not per_token:
+            del self.balances[symbol]
 
     def _check_amount(self, amount: int) -> None:
         if amount <= 0:
@@ -137,7 +144,7 @@ class Ledger:
         self._check_amount(amount)
         self._check_token_chain(token)
         self._credit(token.symbol, account.address, amount)
-        self.supply[token.symbol] = self.supply.get(token.symbol, 0) + amount
+        _add(self.supply, token.symbol, amount)
 
     # --- port operations ---------------------------------------------------------
 
@@ -148,7 +155,7 @@ class Ledger:
         self._check_amount(amount)
         self._check_token_chain(token)
         self._debit(token.symbol, owner.address, amount)
-        self.locked[token.symbol] = self.locked.get(token.symbol, 0) + amount
+        _add(self.locked, token.symbol, amount)
 
     def unlock(self, token: TokenId, receiver: AccountId, amount: int,
                caller: bytes) -> None:
@@ -160,11 +167,7 @@ class Ledger:
         if pool < amount:
             raise InsufficientLocked(
                 f"{token.symbol}: locked pool holds {pool}, needs {amount}")
-        remaining = pool - amount
-        if remaining:
-            self.locked[token.symbol] = remaining
-        else:
-            self.locked.pop(token.symbol, None)
+        _add(self.locked, token.symbol, -amount)
         self._credit(token.symbol, receiver.address, amount)
 
     def mint(self, token: TokenId, receiver: AccountId, amount: int,
@@ -176,7 +179,7 @@ class Ledger:
         self._check_amount(amount)
         self._check_token_chain(token)
         self._credit(token.symbol, receiver.address, amount)
-        self.supply[token.symbol] = self.supply.get(token.symbol, 0) + amount
+        _add(self.supply, token.symbol, amount)
 
     def burn(self, token: TokenId, owner: AccountId, amount: int,
              caller: bytes) -> None:
@@ -187,11 +190,7 @@ class Ledger:
         self._check_amount(amount)
         self._check_token_chain(token)
         self._debit(token.symbol, owner.address, amount)
-        remaining = self.supply.get(token.symbol, 0) - amount
-        if remaining:
-            self.supply[token.symbol] = remaining
-        else:
-            self.supply.pop(token.symbol, None)
+        _add(self.supply, token.symbol, -amount)
 
     # --- snapshots -----------------------------------------------------------------
 

@@ -130,8 +130,7 @@ class OracleNetwork:
                   and event.kind in REGISTRATION_KINDS]
         seen = {event.swap_id for event in picked}
         for swap_id in self.reattest_requests - seen:
-            first = next((event for event in chain.swap_events(swap_id)
-                          if event.kind in REGISTRATION_KINDS), None)
+            first = chain.first_event(swap_id, REGISTRATION_KINDS)
             if first is not None and first.block.height <= upper:
                 picked.append(first)
         picked.sort(key=lambda event: (event.block.height, event.index))

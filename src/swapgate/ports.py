@@ -10,16 +10,28 @@ extractors and the contracts agree on identifiers without any coordination;
 the id packs the amount as a u64, so a larger lock or burn is refused before
 it changes anything.
 
-Each port has one attested execution, execute_attested: the issue-burn
-port mints for an outbound swap, the lock-unlock port unlocks for a return
-swap, and each refuses the other direction as an unknown swap. It may only
-be invoked by the local verification contract; the executing port learns
-about a foreign-originated swap from the attested payload entry itself,
-records it and executes it in the same transaction, storing the record
-already Processed. That record is the port's one account of the
-execution: it lives in chain state, hence is rolled back by reorgs
-together with the assets, and the duplicate guard refuses any swap whose
-record is Processed, which makes execution exactly-once per branch.
+The two ports mirror each other, so each protocol step is written once, in
+the shared base, and a port adds only its own token checks and ledger call:
+
+- one registration path, _register: lock and burn each take the next
+  sequence number, derive the id, store a Registered record and emit the
+  registration event through it;
+- one attested execution path: each port's execute_attested first passes
+  _admit (caller, direction, duplicate) and ends in _executed, which
+  stores the Processed record and emits the execution event. The
+  issue-burn port mints for an outbound swap, the lock-unlock port unlocks
+  for a return swap, and each refuses the other direction as an unknown
+  swap;
+- one query, record(swap_id).
+
+An attested execution may only be invoked by the local verification
+contract; the executing port learns about a foreign-originated swap from
+the attested payload entry itself, records it and executes it in the same
+transaction, storing the record already Processed. That record is the
+port's one account of the execution: it lives in chain state, hence is
+rolled back by reorgs together with the assets, and the duplicate guard
+refuses any swap whose record is Processed, which makes execution
+exactly-once per branch.
 """
 
 from __future__ import annotations
@@ -99,6 +111,15 @@ class SwapRecord:
     registered_at: BlockId
 
 
+def _check_amount(verb: str, amount: int) -> None:
+    """The amount rule shared by lock and burn: a swap id packs the amount
+    as a u64, so it must be positive and fit in one."""
+    if amount <= 0:
+        raise ZeroAmount(f"cannot {verb} a zero amount")
+    if amount > MAX_AMOUNT:
+        raise AmountTooLarge(f"amount {amount} does not fit in u64")
+
+
 @dataclass
 class _PortBase:
     """Port state; equal ports hold equal values in every field."""
@@ -106,29 +127,65 @@ class _PortBase:
     swaps: dict[bytes, SwapRecord] = field(default_factory=dict)
     next_seq: int = 0
 
-    def status(self, swap_id: bytes) -> SwapStatus:
-        record = self.swaps.get(swap_id)
-        if record is None:
-            raise UnknownSwap(f"swap {swap_id.hex()} unknown to this port")
-        return record.status
-
     def record(self, swap_id: bytes) -> SwapRecord | None:
         return self.swaps.get(swap_id)
 
-    def _take_seq(self) -> int:
+    def _register(self, ctx: BlockCtx, kind: EventKind, direction: Direction,
+                  sender: AccountId, receiver: AccountId, amount: int,
+                  original: TokenId) -> SwapRecord:
+        """Register a user-initiated swap once its assets are locked or
+        burned: derive its id from the next sequence number, store the
+        Registered record and emit the registration event."""
         seq = self.next_seq
         self.next_seq += 1
-        return seq
+        swap_id = derive_swap_id(direction, original.chain, self.address,
+                                 sender.address, receiver.address, amount, seq)
+        record = SwapRecord(
+            swap_id=swap_id, direction=direction, sender=sender,
+            receiver=receiver, amount=amount, token=original,
+            status=SwapStatus.REGISTERED, registered_at=ctx.block_id)
+        self._store(record)
+        ctx.emit(kind, swap_id, {
+            "symbol": original.symbol,
+            "origin_chain": original.chain,
+            "sender": sender.to_json(),
+            "receiver": receiver.to_json(),
+            "amount": amount,
+        })
+        return record
 
-    def _require_router(self, caller: bytes) -> None:
+    def _admit(self, entry: PayloadEntry, caller: bytes,
+               direction: Direction) -> None:
+        """The checks every attested execution makes first, in this order:
+        the caller is the verification contract, the entry runs in the
+        direction this port executes, and the swap is not yet executed."""
         if caller != NEBULA_ADDRESS:
             raise NotAuthorized(
                 "attested executions must come from the verification contract")
-
-    def _guard_duplicate(self, swap_id: bytes) -> None:
-        record = self.swaps.get(swap_id)
+        if entry.direction != direction:
+            raise UnknownSwap(
+                f"this port only executes {direction.name} swaps")
+        record = self.swaps.get(entry.swap_id)
         if record is not None and record.status == SwapStatus.PROCESSED:
-            raise DuplicateExecution(f"swap {swap_id.hex()} already executed")
+            raise DuplicateExecution(f"swap {entry.swap_id.hex()} already executed")
+
+    def _executed(self, ctx: BlockCtx, kind: EventKind, entry: PayloadEntry,
+                  receiver: AccountId, original: TokenId,
+                  paid: TokenId) -> SwapRecord:
+        """Record an attested swap the port has just paid out in `paid`.
+        It is registered and executed within the same transaction: the port
+        first learns of the swap from the attested entry itself."""
+        record = SwapRecord(
+            swap_id=entry.swap_id, direction=entry.direction, sender=None,
+            receiver=receiver, amount=entry.amount, token=original,
+            status=SwapStatus.PROCESSED, registered_at=ctx.block_id)
+        self._store(record)
+        ctx.emit(kind, entry.swap_id, {
+            "symbol": paid.symbol,
+            "receiver": receiver.to_json(),
+            "amount": entry.amount,
+        })
+        return record
 
     def _store(self, record: SwapRecord) -> None:
         existing = self.swaps.get(record.swap_id)
@@ -152,10 +209,7 @@ class LockUnlockPort(_PortBase):
     def lock(self, ledger: Ledger, registry: TokenRegistry, ctx: BlockCtx,
              sender: AccountId, symbol: str, amount: int,
              receiver: AccountId) -> SwapRecord:
-        if amount <= 0:
-            raise ZeroAmount("cannot lock a zero amount")
-        if amount > MAX_AMOUNT:
-            raise AmountTooLarge(f"amount {amount} does not fit in u64")
+        _check_amount("lock", amount)
         if receiver.chain != self.counterpart_chain:
             raise WrongChainReceiver(
                 f"receiver must live on chain {self.counterpart_chain}")
@@ -163,37 +217,14 @@ class LockUnlockPort(_PortBase):
         if token.is_wrapped:
             raise UnknownToken(f"{symbol!r} is wrapped; lock the original token")
         ledger.lock(token, sender, amount, caller=self.address)
-
-        swap_id = derive_swap_id(
-            Direction.ORIGIN_TO_DESTINATION, self.chain_id, self.address,
-            sender.address, receiver.address, amount, self._take_seq())
-        record = SwapRecord(
-            swap_id=swap_id,
-            direction=Direction.ORIGIN_TO_DESTINATION,
-            sender=sender,
-            receiver=receiver,
-            amount=amount,
-            token=token,
-            status=SwapStatus.REGISTERED,
-            registered_at=ctx.block_id,
-        )
-        self._store(record)
-        ctx.emit(EventKind.LOCK_REGISTERED, swap_id, {
-            "symbol": token.symbol,
-            "origin_chain": token.chain,
-            "sender": sender.to_json(),
-            "receiver": receiver.to_json(),
-            "amount": amount,
-        })
-        return record
+        return self._register(ctx, EventKind.LOCK_REGISTERED,
+                              Direction.ORIGIN_TO_DESTINATION, sender,
+                              receiver, amount, token)
 
     def execute_attested(self, ledger: Ledger, registry: TokenRegistry,
                          ctx: BlockCtx, entry: PayloadEntry,
                          caller: bytes) -> SwapRecord:
-        self._require_router(caller)
-        if entry.direction != Direction.DESTINATION_TO_ORIGIN:
-            raise UnknownSwap("lock-unlock port only executes return swaps")
-        self._guard_duplicate(entry.swap_id)
+        self._admit(entry, caller, Direction.DESTINATION_TO_ORIGIN)
         if entry.origin_chain != self.chain_id:
             raise UnknownSwap(
                 f"attested token originates on chain {entry.origin_chain}, "
@@ -203,26 +234,8 @@ class LockUnlockPort(_PortBase):
             raise UnknownSwap(f"no original token {entry.symbol!r} on this chain")
         receiver = AccountId(self.chain_id, entry.receiver)
         ledger.unlock(token, receiver, entry.amount, caller=self.address)
-
-        # Registered and executed within the same transaction: this port
-        # first learns of the swap from the attested entry itself.
-        record = SwapRecord(
-            swap_id=entry.swap_id,
-            direction=Direction.DESTINATION_TO_ORIGIN,
-            sender=None,
-            receiver=receiver,
-            amount=entry.amount,
-            token=token,
-            status=SwapStatus.PROCESSED,
-            registered_at=ctx.block_id,
-        )
-        self._store(record)
-        ctx.emit(EventKind.UNLOCK_EXECUTED, entry.swap_id, {
-            "symbol": token.symbol,
-            "receiver": receiver.to_json(),
-            "amount": entry.amount,
-        })
-        return record
+        return self._executed(ctx, EventKind.UNLOCK_EXECUTED, entry, receiver,
+                              token, token)
 
     def clone(self) -> "LockUnlockPort":
         return self._clone()
@@ -239,10 +252,7 @@ class IssueBurnPort(_PortBase):
     def execute_attested(self, ledger: Ledger, registry: TokenRegistry,
                          ctx: BlockCtx, entry: PayloadEntry,
                          caller: bytes) -> SwapRecord:
-        self._require_router(caller)
-        if entry.direction != Direction.ORIGIN_TO_DESTINATION:
-            raise UnknownSwap("issue-burn port only executes outbound swaps")
-        self._guard_duplicate(entry.swap_id)
+        self._admit(entry, caller, Direction.ORIGIN_TO_DESTINATION)
         if entry.origin_chain != self.counterpart_chain:
             raise UnknownToken(
                 f"this gateway does not serve tokens from chain "
@@ -255,32 +265,13 @@ class IssueBurnPort(_PortBase):
         # only then is a first transfer's wrapped token registered.
         ledger.mint(wrapped, receiver, entry.amount, caller=self.address)
         registry.register(wrapped)
-
-        record = SwapRecord(
-            swap_id=entry.swap_id,
-            direction=Direction.ORIGIN_TO_DESTINATION,
-            sender=None,
-            receiver=receiver,
-            amount=entry.amount,
-            token=original,
-            status=SwapStatus.PROCESSED,
-            registered_at=ctx.block_id,
-        )
-        self._store(record)
-        ctx.emit(EventKind.MINT_EXECUTED, entry.swap_id, {
-            "symbol": wrapped.symbol,
-            "receiver": receiver.to_json(),
-            "amount": entry.amount,
-        })
-        return record
+        return self._executed(ctx, EventKind.MINT_EXECUTED, entry, receiver,
+                              original, wrapped)
 
     def burn(self, ledger: Ledger, registry: TokenRegistry, ctx: BlockCtx,
              holder: AccountId, symbol: str, amount: int,
              receiver: AccountId) -> SwapRecord:
-        if amount <= 0:
-            raise ZeroAmount("cannot burn a zero amount")
-        if amount > MAX_AMOUNT:
-            raise AmountTooLarge(f"amount {amount} does not fit in u64")
+        _check_amount("burn", amount)
         token = registry.get(symbol)
         if token is None:
             raise UnknownToken(f"token {symbol!r} is not registered here")
@@ -292,29 +283,9 @@ class IssueBurnPort(_PortBase):
             raise WrongChainReceiver(
                 f"receiver must live on chain {original.chain}")
         ledger.burn(token, holder, amount, caller=self.address)
-
-        swap_id = derive_swap_id(
-            Direction.DESTINATION_TO_ORIGIN, original.chain, self.address,
-            holder.address, receiver.address, amount, self._take_seq())
-        record = SwapRecord(
-            swap_id=swap_id,
-            direction=Direction.DESTINATION_TO_ORIGIN,
-            sender=holder,
-            receiver=receiver,
-            amount=amount,
-            token=original,
-            status=SwapStatus.REGISTERED,
-            registered_at=ctx.block_id,
-        )
-        self._store(record)
-        ctx.emit(EventKind.BURN_REGISTERED, swap_id, {
-            "symbol": original.symbol,
-            "origin_chain": original.chain,
-            "sender": holder.to_json(),
-            "receiver": receiver.to_json(),
-            "amount": amount,
-        })
-        return record
+        return self._register(ctx, EventKind.BURN_REGISTERED,
+                              Direction.DESTINATION_TO_ORIGIN, holder,
+                              receiver, amount, original)
 
     def clone(self) -> "IssueBurnPort":
         return self._clone()

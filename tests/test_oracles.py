@@ -198,7 +198,8 @@ def test_liveness_bound_two_rounds():
             processed = True
             break
     assert processed and rounds <= 2
-    assert w.destination.canonical_state.port.status(sid).label == "processed"
+    assert w.destination.canonical_state.port.record(sid).status.label == \
+        "processed"
 
 
 def test_round_reports_deterministic():

@@ -314,15 +314,14 @@ def test_unlock_wrong_direction_rejected(world):
 def test_status_queries(world):
     event = lock_on(world, 100)
     ostate = world.origin.canonical_state
-    assert ostate.port.status(event.swap_id) == SwapStatus.REGISTERED
-    with pytest.raises(UnknownSwap):
-        ostate.port.status(b"\x00" * 32)
+    assert ostate.port.record(event.swap_id).status == SwapStatus.REGISTERED
+    assert ostate.port.record(b"\x00" * 32) is None
 
     dstate = world.destination.canonical_state
     dstate.port.execute_attested(dstate.ledger, dstate.tokens,
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
-    assert dstate.port.status(event.swap_id) == SwapStatus.PROCESSED
+    assert dstate.port.record(event.swap_id).status == SwapStatus.PROCESSED
 
 
 def test_status_never_regresses_on_port(world):

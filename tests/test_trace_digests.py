@@ -16,7 +16,8 @@ reorg_scenario seed 3 adds forks on both chains under a Byzantine
 minority: orphaned registrations, reverted mints, stuck swaps and their
 re-attestation. The regression scenarios under tests/scenarios/ are
 pinned too; they are not bundled, so that the benchmark's bundled suite
-stays as it is.
+stays as it is. One of them, rejected_transfers, pins the receipt detail
+of rejected locks and burns between accepted ones.
 """
 
 import hashlib
@@ -67,7 +68,7 @@ RUNS = dict(pinned_runs())
 
 
 def test_every_pinned_run_has_a_digest():
-    assert len(RUNS) == 12 + len(RANDOM_SEEDS) + 3
+    assert len(RUNS) == 12 + len(REGRESSION_SCENARIOS) + len(RANDOM_SEEDS) + 2
     assert sorted(RUNS) == sorted(GOLDEN)
 
 
