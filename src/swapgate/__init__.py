@@ -48,7 +48,6 @@ from .ports import (
     LU_PORT_ADDRESS,
     IssueBurnPort,
     LockUnlockPort,
-    SwapRecord,
     SwapStatus,
     derive_swap_id,
 )

@@ -37,7 +37,7 @@ it names the top-level state fields that differ. Embedded states are
 therefore dataclasses that compare by value (see EmbeddedState), and what
 they store must not depend on the branch a block was produced on: a block
 produced again on another branch has the same hash and replaces its twin,
-so records name blocks by BlockId, which leaves the branch out.
+so the two must build equal states. No state names a block at all.
 
 The replay starts from a checkpoint: the replay's own state at the deepest
 block it has replayed that was at most finality_depth below the tip (at
@@ -55,7 +55,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
 from typing import Any, Callable, Protocol
 
 from .crypto import json_digest, sha256
@@ -91,15 +90,6 @@ class BlockRef:
             "height": self.height,
             "hash": self.block_hash.hex(),
         }
-
-
-@dataclass(frozen=True)
-class BlockId:
-    """A block as chain state names it: a BlockRef without the branch."""
-
-    chain: int
-    height: int
-    block_hash: bytes
 
 
 @dataclass(frozen=True)
@@ -192,13 +182,6 @@ class BlockCtx:
     @property
     def height(self) -> int:
         return self.block_ref.height
-
-    @cached_property
-    def block_id(self) -> BlockId:
-        """The block as records in state name it; built on first use, so a
-        block that stores no record never builds one."""
-        ref = self.block_ref
-        return BlockId(ref.chain, ref.height, ref.block_hash)
 
     def emit(self, kind: EventKind, swap_id: bytes | None, payload: dict) -> ChainEvent:
         event = ChainEvent(kind, swap_id, self.block_ref, len(self.events), payload)
@@ -309,10 +292,8 @@ class Chain:
         # the canonical rule's order: taller, then the smaller hash
         if (-ref.height, ref.block_hash) >= (-tip.height, tip.block_hash):
             return 0
-        fork = parent
-        while not self.is_canonical(fork.ref):
-            fork = self.blocks[fork.parent_hash]
-        return tip.height - fork.ref.height
+        fork_height = parent.ref.height - len(self.off_canonical(parent))
+        return tip.height - fork_height
 
     def _prune(self, block: Block) -> None:
         """Drop the state of `block` if it is canonical, deeper than the
@@ -397,11 +378,8 @@ class Chain:
         self._canonical_tip = BlockRef(self.chain_id, name, block.ref.height,
                                        block.ref.block_hash)
 
-        added: list[Block] = []
-        while not self.is_canonical(block.ref):
-            added.append(block)
-            block = self.blocks[block.parent_hash]
-        fork_height = block.ref.height
+        added = self.off_canonical(block)
+        fork_height = block.ref.height - len(added)
         self._truncate(fork_height)
         for block in reversed(added):
             self._canonical.append(block)
@@ -444,6 +422,16 @@ class Chain:
         if block_ref.height >= len(chain):
             return False
         return chain[block_ref.height].ref.block_hash == block_ref.block_hash
+
+    def off_canonical(self, block: Block) -> list[Block]:
+        """`block` and its ancestors above the newest canonical one, newest
+        first; empty when `block` is canonical. The fork height is the
+        block's height minus the list's length."""
+        out: list[Block] = []
+        while not self.is_canonical(block.ref):
+            out.append(block)
+            block = self.blocks[block.parent_hash]
+        return out
 
     # --- queries ------------------------------------------------------------
 

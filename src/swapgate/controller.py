@@ -153,11 +153,13 @@ class StatusController:
         the walk passed."""
         cursor = self._cursors.get(chain.chain_id)
         touched: set[bytes] = set()
-        while cursor is not None and not chain.is_canonical(cursor.ref):
-            touched.update(event.swap_id for event in cursor.events
+        height = -1
+        if cursor is not None:
+            orphaned = chain.off_canonical(cursor)
+            touched.update(event.swap_id for block in orphaned
+                           for event in block.events
                            if event.swap_id is not None)
-            cursor = chain.blocks[cursor.parent_hash]
-        height = cursor.ref.height if cursor is not None else -1
+            height = cursor.ref.height - len(orphaned)
         self._open.update(event.swap_id for event in chain.events_since(height)
                           if event.kind in REGISTRATION_KINDS)
         self._cursors[chain.chain_id] = chain.blocks[chain.canonical_tip.block_hash]

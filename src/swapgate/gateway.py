@@ -125,15 +125,15 @@ def apply_tx(state: GatewayState, tx: Tx, ctx: BlockCtx) -> dict | None:
     if isinstance(tx, LockTx):
         if not isinstance(port, LockUnlockPort):
             raise WrongChain("this chain has no lock-unlock port")
-        record = port.lock(state.ledger, state.tokens, ctx, tx.sender,
-                           tx.symbol, tx.amount, tx.receiver)
-        return {"swap_id": record.swap_id.hex()}
+        swap_id = port.lock(state.ledger, state.tokens, ctx, tx.sender,
+                            tx.symbol, tx.amount, tx.receiver)
+        return {"swap_id": swap_id.hex()}
     if isinstance(tx, BurnTx):
         if not isinstance(port, IssueBurnPort):
             raise WrongChain("this chain has no issue-burn port")
-        record = port.burn(state.ledger, state.tokens, ctx, tx.holder,
-                           tx.symbol, tx.amount, tx.receiver)
-        return {"swap_id": record.swap_id.hex()}
+        swap_id = port.burn(state.ledger, state.tokens, ctx, tx.holder,
+                            tx.symbol, tx.amount, tx.receiver)
+        return {"swap_id": swap_id.hex()}
     if isinstance(tx, PulseTx):
         state.nebula.submit_pulse(ctx, tx.data_hash, tx.declared_height,
                                   list(tx.signatures))

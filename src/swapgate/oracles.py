@@ -164,15 +164,16 @@ class OracleNetwork:
                 endorsements.setdefault(digest, set()).add(oracle.index)
         history.extend(reference_entries)
 
+        # the most endorsed candidate first, ties broken by the smaller digest
+        ranked = sorted(endorsements.items(),
+                        key=lambda kv: (-len(kv[1]), kv[0]))
         candidates_json = [
             {
                 "hash": digest.hex(),
                 "count": len(endorsers),
                 "forged": digest != reference_hash,
             }
-            for digest, endorsers in sorted(
-                endorsements.items(),
-                key=lambda kv: (-len(kv[1]), kv[0]))
+            for digest, endorsers in ranked
         ]
 
         report = RoundReport(
@@ -185,8 +186,7 @@ class OracleNetwork:
         if not endorsements:
             return report
 
-        digest, endorsers = min(
-            endorsements.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+        digest, endorsers = ranked[0]
         if len(endorsers) < self.roster.threshold:
             return report
 

@@ -3,35 +3,34 @@
 The lock-unlock port lives on the origin chain and custodies original
 tokens; the issue-burn port lives on the destination chain and manages the
 wrapped counterparts. Both placements are fixed, so a port class holds its
-chain ids and address as constants, and a port's state is its swap records
-and sequence counter. A swap id is derived on-chain from the initiating
-transfer's parameters plus the port's own sequence counter, so the off-chain
-extractors and the contracts agree on identifiers without any coordination;
-the id packs the amount as a u64, so a larger lock or burn is refused before
-it changes anything.
+chain ids and address as constants, and a port's state is one status per
+swap id (Registered or Processed) plus its sequence counter. A swap id is
+derived on-chain from the initiating transfer's parameters plus the port's
+own sequence counter, so the off-chain extractors and the contracts agree on
+identifiers without any coordination; the id packs the amount as a u64, so a
+larger lock or burn is refused before it changes anything.
 
 The two ports mirror each other, so each protocol step is written once, in
 the shared base, and a port adds only its own token checks and ledger call:
 
 - one registration path, _register: lock and burn each take the next
-  sequence number, derive the id, store a Registered record and emit the
-  registration event through it;
+  sequence number, derive the id, store it Registered and emit the
+  registration event;
 - one attested execution path: each port's execute_attested first passes
   _admit (caller, direction, duplicate) and ends in _executed, which
-  stores the Processed record and emits the execution event. The
-  issue-burn port mints for an outbound swap, the lock-unlock port unlocks
-  for a return swap, and each refuses the other direction as an unknown
-  swap;
-- one query, record(swap_id).
+  stores the id Processed and emits the execution event. The issue-burn
+  port mints for an outbound swap, the lock-unlock port unlocks for a
+  return swap, and each refuses the other direction as an unknown swap.
 
-An attested execution may only be invoked by the local verification
-contract; the executing port learns about a foreign-originated swap from
-the attested payload entry itself, records it and executes it in the same
-transaction, storing the record already Processed. That record is the
-port's one account of the execution: it lives in chain state, hence is
-rolled back by reorgs together with the assets, and the duplicate guard
-refuses any swap whose record is Processed, which makes execution
-exactly-once per branch.
+The event is the swap's one record: its kind and payload carry the
+direction, accounts, amount and token, so the state keeps only what
+execution needs to stay exactly-once. An attested execution may only be
+invoked by the local verification contract; the executing port learns
+about a foreign-originated swap from the attested payload entry itself and
+executes it in the same transaction, storing its id already Processed. The
+status lives in chain state, hence is rolled back by reorgs together with
+the assets, and the duplicate guard refuses any swap whose id is
+Processed, which makes execution exactly-once per branch.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-from .chain import BlockCtx, BlockId, EventKind
+from .chain import BlockCtx, EventKind
 from .crypto import sha256
 from .encoding import MAX_AMOUNT, Direction, PayloadEntry
 from .errors import (
@@ -86,31 +85,6 @@ def derive_swap_id(direction: Direction, origin_chain: int, port_address: bytes,
     return sha256(material)
 
 
-@dataclass(frozen=True)
-class SwapRecord:
-    """One cross-chain transfer as known to a single port.
-
-    sender is None on records created from an attested payload entry: the
-    wire format does not carry the originating account, only the executing
-    side's receiver.
-
-    Records are immutable: per-block states share them, and a port stores
-    a record once, in its final status for that block. A Processed record is
-    registered and executed in one transaction, so registered_at is also its
-    execution block. Blocks are named by BlockId, so a record does not depend
-    on the branch that produced it.
-    """
-
-    swap_id: bytes
-    direction: Direction
-    sender: AccountId | None
-    receiver: AccountId
-    amount: int
-    token: TokenId            # the original (unwrapped) token
-    status: SwapStatus
-    registered_at: BlockId
-
-
 def _check_amount(verb: str, amount: int) -> None:
     """The amount rule shared by lock and burn: a swap id packs the amount
     as a u64, so it must be positive and fit in one."""
@@ -124,27 +98,20 @@ def _check_amount(verb: str, amount: int) -> None:
 class _PortBase:
     """Port state; equal ports hold equal values in every field."""
 
-    swaps: dict[bytes, SwapRecord] = field(default_factory=dict)
+    swaps: dict[bytes, SwapStatus] = field(default_factory=dict)
     next_seq: int = 0
-
-    def record(self, swap_id: bytes) -> SwapRecord | None:
-        return self.swaps.get(swap_id)
 
     def _register(self, ctx: BlockCtx, kind: EventKind, direction: Direction,
                   sender: AccountId, receiver: AccountId, amount: int,
-                  original: TokenId) -> SwapRecord:
+                  original: TokenId) -> bytes:
         """Register a user-initiated swap once its assets are locked or
-        burned: derive its id from the next sequence number, store the
-        Registered record and emit the registration event."""
+        burned: derive its id from the next sequence number, store it
+        Registered and emit the registration event. Returns the id."""
         seq = self.next_seq
         self.next_seq += 1
         swap_id = derive_swap_id(direction, original.chain, self.address,
                                  sender.address, receiver.address, amount, seq)
-        record = SwapRecord(
-            swap_id=swap_id, direction=direction, sender=sender,
-            receiver=receiver, amount=amount, token=original,
-            status=SwapStatus.REGISTERED, registered_at=ctx.block_id)
-        self._store(record)
+        self._store(swap_id, SwapStatus.REGISTERED)
         ctx.emit(kind, swap_id, {
             "symbol": original.symbol,
             "origin_chain": original.chain,
@@ -152,7 +119,7 @@ class _PortBase:
             "receiver": receiver.to_json(),
             "amount": amount,
         })
-        return record
+        return swap_id
 
     def _admit(self, entry: PayloadEntry, caller: bytes,
                direction: Direction) -> None:
@@ -165,35 +132,29 @@ class _PortBase:
         if entry.direction != direction:
             raise UnknownSwap(
                 f"this port only executes {direction.name} swaps")
-        record = self.swaps.get(entry.swap_id)
-        if record is not None and record.status == SwapStatus.PROCESSED:
+        if self.swaps.get(entry.swap_id) == SwapStatus.PROCESSED:
             raise DuplicateExecution(f"swap {entry.swap_id.hex()} already executed")
 
     def _executed(self, ctx: BlockCtx, kind: EventKind, entry: PayloadEntry,
-                  receiver: AccountId, original: TokenId,
-                  paid: TokenId) -> SwapRecord:
-        """Record an attested swap the port has just paid out in `paid`.
-        It is registered and executed within the same transaction: the port
-        first learns of the swap from the attested entry itself."""
-        record = SwapRecord(
-            swap_id=entry.swap_id, direction=entry.direction, sender=None,
-            receiver=receiver, amount=entry.amount, token=original,
-            status=SwapStatus.PROCESSED, registered_at=ctx.block_id)
-        self._store(record)
+                  receiver: AccountId, paid: TokenId) -> bytes:
+        """Store an attested swap the port has just paid out in `paid` as
+        Processed and emit the execution event. It is registered and
+        executed within the same transaction: the port first learns of the
+        swap from the attested entry itself. Returns the id."""
+        self._store(entry.swap_id, SwapStatus.PROCESSED)
         ctx.emit(kind, entry.swap_id, {
             "symbol": paid.symbol,
             "receiver": receiver.to_json(),
             "amount": entry.amount,
         })
-        return record
+        return entry.swap_id
 
-    def _store(self, record: SwapRecord) -> None:
-        existing = self.swaps.get(record.swap_id)
-        if existing is not None and existing is not record:
-            # Same id from a fresh registration means the derivation inputs
-            # collided, which the sequence counter is meant to prevent.
-            raise RuntimeError(f"swap id collision: {record.swap_id.hex()}")
-        self.swaps[record.swap_id] = record
+    def _store(self, swap_id: bytes, status: SwapStatus) -> None:
+        if swap_id in self.swaps:
+            # A known id means the derivation inputs collided, which the
+            # sequence counter is meant to prevent.
+            raise RuntimeError(f"swap id collision: {swap_id.hex()}")
+        self.swaps[swap_id] = status
 
     def _clone(self) -> "_PortBase":
         return type(self)(dict(self.swaps), self.next_seq)
@@ -208,7 +169,7 @@ class LockUnlockPort(_PortBase):
 
     def lock(self, ledger: Ledger, registry: TokenRegistry, ctx: BlockCtx,
              sender: AccountId, symbol: str, amount: int,
-             receiver: AccountId) -> SwapRecord:
+             receiver: AccountId) -> bytes:
         _check_amount("lock", amount)
         if receiver.chain != self.counterpart_chain:
             raise WrongChainReceiver(
@@ -223,7 +184,7 @@ class LockUnlockPort(_PortBase):
 
     def execute_attested(self, ledger: Ledger, registry: TokenRegistry,
                          ctx: BlockCtx, entry: PayloadEntry,
-                         caller: bytes) -> SwapRecord:
+                         caller: bytes) -> bytes:
         self._admit(entry, caller, Direction.DESTINATION_TO_ORIGIN)
         if entry.origin_chain != self.chain_id:
             raise UnknownSwap(
@@ -235,7 +196,7 @@ class LockUnlockPort(_PortBase):
         receiver = AccountId(self.chain_id, entry.receiver)
         ledger.unlock(token, receiver, entry.amount, caller=self.address)
         return self._executed(ctx, EventKind.UNLOCK_EXECUTED, entry, receiver,
-                              token, token)
+                              token)
 
     def clone(self) -> "LockUnlockPort":
         return self._clone()
@@ -251,7 +212,7 @@ class IssueBurnPort(_PortBase):
 
     def execute_attested(self, ledger: Ledger, registry: TokenRegistry,
                          ctx: BlockCtx, entry: PayloadEntry,
-                         caller: bytes) -> SwapRecord:
+                         caller: bytes) -> bytes:
         self._admit(entry, caller, Direction.ORIGIN_TO_DESTINATION)
         if entry.origin_chain != self.counterpart_chain:
             raise UnknownToken(
@@ -266,11 +227,11 @@ class IssueBurnPort(_PortBase):
         ledger.mint(wrapped, receiver, entry.amount, caller=self.address)
         registry.register(wrapped)
         return self._executed(ctx, EventKind.MINT_EXECUTED, entry, receiver,
-                              original, wrapped)
+                              wrapped)
 
     def burn(self, ledger: Ledger, registry: TokenRegistry, ctx: BlockCtx,
              holder: AccountId, symbol: str, amount: int,
-             receiver: AccountId) -> SwapRecord:
+             receiver: AccountId) -> bytes:
         _check_amount("burn", amount)
         token = registry.get(symbol)
         if token is None:

@@ -547,29 +547,28 @@ class Runner:
                 "name": name, "height": step["height"],
                 "base": base.hex(),
             })
-        elif op == "user_lock":
-            tx = LockTx(
-                chain=ORIGIN,
-                sender=AccountId(ORIGIN, resolve_address(step["sender"])),
-                symbol=step["token"],
-                amount=step["amount"],
-                receiver=AccountId(DESTINATION, resolve_address(step["receiver"])),
-            )
-            self.chains[ORIGIN].submit(tx)
+        elif op == "user_lock" or op == "user_burn":
+            if op == "user_lock":
+                tx = LockTx(
+                    chain=ORIGIN,
+                    sender=AccountId(ORIGIN, resolve_address(step["sender"])),
+                    symbol=step["token"],
+                    amount=step["amount"],
+                    receiver=AccountId(DESTINATION,
+                                       resolve_address(step["receiver"])),
+                )
+            else:
+                tx = BurnTx(
+                    chain=DESTINATION,
+                    holder=AccountId(DESTINATION, resolve_address(step["holder"])),
+                    symbol=step["token"],
+                    amount=step["amount"],
+                    receiver=AccountId(ORIGIN, resolve_address(step["receiver"])),
+                )
+            self.chains[tx.chain].submit(tx)
+            # the swap's id is known once its block includes the tx
+            self._tx_handles[id(tx)] = len(self.swap_ids)
             self.swap_ids.append(None)
-            self._tx_handles[id(tx)] = len(self.swap_ids) - 1
-            self.records.append({"op": op, "step": index, "tx": tx.describe()})
-        elif op == "user_burn":
-            tx = BurnTx(
-                chain=DESTINATION,
-                holder=AccountId(DESTINATION, resolve_address(step["holder"])),
-                symbol=step["token"],
-                amount=step["amount"],
-                receiver=AccountId(ORIGIN, resolve_address(step["receiver"])),
-            )
-            self.chains[DESTINATION].submit(tx)
-            self.swap_ids.append(None)
-            self._tx_handles[id(tx)] = len(self.swap_ids) - 1
             self.records.append({"op": op, "step": index, "tx": tx.describe()})
         elif op == "relay_round":
             report = self.network.relay_round(
@@ -599,27 +598,22 @@ class Runner:
 
     # --- assertion checks ------------------------------------------------------
 
-    def _swap_id_for(self, index: int) -> bytes | None:
-        if 0 <= index < len(self.swap_ids):
-            return self.swap_ids[index]
-        return None
-
     def _evaluate_assert(self, step: dict) -> tuple[bool, str]:
         check = step["check"]
         if check == "status":
-            swap_id = self._swap_id_for(step["swap"])
+            swap_id = self.swap_ids[step["swap"]]
             if swap_id is None:
                 return step["expect"] == "unknown", "swap not yet registered"
             status = self.controller.status_of(swap_id)
             actual = status.label if status else "unknown"
             return actual == step["expect"], f"controller status {actual}"
         if check == "port_status":
-            swap_id = self._swap_id_for(step["swap"])
+            swap_id = self.swap_ids[step["swap"]]
             if swap_id is None:
                 return step["expect"] == "unknown", "swap not yet registered"
             port = self.chains[step["chain"]].canonical_state.port
-            record = port.record(swap_id)
-            actual = record.status.label if record else "unknown"
+            status = port.swaps.get(swap_id)
+            actual = status.label if status else "unknown"
             return actual == step["expect"], f"port status {actual}"
         if check == "balance":
             state = self.chains[step["chain"]].canonical_state
@@ -630,14 +624,10 @@ class Runner:
                 account = AccountId(step["chain"], resolve_address(step["account"]))
                 actual = state.ledger.balance(token, account)
             return actual == step["expect"], f"balance {actual}"
-        if check == "locked":
+        if check == "locked" or check == "supply":
             ledger = self.chains[step["chain"]].canonical_state.ledger
-            actual = ledger.locked.get(step["token"], 0)
-            return actual == step["expect"], f"locked {actual}"
-        if check == "supply":
-            ledger = self.chains[step["chain"]].canonical_state.ledger
-            actual = ledger.supply.get(step["token"], 0)
-            return actual == step["expect"], f"supply {actual}"
+            actual = getattr(ledger, check).get(step["token"], 0)
+            return actual == step["expect"], f"{check} {actual}"
         if check == "backing":
             symbol = step["token"]
             locked = self.chains[ORIGIN].canonical_state.ledger.locked.get(symbol, 0)
@@ -673,7 +663,7 @@ class Runner:
                                 f"accepted on chain {cid}")
             return True, "no forged pulse accepted"
         if check == "exec_count":
-            swap_id = self._swap_id_for(step["swap"])
+            swap_id = self.swap_ids[step["swap"]]
             if swap_id is None:
                 return step["expect"] == 0, "swap not yet registered"
             count = sum(1 for chain in self.chains.values()

@@ -223,9 +223,17 @@ def _check_transition(transition: dict, statuses: dict[str, str | None],
 
 
 def check_trace_text(text: str) -> tuple[int, list[dict]]:
-    """Parse a trace and re-evaluate the invariants. Returns (exit, violations)."""
+    """Parse a trace and re-evaluate the invariants. Returns (exit, violations).
+
+    A record that parses but lacks a field, or holds one of the wrong type,
+    is a malformed trace too. Only here: the runner evaluates its own
+    records, so a fault there still surfaces as itself."""
     records = parse_trace(text)
-    violations = evaluate_records(records)
+    try:
+        violations = evaluate_records(records)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise MalformedTrace(
+            f"a record lacks a field or has a wrong type: {exc!r}") from None
     return (1 if violations else 0), violations
 
 

@@ -1,7 +1,6 @@
 """Block production, forks, reorgs, canonical selection, replay oracle."""
 
 import copy
-import dataclasses
 from dataclasses import dataclass, field
 
 import pytest
@@ -213,14 +212,7 @@ def test_rejected_tx_mid_block_matches_block_without_it():
 
     def produced(world):
         ref = world.origin.produce_block()
-        state = world.origin.canonical_state
-        # a record names its block, whose hash covers the rejected tx too
-        port = type(state.port)(
-            {sid: dataclasses.replace(record, registered_at=None)
-             for sid, record in state.port.swaps.items()},
-            state.port.next_seq)
-        return (world.origin.blocks[ref.block_hash],
-                dataclasses.replace(state, port=port))
+        return world.origin.blocks[ref.block_hash], world.origin.canonical_state
 
     block, state = produced(with_reject)
     expected_block, expected_state = produced(without)
@@ -279,7 +271,7 @@ def test_tx_rejected_after_mutating_leaves_no_trace():
 
 
 def test_parent_state_unchanged_by_child_and_sibling_blocks(world):
-    """Per-block states share frozen swap records and pulses; building on a
+    """Per-block states share frozen pulses; building on a
     block, on two branches, must not change that block's state."""
     entry = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x01" * 32, "T",
                          0, BOB.address, 5)
@@ -310,7 +302,7 @@ def test_parent_state_unchanged_by_child_and_sibling_blocks(world):
 
 def test_twin_block_on_another_branch_keeps_replay_consistent(world):
     """A lock block produced again on a second branch has the same hash and
-    replaces its twin in the block tree; the records it registers must not
+    replaces its twin in the block tree; the state it builds must not
     depend on which branch produced it, or the replay self-check of a later
     reorg disagrees with the states built on the first twin."""
     origin = world.origin

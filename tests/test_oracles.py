@@ -2,7 +2,7 @@
 
 import itertools
 
-from swapgate import Behavior, EventKind, LockTx
+from swapgate import Behavior, EventKind, LockTx, SwapStatus
 from swapgate.encoding import encode_payload
 from swapgate.oracles import ATTACKER_ADDRESS, candidates
 
@@ -198,8 +198,8 @@ def test_liveness_bound_two_rounds():
             processed = True
             break
     assert processed and rounds <= 2
-    assert w.destination.canonical_state.port.record(sid).status.label == \
-        "processed"
+    assert w.destination.canonical_state.port.swaps[sid] == \
+        SwapStatus.PROCESSED
 
 
 def test_round_reports_deterministic():

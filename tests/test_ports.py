@@ -1,7 +1,6 @@
 """Port contracts: swap ids, lifecycle, attested execution, replay guard."""
 
 import copy
-import dataclasses
 
 import pytest
 
@@ -36,9 +35,9 @@ from conftest import ALICE, BOB, World
 from reference_codec import ref_swap_id
 
 
-def ctx_for(chain, branch="main"):
+def ctx_for(chain):
     tip = chain.canonical_tip
-    return BlockCtx(BlockRef(chain.chain_id, branch, tip.height + 1,
+    return BlockCtx(BlockRef(chain.chain_id, "main", tip.height + 1,
                              b"\xee" * 32))
 
 
@@ -64,9 +63,9 @@ def entry_for(event):
 def test_lock_registers_swap(world):
     event = lock_on(world, 100)
     state = world.origin.canonical_state
-    record = state.port.record(event.swap_id)
-    assert record.status == SwapStatus.REGISTERED
-    assert record.sender == ALICE and record.receiver == BOB
+    assert state.port.swaps[event.swap_id] == SwapStatus.REGISTERED
+    assert (event.payload["sender"], event.payload["receiver"]) == \
+        (ALICE.to_json(), BOB.to_json())
     assert state.ledger.locked["T"] == 100
 
 
@@ -138,10 +137,11 @@ def test_mint_attested_happy(world):
     event = lock_on(world, 100)
     state = world.destination.canonical_state
     ctx = ctx_for(world.destination)
-    record = state.port.execute_attested(state.ledger, state.tokens, ctx,
-                                         entry_for(event),
-                                         caller=NEBULA_ADDRESS)
-    assert record.status == SwapStatus.PROCESSED
+    swap_id = state.port.execute_attested(state.ledger, state.tokens, ctx,
+                                          entry_for(event),
+                                          caller=NEBULA_ADDRESS)
+    assert swap_id == event.swap_id
+    assert state.port.swaps[swap_id] == SwapStatus.PROCESSED
     assert state.ledger.supply["swT"] == 100
     wrapped = state.tokens.get("swT")
     assert wrapped is not None
@@ -191,13 +191,19 @@ def test_burn_registers_reverse_swap(world):
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
     ctx = ctx_for(world.destination)
-    record = dstate.port.burn(dstate.ledger, dstate.tokens, ctx,
-                              BOB, "swT", 100, ALICE)
-    assert record.direction == Direction.DESTINATION_TO_ORIGIN
-    assert record.status == SwapStatus.REGISTERED
-    assert record.token.symbol == "T"
+    swap_id = dstate.port.burn(dstate.ledger, dstate.tokens, ctx,
+                               BOB, "swT", 100, ALICE)
+    # the id derives from the return direction and the original token's chain
+    assert swap_id == derive_swap_id(Direction.DESTINATION_TO_ORIGIN, 0,
+                                     IB_PORT_ADDRESS, BOB.address,
+                                     ALICE.address, 100, 0)
+    assert dstate.port.swaps[swap_id] == SwapStatus.REGISTERED
     assert dstate.ledger.supply.get("swT", 0) == 0
-    assert [e.kind for e in ctx.events] == [EventKind.BURN_REGISTERED]
+    assert [(e.kind, e.swap_id) for e in ctx.events] == \
+        [(EventKind.BURN_REGISTERED, swap_id)]
+    assert ctx.events[0].payload == {
+        "symbol": "T", "origin_chain": 0, "sender": BOB.to_json(),
+        "receiver": ALICE.to_json(), "amount": 100}
 
 
 def test_burn_more_than_held(world):
@@ -245,17 +251,17 @@ def test_unlock_attested_roundtrip_restores_ledgers(world):
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
     burn_ctx = ctx_for(world.destination)
-    burn_rec = dstate.port.burn(dstate.ledger, dstate.tokens, burn_ctx,
-                                BOB, "swT", 100, ALICE)
+    burn_id = dstate.port.burn(dstate.ledger, dstate.tokens, burn_ctx,
+                               BOB, "swT", 100, ALICE)
     burn_event = burn_ctx.events[0]
 
     ostate = world.origin.canonical_state
-    back = PayloadEntry(Direction.DESTINATION_TO_ORIGIN, burn_rec.swap_id,
+    back = PayloadEntry(Direction.DESTINATION_TO_ORIGIN, burn_id,
                         "T", 0, ALICE.address, 100)
-    record = ostate.port.execute_attested(ostate.ledger, ostate.tokens,
-                                          ctx_for(world.origin), back,
-                                          caller=NEBULA_ADDRESS)
-    assert record.status == SwapStatus.PROCESSED
+    swap_id = ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+                                           ctx_for(world.origin), back,
+                                           caller=NEBULA_ADDRESS)
+    assert ostate.port.swaps[swap_id] == SwapStatus.PROCESSED
     assert burn_event.payload["amount"] == 100
     assert ostate.ledger == initial0
     assert dstate.ledger == initial1
@@ -314,14 +320,14 @@ def test_unlock_wrong_direction_rejected(world):
 def test_status_queries(world):
     event = lock_on(world, 100)
     ostate = world.origin.canonical_state
-    assert ostate.port.record(event.swap_id).status == SwapStatus.REGISTERED
-    assert ostate.port.record(b"\x00" * 32) is None
+    assert ostate.port.swaps.get(event.swap_id) == SwapStatus.REGISTERED
+    assert ostate.port.swaps.get(b"\x00" * 32) is None
 
     dstate = world.destination.canonical_state
     dstate.port.execute_attested(dstate.ledger, dstate.tokens,
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
-    assert dstate.port.record(event.swap_id).status == SwapStatus.PROCESSED
+    assert dstate.port.swaps.get(event.swap_id) == SwapStatus.PROCESSED
 
 
 def test_status_never_regresses_on_port(world):
@@ -329,16 +335,15 @@ def test_status_never_regresses_on_port(world):
     executed, or stored, again."""
     event = lock_on(world, 100)
     dstate = world.destination.canonical_state
-    record = dstate.port.execute_attested(dstate.ledger, dstate.tokens,
-                                          ctx_for(world.destination),
-                                          entry_for(event),
-                                          caller=NEBULA_ADDRESS)
+    swap_id = dstate.port.execute_attested(dstate.ledger, dstate.tokens,
+                                           ctx_for(world.destination),
+                                           entry_for(event),
+                                           caller=NEBULA_ADDRESS)
     with pytest.raises(DuplicateExecution):
         dstate.port.execute_attested(dstate.ledger, dstate.tokens,
                                      ctx_for(world.destination),
                                      entry_for(event), caller=NEBULA_ADDRESS)
-    assert dstate.port.record(event.swap_id) is record
-    assert record.status == SwapStatus.PROCESSED
+    assert dstate.port.swaps == {swap_id: SwapStatus.PROCESSED}
 
 
 def test_events_pair_with_ledger_changes(world):
@@ -353,30 +358,17 @@ def test_events_pair_with_ledger_changes(world):
     assert block.events == []
 
 
-def test_swap_record_is_frozen(world):
-    event = lock_on(world, 100)
-    record = world.origin.canonical_state.port.record(event.swap_id)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        record.status = SwapStatus.PROCESSED
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        record.amount = 1
-
-
 def test_attested_execution_stores_one_processed_record(world):
-    """An attested mint stores its record once, already processed, naming
-    its block without the branch; the origin's lock record is untouched."""
+    """An attested mint stores its swap once, already processed; the
+    origin's lock status is untouched."""
     event = lock_on(world, 100)
-    lock_record = world.origin.canonical_state.port.record(event.swap_id)
     dstate = world.destination.canonical_state
     ctx = ctx_for(world.destination)
-    record = dstate.port.execute_attested(dstate.ledger, dstate.tokens, ctx,
-                                          entry_for(event),
-                                          caller=NEBULA_ADDRESS)
-    assert dstate.port.record(event.swap_id) is record
-    assert (record.status, record.registered_at) == \
-        (SwapStatus.PROCESSED, ctx.block_id)
-    assert ctx.block_id == ctx_for(world.destination, branch="alt").block_id
-    assert lock_record.status == SwapStatus.REGISTERED
+    dstate.port.execute_attested(dstate.ledger, dstate.tokens, ctx,
+                                 entry_for(event), caller=NEBULA_ADDRESS)
+    assert dstate.port.swaps == {event.swap_id: SwapStatus.PROCESSED}
+    assert world.origin.canonical_state.port.swaps == \
+        {event.swap_id: SwapStatus.REGISTERED}
 
 
 def test_zero_amount_entry_for_new_token_leaves_no_state(world):

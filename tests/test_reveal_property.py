@@ -9,8 +9,8 @@ receipts are walked from genesis against a model of the open commitments:
   not consumed since;
 - every reveal rejected with UnknownPulse had no such pulse;
 - the wrapped supply equals the sum of the accepted entries;
-- the port's Processed records are exactly the swaps with a canonical
-  MintExecuted event: the port's one record agrees with the chain's index;
+- the port's Processed ids are exactly the swaps with a canonical
+  MintExecuted event: the port's status agrees with the chain's index;
 - the self-check's replay equals the replay from genesis and the
   incremental tip state.
 """
@@ -70,8 +70,8 @@ def check_canonical_receipts(chain) -> None:
     state = chain.canonical_state
     assert set(state.nebula.unconsumed) == open_hashes
     assert state.ledger.supply.get("swT", 0) == minted
-    processed = {swap_id for swap_id, record in state.port.swaps.items()
-                 if record.status == SwapStatus.PROCESSED}
+    processed = {swap_id for swap_id, status in state.port.swaps.items()
+                 if status == SwapStatus.PROCESSED}
     assert processed == {event.swap_id for event in chain.canonical_events()
                          if event.kind == EventKind.MINT_EXECUTED}
 

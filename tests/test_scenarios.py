@@ -375,12 +375,46 @@ def test_cli_run_field_of_wrong_type_is_invalid(tmp_path, capsys, fields):
     assert "invalid scenario" in capsys.readouterr().err
 
 
-def test_cli_check_truncated(tmp_path):
+def _first(records, key):
+    """The first value under `key` in any record."""
+    return next(r[key] for r in records if r.get(key))
+
+
+def _drop_block_hash(records):
+    del _first(records, "blocks")[0]["hash"]
+
+
+def _drop_supply(records):
+    accounting = _first(records, "blocks")[0]["accounting"]
+    del next(iter(accounting.values()))["supply"]
+
+
+def _drop_transition_swap_id(records):
+    del _first(records, "transitions")[0]["swap_id"]
+
+
+def _genesis_as_list(records):
+    records[0]["genesis"] = list(records[0]["genesis"].values())
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda records: records.pop(),          # truncated: no end record
+    _drop_block_hash, _drop_supply, _drop_transition_swap_id,
+    _genesis_as_list,
+], ids=["truncated", "block_hash", "supply", "transition_swap_id",
+        "genesis_list"])
+def test_cli_check_malformed_exit_2(tmp_path, capsys, tamper):
+    """A trace that is cut short, or whose records parse but lack a field or
+    hold one of the wrong type, is malformed (exit 2), not a failed check."""
     trace_path = tmp_path / "t.jsonl"
     main(["run", "happy_path", "--trace", str(trace_path)])
-    lines = trace_path.read_text().splitlines()
-    trace_path.write_text("\n".join(lines[:-1]))
+    records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    tamper(records)
+    trace_path.write_text(
+        "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    capsys.readouterr()
     assert main(["check", str(trace_path)]) == 2
+    assert "malformed trace" in capsys.readouterr().err
 
 
 def test_cli_check_tampered_exit_1(tmp_path):
