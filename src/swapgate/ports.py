@@ -17,10 +17,11 @@ the shared base, and a port adds only its own token checks and ledger call:
   sequence number, derive the id, store it Registered and emit the
   registration event;
 - one attested execution path: each port's execute_attested first passes
-  _admit (caller, direction, duplicate) and ends in _executed, which
+  _admit (caller, direction, known id) and ends in _executed, which
   stores the id Processed and emits the execution event. The issue-burn
   port mints for an outbound swap, the lock-unlock port unlocks for a
-  return swap, and each refuses the other direction as an unknown swap.
+  return swap, and each refuses the other direction as an unknown swap,
+  an id it registered itself included.
 
 The event is the swap's one record: its kind and payload carry the
 direction, accounts, amount and token, so the state keeps only what
@@ -30,7 +31,8 @@ about a foreign-originated swap from the attested payload entry itself and
 executes it in the same transaction, storing its id already Processed. The
 status lives in chain state, hence is rolled back by reorgs together with
 the assets, and the duplicate guard refuses any swap whose id is
-Processed, which makes execution exactly-once per branch.
+Processed, which makes execution exactly-once per branch. _admit refuses
+before the ledger call, so an entry it refuses changes nothing.
 """
 
 from __future__ import annotations
@@ -125,15 +127,22 @@ class _PortBase:
                direction: Direction) -> None:
         """The checks every attested execution makes first, in this order:
         the caller is the verification contract, the entry runs in the
-        direction this port executes, and the swap is not yet executed."""
+        direction this port executes, and the swap id is new to this port:
+        a Processed id is a duplicate, and a Registered one is a swap this
+        port started, which runs the other way."""
         if caller != NEBULA_ADDRESS:
             raise NotAuthorized(
                 "attested executions must come from the verification contract")
         if entry.direction != direction:
             raise UnknownSwap(
                 f"this port only executes {direction.name} swaps")
-        if self.swaps.get(entry.swap_id) == SwapStatus.PROCESSED:
+        status = self.swaps.get(entry.swap_id)
+        if status == SwapStatus.PROCESSED:
             raise DuplicateExecution(f"swap {entry.swap_id.hex()} already executed")
+        if status is not None:
+            raise UnknownSwap(
+                f"swap {entry.swap_id.hex()} was registered on this port; "
+                f"it only executes {direction.name} swaps")
 
     def _executed(self, ctx: BlockCtx, kind: EventKind, entry: PayloadEntry,
                   receiver: AccountId, paid: TokenId) -> bytes:
@@ -151,8 +160,9 @@ class _PortBase:
 
     def _store(self, swap_id: bytes, status: SwapStatus) -> None:
         if swap_id in self.swaps:
-            # A known id means the derivation inputs collided, which the
-            # sequence counter is meant to prevent.
+            # _admit refuses a known id before an attested execution, so
+            # this is a registration whose derivation inputs collided, which
+            # the sequence counter is meant to prevent.
             raise RuntimeError(f"swap id collision: {swap_id.hex()}")
         self.swaps[swap_id] = status
 

@@ -4,13 +4,20 @@ A trace is self-contained enough to re-verify the global invariants without
 re-running the scenario: block records carry events and per-token accounting,
 tick records carry controller transitions, assert records carry their
 verdicts. `evaluate_records` is the single implementation of the built-in
-invariants; the runner calls it at the end of a run and `check_trace` calls
-it again on a parsed file, so the two can never disagree.
+invariants; the runner calls it on its own records at the end of a run and
+`check_trace` calls it on a file's records, so the two can never disagree.
+
+A check is one pass. `iter_trace` yields each record as its line is parsed
+and validated, and `evaluate_records` folds it into every invariant and
+lets it go. Per block it keeps only the parent, height and executed swap
+ids, for one walk down each chain's final canonical branch at the end, so
+a check's memory grows with the number of blocks, not with the records.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .chain import EXECUTION_KINDS, REGISTRATION_KINDS
@@ -19,6 +26,9 @@ from .errors import MalformedTrace
 
 EXECUTION_EVENT_KINDS = tuple(kind.value for kind in EXECUTION_KINDS)
 REGISTRATION_EVENT_KINDS = tuple(kind.value for kind in REGISTRATION_KINDS)
+
+# characters of trace text split into lines at a time
+_CHUNK = 1 << 16
 
 _STATUS_NEXT = {None: "registered", "registered": "processed",
                 "processed": "finalized"}
@@ -32,9 +42,16 @@ def write_trace(records: list[dict], path: str | Path) -> None:
     Path(path).write_text("".join(line + "\n" for line in records_to_lines(records)))
 
 
-def parse_trace(text: str) -> list[dict]:
-    records: list[dict] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def iter_trace(text: str) -> Iterator[dict]:
+    """Yield a trace's records one at a time, each validated as it is read.
+
+    Raises MalformedTrace at the first fault in file order: a line that is
+    not a JSON object with an `op`, a first record that is not the header,
+    and, once the text is exhausted, an empty trace or a last record that
+    is not `end`."""
+    started = False
+    last_op = None
+    for lineno, line in enumerate(_lines(text), start=1):
         if not line.strip():
             continue
         try:
@@ -43,104 +60,164 @@ def parse_trace(text: str) -> list[dict]:
             raise MalformedTrace(f"line {lineno}: {exc}") from None
         if not isinstance(record, dict) or "op" not in record:
             raise MalformedTrace(f"line {lineno}: not a trace record")
-        records.append(record)
-    if not records:
+        if not started and record["op"] != "header":
+            raise MalformedTrace("trace does not start with a header record")
+        started, last_op = True, record["op"]
+        yield record
+    if not started:
         raise MalformedTrace("empty trace")
-    if records[0].get("op") != "header":
-        raise MalformedTrace("trace does not start with a header record")
-    if records[-1].get("op") != "end":
+    if last_op != "end":
         raise MalformedTrace("trace is truncated: no end record")
-    return records
 
 
-def collect_blocks(records: list[dict]) -> dict[str, dict]:
-    """All block descriptions in the trace, keyed by hash, genesis included."""
-    blocks: dict[str, dict] = {}
-    header = records[0]
-    for chain_key, info in header.get("genesis", {}).items():
-        blocks[info["hash"]] = {
-            "chain": int(chain_key),
-            "height": 0,
-            "hash": info["hash"],
-            "parent": "00" * 32,
-            "events": [],
-            "txs": [],
-            "accounting": info.get("accounting", {}),
-        }
-    for record in records:
-        for block in record.get("blocks", []):
-            blocks[block["hash"]] = block
-    return blocks
+def _lines(text: str) -> Iterator[str]:
+    """`text.splitlines()`, a chunk of lines at a time, so that the lines of
+    a large trace are never all held at once. Each chunk ends just after a
+    "\n", which is a line boundary however the text is split."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
-def final_canonical_tips(records: list[dict]) -> dict[int, str]:
-    tips: dict[int, str] = {}
-    header = records[0]
-    for chain_key, info in header.get("genesis", {}).items():
-        tips[int(chain_key)] = info["hash"]
-    for record in records:
-        for chain_key, summary in record.get("canonical", {}).items():
-            tips[int(chain_key)] = summary["tip"]
-    return tips
+def parse_trace(text: str) -> list[dict]:
+    return list(iter_trace(text))
 
 
-def canonical_block_lists(records: list[dict]) -> tuple[dict[int, list[dict]], list[dict]]:
-    """Reconstruct each chain's final canonical block list from the trace."""
-    blocks = collect_blocks(records)
-    tips = final_canonical_tips(records)
+def _genesis_blocks(header: dict) -> list[dict]:
+    """Each chain's genesis block, as the header describes it."""
+    return [{
+        "chain": int(chain_key),
+        "height": 0,
+        "hash": info["hash"],
+        "parent": "00" * 32,
+        "events": [],
+        "txs": [],
+        "accounting": info.get("accounting", {}),
+    } for chain_key, info in header.get("genesis", {}).items()]
+
+
+def _walk(parents: dict[str, str], heights: dict[str, int],
+          tips: dict[int, str]) -> tuple[dict[int, list[str]], list[dict]]:
+    """Follow each chain from its final canonical tip down to genesis.
+
+    `parents` and `heights` hold each recorded block's parent hash and
+    height by hash. Returns each chain's block hashes from genesis up, and
+    a block_linkage violation for each chain whose walk reaches a hash no
+    record holds."""
     violations: list[dict] = []
-    chains: dict[int, list[dict]] = {}
+    chains: dict[int, list[str]] = {}
     for chain_id, tip in sorted(tips.items()):
-        sequence: list[dict] = []
+        hashes = []
         cursor = tip
         while True:
-            block = blocks.get(cursor)
-            if block is None:
+            if cursor not in heights:
                 violations.append({
                     "invariant": "block_linkage",
                     "detail": f"chain {chain_id}: block {cursor} referenced "
                               f"but never recorded",
                 })
                 break
-            sequence.append(block)
-            if block["height"] == 0:
+            hashes.append(cursor)
+            if heights[cursor] == 0:
                 break
-            cursor = block["parent"]
-        sequence.reverse()
-        chains[chain_id] = sequence
+            cursor = parents[cursor]
+        hashes.reverse()
+        chains[chain_id] = hashes
     return chains, violations
 
 
-def evaluate_records(records: list[dict]) -> list[dict]:
+def canonical_block_lists(records: Iterable[dict]
+                          ) -> tuple[dict[int, list[dict]], list[dict]]:
+    """Reconstruct each chain's final canonical block list from the trace."""
+    blocks: dict[str, dict] = {}
+    parents: dict[str, str] = {}
+    heights: dict[str, int] = {}
+    tips: dict[int, str] = {}
+    for position, record in enumerate(records):
+        recorded = record.get("blocks", [])
+        if position == 0:
+            genesis = _genesis_blocks(record)
+            tips.update((block["chain"], block["hash"]) for block in genesis)
+            recorded = genesis + recorded
+        for block in recorded:
+            block_hash = block["hash"]
+            blocks[block_hash] = block
+            parents[block_hash] = block["parent"]
+            heights[block_hash] = block["height"]
+        for chain_key, summary in record.get("canonical", {}).items():
+            tips[int(chain_key)] = summary["tip"]
+    chains, violations = _walk(parents, heights, tips)
+    return ({chain_id: [blocks[h] for h in hashes]
+             for chain_id, hashes in chains.items()}, violations)
+
+
+def evaluate_records(records: Iterable[dict]) -> list[dict]:
     """Re-evaluate the built-in global invariants over trace records.
 
-    Checks, in order: per-block token conservation, at-most-once canonical
-    execution per swap, the status-machine discipline of controller
-    transitions, and recorded assertion verdicts.
+    Reports, in order: broken block linkage, per-block token conservation
+    (the genesis blocks last), at-most-once canonical execution per swap,
+    the status-machine discipline of controller transitions, and recorded
+    assertion verdicts.
+
+    One pass over `records`, which may be any iterable: each record is
+    checked as it arrives and then let go. Per block only its parent,
+    height and executed swap ids are kept, for the final walk down each
+    chain's canonical branch, so memory grows with the number of blocks,
+    not with the size of the records. They are kept in flat maps by hash,
+    not in an object per block, so that the check adds almost nothing for
+    the cyclic garbage collector to traverse.
     """
-    violations: list[dict] = []
-    canonical, linkage_violations = canonical_block_lists(records)
-    violations.extend(linkage_violations)
+    parents: dict[str, str] = {}
+    heights: dict[str, int] = {}
+    executed: dict[str, tuple[str, ...]] = {}
+    tips: dict[int, str] = {}
+    conservation: list[dict] = []
+    genesis_conservation: list[dict] = []
+    transitions: list[dict] = []
+    assertions: list[dict] = []
+    statuses: dict[str, str | None] = {}
+    for position, record in enumerate(records):
+        if position == 0:
+            for block in _genesis_blocks(record):
+                _check_conservation(block, genesis_conservation)
+                parents[block["hash"]] = block["parent"]
+                heights[block["hash"]] = 0
+                executed[block["hash"]] = ()
+                tips[block["chain"]] = block["hash"]
+        for block in record.get("blocks", ()):
+            _check_conservation(block, conservation)
+            block_hash = block["hash"]
+            parents[block_hash] = block["parent"]
+            heights[block_hash] = block["height"]
+            swap_ids = ()
+            for event in block.get("events", ()):
+                if event["kind"] in EXECUTION_EVENT_KINDS and event.get("swap_id"):
+                    swap_ids += (event["swap_id"],)
+            executed[block_hash] = swap_ids
+        for chain_key, summary in record.get("canonical", {}).items():
+            tips[int(chain_key)] = summary["tip"]
+        op = record.get("op")
+        if op == "tick":
+            for transition in record.get("transitions", []):
+                _check_transition(transition, statuses, transitions)
+        elif op == "assert" and not record.get("ok", False):
+            assertions.append({
+                "invariant": "assertion",
+                "detail": f"step {record.get('step')}: "
+                          f"{record.get('check')} failed: "
+                          f"{record.get('detail', '')}",
+            })
 
-    # conservation holds on every recorded block, canonical or not
-    for record in records:
-        for block in record.get("blocks", []):
-            _check_conservation(block, violations)
-    header = records[0]
-    for chain_key, info in header.get("genesis", {}).items():
-        _check_conservation({
-            "chain": int(chain_key), "hash": info["hash"], "height": 0,
-            "accounting": info.get("accounting", {}),
-        }, violations)
-
+    canonical, violations = _walk(parents, heights, tips)
+    violations += conservation + genesis_conservation
     # exactly-once execution on the final canonical branches
     exec_counts: dict[str, int] = {}
-    for chain_blocks in canonical.values():
-        for block in chain_blocks:
-            for event in block.get("events", []):
-                if event["kind"] in EXECUTION_EVENT_KINDS and event.get("swap_id"):
-                    sid = event["swap_id"]
-                    exec_counts[sid] = exec_counts.get(sid, 0) + 1
+    for hashes in canonical.values():
+        for block_hash in hashes:
+            for sid in executed[block_hash]:
+                exec_counts[sid] = exec_counts.get(sid, 0) + 1
     for sid, count in sorted(exec_counts.items()):
         if count > 1:
             violations.append({
@@ -148,25 +225,7 @@ def evaluate_records(records: list[dict]) -> list[dict]:
                 "detail": f"swap {sid} executed {count} times on the "
                           f"canonical branch",
             })
-
-    # controller status machine
-    statuses: dict[str, str | None] = {}
-    for record in records:
-        if record.get("op") != "tick":
-            continue
-        for transition in record.get("transitions", []):
-            _check_transition(transition, statuses, violations)
-
-    # recorded assertion verdicts
-    for record in records:
-        if record.get("op") == "assert" and not record.get("ok", False):
-            violations.append({
-                "invariant": "assertion",
-                "detail": f"step {record.get('step')}: "
-                          f"{record.get('check')} failed: "
-                          f"{record.get('detail', '')}",
-            })
-    return violations
+    return violations + transitions + assertions
 
 
 def _check_conservation(block: dict, violations: list[dict]) -> None:
@@ -223,14 +282,14 @@ def _check_transition(transition: dict, statuses: dict[str, str | None],
 
 
 def check_trace_text(text: str) -> tuple[int, list[dict]]:
-    """Parse a trace and re-evaluate the invariants. Returns (exit, violations).
+    """Read a trace and re-evaluate the invariants in one pass, each record
+    checked as it is parsed. Returns (exit, violations).
 
     A record that parses but lacks a field, or holds one of the wrong type,
     is a malformed trace too. Only here: the runner evaluates its own
     records, so a fault there still surfaces as itself."""
-    records = parse_trace(text)
     try:
-        violations = evaluate_records(records)
+        violations = evaluate_records(iter_trace(text))
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise MalformedTrace(
             f"a record lacks a field or has a wrong type: {exc!r}") from None

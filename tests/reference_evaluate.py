@@ -1,0 +1,210 @@
+"""The multi-pass trace evaluator, kept as the reference for the streaming
+one in `swapgate.trace`.
+
+This is the parser and evaluator as they were before checking became a
+single pass: `parse_trace` builds the whole record list first, and
+`evaluate_records` walks it five times (blocks, tips, conservation,
+transitions, assertions). `tests/test_trace_check.py` requires the two to
+return equal violation lists, order included. Do not optimise this file.
+"""
+
+from __future__ import annotations
+
+import json
+
+from swapgate.errors import MalformedTrace
+
+EXECUTION_EVENT_KINDS = ("MintExecuted", "UnlockExecuted")
+
+_STATUS_NEXT = {None: "registered", "registered": "processed",
+                "processed": "finalized"}
+
+
+def parse_trace(text: str) -> list[dict]:
+    records: list[dict] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedTrace(f"line {lineno}: {exc}") from None
+        if not isinstance(record, dict) or "op" not in record:
+            raise MalformedTrace(f"line {lineno}: not a trace record")
+        records.append(record)
+    if not records:
+        raise MalformedTrace("empty trace")
+    if records[0].get("op") != "header":
+        raise MalformedTrace("trace does not start with a header record")
+    if records[-1].get("op") != "end":
+        raise MalformedTrace("trace is truncated: no end record")
+    return records
+
+
+def collect_blocks(records: list[dict]) -> dict[str, dict]:
+    """All block descriptions in the trace, keyed by hash, genesis included."""
+    blocks: dict[str, dict] = {}
+    header = records[0]
+    for chain_key, info in header.get("genesis", {}).items():
+        blocks[info["hash"]] = {
+            "chain": int(chain_key),
+            "height": 0,
+            "hash": info["hash"],
+            "parent": "00" * 32,
+            "events": [],
+            "txs": [],
+            "accounting": info.get("accounting", {}),
+        }
+    for record in records:
+        for block in record.get("blocks", []):
+            blocks[block["hash"]] = block
+    return blocks
+
+
+def final_canonical_tips(records: list[dict]) -> dict[int, str]:
+    tips: dict[int, str] = {}
+    header = records[0]
+    for chain_key, info in header.get("genesis", {}).items():
+        tips[int(chain_key)] = info["hash"]
+    for record in records:
+        for chain_key, summary in record.get("canonical", {}).items():
+            tips[int(chain_key)] = summary["tip"]
+    return tips
+
+
+def canonical_block_lists(records: list[dict]) -> tuple[dict[int, list[dict]], list[dict]]:
+    """Reconstruct each chain's final canonical block list from the trace."""
+    blocks = collect_blocks(records)
+    tips = final_canonical_tips(records)
+    violations: list[dict] = []
+    chains: dict[int, list[dict]] = {}
+    for chain_id, tip in sorted(tips.items()):
+        sequence: list[dict] = []
+        cursor = tip
+        while True:
+            block = blocks.get(cursor)
+            if block is None:
+                violations.append({
+                    "invariant": "block_linkage",
+                    "detail": f"chain {chain_id}: block {cursor} referenced "
+                              f"but never recorded",
+                })
+                break
+            sequence.append(block)
+            if block["height"] == 0:
+                break
+            cursor = block["parent"]
+        sequence.reverse()
+        chains[chain_id] = sequence
+    return chains, violations
+
+
+def evaluate_records(records: list[dict]) -> list[dict]:
+    """Re-evaluate the built-in global invariants over trace records.
+
+    Checks, in order: per-block token conservation, at-most-once canonical
+    execution per swap, the status-machine discipline of controller
+    transitions, and recorded assertion verdicts.
+    """
+    violations: list[dict] = []
+    canonical, linkage_violations = canonical_block_lists(records)
+    violations.extend(linkage_violations)
+
+    # conservation holds on every recorded block, canonical or not
+    for record in records:
+        for block in record.get("blocks", []):
+            _check_conservation(block, violations)
+    header = records[0]
+    for chain_key, info in header.get("genesis", {}).items():
+        _check_conservation({
+            "chain": int(chain_key), "hash": info["hash"], "height": 0,
+            "accounting": info.get("accounting", {}),
+        }, violations)
+
+    # exactly-once execution on the final canonical branches
+    exec_counts: dict[str, int] = {}
+    for chain_blocks in canonical.values():
+        for block in chain_blocks:
+            for event in block.get("events", []):
+                if event["kind"] in EXECUTION_EVENT_KINDS and event.get("swap_id"):
+                    sid = event["swap_id"]
+                    exec_counts[sid] = exec_counts.get(sid, 0) + 1
+    for sid, count in sorted(exec_counts.items()):
+        if count > 1:
+            violations.append({
+                "invariant": "exactly_once",
+                "detail": f"swap {sid} executed {count} times on the "
+                          f"canonical branch",
+            })
+
+    # controller status machine
+    statuses: dict[str, str | None] = {}
+    for record in records:
+        if record.get("op") != "tick":
+            continue
+        for transition in record.get("transitions", []):
+            _check_transition(transition, statuses, violations)
+
+    # recorded assertion verdicts
+    for record in records:
+        if record.get("op") == "assert" and not record.get("ok", False):
+            violations.append({
+                "invariant": "assertion",
+                "detail": f"step {record.get('step')}: "
+                          f"{record.get('check')} failed: "
+                          f"{record.get('detail', '')}",
+            })
+    return violations
+
+
+def _check_conservation(block: dict, violations: list[dict]) -> None:
+    for symbol, acct in block.get("accounting", {}).items():
+        if acct["supply"] != acct["locked"] + acct["balances_sum"]:
+            violations.append({
+                "invariant": "conservation",
+                "detail": f"chain {block['chain']} block {block['hash'][:16]} "
+                          f"height {block['height']}: {symbol} supply "
+                          f"{acct['supply']} != locked {acct['locked']} + "
+                          f"held {acct['balances_sum']}",
+            })
+
+
+def _check_transition(transition: dict, statuses: dict[str, str | None],
+                      violations: list[dict]) -> None:
+    sid = transition["swap_id"]
+    old, new = transition.get("from"), transition.get("to")
+    current = statuses.get(sid)
+    if old != current:
+        violations.append({
+            "invariant": "status_machine",
+            "detail": f"swap {sid}: transition claims status {old}, "
+                      f"view had {current}",
+        })
+        return
+    if transition.get("revert"):
+        # Retractions undo observations lost to a reorg; a finalized swap
+        # must never be retracted.
+        if current == "finalized":
+            violations.append({
+                "invariant": "status_machine",
+                "detail": f"swap {sid}: finalized status retracted",
+            })
+            return
+        if new not in (None, "registered"):
+            violations.append({
+                "invariant": "status_machine",
+                "detail": f"swap {sid}: revert to unexpected status {new}",
+            })
+            return
+        if new is None:
+            statuses.pop(sid, None)
+        else:
+            statuses[sid] = new
+        return
+    if _STATUS_NEXT.get(current) != new:
+        violations.append({
+            "invariant": "status_machine",
+            "detail": f"swap {sid}: illegal transition {current} -> {new}",
+        })
+        return
+    statuses[sid] = new

@@ -322,3 +322,36 @@ def test_twin_block_on_another_branch_keeps_replay_consistent(world):
     assert origin.canonical_branch == "main"
     assert origin.replay_canonical() == origin.canonical_state
     assert origin.canonical_state.ledger.locked == {"T": 5}
+
+
+def test_orphaned_reveal_reopens_a_pulse_that_stays_canonical(world):
+    """A reorg that abandons the block consuming a pulse, but not the block
+    that registered it, leaves the pulse open on the new canonical branch,
+    and the same reveal is accepted there."""
+    dest = world.destination
+    entry = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x05" * 32, "T",
+                         0, BOB.address, 30)
+    pulse, reveal = world.attested(1, [entry])
+    dest.submit(pulse)
+    dest.produce_block()
+    dest.submit(reveal)
+    consumed = dest.produce_block()
+    assert dest.canonical_state.nebula.unconsumed == {}
+    assert dest.canonical_state.ledger.supply == {"swT": 30}
+
+    dest.fork_at(1, "alt")
+    dest.extend("alt", 2)
+    assert not dest.is_canonical(consumed)
+    state = dest.canonical_state
+    assert state.nebula.unconsumed == {pulse.data_hash: 1}
+    assert state.ledger.supply == {}
+    # the abandoned tip keeps its own state: the pulse stays consumed there
+    assert dest.states[consumed.block_hash].nebula.unconsumed == {}
+
+    dest.submit(reveal)
+    ref = dest.produce_block("alt")
+    (receipt,) = dest.blocks[ref.block_hash].receipts
+    assert (receipt.status, receipt.extra) == \
+        ("ok", {"entry_outcomes": ["ok"]})
+    assert dest.canonical_state.nebula.unconsumed == {}
+    assert dest.canonical_state.ledger.supply == {"swT": 30}

@@ -389,3 +389,52 @@ def test_zero_amount_entry_for_new_token_leaves_no_state(world):
     assert after.tokens == tokens == TokenRegistry()
     assert after.ledger == ledger
     assert after.port.swaps == {}
+
+
+def deliver(world, chain_id, entries):
+    """Submit a quorum-signed pulse and its reveal to one chain and produce
+    the block; returns the reveal's receipt."""
+    chain = world.chains[chain_id]
+    for tx in world.attested(chain_id, entries):
+        chain.submit(tx)
+    ref = chain.produce_block()
+    pulse, reveal = chain.blocks[ref.block_hash].receipts
+    assert pulse.status == "ok"
+    return reveal
+
+
+def test_attested_lock_id_sent_back_to_origin_is_refused(world):
+    """A quorum-signed return entry carrying the id of a lock the origin
+    port registered is refused before the unlock; the block is built."""
+    event = lock_on(world, 100)
+    before = copy.deepcopy(world.origin.canonical_state)
+    forged = PayloadEntry(Direction.DESTINATION_TO_ORIGIN, event.swap_id, "T",
+                          0, ALICE.address, 50)
+    reveal = deliver(world, 0, [forged])
+    assert (reveal.status, reveal.extra) == \
+        ("ok", {"entry_outcomes": ["UnknownSwap"]})
+    after = world.origin.canonical_state
+    assert after.ledger == before.ledger
+    assert after.port == before.port
+    assert world.origin.pending == []
+
+
+def test_attested_burn_id_sent_to_destination_is_refused(world):
+    """A quorum-signed outbound entry carrying the id of a burn the
+    destination port registered is refused before the mint."""
+    reveal = deliver(world, 1, [entry_for(lock_on(world, 100))])
+    assert reveal.extra == {"entry_outcomes": ["ok"]}
+    world.destination.submit(BurnTx(1, BOB, "swT", 40, ALICE))
+    ref = world.destination.produce_block()
+    burn_id = world.destination.blocks[ref.block_hash].events[0].swap_id
+    before = copy.deepcopy(world.destination.canonical_state)
+    assert before.port.swaps[burn_id] == SwapStatus.REGISTERED
+    forged = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, burn_id, "T", 0,
+                          BOB.address, 40)
+    reveal = deliver(world, 1, [forged])
+    assert (reveal.status, reveal.extra) == \
+        ("ok", {"entry_outcomes": ["UnknownSwap"]})
+    after = world.destination.canonical_state
+    assert after.ledger == before.ledger
+    assert after.port == before.port
+    assert after.tokens == before.tokens

@@ -1,0 +1,273 @@
+"""The one-pass trace check against the multi-pass reference evaluator.
+
+`tests/reference_evaluate.py` keeps the evaluator that built the whole
+record list and walked it five times. The streaming one in `swapgate.trace`
+must report the very same violations, in the same order, on the Runner's
+record list and through `check_trace_text` on the text, for clean traces
+and for traces tampered with one fault or several.
+"""
+
+import functools
+import json
+import random
+import tracemalloc
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from swapgate.cli import load_scenario
+from swapgate.errors import MalformedTrace
+from swapgate import trace
+from swapgate.scenario import Runner
+from swapgate.trace import (
+    canonical_block_lists,
+    check_trace_text,
+    evaluate_records,
+    parse_trace,
+)
+
+import reference_evaluate as reference
+from scenario_gen import random_happy_scenario, reorg_scenario
+from test_scenarios import BUNDLED
+
+
+def trace_text(result) -> str:
+    return "".join(line + "\n" for line in result.trace_lines())
+
+
+def run_text(scenario) -> str:
+    return trace_text(Runner(scenario).run())
+
+
+@functools.lru_cache(maxsize=None)
+def base_text(name: str) -> str:
+    kind, _, arg = name.partition(":")
+    if kind == "happy":
+        return run_text(random_happy_scenario(int(arg), 12))
+    if kind == "reorg":
+        return run_text(reorg_scenario(int(arg), 30))
+    return run_text(load_scenario(name))
+
+
+def assert_agrees(records: list[dict], text: str) -> list[dict]:
+    """Both evaluators agree on the records and on the text, and both
+    canonical walks on the records; returns the violations."""
+    expected = reference.evaluate_records(records)
+    assert evaluate_records(records) == expected
+    assert canonical_block_lists(records) == \
+        reference.canonical_block_lists(records)
+    assert reference.evaluate_records(reference.parse_trace(text)) == expected
+    assert check_trace_text(text) == ((1 if expected else 0), expected)
+    return expected
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_scenarios_agree(name):
+    result = Runner(load_scenario(name)).run()
+    assert evaluate_records(result.records[:-1]) == \
+        reference.evaluate_records(result.records[:-1]) == []
+    assert_agrees(result.records, trace_text(result))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generated_scenarios_agree(seed):
+    for scenario in (random_happy_scenario(seed, 40), reorg_scenario(seed, 60)):
+        result = Runner(scenario).run()
+        assert_agrees(result.records, trace_text(result))
+
+
+def test_header_only_trace_agrees():
+    """With no block and no canonical section, each chain's walk is its
+    genesis block alone."""
+    records = [reference.parse_trace(base_text("happy_path"))[0], {"op": "end"}]
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    assert assert_agrees(records, text) == []
+    chains, _ = canonical_block_lists(records)
+    assert sorted(chains) == [0, 1]
+
+
+# --- tampering ---------------------------------------------------------------
+# Each tamper edits freshly parsed records in place, picks its target with
+# `rng`, and returns the invariant it must make the reference report.
+
+
+def all_blocks(records):
+    return [block for record in records for block in record.get("blocks", [])]
+
+
+def canonical_blocks(records):
+    chains, _ = reference.canonical_block_lists(records)
+    return [block for blocks in chains.values() for block in blocks[1:]]
+
+
+def break_conservation(records, rng):
+    accountings = [rng.choice([b for b in all_blocks(records)
+                               if b["accounting"]])["accounting"]]
+    if rng.random() < 0.5:
+        # the genesis too: it is reported after every other block
+        accountings.append(rng.choice([
+            info["accounting"] for _, info in
+            sorted(records[0]["genesis"].items()) if info["accounting"]]))
+    for accounting in accountings:
+        accounting[rng.choice(sorted(accounting))]["supply"] += 1
+    return "conservation"
+
+
+def double_execution(records, rng):
+    executing = [b for b in canonical_blocks(records) if any(
+        e["kind"] in reference.EXECUTION_EVENT_KINDS for e in b["events"])]
+    # every execution of up to two blocks, so that several swaps are doubled
+    for block in rng.sample(executing, min(2, len(executing))):
+        block["events"] += [dict(e) for e in block["events"]
+                            if e["kind"] in reference.EXECUTION_EVENT_KINDS]
+    return "exactly_once"
+
+
+def illegal_transition(records, rng):
+    transition = rng.choice([t for r in records if r["op"] == "tick"
+                             for t in r["transitions"] if not t["revert"]])
+    if rng.random() < 0.5:
+        # a status the swap never had
+        transition["from"] = "finalized"
+    else:
+        transition["to"] = {None: "processed", "registered": "finalized",
+                            "processed": "registered"}[transition["from"]]
+    return "status_machine"
+
+
+def fail_assert(records, rng):
+    asserts = [r for r in records if r["op"] == "assert"]
+    if asserts:
+        record = rng.choice(asserts)
+    else:
+        record = {"op": "assert", "step": 999, "check": "supply"}
+        records.insert(len(records) - 1, record)
+    record["ok"], record["detail"] = False, "tampered"
+    return "assertion"
+
+
+def drop_block(records, rng):
+    # a block with no execution and no conservation fault, so that the
+    # other tampers' faults stay in the trace
+    gone = rng.choice([
+        b for b in canonical_blocks(records) if not any(
+            e["kind"] in reference.EXECUTION_EVENT_KINDS for e in b["events"])
+        and all(a["supply"] == a["locked"] + a["balances_sum"]
+                for a in b["accounting"].values())])["hash"]
+    for record in records:
+        if "blocks" in record:
+            record["blocks"] = [b for b in record["blocks"] if b["hash"] != gone]
+    return "block_linkage"
+
+
+TAMPERS = [break_conservation, double_execution, illegal_transition,
+           fail_assert, drop_block]
+BASES = ["happy_path", "round_trip", "reorg_before_conf", "happy:5",
+         "reorg:4"]
+
+
+def tampered(name, tampers, rng):
+    records = reference.parse_trace(base_text(name))
+    invariants = {tamper(records, rng) for tamper in tampers}
+    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    return records, text, invariants
+
+
+@pytest.mark.parametrize("tamper", TAMPERS, ids=lambda t: t.__name__)
+@pytest.mark.parametrize("name", BASES)
+def test_one_fault_agrees(name, tamper):
+    for seed in range(3):
+        records, text, invariants = tampered(name, [tamper], random.Random(seed))
+        reported = {v["invariant"] for v in assert_agrees(records, text)}
+        assert invariants <= reported
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_several_faults_agree(name):
+    for seed in range(8):
+        rng = random.Random(seed)
+        chosen = rng.sample(TAMPERS, rng.randint(2, len(TAMPERS)))
+        chosen.append(rng.choice(TAMPERS[:-1]))
+        # a dropped block cuts the canonical walk the others pick from
+        chosen.sort(key=TAMPERS.index)
+        records, text, invariants = tampered(name, chosen, rng)
+        if drop_block in chosen:
+            # the walk stops at the gap, so no execution below it counts
+            invariants.discard("exactly_once")
+        reported = {v["invariant"] for v in assert_agrees(records, text)}
+        assert invariants <= reported
+
+
+def test_malformed_event_in_an_orphaned_block_is_malformed():
+    """Every block's events are read as the block arrives, so a malformed
+    one is found off the canonical branch too; the multi-pass check read
+    the events of canonical blocks only, and passed this trace."""
+    records = reference.parse_trace(base_text("reorg_before_conf"))
+    chains, _ = reference.canonical_block_lists(records)
+    canonical = {b["hash"] for blocks in chains.values() for b in blocks}
+    orphan = next(b for b in all_blocks(records) if b["hash"] not in canonical)
+    orphan["events"].append({"swap_id": None})
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    assert reference.evaluate_records(records) == []
+    with pytest.raises(MalformedTrace, match="KeyError\\('kind'\\)"):
+        check_trace_text(text)
+
+
+def test_first_fault_in_file_order_is_reported():
+    """A record lacking a field comes before a later unparsable line; the
+    multi-pass check parsed every line first and named the later fault."""
+    records = reference.parse_trace(base_text("happy_path"))
+    del all_blocks(records)[0]["hash"]
+    lines = [json.dumps(r) for r in records]
+    lines[-2] = lines[-2][:-1]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(MalformedTrace, match=f"line {len(lines) - 1}:"):
+        reference.parse_trace(text)
+    with pytest.raises(MalformedTrace, match="KeyError\\('hash'\\)"):
+        check_trace_text(text)
+
+
+# --- the reader ----------------------------------------------------------------
+
+BOUNDARIES = ["\n", "\r\n", "\r", "\n\n", "\x0b", "\x0c", "\x1c", "\x85",
+              " ", "\r\r\n", "\n  \n"]
+
+
+@example(seps=["\n\n", "\r\n", "\x85"], bad=3, trailing="\n", chunk=1)
+@given(seps=st.lists(st.sampled_from(BOUNDARIES), min_size=1, max_size=40),
+       bad=st.one_of(st.none(), st.integers(0, 40)),
+       trailing=st.sampled_from(["", "\n", "\r\n", "\n\n"]),
+       chunk=st.integers(1, 4000))
+def test_reader_numbers_lines_as_the_reference(seps, bad, trailing, chunk):
+    """Any mix of line boundaries and blank lines, split into chunks of any
+    size: the records agree, or the one fault is reported with the same
+    line number."""
+    lines = base_text("happy_path").splitlines()
+    lines = lines[:len(seps)] + lines[-1:] if len(seps) < len(lines) else lines
+    if bad is not None and bad < len(lines):
+        lines[bad] = lines[bad][:-1]
+    text = "".join(line + sep for line, sep in zip(lines, seps + ["\n"] * len(lines)))
+    text = text.rstrip("\n") + trailing
+    with mock.patch.object(trace, "_CHUNK", chunk):
+        try:
+            expected = reference.parse_trace(text)
+        except MalformedTrace as exc:
+            with pytest.raises(MalformedTrace) as raised:
+                parse_trace(text)
+            assert str(raised.value) == str(exc)
+        else:
+            assert parse_trace(text) == expected
+
+
+def test_check_memory_stays_below_three_times_the_trace():
+    """The check keeps a few fields per block, not the parsed records; the
+    multi-pass check peaked at about 5.4 times the text."""
+    text = run_text(random_happy_scenario(1, 200))
+    tracemalloc.start()
+    try:
+        assert check_trace_text(text) == (0, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
