@@ -17,11 +17,17 @@ Stored states are never changed: a block is applied to a clone of its
 parent's state, and a block without transactions stores its parent's state
 object itself.
 
-Finality bound: a fork_at more than ``finality_depth`` below the tip, or a
-block whose reorg (equal-height flips included) would abandon more blocks,
-raises BeyondFinality before anything changes. A canonical block deeper
-than that can never be abandoned or forked from, so its state is dropped
-unless it is genesis or a branch tip.
+Finality horizon: final_height is the canonical tip height minus
+``finality_depth`` (at least 0), and at and below it the canonical chain
+never changes. It is the one horizon every rule reads. A fork_at below it,
+or a block on a branch that meets the canonical chain below it, raises
+BeyondFinality before anything changes: for a block that would take the
+tip that is a reorg deeper than the depth, and any other such block sits on
+a branch that can never become canonical. states holds genesis and every
+block at or above final_height, and nothing else. The tip height grows by
+at most one per block and no block is produced at or below final_height,
+so each block pushes at most the one height below the new horizon out of
+reach, and its states are dropped from a per-height bucket.
 
 The chain keeps the canonical branch as one list of blocks indexed by
 height, plus an index from swap id to that swap's canonical events. When
@@ -37,17 +43,18 @@ it names the top-level state fields that differ. Embedded states are
 therefore dataclasses that compare by value (see EmbeddedState), and what
 they store must not depend on the branch a block was produced on: a block
 produced again on another branch has the same hash and replaces its twin,
-so the two must build equal states. No state names a block at all.
+so the two must build equal states. No state names a block at all. A twin
+lies above final_height, so its re-splice of the canonical list is bounded
+by the finality depth.
 
-The replay starts from a checkpoint: the replay's own state at the deepest
-block it has replayed that was at most finality_depth below the tip (at
-first its own clone of the genesis state, so that the replay never holds a
-state object of the chain's). A reorg therefore costs the blocks since the
+The replay starts from a checkpoint: the replay's own state at the highest
+block it has replayed that was at or below final_height (at first its own
+clone of the genesis state, so that the replay never holds a state object
+of the chain's). A reorg therefore costs the blocks since the
 last one plus the finality depth, not the chain height, and the check is
 still the replay from genesis: the checkpoint state was built only by
 replaying from genesis, never taken from the incremental states, and a
-block that deep stays canonical for good, because the tip height never
-falls and no reorg abandons more than finality_depth blocks.
+block at or below final_height stays canonical for good.
 """
 
 from __future__ import annotations
@@ -208,10 +215,10 @@ class Chain:
     code, and leave state untouched: the block is rebuilt from its parent
     state without them (see _apply_block).
 
-    finality_depth is the deepest reorg accepted; a deeper one is refused
-    with the chain left exactly as it was, pending txs included. states
-    holds genesis, the branch tips, the canonical blocks within
-    finality_depth of the tip and blocks orphaned by a reorg.
+    final_height, the canonical tip height minus finality_depth, is the
+    one horizon: a block or fork that would meet the canonical chain below
+    it is refused with the chain left exactly as it was, pending txs
+    included, and states holds genesis plus every block at or above it.
     """
 
     def __init__(self, chain_id: int, genesis_state: Any, apply_tx: ApplyTx,
@@ -227,10 +234,16 @@ class Chain:
 
         self.blocks: dict[bytes, Block] = {g_hash: genesis}
         self.states: dict[bytes, Any] = {g_hash: genesis_state.clone()}
+        # the hashes of the blocks produced at each height above genesis (a
+        # twin's twice), so a height that falls below final_height drops at once
+        self._by_height: dict[int, list[bytes]] = {}
         # insertion order is creation order, the canonical rule's last tie-break
         self.branches: dict[str, bytes] = {"main": g_hash}
         self.pending: list[Any] = []
         self._canonical_tip = g_ref
+        # at and below this height the canonical chain never changes; it is
+        # set with the canonical tip, so it is worked out once per block
+        self.final_height = 0
         self._canonical: list[Block] = [genesis]
         self._swap_events: dict[bytes, list[ChainEvent]] = {}
         self.last_reorg: ReorgInfo | None = None
@@ -250,17 +263,18 @@ class Chain:
             raise UnknownBranch(f"chain {self.chain_id} has no branch {branch!r}")
         parent_hash = self.branches[branch]
         parent = self.blocks[parent_hash]
-        height = parent.ref.height + 1
+        fork_height = parent.ref.height - len(self.off_canonical(parent))
+        final = self.final_height
+        if fork_height < final:
+            raise BeyondFinality(
+                f"chain {self.chain_id}: branch {branch!r} meets the canonical "
+                f"chain at height {fork_height}, below the final height "
+                f"{final} (tip minus the finality depth {self.finality_depth})")
 
+        height = parent.ref.height + 1
         digests = [json_digest(tx.describe()) for tx in self.pending]
         new_hash = block_hash(parent_hash, height, digests)
         ref = BlockRef(self.chain_id, branch, height, new_hash)
-        abandoned = self._abandoned_by(ref, parent)
-        if abandoned > self.finality_depth:
-            raise BeyondFinality(
-                f"chain {self.chain_id}: reorg abandoned {abandoned} blocks, "
-                f"deeper than the finality depth {self.finality_depth}")
-
         txs = self.pending
         self.pending = []
         state, receipts, events = self._apply_block(
@@ -274,35 +288,13 @@ class Chain:
             self._truncate(height - 1)
         self.blocks[new_hash] = block
         self.states[new_hash] = state
+        self._by_height.setdefault(height, []).append(new_hash)
         self.branches[branch] = new_hash
         self._recompute_canonical(branch)
-        # only two blocks can just have fallen out of reach: the branch's old
-        # tip, and the canonical block the tip's growth pushed past the
-        # depth (a bounded reorg replaces no canonical block deeper than it)
-        self._prune(parent)
-        deepest_kept = self._canonical_tip.height - self.finality_depth
-        if deepest_kept > 1:
-            self._prune(self._canonical[deepest_kept - 1])
+        if self.final_height > final:
+            for dropped in self._by_height.pop(final, ()):
+                self.states.pop(dropped, None)
         return ref
-
-    def _abandoned_by(self, ref: BlockRef, parent: Block) -> int:
-        """How many canonical blocks a reorg to the new block `ref` on
-        `parent` would abandon; 0 when `ref` would not become the tip."""
-        tip = self._canonical_tip
-        # the canonical rule's order: taller, then the smaller hash
-        if (-ref.height, ref.block_hash) >= (-tip.height, tip.block_hash):
-            return 0
-        fork_height = parent.ref.height - len(self.off_canonical(parent))
-        return tip.height - fork_height
-
-    def _prune(self, block: Block) -> None:
-        """Drop the state of `block` if it is canonical, deeper than the
-        finality depth, and neither genesis nor a branch tip."""
-        height = block.ref.height
-        if 0 < height < self._canonical_tip.height - self.finality_depth \
-                and self.is_canonical(block.ref) \
-                and block.ref.block_hash not in self.branches.values():
-            self.states.pop(block.ref.block_hash, None)
 
     def _apply_block(self, parent_state: Any, ref: BlockRef, txs: list
                      ) -> tuple[Any, list[TxReceipt], list[ChainEvent]]:
@@ -338,13 +330,15 @@ class Chain:
     def fork_at(self, height: int, name: str) -> str:
         """Create a branch rooted at the canonical block at `height`."""
         tip = self.canonical_tip
-        if height > tip.height:
+        if not 0 <= height <= tip.height:
             raise HeightBeyondTip(
-                f"fork height {height} beyond canonical tip {tip.height}")
-        if tip.height - height > self.finality_depth:
+                f"fork height {height} outside 0..{tip.height}, the heights "
+                f"of the canonical chain")
+        if height < self.final_height:
             raise BeyondFinality(
-                f"fork at height {height} is deeper than the finality depth "
-                f"below tip {tip.height}")
+                f"fork at height {height} is below the final height "
+                f"{self.final_height} (tip {tip.height} minus the finality "
+                f"depth {self.finality_depth})")
         base = self.canonical_chain()[height]
         if name in self.branches:
             raise UnknownBranch(f"branch name {name!r} already in use")
@@ -377,6 +371,7 @@ class Chain:
         block = self.blocks[self.branches[name]]
         self._canonical_tip = BlockRef(self.chain_id, name, block.ref.height,
                                        block.ref.block_hash)
+        self.final_height = max(0, block.ref.height - self.finality_depth)
 
         added = self.off_canonical(block)
         fork_height = block.ref.height - len(added)
@@ -441,7 +436,7 @@ class Chain:
 
     @property
     def genesis_state(self) -> Any:
-        """The genesis block's state, which is never pruned or changed."""
+        """The genesis block's state, which is never dropped or changed."""
         return self.states[self._canonical[0].ref.block_hash]
 
     def events_since(self, cursor: int) -> list[ChainEvent]:
@@ -473,12 +468,12 @@ class Chain:
         """Re-derive the canonical tip state by applying the transactions
         of the canonical blocks above the checkpoint to its state.
 
-        The checkpoint starts at genesis and moves up to the deepest block
-        this replay passes at most finality_depth below the tip; such a
-        block can never be abandoned, so the result equals a replay from
-        genesis. The checkpoint starts from the replay's own clone of the
-        genesis state, and _apply_block never changes its parent state, so
-        the checkpoint state is never changed. The result may be the
+        The checkpoint starts at genesis and moves up to the highest block
+        this replay passes at or below final_height; such a block can never
+        be abandoned, so the result equals a replay from genesis. The
+        checkpoint starts from the replay's own clone of the genesis state,
+        and _apply_block never changes its parent state, so the checkpoint
+        state is never changed. The result may be the
         checkpoint state itself (no block above it, or none with a
         transaction): read it, don't change it.
         """
@@ -487,7 +482,7 @@ class Chain:
             raise RuntimeError(
                 f"chain {self.chain_id}: replay checkpoint at height "
                 f"{block.ref.height} is no longer canonical")
-        final = self._canonical_tip.height - self.finality_depth
+        final = self.final_height
         for block in self._canonical[block.ref.height + 1:]:
             state, _, _ = self._apply_block(
                 state, block.ref, [r.tx for r in block.receipts])

@@ -2,19 +2,18 @@
 
 The controller never writes to a chain. It watches canonical events on both
 chains and keeps its own per-swap view: a swap becomes Processed when its
-execution event is canonical, Finalized once that event is buried at least
-the executing chain's finality depth (Chain.finality_depth, the one setting
-of it), and flagged stuck when it has sat unexecuted past the recovery
-timeout (measured in blocks of the chain that should execute it).
+execution event is canonical, Finalized once that event sits at or below
+the executing chain's final height (Chain.final_height, the tip minus its
+finality depth), and flagged stuck when it has sat unexecuted past the
+recovery timeout (measured in blocks of the chain that should execute it).
 A flagged swap is handed back to the oracle network for re-attestation; the
 executing port's duplicate guard makes a re-delivered entry harmless.
 
 If an execution event disappears in a reorg before the controller saw it
 finalize, the view reverts to Registered and the timeout clock keeps
 running from the original observation, so recovery fires as early as
-possible. A Finalized swap cannot lose its execution event: that would take
-a reorg deeper than the depth that finalized it, and the Chain refuses any
-reorg deeper than its finality depth.
+possible. A Finalized swap cannot lose its execution event: at and below
+its final height the Chain's canonical chain never changes.
 
 Each tick reads only what is new. Per chain the controller keeps a cursor,
 the last canonical block it read. When the cursor block is no longer
@@ -95,9 +94,9 @@ class StatusController:
 
             exec_event = chains[exec_chain].first_event(swap_id, EXECUTION_KINDS)
             if exec_event is not None:
-                depth = exec_tip - exec_event.block.height
+                height = exec_event.block.height
                 target = (SwapStatus.FINALIZED
-                          if depth >= chains[exec_chain].finality_depth
+                          if height <= chains[exec_chain].final_height
                           else SwapStatus.PROCESSED)
                 if view.status == SwapStatus.REGISTERED and \
                         target >= SwapStatus.PROCESSED:
@@ -109,14 +108,14 @@ class StatusController:
                         target == SwapStatus.FINALIZED:
                     self._transition(result, swap_id, SwapStatus.PROCESSED,
                                      SwapStatus.FINALIZED,
-                                     f"execution_depth_{depth}",
+                                     f"execution_depth_{exec_tip - height}",
                                      chain=exec_chain)
                     view.status = SwapStatus.FINALIZED
                 if view.status == SwapStatus.FINALIZED:
                     self._open.discard(swap_id)
             else:
                 assert view.status != SwapStatus.FINALIZED, \
-                    "the Chain refuses a reorg deeper than the finalizing depth"
+                    "the canonical chain never changes at or below the final height"
                 if view.status == SwapStatus.PROCESSED:
                     self._transition(result, swap_id, SwapStatus.PROCESSED,
                                      SwapStatus.REGISTERED, "execution_reorged",

@@ -192,10 +192,9 @@ class OracleNetwork:
 
         chosen = by_payload[digest]
         # the newest height every branch the pulse can land on contains: a
-        # fork deeper than the finality depth is refused, so any block that
-        # includes the pending pulse is higher than this
-        declared_height = max(0, target.canonical_tip.height
-                              - target.finality_depth)
+        # block on a branch that meets the canonical chain below the final
+        # height is refused, so any block that includes the pulse is higher
+        declared_height = target.final_height
         # an oracle signs only a payload it produced itself: its endorsement
         signatures = [(oracle.index,
                        self.sign_payload(oracle, digest, declared_height,

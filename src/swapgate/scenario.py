@@ -10,8 +10,9 @@ oracle key material.
 
 Exit codes: 0 all assertions and invariants hold, 1 something failed,
 2 the scenario itself is invalid, including a step its Chain refuses: a fork
-above the tip, or a fork or reorg deeper than the finality depth (the Chain's
-own bound), which would break the finalization contract.
+outside the canonical chain's heights, or a fork or block that would meet
+the canonical chain below its final height (the tip minus the finality
+depth), which would break the finalization contract.
 """
 
 from __future__ import annotations

@@ -11,11 +11,12 @@ common-ancestor walk.
 
 Each walk runs twice: with a finality depth above any height it reaches,
 and with a depth of 2. With the small depth the reference predicts every
-refusal from the depth of the fork, or of the reorg that the next block
-would cause (it hashes that block itself), and a refused call must leave
-the chain equal to a snapshot taken before it. After every step genesis,
-every branch tip and every canonical block within the depth have a state,
-and no other canonical block has one.
+refusal from its own walks: a fork below the final height (its tip height
+minus the depth), or a next block (it hashes that block itself) whose
+parent's ancestry meets the reference tip's below it. A refused call must
+leave the chain equal to a snapshot taken before it. After every step the
+chain holds a state for genesis and for every block at or above the final
+height, and for no other block.
 """
 
 import copy
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 from swapgate import Chain, EventKind
 from swapgate.chain import GENESIS_PARENT, BlockRef, ReorgInfo
 from swapgate.crypto import json_digest
-from swapgate.errors import BeyondFinality, ZeroAmount
+from swapgate.errors import BeyondFinality, HeightBeyondTip, ZeroAmount
 
 from reference_codec import ref_block_hash
 
@@ -117,25 +118,31 @@ class Reference:
         return ReorgInfo(old, new, self.common_height(
             old.block_hash, new.block_hash, tree))
 
+    def final_height(self, bound: int, branches=None, tree=None) -> int:
+        tip = self.tip(branches or self.chain.branches, tree)
+        return max(0, tip.height - bound)
+
     def fork_refused(self, height: int, bound: int) -> bool:
-        return self.tip(self.chain.branches).height - height > bound
+        return height < self.final_height(bound)
 
     def blocks_accepted(self, branch: str, count: int, bound: int) -> int:
         """How many of `count` blocks produced on `branch` the chain accepts
-        before one whose reorg would abandon more than `bound` blocks."""
+        before one whose parent's ancestry meets the tip's below the final
+        height: a reorg deeper than `bound`, or a branch that can never
+        become canonical."""
         tree, branches = self.tree(), dict(self.chain.branches)
         digests = [json_digest(tx.describe()) for tx in self.chain.pending]
         for accepted in range(count):
             parent = branches[branch]
+            tip = self.tip(branches, tree)
+            if self.common_height(parent, tip.block_hash, tree) < \
+                    self.final_height(bound, branches, tree):
+                return accepted
             height = tree[parent][1] + 1
             new_hash = ref_block_hash(parent, height, digests)
             digests = []
-            after = dict(branches, **{branch: new_hash})
             tree[new_hash] = (parent, height)
-            reorg = self.reorg(branches, after, tree)
-            if reorg is not None and reorg.abandoned_depth > bound:
-                return accepted
-            branches = after
+            branches = dict(branches, **{branch: new_hash})
         return count
 
 
@@ -147,12 +154,11 @@ def check(chain: Chain, ref: Reference, expected_reorg, bound: int) -> None:
     assert all(a is b for a, b in zip(chain.canonical_chain(), canonical))
     assert chain.last_reorg == expected_reorg
 
-    tips = set(chain.branches.values())
-    assert tips <= set(chain.states)
-    for block in canonical:
-        kept = (block.ref.height == 0 or block.ref.block_hash in tips
-                or tip.height - block.ref.height <= bound)
-        assert (block.ref.block_hash in chain.states) == kept
+    final = ref.final_height(bound)
+    assert chain.final_height == final
+    genesis = canonical[0].ref.block_hash
+    assert set(chain.states) == {genesis} | {
+        h for h, (_, height) in ref.tree().items() if height >= final}
 
     events = [e for block in canonical for e in block.events]
     for cursor in range(-2, tip.height + 2):
@@ -248,18 +254,51 @@ def test_equal_height_flip_and_twin_block():
 
 
 def test_refused_block_leaves_its_pending_txs_queued():
-    """A block refused for its reorg depth takes no pending tx; the next
-    accepted block includes them."""
+    """A refused block takes no pending tx; the next accepted block
+    includes them."""
     chain = Chain(5, Values(), apply_event_tx, finality_depth=SMALL)
     chain.produce_block()
     chain.fork_at(1, "alt")
-    chain.extend("main", 3)
-    chain.submit(EventTx(0, 0))
-    chain.extend("alt", 3)                # alt h4 loses the tie to main h4
-    assert chain.canonical_branch == "main"
+    chain.extend("main", 3)               # final height 2: alt is dead
     tx = EventTx(1, 1)
     chain.submit(tx)
-    refused(lambda: chain.produce_block("alt"), chain)  # would abandon 3
+    refused(lambda: chain.produce_block("alt"), chain)  # alt's first block
     assert chain.pending == [tx]
     ref = chain.produce_block("main")
     assert [r.tx for r in chain.blocks[ref.block_hash].receipts] == [tx]
+
+
+def test_deep_twin_of_a_final_block_is_refused():
+    """An empty block on a branch rooted at height 5 would be the twin of
+    canonical block 6; with tip 20 and depth 6 that block is final."""
+    chain = Chain(5, Values(), apply_event_tx, finality_depth=6)
+    chain.submit(EventTx(0, 0))
+    chain.extend("main", 8)
+    chain.fork_at(5, "x")
+    chain.extend("main", 12)
+    assert chain.canonical_tip.height == 20
+    refused(lambda: chain.produce_block("x"), chain)
+    assert chain.canonical_chain()[6].ref.branch == "main"
+
+
+def test_block_on_a_branch_forked_below_the_final_height_is_refused():
+    """alt's tip is at the final height, but alt meets the canonical chain
+    below it, so alt can never become canonical."""
+    chain = Chain(5, Values(), apply_event_tx, finality_depth=SMALL)
+    chain.extend("main", 3)
+    chain.fork_at(1, "alt")
+    chain.submit(EventTx(0, 0))
+    chain.produce_block("alt")            # alt@2, fork height 1 = final 1
+    chain.produce_block("main")           # tip 4, final height 2
+    assert chain.blocks[chain.branches["alt"]].ref.height == 2
+    refused(lambda: chain.produce_block("alt"), chain)
+
+
+@pytest.mark.parametrize("height", [-2, 4])
+def test_fork_outside_the_canonical_heights_is_refused(height):
+    chain = Chain(5, Values(), apply_event_tx, finality_depth=6)
+    chain.extend("main", 3)
+    before = copy.deepcopy(vars(chain))
+    with pytest.raises(HeightBeyondTip, match=r"outside 0\.\.3"):
+        chain.fork_at(height, "x")
+    assert vars(chain) == before

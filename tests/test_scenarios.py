@@ -13,7 +13,7 @@ from swapgate.errors import InvalidScenario, MalformedTrace
 from swapgate.scenario import Runner, Scenario
 from swapgate.trace import check_trace_text, parse_trace
 
-from scenario_gen import random_happy_scenario
+from scenario_gen import random_happy_scenario, reorg_scenario
 
 BUNDLED = [
     "happy_path", "reverse_path", "round_trip", "byzantine_minority",
@@ -160,10 +160,15 @@ def test_reorg_at_finality_depth_runs():
     assert [r["abandoned_depth"] for r in reorgs] == [6]
 
 
-def test_chains_keep_only_states_a_reorg_can_reach():
-    """Memory guard: a long run keeps genesis, the branch tips and the
-    blocks within the finality depth; 156 and 108 states before pruning."""
-    scenario = random_happy_scenario(seed=1, swaps=200)
+@pytest.mark.parametrize("scenario", [
+    random_happy_scenario(seed=1, swaps=200),
+    reorg_scenario(seed=1, rounds=200),
+], ids=["happy", "reorg"])
+def test_chains_keep_only_states_a_reorg_can_reach(scenario):
+    """Memory guard: a long run keeps genesis and the blocks at or above
+    the final height. The happy run kept 156 and 108 states before the
+    canonical ones below the depth were dropped, and the reorg run kept 56
+    and 77 while it still kept every orphaned block."""
     runner = Runner(scenario)
     result = runner.run()
     assert result.exit_code == 0, result.violations
