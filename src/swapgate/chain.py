@@ -64,7 +64,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Any, Callable, Protocol
 
-from .crypto import json_digest, sha256
+from .crypto import built_once, json_digest, sha256
 from .errors import BeyondFinality, GatewayError, HeightBeyondTip, UnknownBranch
 
 GENESIS_PARENT = bytes(32)
@@ -90,6 +90,7 @@ class BlockRef:
     height: int
     block_hash: bytes
 
+    @built_once
     def to_json(self) -> dict:
         return {
             "chain": self.chain,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import InvalidScenario, MalformedTrace
 from .scenario import Runner, Scenario
-from .trace import check_trace, write_trace
+from .trace import check_trace, write_records, write_trace
 
 
 def bundled_scenario_names() -> list[str]:
@@ -32,7 +32,7 @@ def load_scenario(spec: str) -> Scenario:
         return Scenario.load(path)
     bundled = resources.files("swapgate") / "scenarios" / f"{spec}.json"
     if bundled.is_file():
-        obj = json.loads(bundled.read_text())
+        obj = json.loads(bundled.read_text(encoding="utf-8"))
         return Scenario.from_json(obj)
     raise InvalidScenario(
         f"{spec!r} is neither a scenario file nor a bundled scenario "
@@ -53,8 +53,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         write_trace(result.records, args.trace)
         print(f"trace written to {args.trace}", file=sys.stderr)
     else:
-        for line in result.trace_lines():
-            print(line)
+        write_records(result.records, sys.stdout)
     for violation in result.violations:
         print(f"violation [{violation['invariant']}]: {violation['detail']}",
               file=sys.stderr)

@@ -40,6 +40,7 @@ from .ports import SwapStatus
 class _SwapView:
     status: SwapStatus
     first_seen_exec_height: int
+    swap_hex: str       # the id as the trace writes it, built once per view
     last_stuck_height: int | None = None
 
 
@@ -87,9 +88,10 @@ class StatusController:
             view = self.views.get(swap_id)
             if view is None:
                 view = _SwapView(status=SwapStatus.REGISTERED,
-                                 first_seen_exec_height=exec_tip)
+                                 first_seen_exec_height=exec_tip,
+                                 swap_hex=swap_id.hex())
                 self.views[swap_id] = view
-                self._transition(result, swap_id, None, SwapStatus.REGISTERED,
+                self._transition(result, view, None, SwapStatus.REGISTERED,
                                  "registration_observed", chain=reg_chain)
 
             exec_event = chains[exec_chain].first_event(swap_id, EXECUTION_KINDS)
@@ -100,13 +102,13 @@ class StatusController:
                           else SwapStatus.PROCESSED)
                 if view.status == SwapStatus.REGISTERED and \
                         target >= SwapStatus.PROCESSED:
-                    self._transition(result, swap_id, SwapStatus.REGISTERED,
+                    self._transition(result, view, SwapStatus.REGISTERED,
                                      SwapStatus.PROCESSED,
                                      "execution_canonical", chain=exec_chain)
                     view.status = SwapStatus.PROCESSED
                 if view.status == SwapStatus.PROCESSED and \
                         target == SwapStatus.FINALIZED:
-                    self._transition(result, swap_id, SwapStatus.PROCESSED,
+                    self._transition(result, view, SwapStatus.PROCESSED,
                                      SwapStatus.FINALIZED,
                                      f"execution_depth_{exec_tip - height}",
                                      chain=exec_chain)
@@ -117,7 +119,7 @@ class StatusController:
                 assert view.status != SwapStatus.FINALIZED, \
                     "the canonical chain never changes at or below the final height"
                 if view.status == SwapStatus.PROCESSED:
-                    self._transition(result, swap_id, SwapStatus.PROCESSED,
+                    self._transition(result, view, SwapStatus.PROCESSED,
                                      SwapStatus.REGISTERED, "execution_reorged",
                                      revert=True, chain=exec_chain)
                     view.status = SwapStatus.REGISTERED
@@ -126,7 +128,7 @@ class StatusController:
                         view.last_stuck_height != exec_tip:
                     view.last_stuck_height = exec_tip
                     result.stuck.append({
-                        "swap_id": swap_id.hex(),
+                        "swap_id": view.swap_hex,
                         "execution_chain": exec_chain,
                         "waited_blocks": waited,
                     })
@@ -139,7 +141,7 @@ class StatusController:
             for swap_id in [s for s in self.views if s in gone]:
                 view = self.views.pop(swap_id)
                 self._open.discard(swap_id)
-                self._transition(result, swap_id, view.status, None,
+                self._transition(result, view, view.status, None,
                                  "registration_reorged", revert=True)
         return result
 
@@ -181,12 +183,12 @@ class StatusController:
         return others[0]
 
     @staticmethod
-    def _transition(result: TickResult, swap_id: bytes,
+    def _transition(result: TickResult, view: _SwapView,
                     old: SwapStatus | None, new: SwapStatus | None,
                     reason: str, revert: bool = False,
                     chain: int | None = None) -> None:
         result.transitions.append({
-            "swap_id": swap_id.hex(),
+            "swap_id": view.swap_hex,
             "from": old.label if old else None,
             "to": new.label if new else None,
             "reason": reason,

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from functools import wraps
+from typing import Any, Callable
 
 
 def sha256(data: bytes) -> bytes:
@@ -31,6 +32,27 @@ def canonical_json(obj: Any) -> str:
 
 def json_digest(obj: Any) -> bytes:
     return sha256(canonical_json(obj).encode("utf-8"))
+
+
+def built_once(method: Callable[[Any], dict]) -> Callable[[Any], dict]:
+    """A frozen value's JSON method, built on its first call and kept on
+    the instance: every later call returns that same dict, so each trace
+    record, receipt and digest that holds the value shares one copy.
+    Callers read the dict and never change it.
+
+    The dict is stored as an attribute, not through `__dict__`: reading
+    `__dict__` would give every instance its own attribute dict, which
+    costs memory and slows each later attribute read."""
+    key = "_built_" + method.__name__
+
+    @wraps(method)
+    def once(self) -> dict:
+        built = getattr(self, key, None)
+        if built is None:
+            built = method(self)
+            object.__setattr__(self, key, built)   # past a frozen __setattr__
+        return built
+    return once
 
 
 class HashMacScheme:

@@ -20,12 +20,14 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .crypto import sha256
+from .crypto import built_once, sha256
 from .errors import MalformedPayload
 
 SWAP_ID_LEN = 32
 ADDRESS_LEN = 20
 MAX_AMOUNT = 2**64 - 1
+# the most entries one payload carries: its count is a u16
+MAX_ENTRIES = 0xFFFF
 
 
 class Direction(IntEnum):
@@ -57,6 +59,7 @@ class PayloadEntry:
         if not 0 <= self.amount <= MAX_AMOUNT:
             raise MalformedPayload("amount must fit in u64")
 
+    @built_once
     def to_json(self) -> dict:
         return {
             "direction": int(self.direction),
@@ -71,7 +74,7 @@ class PayloadEntry:
 def encode_payload(entries: list[PayloadEntry]) -> bytes:
     if not entries:
         raise MalformedPayload("payload must contain at least one entry")
-    if len(entries) > 0xFFFF:
+    if len(entries) > MAX_ENTRIES:
         raise MalformedPayload("entry count exceeds u16")
     out = bytearray(struct.pack(">H", len(entries)))
     for entry in entries:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import BlockCtx, Chain
+from .crypto import built_once
 from .encoding import PayloadEntry
 from .errors import WrongChain
 from .ledger import AccountId, Ledger, TokenId, TokenRegistry
@@ -30,6 +31,7 @@ class LockTx:
     amount: int
     receiver: AccountId
 
+    @built_once
     def describe(self) -> dict:
         return {
             "kind": "lock",
@@ -49,6 +51,7 @@ class BurnTx:
     amount: int
     receiver: AccountId
 
+    @built_once
     def describe(self) -> dict:
         return {
             "kind": "burn",
@@ -68,6 +71,7 @@ class PulseTx:
     signatures: tuple[tuple[int, bytes], ...]
     submitter: int
 
+    @built_once
     def describe(self) -> dict:
         return {
             "kind": "pulse",
@@ -87,6 +91,7 @@ class SendDataTx:
     entries: tuple[PayloadEntry, ...]
     submitter: int
 
+    @built_once
     def describe(self) -> dict:
         return {
             "kind": "send_data",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .crypto import built_once
 from .errors import (
     InsufficientBalance,
     InsufficientLocked,
@@ -33,6 +34,7 @@ class AccountId:
         if len(self.address) != ADDRESS_LEN:
             raise ValueError(f"address must be {ADDRESS_LEN} bytes")
 
+    @built_once
     def to_json(self) -> dict:
         return {"chain": self.chain, "address": self.address.hex()}
 

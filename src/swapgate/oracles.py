@@ -16,7 +16,8 @@ so that runs stay replayable:
     silent          extracts nothing and signs nothing
     wrong_amount    doubles every amount
     wrong_receiver  redirects every entry to a fixed attacker address
-    replayer        re-emits everything it ever extracted before
+    replayer        re-emits everything it ever extracted before, up to the
+                    newest MAX_ENTRIES entries, the most a payload carries
     equivocator     endorses both the honest payload and a perturbed twin
 """
 
@@ -27,7 +28,8 @@ from enum import Enum
 
 from .chain import REGISTRATION_KINDS, Chain, ChainEvent, EventKind
 from .crypto import DEFAULT_SCHEME, sha256
-from .encoding import MAX_AMOUNT, Direction, PayloadEntry, encode_payload
+from .encoding import (MAX_AMOUNT, MAX_ENTRIES, Direction, PayloadEntry,
+                       encode_payload)
 from .gateway import PulseTx, SendDataTx
 from .nebula import OracleRoster, pulse_message
 
@@ -236,7 +238,8 @@ def candidates(behavior: Behavior, entries: list[PayloadEntry],
     if behavior == Behavior.SILENT:
         return []
     if behavior == Behavior.REPLAYER:
-        payload = history + entries
+        payload = history[max(0, len(history) + len(entries) - MAX_ENTRIES):] \
+            + entries
         return [payload] if payload else []
     if not entries:
         return []

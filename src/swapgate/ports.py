@@ -72,7 +72,11 @@ class SwapStatus(IntEnum):
 
     @property
     def label(self) -> str:
-        return self.name.lower()
+        return _LABELS[self]
+
+
+# built once: each trace transition shares its label string
+_LABELS = {status: status.name.lower() for status in SwapStatus}
 
 
 def derive_swap_id(direction: Direction, origin_chain: int, port_address: bytes,

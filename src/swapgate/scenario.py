@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import trace as trace_mod
-from .chain import EXECUTION_KINDS, Chain, EventKind
+from .chain import EXECUTION_KINDS, BlockRef, Chain, EventKind
 from .controller import StatusController
 from .crypto import oracle_secret, sha256
 from .errors import BeyondFinality, HeightBeyondTip, InvalidScenario
@@ -139,8 +139,8 @@ class Scenario:
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
         try:
-            obj = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidScenario(f"cannot load scenario: {exc}") from None
         if not isinstance(obj, dict):
             raise InvalidScenario("scenario file must contain a JSON object")
@@ -382,10 +382,21 @@ class RunResult:
 class Runner:
     """Executes one scenario deterministically.
 
-    The trace records it builds are read-only and may share sub-dicts:
-    sections that name the same state of a chain one after another (the
-    header's genesis, block records, canonical sections) hold one
-    accounting dict. Copy a record before changing it.
+    The trace records it builds are read-only: each JSON fragment of an
+    immutable value is built once and shared by every record that holds
+    it. Records share
+    - a tx's `describe()`: the user record, the block's receipt and the
+      block digest;
+    - an account's `to_json()`: the Runner keeps one AccountId per (chain,
+      account spec), so every tx and registration event of an account;
+    - a block ref's `to_json()`: every event of a block;
+    - a payload entry's `to_json()`: the round report and the reveal tx;
+    - a chain's canonical summary (tip, height, branch, accounting), kept
+      per chain while its tip is unchanged; its accounting dict also goes
+      to the header's genesis and to the records of the blocks on the
+      same state object;
+    - a swap's id string, across its controller transitions.
+    Copy a record before changing it.
     """
 
     def __init__(self, scenario: Scenario, seed: int | None = None):
@@ -405,10 +416,12 @@ class Runner:
                                 for cid, p in params.items()},
         )
 
+        # (chain id, account spec) -> its one AccountId, see _account_id
+        self._accounts: dict[tuple[int, str], AccountId] = {}
         tokens = [TokenId(symbol, ORIGIN) for symbol in scenario.tokens]
         initial = [
             (TokenId(b["token"], ORIGIN),
-             AccountId(ORIGIN, resolve_address(b["account"])),
+             self._account_id(ORIGIN, b["account"]),
              b["amount"])
             for b in scenario.balances
         ]
@@ -424,48 +437,76 @@ class Runner:
         self.reports: list[RoundReport] = []
         self.swap_ids: list[bytes | None] = []
         self._tx_handles: dict[int, int] = {}  # id(tx) -> user step handle
-        # chain id -> (state, its ledger accounting), see _accounting
-        self._last_accounting: dict[int, tuple[GatewayState, dict]] = {}
+        # chain id -> (a state, its accounting, and once a canonical section
+        # has read them, the tip and its summary), see _accounting, _summary
+        self._last: dict[int, tuple[GatewayState, dict, BlockRef | None,
+                                    dict | None]] = {}
+
+    def _account_id(self, chain_id: int, spec: str) -> AccountId:
+        """The one AccountId of an account spec on a chain: each spec is
+        resolved once, and every tx and event of the account shares its
+        JSON dict."""
+        key = (chain_id, spec)
+        account = self._accounts.get(key)
+        if account is None:
+            account = self._accounts[key] = AccountId(chain_id,
+                                                      resolve_address(spec))
+        return account
 
     # --- trace helpers -------------------------------------------------------
 
     def _canonical_json(self) -> dict:
-        out = {}
-        for cid, chain in sorted(self.chains.items()):
-            tip = chain.canonical_tip
-            out[str(cid)] = {
-                "tip": tip.block_hash.hex(),
-                "height": tip.height,
-                "branch": tip.branch,
-                "accounting": self._accounting(chain, tip.block_hash),
-            }
-        return out
+        return {str(cid): self._summary(chain)
+                for cid, chain in sorted(self.chains.items())}
 
-    def _block_json(self, chain: Chain, ref) -> dict:
-        block = chain.blocks[ref.block_hash]
-        out = block.to_json()
-        out["accounting"] = self._accounting(chain, ref.block_hash)
-        return out
+    def _accounting(self, chain: Chain, state: GatewayState) -> dict:
+        """The ledger accounting of one of the chain's states. The chain's
+        last one is kept with its state and reused while blocks share that
+        state object (a block without transactions stores its parent's), so
+        a block record, the canonical section after it and the blocks
+        without transactions that follow share one dict."""
+        last = self._last.get(chain.chain_id)
+        if last is not None and last[0] is state:
+            return last[1]
+        accounting = state.ledger.accounting()
+        self._last[chain.chain_id] = (state, accounting, None, None)
+        return accounting
 
-    def _accounting(self, chain: Chain, block_hash: bytes) -> dict:
-        """The ledger accounting of a block's state. Each chain's last value
-        is kept with its state and reused while blocks share that state
-        object, so a block record and the canonical section that follows it
-        share one dict."""
-        state = chain.states[block_hash]
-        last = self._last_accounting.get(chain.chain_id)
-        if last is None or last[0] is not state:
-            last = (state, state.ledger.accounting())
-            self._last_accounting[chain.chain_id] = last
-        return last[1]
+    def _summary(self, chain: Chain) -> dict:
+        """The chain's canonical section: its tip, height, branch and the
+        tip state's accounting. It is kept with that accounting and shared
+        by every record written while the tip is unchanged, unless a block
+        on another state has been recorded in between."""
+        tip = chain.canonical_tip
+        last = self._last.get(chain.chain_id)
+        if last is not None and last[2] is not None \
+                and last[2].block_hash == tip.block_hash \
+                and last[2].branch == tip.branch:
+            return last[3]
+        state = chain.canonical_state
+        accounting = self._accounting(chain, state)
+        summary = {
+            "tip": tip.block_hash.hex(),
+            "height": tip.height,
+            "branch": tip.branch,
+            "accounting": accounting,
+        }
+        self._last[chain.chain_id] = (state, accounting, tip, summary)
+        return summary
+
+    def _block_json(self, chain: Chain, ref: BlockRef) -> dict:
+        out = chain.blocks[ref.block_hash].to_json()
+        out["accounting"] = self._accounting(chain, chain.states[ref.block_hash])
+        return out
 
     def _header_record(self) -> dict:
         genesis = {}
         for cid, chain in sorted(self.chains.items()):
-            g = chain.canonical_chain()[0]
+            # written before any block: the canonical tip is genesis
+            summary = self._summary(chain)
             genesis[str(cid)] = {
-                "hash": g.ref.block_hash.hex(),
-                "accounting": self._accounting(chain, g.ref.block_hash),
+                "hash": summary["tip"],
+                "accounting": summary["accounting"],
             }
         return {
             "op": "header",
@@ -552,19 +593,18 @@ class Runner:
             if op == "user_lock":
                 tx = LockTx(
                     chain=ORIGIN,
-                    sender=AccountId(ORIGIN, resolve_address(step["sender"])),
+                    sender=self._account_id(ORIGIN, step["sender"]),
                     symbol=step["token"],
                     amount=step["amount"],
-                    receiver=AccountId(DESTINATION,
-                                       resolve_address(step["receiver"])),
+                    receiver=self._account_id(DESTINATION, step["receiver"]),
                 )
             else:
                 tx = BurnTx(
                     chain=DESTINATION,
-                    holder=AccountId(DESTINATION, resolve_address(step["holder"])),
+                    holder=self._account_id(DESTINATION, step["holder"]),
                     symbol=step["token"],
                     amount=step["amount"],
-                    receiver=AccountId(ORIGIN, resolve_address(step["receiver"])),
+                    receiver=self._account_id(ORIGIN, step["receiver"]),
                 )
             self.chains[tx.chain].submit(tx)
             # the swap's id is known once its block includes the tx
@@ -622,8 +662,8 @@ class Runner:
             if token is None:
                 actual = 0
             else:
-                account = AccountId(step["chain"], resolve_address(step["account"]))
-                actual = state.ledger.balance(token, account)
+                actual = state.ledger.balance(
+                    token, self._account_id(step["chain"], step["account"]))
             return actual == step["expect"], f"balance {actual}"
         if check == "locked" or check == "supply":
             ledger = self.chains[step["chain"]].canonical_state.ledger

@@ -8,10 +8,18 @@ invariants; the runner calls it on its own records at the end of a run and
 `check_trace` calls it on a file's records, so the two can never disagree.
 
 A check is one pass. `iter_trace` yields each record as its line is parsed
-and validated, and `evaluate_records` folds it into every invariant and
-lets it go. Per block it keeps only the parent, height and executed swap
-ids, for one walk down each chain's final canonical branch at the end, so
-a check's memory grows with the number of blocks, not with the records.
+and validated, from text read a chunk at a time (`check_trace` reads a file
+_CHUNK characters at a time), and `evaluate_records` folds it into every
+invariant and lets it go. Per block it keeps only the parent, height and
+executed swap ids, for one walk down each chain's final canonical branch at
+the end, so a check's memory grows with the number of blocks, not with the
+records or the text. Writing streams too: `write_records` encodes and
+writes one record's line at a time.
+
+Records are read-only. A runner's records share the dicts of repeated
+fragments (see `Runner`), so a change to one would show in every record
+that holds it; a reader that edits records copies them first. Traces are
+UTF-8 files whatever the locale; a file that is not UTF-8 is malformed.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import TextIO
 
 from .chain import EXECUTION_KINDS, REGISTRATION_KINDS
 from .crypto import canonical_json
@@ -27,7 +36,7 @@ from .errors import MalformedTrace
 EXECUTION_EVENT_KINDS = tuple(kind.value for kind in EXECUTION_KINDS)
 REGISTRATION_EVENT_KINDS = tuple(kind.value for kind in REGISTRATION_KINDS)
 
-# characters of trace text split into lines at a time
+# characters of trace text read and split into lines at a time
 _CHUNK = 1 << 16
 
 _STATUS_NEXT = {None: "registered", "registered": "processed",
@@ -38,12 +47,20 @@ def records_to_lines(records: list[dict]) -> list[str]:
     return [canonical_json(r) for r in records]
 
 
-def write_trace(records: list[dict], path: str | Path) -> None:
-    Path(path).write_text("".join(line + "\n" for line in records_to_lines(records)))
+def write_records(records: Iterable[dict], out: TextIO) -> None:
+    """Write each record's line as it is encoded, so that the trace's text
+    is never held whole."""
+    out.writelines(canonical_json(record) + "\n" for record in records)
 
 
-def iter_trace(text: str) -> Iterator[dict]:
-    """Yield a trace's records one at a time, each validated as it is read.
+def write_trace(records: Iterable[dict], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8") as out:
+        write_records(records, out)
+
+
+def iter_trace(chunks: Iterable[str]) -> Iterator[dict]:
+    """Yield the records of the trace text that `chunks` make up, cut
+    anywhere, one at a time, each validated as it is read.
 
     Raises MalformedTrace at the first fault in file order: a line that is
     not a JSON object with an `op`, a first record that is not the header,
@@ -51,7 +68,7 @@ def iter_trace(text: str) -> Iterator[dict]:
     is not `end`."""
     started = False
     last_op = None
-    for lineno, line in enumerate(_lines(text), start=1):
+    for lineno, line in enumerate(_lines(chunks), start=1):
         if not line.strip():
             continue
         try:
@@ -70,19 +87,34 @@ def iter_trace(text: str) -> Iterator[dict]:
         raise MalformedTrace("trace is truncated: no end record")
 
 
-def _lines(text: str) -> Iterator[str]:
-    """`text.splitlines()`, a chunk of lines at a time, so that the lines of
-    a large trace are never all held at once. Each chunk ends just after a
-    "\n", which is a line boundary however the text is split."""
+def _lines(chunks: Iterable[str]) -> Iterator[str]:
+    """The `splitlines()` of the text that `chunks` make up, a chunk at a
+    time, so that the lines of a large trace are never all held at once.
+    A "\n" is a line boundary wherever the text was cut, so each chunk is
+    split up to its last one and the rest is carried into the next."""
+    carry = ""
+    for chunk in chunks:
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield from (carry + chunk[:cut]).splitlines()
+            carry = chunk[cut:]
+        else:
+            carry += chunk
+    yield from carry.splitlines()
+
+
+def _text_chunks(text: str) -> Iterator[str]:
+    """`text` in chunks of at least _CHUNK characters, each ending just
+    after a "\n" (the last one excepted), so that `_lines` copies none."""
     start = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        yield text[start:end]
         start = end
 
 
 def parse_trace(text: str) -> list[dict]:
-    return list(iter_trace(text))
+    return list(iter_trace(_text_chunks(text)))
 
 
 def _genesis_blocks(header: dict) -> list[dict]:
@@ -283,18 +315,27 @@ def _check_transition(transition: dict, statuses: dict[str, str | None],
 
 def check_trace_text(text: str) -> tuple[int, list[dict]]:
     """Read a trace and re-evaluate the invariants in one pass, each record
-    checked as it is parsed. Returns (exit, violations).
+    checked as it is parsed. Returns (exit, violations)."""
+    return _check(_text_chunks(text))
 
-    A record that parses but lacks a field, or holds one of the wrong type,
-    is a malformed trace too. Only here: the runner evaluates its own
-    records, so a fault there still surfaces as itself."""
+
+def check_trace(path: str | Path) -> tuple[int, list[dict]]:
+    """`check_trace_text` on a UTF-8 trace file, read _CHUNK characters at
+    a time."""
+    with open(path, encoding="utf-8") as trace_file:
+        return _check(iter(lambda: trace_file.read(_CHUNK), ""))
+
+
+def _check(chunks: Iterable[str]) -> tuple[int, list[dict]]:
+    """A text that is not UTF-8, or a record that parses but lacks a field
+    or holds one of the wrong type, is a malformed trace too. Only here:
+    the runner evaluates its own records, so a fault there still surfaces
+    as itself."""
     try:
-        violations = evaluate_records(iter_trace(text))
+        violations = evaluate_records(iter_trace(chunks))
+    except UnicodeDecodeError as exc:
+        raise MalformedTrace(f"not UTF-8 text: {exc}") from None
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise MalformedTrace(
             f"a record lacks a field or has a wrong type: {exc!r}") from None
     return (1 if violations else 0), violations
-
-
-def check_trace(path: str | Path) -> tuple[int, list[dict]]:
-    return check_trace_text(Path(path).read_text())

@@ -3,8 +3,11 @@
 import itertools
 
 from swapgate import Behavior, EventKind, LockTx, SwapStatus
-from swapgate.encoding import encode_payload
+from swapgate.cli import load_scenario
+from swapgate.encoding import (MAX_ENTRIES, Direction, PayloadEntry,
+                               encode_payload)
 from swapgate.oracles import ATTACKER_ADDRESS, candidates
+from swapgate.scenario import Runner
 
 from conftest import ALICE, BOB, World
 
@@ -152,6 +155,25 @@ def test_replayer_reemission_hits_duplicate_guard():
     for e in mint_events:
         per_swap[e.swap_id] = per_swap.get(e.swap_id, 0) + 1
     assert all(count == 1 for count in per_swap.values())
+
+
+def test_replayer_past_the_entry_cap_endorses_the_newest_entries():
+    """A replayer endorses at most the newest MAX_ENTRIES entries, the most
+    the wire format's u16 count carries, so a history already at the cap
+    neither crashes the run (MalformedPayload) nor wins a round."""
+    history = list(range(MAX_ENTRIES + 5))
+    (payload,) = candidates(Behavior.REPLAYER, ["new"], history)
+    assert payload == history[-(MAX_ENTRIES - 1):] + ["new"]
+
+    runner = Runner(load_scenario("byzantine_replayer"))
+    filler = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, bytes(32), "T", 0,
+                          bytes(20), 1)
+    runner.network.replay_history[0] = [filler] * MAX_ENTRIES
+    result = runner.run()
+    assert result.exit_code == 0, result.violations
+    first = runner.reports[0]
+    assert first.outcome == "submitted" and not first.forged_chosen
+    assert [c["count"] for c in first.candidates if c["forged"]] == [1]
 
 
 def test_equivocator_second_payload_never_accepted():

@@ -1,0 +1,87 @@
+"""Trace records share each JSON fragment of an immutable value.
+
+A tx's `describe()`, an account's, a block ref's and a payload entry's
+`to_json()` are built once, and the Runner keeps one canonical summary per
+chain while its tip is unchanged, so the records a run holds refer to one
+dict per fragment instead of a copy per record. The text is unchanged:
+the pinned digests check that.
+"""
+
+import pytest
+
+from swapgate.scenario import Runner
+
+from scenario_gen import random_happy_scenario
+
+# distinct dicts reachable from the records of random_happy_scenario(seed=1,
+# swaps=200); they hold 7,080 once written out, and the records held 6,289
+# before fragments were shared
+DISTINCT_DICTS_CEILING = 4164
+
+
+@pytest.fixture(scope="module")
+def records():
+    result = Runner(random_happy_scenario(seed=1, swaps=200)).run()
+    assert result.exit_code == 0
+    return result.records
+
+
+def blocks(records):
+    return [block for record in records for block in record.get("blocks", ())]
+
+
+def test_user_record_tx_is_its_receipt_tx(records):
+    receipts = {id(receipt["tx"]) for block in blocks(records)
+                for receipt in block["txs"]}
+    user = [r["tx"] for r in records if r["op"] in ("user_lock", "user_burn")]
+    assert len(user) == 200
+    assert all(id(tx) in receipts for tx in user)
+
+
+def test_events_of_a_block_share_one_block_dict(records):
+    busy = [block for block in blocks(records) if len(block["events"]) > 1]
+    assert busy
+    for block in busy:
+        first = block["events"][0]["block"]
+        assert all(event["block"] is first for event in block["events"])
+
+
+def test_canonical_summary_is_shared_while_the_tip_is_unchanged(records):
+    last: dict[str, dict] = {}
+    shared = 0
+    for record in records:
+        for chain, summary in record.get("canonical", {}).items():
+            before = last.get(chain)
+            if before is not None and before["tip"] == summary["tip"] \
+                    and before["branch"] == summary["branch"]:
+                assert summary is before
+                shared += 1
+            last[chain] = summary
+    assert shared > 0
+
+
+def test_transitions_share_the_swap_id_and_label_strings(records):
+    """The controller builds a swap's id string once per view, and a status
+    label is one string; the happy run has no reorg, so one view each."""
+    strings: dict[str, set[int]] = {}
+    for record in records:
+        for transition in record.get("transitions", ()):
+            for key in ("swap_id", "to"):
+                strings.setdefault(transition[key], set()).add(
+                    id(transition[key]))
+    assert len(strings) == 200 + 3
+    assert all(len(ids) == 1 for ids in strings.values())
+
+
+def test_distinct_dicts_reachable_from_the_records(records):
+    seen: set[int] = set()
+    stack: list = [records]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            if id(value) not in seen:
+                seen.add(id(value))
+                stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    assert len(seen) <= DISTINCT_DICTS_CEILING

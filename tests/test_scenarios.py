@@ -422,6 +422,20 @@ def test_cli_check_malformed_exit_2(tmp_path, capsys, tamper):
     assert "malformed trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_cli_file_not_utf8_exit_2(tmp_path, capsys, command):
+    """Traces and scenario files are read as UTF-8 whatever the locale: a
+    file that is not is a malformed trace or an invalid scenario (exit 2),
+    not a crash (exit 1, the code of a failed check)."""
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'\xff\xfe{"op":"header"}\n')
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert ("malformed trace: not UTF-8" if command == "check"
+            else "invalid scenario") in err
+    assert "utf-8" in err.lower()
+
+
 def test_cli_check_tampered_exit_1(tmp_path):
     trace_path = tmp_path / "t.jsonl"
     main(["run", "happy_path", "--trace", str(trace_path)])

@@ -241,23 +241,28 @@ BOUNDARIES = ["\n", "\r\n", "\r", "\n\n", "\x0b", "\x0c", "\x1c", "\x85",
        chunk=st.integers(1, 4000))
 def test_reader_numbers_lines_as_the_reference(seps, bad, trailing, chunk):
     """Any mix of line boundaries and blank lines, split into chunks of any
-    size: the records agree, or the one fault is reported with the same
-    line number."""
+    size, at line ends (a text) or anywhere (a file read a chunk at a time):
+    the records agree, or the one fault is reported with the same line
+    number."""
     lines = base_text("happy_path").splitlines()
     lines = lines[:len(seps)] + lines[-1:] if len(seps) < len(lines) else lines
     if bad is not None and bad < len(lines):
         lines[bad] = lines[bad][:-1]
     text = "".join(line + sep for line, sep in zip(lines, seps + ["\n"] * len(lines)))
     text = text.rstrip("\n") + trailing
+    cut = [text[i:i + chunk] for i in range(0, len(text), chunk)]
+    readers = [lambda: parse_trace(text), lambda: list(trace.iter_trace(cut))]
     with mock.patch.object(trace, "_CHUNK", chunk):
         try:
             expected = reference.parse_trace(text)
         except MalformedTrace as exc:
-            with pytest.raises(MalformedTrace) as raised:
-                parse_trace(text)
-            assert str(raised.value) == str(exc)
+            for read in readers:
+                with pytest.raises(MalformedTrace) as raised:
+                    read()
+                assert str(raised.value) == str(exc)
         else:
-            assert parse_trace(text) == expected
+            for read in readers:
+                assert read() == expected
 
 
 def test_check_memory_stays_below_three_times_the_trace():
