@@ -181,11 +181,14 @@ class EmbeddedState(Protocol):
 
 
 class BlockCtx:
-    """Per-block application context handed to contract code."""
+    """Per-block application context handed to contract code. `accounts`
+    is the run's table of account objects, the same for every block (see
+    Chain)."""
 
-    def __init__(self, block_ref: BlockRef):
+    def __init__(self, block_ref: BlockRef, accounts: dict | None = None):
         self.block_ref = block_ref
         self.events: list[ChainEvent] = []
+        self.accounts = {} if accounts is None else accounts
 
     @property
     def height(self) -> int:
@@ -220,13 +223,20 @@ class Chain:
     one horizon: a block or fork that would meet the canonical chain below
     it is refused with the chain left exactly as it was, pending txs
     included, and states holds genesis plus every block at or above it.
+
+    accounts is handed to every block's context: a table in which contract
+    code builds one account object per (chain, address) for the whole run
+    (ledger.account_id), so that every record of an account shares its
+    JSON. It is not state: the chain neither clones nor compares it, and a
+    block builds equal values whether the table holds them or not.
     """
 
     def __init__(self, chain_id: int, genesis_state: Any, apply_tx: ApplyTx,
-                 finality_depth: int):
+                 finality_depth: int, accounts: dict | None = None):
         self.chain_id = chain_id
         self._apply_tx = apply_tx
         self.finality_depth = finality_depth
+        self.accounts = {} if accounts is None else accounts
 
         genesis_digest = sha256(b"genesis" + struct.pack(">B", chain_id))
         g_hash = block_hash(GENESIS_PARENT, 0, [genesis_digest])
@@ -311,7 +321,7 @@ class Chain:
         if not txs:
             return parent_state, [], []
         state = parent_state.clone()
-        ctx = BlockCtx(ref)
+        ctx = BlockCtx(ref, self.accounts)
         accepted: list = []
         receipts: list[TxReceipt] = []
         for tx in txs:
@@ -319,7 +329,7 @@ class Chain:
                 extra = self._apply_tx(state, tx, ctx)
             except GatewayError as err:
                 state = parent_state.clone()
-                ctx = BlockCtx(ref)
+                ctx = BlockCtx(ref, self.accounts)
                 for done in accepted:
                     self._apply_tx(state, done, ctx)
                 receipts.append(TxReceipt(tx, err.code, detail=str(err)))

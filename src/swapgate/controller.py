@@ -22,10 +22,15 @@ newest of its ancestors that still is: the fork height. The swaps named in
 the orphaned blocks it passes are revisited, and the events above the fork
 height are read again for new registrations. A swap's first canonical
 registration and execution come from the chain's own swap index
-(Chain.swap_events). The tick revisits only the swaps that are not
-finalized and those the walk passed. Transitions come out in canonical
-registration order (chain by chain), exactly as a full rescan would emit
-them, and retractions in the order the swaps were first observed.
+(Chain.swap_events). A view keeps the registration it found, and while the
+swap is Processed the height of its execution: both stay canonical until a
+reorg orphans their block, and the walk names every such swap, which the
+tick then looks up again. So the tick revisits only the swaps the walk
+passed, the Registered ones, and the Processed ones whose execution has
+become final; the chain order and each chain's counterpart are worked out
+once per tick. Transitions come out in canonical registration order (chain
+by chain), exactly as a full rescan would emit them, and retractions in the
+order the swaps were first observed.
 """
 
 from __future__ import annotations
@@ -40,7 +45,15 @@ from .ports import SwapStatus
 class _SwapView:
     status: SwapStatus
     first_seen_exec_height: int
-    swap_hex: str       # the id as the trace writes it, built once per view
+    # the swap's first canonical registration: it stays canonical until a
+    # reorg orphans its block, which the cursor walk then names
+    registration: ChainEvent
+    # the id as the trace writes it: the registration's SwapId string, which
+    # its receipt, events and round report entry share too
+    swap_hex: str
+    # the height of the first canonical execution, read while the swap is
+    # Processed; like the registration, it stays until the walk names it
+    executed_at: int = -1
     last_stuck_height: int | None = None
 
 
@@ -71,34 +84,58 @@ class StatusController:
         Idempotent per block height: a second tick without new blocks emits
         nothing.
         """
+        order = [chains[chain_id] for chain_id in sorted(chains)]
+        assert len(order) == 2, "controller expects exactly two chains"
+        first, second = order
+        # per registering chain: the chain that executes its swaps, with that
+        # chain's tip and final heights, which stay put for the whole tick
+        executor = {
+            first.chain_id: (second, second.canonical_tip.height,
+                             second.final_height),
+            second.chain_id: (first, first.canonical_tip.height,
+                              first.final_height),
+        }
         result = TickResult()
         touched: set[bytes] = set()
-        for chain_id in sorted(chains):
-            touched |= self._advance(chains[chain_id])
-        live = [event for swap_id in self._open | touched
-                if (event := self._registration(chains, swap_id)) is not None]
+        for chain in order:
+            touched |= self._advance(chain)
+        views = self.views
+        live: list[ChainEvent] = []
+        for swap_id in self._open | touched:
+            view = views.get(swap_id)
+            if view is None or swap_id in touched:
+                event = _registration(order, swap_id)
+                if event is not None:
+                    live.append(event)
+            # a Processed swap the walk did not name is visited again only
+            # once its execution is final
+            elif view.status != SwapStatus.PROCESSED or view.executed_at <= \
+                    executor[view.registration.block.chain][2]:
+                live.append(view.registration)
         live.sort(key=lambda e: (e.block.chain, e.block.height, e.index))
 
         for reg_event in live:
             swap_id = reg_event.swap_id
             assert swap_id is not None
             reg_chain = reg_event.block.chain
-            exec_chain = self._counterpart(chains, reg_chain)
-            exec_tip = chains[exec_chain].canonical_tip.height
-            view = self.views.get(swap_id)
+            exec_on, exec_tip, exec_final = executor[reg_chain]
+            exec_chain = exec_on.chain_id
+            view = views.get(swap_id)
             if view is None:
                 view = _SwapView(status=SwapStatus.REGISTERED,
                                  first_seen_exec_height=exec_tip,
+                                 registration=reg_event,
                                  swap_hex=swap_id.hex())
-                self.views[swap_id] = view
+                views[swap_id] = view
                 self._transition(result, view, None, SwapStatus.REGISTERED,
                                  "registration_observed", chain=reg_chain)
+            else:
+                view.registration = reg_event
 
-            exec_event = chains[exec_chain].first_event(swap_id, EXECUTION_KINDS)
+            exec_event = exec_on.first_event(swap_id, EXECUTION_KINDS)
             if exec_event is not None:
-                height = exec_event.block.height
-                target = (SwapStatus.FINALIZED
-                          if height <= chains[exec_chain].final_height
+                height = view.executed_at = exec_event.block.height
+                target = (SwapStatus.FINALIZED if height <= exec_final
                           else SwapStatus.PROCESSED)
                 if view.status == SwapStatus.REGISTERED and \
                         target >= SwapStatus.PROCESSED:
@@ -135,7 +172,7 @@ class StatusController:
                     result.requeue.append(swap_id)
 
         gone = {swap_id for swap_id in touched if swap_id in self.views
-                and self._registration(chains, swap_id) is None}
+                and _registration(order, swap_id) is None}
         if gone:
             # views is in observation order: a re-created view is appended
             for swap_id in [s for s in self.views if s in gone]:
@@ -167,22 +204,6 @@ class StatusController:
         return touched
 
     @staticmethod
-    def _registration(chains: dict[int, Chain],
-                      swap_id: bytes) -> ChainEvent | None:
-        """The swap's first canonical registration, lowest chain id first."""
-        for chain_id in sorted(chains):
-            event = chains[chain_id].first_event(swap_id, REGISTRATION_KINDS)
-            if event is not None:
-                return event
-        return None
-
-    @staticmethod
-    def _counterpart(chains: dict[int, Chain], chain_id: int) -> int:
-        others = [cid for cid in chains if cid != chain_id]
-        assert len(others) == 1, "controller expects exactly two chains"
-        return others[0]
-
-    @staticmethod
     def _transition(result: TickResult, view: _SwapView,
                     old: SwapStatus | None, new: SwapStatus | None,
                     reason: str, revert: bool = False,
@@ -195,3 +216,13 @@ class StatusController:
             "revert": revert,
             "chain": chain,
         })
+
+
+def _registration(order: list[Chain], swap_id: bytes) -> ChainEvent | None:
+    """The swap's first canonical registration on the chains in `order`,
+    lowest chain id first."""
+    for chain in order:
+        event = chain.first_event(swap_id, REGISTRATION_KINDS)
+        if event is not None:
+            return event
+    return None

@@ -11,7 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import wraps
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
+
+T = TypeVar("T")
 
 
 def sha256(data: bytes) -> bytes:
@@ -34,19 +36,21 @@ def json_digest(obj: Any) -> bytes:
     return sha256(canonical_json(obj).encode("utf-8"))
 
 
-def built_once(method: Callable[[Any], dict]) -> Callable[[Any], dict]:
-    """A frozen value's JSON method, built on its first call and kept on
-    the instance: every later call returns that same dict, so each trace
-    record, receipt and digest that holds the value shares one copy.
-    Callers read the dict and never change it.
+def built_once(method: Callable[[Any], T]) -> Callable[[Any], T]:
+    """A frozen value's derived form (its JSON dict, its packed bytes, its
+    hex string), built on the first call and kept on the instance: every
+    later call returns that same object, so each trace record, receipt,
+    digest and payload that holds the value shares one copy. Callers read
+    it and never change it. A call that raises keeps nothing, so it raises
+    again on the next call.
 
-    The dict is stored as an attribute, not through `__dict__`: reading
+    The form is stored as an attribute, not through `__dict__`: reading
     `__dict__` would give every instance its own attribute dict, which
     costs memory and slows each later attribute read."""
     key = "_built_" + method.__name__
 
     @wraps(method)
-    def once(self) -> dict:
+    def once(self) -> T:
         built = getattr(self, key, None)
         if built is None:
             built = method(self)

@@ -12,6 +12,15 @@ bit-stable and injective. Layout, big-endian throughout:
         u8   origin chain id
         20B  receiver address
         u64  amount
+
+Each entry is validated and packed on its first use and keeps its bytes,
+so a payload is its count followed by its entries' kept bytes: the relay's
+hashes, the reveal, every replay of the reveal's block and a replayer's
+history never pack an entry again. Only the payload's own checks (at least
+one entry, at most MAX_ENTRIES) run per call. encode_payload still raises
+MalformedPayload for an invalid entry, on every call: an entry is
+validated when it is packed, not when it is built, and an invalid one
+keeps nothing.
 """
 
 from __future__ import annotations
@@ -30,13 +39,40 @@ MAX_AMOUNT = 2**64 - 1
 MAX_ENTRIES = 0xFFFF
 
 
+class SwapId(bytes):
+    """A swap id's bytes. Its hex string, the form the trace writes, is
+    built on first use and kept, so that the receipt, both events, the
+    round report and the controller transitions of a swap share one."""
+
+    hex = built_once(bytes.hex)
+
+
 class Direction(IntEnum):
     ORIGIN_TO_DESTINATION = 0
     DESTINATION_TO_ORIGIN = 1
 
 
-@dataclass(frozen=True)
-class PayloadEntry:
+# an entry's packed bytes around its symbol: direction, swap id and symbol
+# length, then origin chain, receiver and amount
+_HEAD = struct.Struct(f">B{SWAP_ID_LEN}sB")
+_TAIL = struct.Struct(f">B{ADDRESS_LEN}sQ")
+
+
+class _KeptForms:
+    """The slots in which built_once keeps an entry's packed bytes and JSON
+    dict. As attributes, the second of the two would give every entry its
+    own attribute dict, about 390 bytes more per entry. They start as None,
+    as reading an empty slot raises inside getattr, which is slow."""
+
+    __slots__ = ("_built_packed", "_built_to_json")
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_built_packed", None)
+        object.__setattr__(self, "_built_to_json", None)
+
+
+@dataclass(frozen=True, slots=True)
+class PayloadEntry(_KeptForms):
     """One attested swap instruction inside a relay payload."""
 
     direction: Direction
@@ -60,6 +96,15 @@ class PayloadEntry:
             raise MalformedPayload("amount must fit in u64")
 
     @built_once
+    def packed(self) -> bytes:
+        """The entry's canonical bytes, validated and packed on the first
+        call and kept; an invalid entry raises on every call."""
+        self.validate()
+        sym = self.symbol.encode("utf-8")
+        return (_HEAD.pack(self.direction, self.swap_id, len(sym)) + sym
+                + _TAIL.pack(self.origin_chain, self.receiver, self.amount))
+
+    @built_once
     def to_json(self) -> dict:
         return {
             "direction": int(self.direction),
@@ -76,18 +121,8 @@ def encode_payload(entries: list[PayloadEntry]) -> bytes:
         raise MalformedPayload("payload must contain at least one entry")
     if len(entries) > MAX_ENTRIES:
         raise MalformedPayload("entry count exceeds u16")
-    out = bytearray(struct.pack(">H", len(entries)))
-    for entry in entries:
-        entry.validate()
-        sym = entry.symbol.encode("utf-8")
-        out += struct.pack(">B", int(entry.direction))
-        out += entry.swap_id
-        out += struct.pack(">B", len(sym))
-        out += sym
-        out += struct.pack(">B", entry.origin_chain)
-        out += entry.receiver
-        out += struct.pack(">Q", entry.amount)
-    return bytes(out)
+    return struct.pack(">H", len(entries)) + b"".join(
+        [entry.packed() for entry in entries])
 
 
 def decode_payload(data: bytes) -> list[PayloadEntry]:

@@ -160,10 +160,12 @@ def build_chains(roster: OracleRoster,
                  relevance_window: dict[int, int],
                  finality_depth: dict[int, int],
                  tokens: list[TokenId],
-                 initial_balances: list[tuple[TokenId, AccountId, int]]
-                 ) -> dict[int, Chain]:
+                 initial_balances: list[tuple[TokenId, AccountId, int]],
+                 accounts: dict | None = None) -> dict[int, Chain]:
     """Create the origin and destination chains with their genesis states;
-    the dicts map chain id to that chain's setting."""
+    the dicts map chain id to that chain's setting. Both chains share
+    `accounts`, the run's one AccountId per (chain, address) (see
+    ledger.account_id)."""
     origin_registry = TokenRegistry()
     for token in tokens:
         if token.chain != ORIGIN:
@@ -186,5 +188,6 @@ def build_chains(roster: OracleRoster,
             destination_ledger, TokenRegistry(), IssueBurnPort(),
             NebulaState(DESTINATION, roster, relevance_window[DESTINATION])),
     }
-    return {cid: Chain(cid, state, apply_tx, finality_depth[cid])
+    accounts = {} if accounts is None else accounts
+    return {cid: Chain(cid, state, apply_tx, finality_depth[cid], accounts)
             for cid, state in states.items()}

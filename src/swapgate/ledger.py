@@ -39,6 +39,17 @@ class AccountId:
         return {"chain": self.chain, "address": self.address.hex()}
 
 
+def account_id(accounts: dict, chain: int, address: bytes) -> AccountId:
+    """The one AccountId of (chain, address) in `accounts`, a run's table
+    of them, made on first use: every tx, event and trace record of the
+    account then shares its JSON dict."""
+    key = (chain, address)
+    account = accounts.get(key)
+    if account is None:
+        account = accounts[key] = AccountId(chain, address)
+    return account
+
+
 @dataclass(frozen=True)
 class TokenId:
     symbol: str
@@ -63,7 +74,8 @@ class TokenRegistry:
     def register(self, token: TokenId) -> TokenId:
         existing = self.tokens.get(token.symbol)
         if existing is not None:
-            if existing != token:
+            # a token registered again is most often the very object held
+            if existing is not token and existing != token:
                 raise ValueError(f"conflicting registration for {token.symbol!r}")
             return existing
         self.tokens[token.symbol] = token

@@ -1,14 +1,15 @@
 """Off-chain oracle network: extraction, quorum, signing, submission.
 
 Every round starts from one honest extraction of the confirmed port events
-on the source chain, read from one cursor per source chain; each oracle
-turns it into relay payload candidates according to its profile. A round
-succeeds when at least `threshold` oracles produced byte-identical
-payloads; the agreeing oracles sign the payload hash and the
-lowest-indexed signer enqueues the pulse and reveal transactions on the
-target chain. Anything less is a lost round, not a safety problem: a
-forged payload needs a full quorum of identical signatures to ever reach
-a port.
+on the source chain, read from one cursor per source chain; a round takes
+at most MAX_ENTRIES entries, the most a payload carries, and leaves the
+rest to the next rounds. Each oracle turns the extraction into relay
+payload candidates according to its profile. A round succeeds when at
+least `threshold` oracles produced byte-identical payloads; the agreeing
+oracles sign the payload hash and the lowest-indexed signer enqueues the
+pulse and reveal transactions on the target chain. Anything less is a lost
+round, not a safety problem: a forged payload needs a full quorum of
+identical signatures to ever reach a port.
 
 Byzantine profiles are deterministic transforms of the honest extraction,
 so that runs stay replayable:
@@ -19,6 +20,12 @@ so that runs stay replayable:
     replayer        re-emits everything it ever extracted before, up to the
                     newest MAX_ENTRIES entries, the most a payload carries
     equivocator     endorses both the honest payload and a perturbed twin
+
+Each entry is packed once, on first use (see encoding), so a round packs
+only its own new entries and the twins it perturbs. A replayer's round
+still joins and hashes the kept bytes of its whole endorsed history, at
+most MAX_ENTRIES entries: that is the one per-round cost that grows with
+the history, up to that bound.
 """
 
 from __future__ import annotations
@@ -106,9 +113,10 @@ class OracleNetwork:
         self.oracles = list(oracles)
         self.roster = roster
         self.confirmation_depth = dict(confirmation_depth)
-        # per source chain: the confirmed height extracted up to, and every
-        # entry extracted so far (what a replayer re-emits)
-        self.cursors: dict[int, int] = {}
+        # per source chain: the position (block height, event index) of the
+        # first event not yet extracted, and every entry extracted so far
+        # (what a replayer re-emits)
+        self.cursors: dict[int, tuple[int, int]] = {}
         self.replay_history: dict[int, list[PayloadEntry]] = {}
         self.reattest_requests: set[bytes] = set()
 
@@ -121,22 +129,33 @@ class OracleNetwork:
         return chain.canonical_tip.height - self.confirmation_depth[chain.chain_id]
 
     def extract(self, chain: Chain) -> list[PayloadEntry]:
-        """The honest extraction of one round: confirmed registrations above
-        the chain's cursor, plus any flagged re-attestations whose
+        """The honest extraction of one round: confirmed registrations from
+        the chain's cursor on, plus any flagged re-attestations whose
         registration is confirmed on this chain, in canonical order. The
-        cursor advances to the confirmed frontier, extraction being total."""
+        cursor advances to the confirmed frontier, unless more than
+        MAX_ENTRIES entries, the most a payload carries, are due: then the
+        round takes the oldest MAX_ENTRIES (re-attestations, which lie
+        behind the cursor, first) and the cursor stops at the first
+        registration left out, where the next round starts."""
         upper = self._confirmed_upper(chain)
-        cursor = self.cursors.get(chain.chain_id, 0)
-        picked = [event for event in chain.events_since(cursor)
+        start = self.cursors.get(chain.chain_id, (1, 0))
+        height, index = start
+        picked = [event for event in chain.events_since(height - 1)
                   if event.block.height <= upper
-                  and event.kind in REGISTRATION_KINDS]
+                  and event.kind in REGISTRATION_KINDS
+                  and (event.index >= index or event.block.height > height)]
         seen = {event.swap_id for event in picked}
         for swap_id in self.reattest_requests - seen:
             first = chain.first_event(swap_id, REGISTRATION_KINDS)
             if first is not None and first.block.height <= upper:
                 picked.append(first)
         picked.sort(key=lambda event: (event.block.height, event.index))
-        self.cursors[chain.chain_id] = max(cursor, upper)
+        stop = (upper + 1, 0)
+        if len(picked) > MAX_ENTRIES:
+            left_out = picked[MAX_ENTRIES]
+            stop = (left_out.block.height, left_out.index)
+            del picked[MAX_ENTRIES:]
+        self.cursors[chain.chain_id] = max(start, stop)
         return [entry_from_event(event) for event in picked]
 
     @staticmethod

@@ -43,7 +43,7 @@ from enum import IntEnum
 
 from .chain import BlockCtx, EventKind
 from .crypto import sha256
-from .encoding import MAX_AMOUNT, Direction, PayloadEntry
+from .encoding import MAX_AMOUNT, Direction, PayloadEntry, SwapId
 from .errors import (
     AmountTooLarge,
     DuplicateExecution,
@@ -54,7 +54,8 @@ from .errors import (
     WrongChainReceiver,
     ZeroAmount,
 )
-from .ledger import AccountId, Ledger, TokenId, TokenRegistry, wrapped_symbol
+from .ledger import (AccountId, Ledger, TokenId, TokenRegistry, account_id,
+                     wrapped_symbol)
 from .nebula import NEBULA_ADDRESS
 
 ORIGIN = 0
@@ -79,16 +80,17 @@ class SwapStatus(IntEnum):
 _LABELS = {status: status.name.lower() for status in SwapStatus}
 
 
+# a swap id's material around its three addresses: direction and origin
+# chain, then amount and sequence number
+_ID_HEAD = struct.Struct(">BB")
+_ID_TAIL = struct.Struct(">QQ")
+
+
 def derive_swap_id(direction: Direction, origin_chain: int, port_address: bytes,
-                   sender: bytes, receiver: bytes, amount: int, seq: int) -> bytes:
-    material = struct.pack(">B", int(direction))
-    material += struct.pack(">B", origin_chain)
-    material += port_address
-    material += sender
-    material += receiver
-    material += struct.pack(">Q", amount)
-    material += struct.pack(">Q", seq)
-    return sha256(material)
+                   sender: bytes, receiver: bytes, amount: int, seq: int) -> SwapId:
+    return SwapId(sha256(b"".join((
+        _ID_HEAD.pack(direction, origin_chain), port_address, sender,
+        receiver, _ID_TAIL.pack(amount, seq)))))
 
 
 def _check_amount(verb: str, amount: int) -> None:
@@ -207,7 +209,7 @@ class LockUnlockPort(_PortBase):
         token = registry.get(entry.symbol)
         if token is None or token.is_wrapped:
             raise UnknownSwap(f"no original token {entry.symbol!r} on this chain")
-        receiver = AccountId(self.chain_id, entry.receiver)
+        receiver = account_id(ctx.accounts, self.chain_id, entry.receiver)
         ledger.unlock(token, receiver, entry.amount, caller=self.address)
         return self._executed(ctx, EventKind.UNLOCK_EXECUTED, entry, receiver,
                               token)
@@ -232,10 +234,11 @@ class IssueBurnPort(_PortBase):
             raise UnknownToken(
                 f"this gateway does not serve tokens from chain "
                 f"{entry.origin_chain}")
-        original = TokenId(entry.symbol, entry.origin_chain)
-        wrapped = registry.get(wrapped_symbol(entry.symbol)) or TokenId(
-            wrapped_symbol(entry.symbol), self.chain_id, wrapped_of=original)
-        receiver = AccountId(self.chain_id, entry.receiver)
+        symbol = wrapped_symbol(entry.symbol)
+        wrapped = registry.get(symbol) or TokenId(
+            symbol, self.chain_id,
+            wrapped_of=TokenId(entry.symbol, entry.origin_chain))
+        receiver = account_id(ctx.accounts, self.chain_id, entry.receiver)
         # Mint first: it rejects a bad entry before changing anything, and
         # only then is a first transfer's wrapped token registered.
         ledger.mint(wrapped, receiver, entry.amount, caller=self.address)

@@ -27,7 +27,7 @@ from .controller import StatusController
 from .crypto import oracle_secret, sha256
 from .errors import BeyondFinality, HeightBeyondTip, InvalidScenario
 from .gateway import BurnTx, GatewayState, LockTx, build_chains
-from .ledger import AccountId, TokenId, wrapped_symbol
+from .ledger import AccountId, TokenId, account_id, wrapped_symbol
 from .nebula import OracleRoster, default_threshold
 from .oracles import Behavior, OracleIdentity, OracleNetwork, RoundReport
 from .ports import DESTINATION, ORIGIN
@@ -387,15 +387,17 @@ class Runner:
     it. Records share
     - a tx's `describe()`: the user record, the block's receipt and the
       block digest;
-    - an account's `to_json()`: the Runner keeps one AccountId per (chain,
-      account spec), so every tx and registration event of an account;
+    - an account's `to_json()`: the run keeps one AccountId per (chain,
+      address), which the ports' attested executions use too, so every tx
+      and event of an account;
     - a block ref's `to_json()`: every event of a block;
     - a payload entry's `to_json()`: the round report and the reveal tx;
     - a chain's canonical summary (tip, height, branch, accounting), kept
       per chain while its tip is unchanged; its accounting dict also goes
       to the header's genesis and to the records of the blocks on the
       same state object;
-    - a swap's id string, across its controller transitions.
+    - a swap's id string (encoding.SwapId): its receipt, registration and
+      execution events, round report entry and controller transitions.
     Copy a record before changing it.
     """
 
@@ -416,8 +418,10 @@ class Runner:
                                 for cid, p in params.items()},
         )
 
-        # (chain id, account spec) -> its one AccountId, see _account_id
-        self._accounts: dict[tuple[int, str], AccountId] = {}
+        # the run's one AccountId per (chain, address), which the chains'
+        # contracts share, and each account spec's, see _account_id
+        self.accounts: dict[tuple[int, bytes], AccountId] = {}
+        self._by_spec: dict[tuple[int, str], AccountId] = {}
         tokens = [TokenId(symbol, ORIGIN) for symbol in scenario.tokens]
         initial = [
             (TokenId(b["token"], ORIGIN),
@@ -429,7 +433,7 @@ class Runner:
             roster,
             {cid: p.relevance_window for cid, p in params.items()},
             {cid: p.finality_depth for cid, p in params.items()},
-            tokens, initial)
+            tokens, initial, self.accounts)
         self.controller = StatusController(
             {cid: p.recovery_timeout for cid, p in params.items()})
 
@@ -444,13 +448,13 @@ class Runner:
 
     def _account_id(self, chain_id: int, spec: str) -> AccountId:
         """The one AccountId of an account spec on a chain: each spec is
-        resolved once, and every tx and event of the account shares its
-        JSON dict."""
+        resolved once, and every tx and event of the account, the ports'
+        attested executions included, shares its JSON dict."""
         key = (chain_id, spec)
-        account = self._accounts.get(key)
+        account = self._by_spec.get(key)
         if account is None:
-            account = self._accounts[key] = AccountId(chain_id,
-                                                      resolve_address(spec))
+            account = self._by_spec[key] = account_id(
+                self.accounts, chain_id, resolve_address(spec))
         return account
 
     # --- trace helpers -------------------------------------------------------
@@ -520,7 +524,9 @@ class Runner:
     def _resolve_new_swaps(self, chain: Chain, ref) -> None:
         block = chain.blocks[ref.block_hash]
         for receipt in block.receipts:
-            handle = self._tx_handles.get(id(receipt.tx))
+            # a user tx is included once: its handle goes with it, so that
+            # no id of a freed tx is kept
+            handle = self._tx_handles.pop(id(receipt.tx), None)
             if handle is not None and receipt.status == "ok":
                 self.swap_ids[handle] = bytes.fromhex(receipt.extra["swap_id"])
 

@@ -2,14 +2,15 @@
 
 import itertools
 
-from swapgate import Behavior, EventKind, LockTx, SwapStatus
+from swapgate import Behavior, EventKind, LockTx, SwapStatus, encoding, oracles
 from swapgate.cli import load_scenario
 from swapgate.encoding import (MAX_ENTRIES, Direction, PayloadEntry,
                                encode_payload)
 from swapgate.oracles import ATTACKER_ADDRESS, candidates
-from swapgate.scenario import Runner
+from swapgate.scenario import OracleConfig, Runner, Scenario
 
 from conftest import ALICE, BOB, World
+from scenario_gen import random_happy_scenario, reorg_scenario
 
 ALL_BEHAVIORS = [Behavior.HONEST, Behavior.SILENT, Behavior.WRONG_AMOUNT,
                  Behavior.WRONG_RECEIVER, Behavior.REPLAYER,
@@ -174,6 +175,132 @@ def test_replayer_past_the_entry_cap_endorses_the_newest_entries():
     first = runner.reports[0]
     assert first.outcome == "submitted" and not first.forged_chosen
     assert [c["count"] for c in first.candidates if c["forged"]] == [1]
+
+
+def lower_entry_cap(monkeypatch, cap):
+    """Give payloads a cap of `cap` entries, where the wire format checks
+    it and where extraction and the replayer read it."""
+    monkeypatch.setattr(encoding, "MAX_ENTRIES", cap)
+    monkeypatch.setattr(oracles, "MAX_ENTRIES", cap)
+
+
+def test_honest_extraction_past_the_entry_cap_is_relayed_over_rounds(
+        monkeypatch):
+    """A round whose honest extraction holds more entries than a payload
+    carries relays the oldest and leaves the rest to the next rounds, a
+    block cut in two included, so the run exits 0 instead of raising
+    MalformedPayload, and every swap executes exactly once."""
+    lower_entry_cap(monkeypatch, 4)
+    lock = {"op": "user_lock", "sender": "alice", "token": "T", "amount": 1,
+            "receiver": "bob"}
+    relay = [{"op": "relay_round", "source": 0, "target": 1},
+             {"op": "produce_block", "chain": 1}]
+    timeline = [lock] * 6 + [{"op": "produce_block", "chain": 0}]
+    timeline += [lock] * 3 + [{"op": "produce_block", "chain": 0, "count": 3}]
+    timeline += relay * 4
+    timeline += [{"op": "assert", "check": "exec_count", "swap": i,
+                  "expect": 1} for i in range(9)]
+    timeline += [{"op": "assert", "check": "backing", "token": "T",
+                  "relation": "eq"}]
+    runner = Runner(Scenario.from_json({
+        "name": "past_the_cap",
+        "chains": [{"confirmation_depth": 2, "finality_depth": 3,
+                    "relevance_window": 10, "recovery_timeout": 50}] * 2,
+        "tokens": ["T"],
+        "balances": [{"account": "alice", "token": "T", "amount": 100}],
+        "timeline": timeline,
+    }))
+    result = runner.run()
+    assert result.exit_code == 0, result.error or result.violations
+    assert [len(r.entries) for r in runner.reports] == [4, 4, 1, 0]
+    assert [r.outcome for r in runner.reports] == ["submitted"] * 3 + ["empty"]
+
+
+def test_reattestations_go_first_when_a_round_is_past_the_entry_cap(
+        monkeypatch):
+    """Re-attestations lie behind the cursor, so they are the oldest
+    entries of a round and go first; the cursor stops at the first new
+    registration left out."""
+    lower_entry_cap(monkeypatch, 4)
+    w = World()
+    for amount in (1, 2):
+        w.origin.submit(LockTx(0, ALICE, "T", amount, BOB))
+    w.origin.produce_block()
+    w.origin.extend("main", w.conf_depth)
+    assert [e.amount for e in w.network.extract(w.origin)] == [1, 2]
+    old = w.origin.canonical_events()[0].swap_id
+    w.network.request_reattestation(old)
+    for amount in (3, 4, 5, 6):
+        w.origin.submit(LockTx(0, ALICE, "T", amount, BOB))
+    w.origin.produce_block()
+    w.origin.extend("main", w.conf_depth)
+    assert [e.amount for e in w.network.extract(w.origin)] == [1, 3, 4, 5]
+    assert [e.amount for e in w.network.extract(w.origin)] == [1, 6]
+    # a request stays until a relay round submits it
+    assert [e.amount for e in w.network.extract(w.origin)] == [1]
+
+
+def count_packing(monkeypatch) -> list:
+    """Wrap the first step of packing an entry, its validation, which runs
+    once per packing: every entry packed is appended to the returned list,
+    which keeps it alive, so two packings of one object show as one id
+    twice."""
+    validate = PayloadEntry.validate
+    packed: list = []
+
+    def counted(entry):
+        packed.append(entry)
+        validate(entry)
+
+    monkeypatch.setattr(PayloadEntry, "validate", counted)
+    return packed
+
+
+def test_replayer_rounds_pack_only_their_new_entries(monkeypatch):
+    """With 4 honest oracles and a replayer (threshold 4), a relay round
+    packs at most the entries extracted in it: the replayer's history was
+    packed in earlier rounds, and its kept bytes are only joined again.
+    Neither the reveals nor anything else packs an entry twice."""
+    packed = count_packing(monkeypatch)
+    scenario = random_happy_scenario(seed=1, swaps=200)
+    scenario.oracles = OracleConfig(count=5, threshold=4,
+                                    behaviors=["honest"] * 4 + ["replayer"])
+    runner = Runner(scenario)
+    extract, relay_round = runner.network.extract, runner.network.relay_round
+    rounds: list[tuple[int, int]] = []    # (entries extracted, packed)
+    extracted: list = []
+
+    def counted_extract(chain):
+        entries = extract(chain)
+        extracted.append(len(entries))
+        return entries
+
+    def counted_relay_round(source, target):
+        before = len(packed)
+        report = relay_round(source, target)
+        rounds.append((extracted[-1], len(packed) - before))
+        return report
+
+    runner.network.extract = counted_extract
+    runner.network.relay_round = counted_relay_round
+    result = runner.run()
+    assert result.exit_code == 0, result.violations
+    assert len(rounds) >= 50
+    assert sum(new for new, _ in rounds) == 200
+    assert all(count <= new for new, count in rounds), rounds
+    assert len({id(entry) for entry in packed}) == len(packed)
+
+
+def test_reorg_replays_pack_no_entry_again(monkeypatch):
+    """Reveals replayed by the reorg self-check reuse their entries' bytes."""
+    packed = count_packing(monkeypatch)
+    result = Runner(reorg_scenario(seed=1)).run()
+    assert result.exit_code == 0, result.violations
+    # the destination reorganized, so the self-check replayed its reveals
+    assert any(record.get("reorg") and record["chain"] == 1
+               for record in result.records)
+    assert packed
+    assert len({id(entry) for entry in packed}) == len(packed)
 
 
 def test_equivocator_second_payload_never_accepted():

@@ -1,10 +1,11 @@
 """Trace records share each JSON fragment of an immutable value.
 
 A tx's `describe()`, an account's, a block ref's and a payload entry's
-`to_json()` are built once, and the Runner keeps one canonical summary per
-chain while its tip is unchanged, so the records a run holds refer to one
-dict per fragment instead of a copy per record. The text is unchanged:
-the pinned digests check that.
+`to_json()` and a swap id's hex string are built once, a run keeps one
+account object per (chain, address), and the Runner keeps one canonical
+summary per chain while its tip is unchanged, so the records a run holds
+refer to one dict or string per fragment instead of a copy per record.
+The text is unchanged: the pinned digests check that.
 """
 
 import pytest
@@ -14,9 +15,10 @@ from swapgate.scenario import Runner
 from scenario_gen import random_happy_scenario
 
 # distinct dicts reachable from the records of random_happy_scenario(seed=1,
-# swaps=200); they hold 7,080 once written out, and the records held 6,289
-# before fragments were shared
-DISTINCT_DICTS_CEILING = 4164
+# swaps=200); they hold 7,080 once written out, the records held 6,289
+# before fragments were shared and 4,164 before the ports shared their
+# receivers
+DISTINCT_DICTS_CEILING = 3964
 
 
 @pytest.fixture(scope="module")
@@ -73,15 +75,58 @@ def test_transitions_share_the_swap_id_and_label_strings(records):
     assert all(len(ids) == 1 for ids in strings.values())
 
 
-def test_distinct_dicts_reachable_from_the_records(records):
-    seen: set[int] = set()
+def distinct_dicts(records) -> list[dict]:
+    seen: dict[int, dict] = {}
     stack: list = [records]
     while stack:
         value = stack.pop()
         if isinstance(value, dict):
             if id(value) not in seen:
-                seen.add(id(value))
+                seen[id(value)] = value
                 stack.extend(value.values())
         elif isinstance(value, list):
             stack.extend(value)
-    assert len(seen) <= DISTINCT_DICTS_CEILING
+    return list(seen.values())
+
+
+def test_one_account_dict_per_chain_and_address(records):
+    """Senders, receivers and holders in txs and registration events, and
+    the receivers of the ports' mints and unlocks, are one dict each."""
+    accounts: dict[tuple[int, str], set[int]] = {}
+    for value in distinct_dicts(records):
+        if value.keys() == {"chain", "address"}:
+            accounts.setdefault((value["chain"], value["address"]),
+                                set()).add(id(value))
+    executed = [event["payload"]["receiver"] for block in blocks(records)
+                for event in block["events"]
+                if event["kind"] in ("MintExecuted", "UnlockExecuted")]
+    assert len(executed) == 200
+    assert all(len(ids) == 1 for ids in accounts.values())
+
+
+def test_one_swap_id_string_per_swap(records):
+    """A swap's receipt, its registration and execution events, its round
+    report entry and its controller transitions share one id string."""
+    strings: dict[str, set[int]] = {}
+
+    def note(text: str) -> None:
+        strings.setdefault(text, set()).add(id(text))
+
+    for block in blocks(records):
+        for receipt in block["txs"]:
+            if "swap_id" in receipt:
+                note(receipt["swap_id"])
+        for event in block["events"]:
+            if event["swap_id"] is not None:
+                note(event["swap_id"])
+    for record in records:
+        for entry in record.get("report", {}).get("entries", ()):
+            note(entry["swap_id"])
+        for transition in record.get("transitions", ()):
+            note(transition["swap_id"])
+    assert len(strings) == 200
+    assert all(len(ids) == 1 for ids in strings.values())
+
+
+def test_distinct_dicts_reachable_from_the_records(records):
+    assert len(distinct_dicts(records)) <= DISTINCT_DICTS_CEILING

@@ -478,6 +478,22 @@ def test_failed_lock_does_not_shift_swap_handles():
     assert runner.swap_ids[1] is not None
 
 
+def test_swap_handles_go_once_their_txs_are_included():
+    """The runner keeps a user tx's handle only until a block includes the
+    tx, rejected or not, so it holds no id of a tx that may be freed."""
+    scenario = load_scenario("happy_path").to_json()
+    lock = {"op": "user_lock", "sender": "alice", "token": "T",
+            "receiver": "bob"}
+    scenario["timeline"] = [dict(lock, amount=0), dict(lock, amount=55),
+                            {"op": "produce_block", "chain": 0},
+                            dict(lock, amount=7)]
+    runner = Runner(Scenario.from_json(scenario))
+    assert runner.run().exit_code == 0
+    pending = runner.chains[0].pending
+    assert list(runner._tx_handles) == [id(tx) for tx in pending]
+    assert runner.swap_ids[1] is not None and runner.swap_ids[2] is None
+
+
 def test_failed_assert_gives_exit_1():
     scenario = load_scenario("happy_path").to_json()
     scenario["timeline"].append(
