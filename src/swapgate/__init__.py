@@ -32,7 +32,6 @@ from .nebula import (
     NEBULA_ADDRESS,
     NebulaState,
     OracleRoster,
-    Pulse,
     default_threshold,
     pulse_message,
 )

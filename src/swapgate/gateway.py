@@ -141,7 +141,7 @@ def apply_tx(state: GatewayState, tx: Tx, ctx: BlockCtx) -> dict | None:
         return {"swap_id": swap_id.hex()}
     if isinstance(tx, PulseTx):
         state.nebula.submit_pulse(ctx, tx.data_hash, tx.declared_height,
-                                  list(tx.signatures))
+                                  tx.signatures)
         return None
     if isinstance(tx, SendDataTx):
         # each port refuses the direction it does not execute (UnknownSwap)

@@ -9,8 +9,10 @@ whose commitment equals the hash of the payload's canonical encoding. A
 reveal that matches no open pulse (a tampered payload, a second reveal of a
 consumed one, or a payload never committed on this branch) is rejected.
 Otherwise the pulse is consumed and each entry is routed to the local port.
-`unconsumed` is the one record of open commitments: a pulse is consumed
-exactly when its hash no longer maps to its id there.
+The contract keeps only its open pulses and the count of pulses accepted: a
+pulse is consumed exactly when its hash no longer maps to its id in `pulses`.
+Signers and declared heights live in the pulse transaction and its
+`PulseAccepted` event, not in the state.
 
 Signatures bind (data hash, declared height, chain id) so that a signature
 collected for one chain or height cannot be replayed on another.
@@ -19,6 +21,7 @@ collected for one chain or height cannot be replayed on another.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .chain import BlockCtx, EventKind
@@ -66,38 +69,22 @@ def pulse_message(data_hash: bytes, declared_height: int, chain_id: int) -> byte
     return data_hash + struct.pack(">Q", declared_height) + struct.pack(">B", chain_id)
 
 
-@dataclass(frozen=True)
-class Pulse:
-    """A registered payload commitment. Immutable, so per-block states can
-    share it; whether it is consumed is NebulaState's to say."""
-
-    pulse_id: int
-    data_hash: bytes
-    declared_height: int
-    signatures: tuple[tuple[int, bytes], ...]
-
-    @property
-    def signers(self) -> tuple[int, ...]:
-        return tuple(sorted({idx for idx, _ in self.signatures}))
-
-
 @dataclass
 class NebulaState:
     """Verification contract state; equal states hold equal values in every
-    field, full pulse signatures and `unconsumed` included."""
+    field, the open pulses included."""
 
     chain_id: int
     roster: OracleRoster
     window: int
-    # ids run 1, 2, ... and no pulse is ever removed: the next id is
-    # len(pulses) + 1
-    pulses: dict[int, Pulse] = field(default_factory=dict)
+    # ids run 1, 2, ...: the id of the last pulse accepted
+    pulse_count: int = 0
     # data hash -> id of the open pulse committed to it: the uniqueness rule
     # for pulses and the lookup for reveals
-    unconsumed: dict[bytes, int] = field(default_factory=dict)
+    pulses: dict[bytes, int] = field(default_factory=dict)
 
     def submit_pulse(self, ctx: BlockCtx, data_hash: bytes, declared_height: int,
-                     signatures: list[tuple[int, bytes]]) -> int:
+                     signatures: Iterable[tuple[int, bytes]]) -> int:
         message = pulse_message(data_hash, declared_height, self.chain_id)
         signers: set[int] = set()
         for idx, sig in signatures:
@@ -118,25 +105,19 @@ class NebulaState:
             raise StaleHeight(
                 f"declared height {declared_height} older than window "
                 f"{self.window} at height {current}")
-        if data_hash in self.unconsumed:
+        if data_hash in self.pulses:
             raise DuplicatePulse(
                 f"hash {data_hash.hex()} already registered and unconsumed")
 
-        pulse = Pulse(
-            pulse_id=len(self.pulses) + 1,
-            data_hash=data_hash,
-            declared_height=declared_height,
-            signatures=tuple((idx, sig) for idx, sig in signatures),
-        )
-        self.pulses[pulse.pulse_id] = pulse
-        self.unconsumed[data_hash] = pulse.pulse_id
+        self.pulse_count += 1
+        self.pulses[data_hash] = self.pulse_count
         ctx.emit(EventKind.PULSE_ACCEPTED, None, {
-            "pulse_id": pulse.pulse_id,
+            "pulse_id": self.pulse_count,
             "data_hash": data_hash.hex(),
             "declared_height": declared_height,
-            "signers": list(pulse.signers),
+            "signers": sorted(signers),
         })
-        return pulse.pulse_id
+        return self.pulse_count
 
     def submit_send_data(self, ctx: BlockCtx, entries: list[PayloadEntry],
                          router) -> list[str]:
@@ -148,7 +129,7 @@ class NebulaState:
         roll back its siblings; the pulse is consumed either way.
         """
         data_hash = payload_hash(entries)
-        pulse_id = self.unconsumed.pop(data_hash, None)
+        pulse_id = self.pulses.pop(data_hash, None)
         if pulse_id is None:
             raise UnknownPulse(f"no open pulse for hash {data_hash.hex()}")
 
@@ -169,4 +150,4 @@ class NebulaState:
 
     def clone(self) -> "NebulaState":
         return NebulaState(self.chain_id, self.roster, self.window,
-                           dict(self.pulses), dict(self.unconsumed))
+                           self.pulse_count, dict(self.pulses))

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import trace as trace_mod
-from .chain import EXECUTION_KINDS, BlockRef, Chain, EventKind
+from .chain import (EXECUTION_KINDS, REGISTRATION_KINDS, BlockRef, Chain,
+                    EventKind)
 from .controller import StatusController
 from .crypto import oracle_secret, sha256
 from .errors import BeyondFinality, HeightBeyondTip, InvalidScenario
@@ -523,12 +524,17 @@ class Runner:
 
     def _resolve_new_swaps(self, chain: Chain, ref) -> None:
         block = chain.blocks[ref.block_hash]
+        # the id the port stored, by its kept hex string, which the receipt
+        # holds too
+        registered = {event.swap_id.hex(): event.swap_id
+                      for event in block.events
+                      if event.kind in REGISTRATION_KINDS}
         for receipt in block.receipts:
             # a user tx is included once: its handle goes with it, so that
             # no id of a freed tx is kept
             handle = self._tx_handles.pop(id(receipt.tx), None)
             if handle is not None and receipt.status == "ok":
-                self.swap_ids[handle] = bytes.fromhex(receipt.extra["swap_id"])
+                self.swap_ids[handle] = registered[receipt.extra["swap_id"]]
 
     def _reorg_record(self, chain: Chain) -> dict | None:
         info = chain.last_reorg

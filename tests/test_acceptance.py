@@ -257,7 +257,7 @@ def test_criterion_5_nebula_rules():
     routed = []
     assert reveal.submit_send_data(ctx(1), entries,
                                    router=routed.append) == ["ok"]
-    assert routed == entries and reveal.unconsumed == {}
+    assert routed == entries and reveal.pulses == {}
     flipped = [PayloadEntry(entries[0].direction, entries[0].swap_id,
                             entries[0].symbol, entries[0].origin_chain,
                             entries[0].receiver, entries[0].amount ^ 1)]
@@ -266,11 +266,11 @@ def test_criterion_5_nebula_rules():
     routed = []
     with pytest.raises(UnknownPulse):
         fresh.submit_send_data(ctx(1), flipped, router=routed.append)
-    assert routed == [] and fresh.unconsumed == {digest: 1}
+    assert routed == [] and fresh.pulses == {digest: 1}
     fresh.submit_send_data(ctx(1), entries, router=lambda e: None)
     with pytest.raises(UnknownPulse):
         fresh.submit_send_data(ctx(1), entries, router=routed.append)
-    assert routed == [] and fresh.unconsumed == {}
+    assert routed == [] and fresh.pulses == {}
 
 
 @criterion(6, "canonical encoding: 1000-payload round trip plus golden bytes")

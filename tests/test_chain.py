@@ -290,11 +290,11 @@ def test_parent_state_unchanged_by_child_and_sibling_blocks(world):
 
     assert dest.states[parent.block_hash] == before
     parent_state = dest.states[parent.block_hash]
-    assert parent_state.nebula.unconsumed == {pulse.data_hash: 1}
+    assert parent_state.nebula.pulses == {pulse.data_hash: 1}
     assert parent_state.port.swaps == {}
     for tip in (child.block_hash, dest.branches[sibling]):
         state = dest.states[tip]
-        assert state.nebula.unconsumed == {}
+        assert state.nebula.pulses == {}
         assert state.ledger.supply == {"swT": 5}
     receipts = dest.blocks[dest.canonical_chain()[2].ref.block_hash].receipts
     assert [r.status for r in receipts] == ["ok", "UnknownPulse"]
@@ -336,22 +336,22 @@ def test_orphaned_reveal_reopens_a_pulse_that_stays_canonical(world):
     dest.produce_block()
     dest.submit(reveal)
     consumed = dest.produce_block()
-    assert dest.canonical_state.nebula.unconsumed == {}
+    assert dest.canonical_state.nebula.pulses == {}
     assert dest.canonical_state.ledger.supply == {"swT": 30}
 
     dest.fork_at(1, "alt")
     dest.extend("alt", 2)
     assert not dest.is_canonical(consumed)
     state = dest.canonical_state
-    assert state.nebula.unconsumed == {pulse.data_hash: 1}
+    assert state.nebula.pulses == {pulse.data_hash: 1}
     assert state.ledger.supply == {}
     # the abandoned tip keeps its own state: the pulse stays consumed there
-    assert dest.states[consumed.block_hash].nebula.unconsumed == {}
+    assert dest.states[consumed.block_hash].nebula.pulses == {}
 
     dest.submit(reveal)
     ref = dest.produce_block("alt")
     (receipt,) = dest.blocks[ref.block_hash].receipts
     assert (receipt.status, receipt.extra) == \
         ("ok", {"entry_outcomes": ["ok"]})
-    assert dest.canonical_state.nebula.unconsumed == {}
+    assert dest.canonical_state.nebula.pulses == {}
     assert dest.canonical_state.ledger.supply == {"swT": 30}

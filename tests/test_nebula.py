@@ -4,13 +4,12 @@ Expected signatures and hashes in the acceptance-matrix tests come from the
 independent reference codec, never from the production code under test.
 """
 
-import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
-from swapgate.chain import BlockCtx, BlockRef
+from swapgate.chain import BlockCtx, BlockRef, EventKind
 from swapgate.crypto import HashMacScheme
 from swapgate.encoding import Direction, PayloadEntry, payload_hash
 from swapgate.errors import (
@@ -68,14 +67,18 @@ def test_pulse_message_matches_reference():
 
 
 def test_acceptance_matrix_threshold_boundary():
-    """Exactly 4-of-5 accepts; 3-of-5 rejects; 5-of-5 accepts."""
+    """Exactly 4-of-5 accepts; 3-of-5 rejects; 5-of-5 accepts. The
+    PulseAccepted event names the signers."""
     for count, ok in ((3, False), (4, True), (5, True)):
         nebula = make_nebula()
         sigs = ref_sigs(range(count))
         if ok:
-            pulse_id = nebula.submit_pulse(ctx_at(1), DATA_HASH, 0, sigs)
+            ctx = ctx_at(1)
+            pulse_id = nebula.submit_pulse(ctx, DATA_HASH, 0, sigs)
             assert pulse_id == 1
-            assert nebula.pulses[1].signers == tuple(range(count))
+            [event] = ctx.events
+            assert event.kind == EventKind.PULSE_ACCEPTED
+            assert event.payload["signers"] == list(range(count))
         else:
             with pytest.raises(InsufficientSignatures):
                 nebula.submit_pulse(ctx_at(1), DATA_HASH, 0, sigs)
@@ -153,14 +156,19 @@ def test_duplicate_unconsumed_hash_rejected():
 
 
 def test_hash_can_reregister_after_consumption():
+    """Consuming a pulse closes its hash; the count stays, so the next
+    pulse on the same hash gets a fresh id."""
     entries = [PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x01" * 32,
                             "T", 0, b"\x02" * 20, 5)]
     digest = payload_hash(entries)
     nebula = make_nebula()
     nebula.submit_pulse(ctx_at(1), digest, 0, ref_sigs(range(4), digest))
+    assert (nebula.pulse_count, nebula.pulses) == (1, {digest: 1})
     nebula.submit_send_data(ctx_at(1), entries, router=lambda e: None)
+    assert (nebula.pulse_count, nebula.pulses) == (1, {})
     assert nebula.submit_pulse(ctx_at(2), digest, 1,
                                ref_sigs(range(4), digest, height=1)) == 2
+    assert (nebula.pulse_count, nebula.pulses) == (2, {digest: 2})
 
 
 def test_send_data_routes_on_hash_match():
@@ -181,25 +189,7 @@ def test_send_data_routes_on_hash_match():
                                        router=routed.append)
     assert outcomes == ["ok", "ok"]
     assert routed == entries
-    assert nebula.unconsumed == {}
-
-
-def test_pulse_is_frozen_and_consumption_leaves_it_in_place():
-    """Consuming a pulse only closes its hash in `unconsumed`; the pulse
-    record stays the same object, and `unconsumed` no longer holds it."""
-    entries = [PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x03" * 32,
-                            "T", 0, b"\x04" * 20, 7)]
-    digest = payload_hash(entries)
-    nebula = make_nebula()
-    nebula.submit_pulse(ctx_at(1), digest, 0, ref_sigs(range(4), digest))
-    registered = nebula.pulses[1]
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        registered.declared_height = 5
-    assert nebula.unconsumed == {digest: 1}
-    nebula.submit_send_data(ctx_at(1), entries, router=lambda e: None)
-    assert nebula.pulses == {1: registered}
-    assert nebula.pulses[1] is registered
-    assert nebula.unconsumed == {}
+    assert nebula.pulses == {}
 
 
 def test_send_data_one_flipped_bit_rejected():
@@ -215,7 +205,7 @@ def test_send_data_one_flipped_bit_rejected():
     with pytest.raises(UnknownPulse):
         nebula.submit_send_data(ctx_at(1), tampered, router=routed.append)
     assert routed == []
-    assert nebula.unconsumed == {digest: 1}
+    assert nebula.pulses == {digest: 1}
 
 
 def test_send_data_one_shot():
@@ -229,7 +219,7 @@ def test_send_data_one_shot():
     with pytest.raises(UnknownPulse):
         nebula.submit_send_data(ctx_at(1), entries, router=routed.append)
     assert routed == []
-    assert nebula.unconsumed == {}
+    assert nebula.pulses == {}
 
 
 def test_send_data_unknown_pulse():
@@ -240,7 +230,7 @@ def test_send_data_unknown_pulse():
     nebula.submit_pulse(ctx_at(1), DATA_HASH, 0, ref_sigs(range(4)))
     with pytest.raises(UnknownPulse, match=payload_hash(entries).hex()):
         nebula.submit_send_data(ctx_at(1), entries, router=lambda e: None)
-    assert nebula.unconsumed == {DATA_HASH: 1}
+    assert nebula.pulses == {DATA_HASH: 1}
 
 
 def test_entry_failures_do_not_roll_back_siblings():

@@ -445,7 +445,7 @@ def test_delivery_crossing_a_destination_fork_is_not_wedged():
                  if e.kind == EventKind.MINT_EXECUTED]
         assert len(mints) == 1, swap_id.hex()
     assert dest.canonical_state.ledger.supply["swT"] == 5 + 6 + 7
-    assert dest.canonical_state.nebula.unconsumed == {}
+    assert dest.canonical_state.nebula.pulses == {}
 
 
 def test_pulse_relayed_before_a_fork_is_accepted_on_the_fork():

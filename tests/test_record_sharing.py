@@ -8,9 +8,12 @@ refer to one dict or string per fragment instead of a copy per record.
 The text is unchanged: the pinned digests check that.
 """
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
-from swapgate.scenario import Runner
+from swapgate.scenario import Runner, Scenario
 
 from scenario_gen import random_happy_scenario
 
@@ -126,6 +129,23 @@ def test_one_swap_id_string_per_swap(records):
             note(transition["swap_id"])
     assert len(strings) == 200
     assert all(len(ids) == 1 for ids in strings.values())
+
+
+def test_runner_swap_ids_are_the_ports_ids():
+    """The runner's handle for each swap is the id object the port stored,
+    not a second copy parsed back from the receipt's hex string; checked
+    on the benchmark's swap_dense run (seed 1), 1,224 locks and burns."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    runner = Runner(Scenario.from_json(workloads.swap_dense(1)))
+    assert runner.run().exit_code == 0
+    stored = {id(swap_id) for chain in runner.chains.values()
+              for swap_id in chain.canonical_state.port.swaps}
+    assert len(runner.swap_ids) == 1224
+    assert all(id(swap_id) in stored for swap_id in runner.swap_ids)
 
 
 def test_distinct_dicts_reachable_from_the_records(records):

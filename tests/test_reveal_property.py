@@ -68,7 +68,7 @@ def check_canonical_receipts(chain) -> None:
                 assert receipt.status == "UnknownPulse"
                 assert data_hash not in open_hashes
     state = chain.canonical_state
-    assert set(state.nebula.unconsumed) == open_hashes
+    assert set(state.nebula.pulses) == open_hashes
     assert state.ledger.supply.get("swT", 0) == minted
     processed = {swap_id for swap_id, status in state.port.swaps.items()
                  if status == SwapStatus.PROCESSED}

@@ -13,6 +13,7 @@ from swapgate.errors import InvalidScenario, MalformedTrace
 from swapgate.scenario import Runner, Scenario
 from swapgate.trace import check_trace_text, parse_trace
 
+import reference_evaluate as reference
 from scenario_gen import random_happy_scenario, reorg_scenario
 
 BUNDLED = [
@@ -23,8 +24,8 @@ BUNDLED = [
 ]
 
 
-REGRESSION_SCENARIOS = sorted(
-    (Path(__file__).parent / "scenarios").glob("*.json"))
+SCENARIO_DIR = Path(__file__).parent / "scenarios"
+REGRESSION_SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 def run_bundled(name, seed=None):
@@ -72,6 +73,25 @@ def test_regression_scenario_passes_and_checks(path):
     assert result.exit_code == 0, result.violations
     text = "\n".join(result.trace_lines()) + "\n"
     assert check_trace_text(text) == (0, [])
+
+
+def test_unfinal_lock_reorged_pins_the_unsafe_depth_hole():
+    """A known hole, pinned and not fixed: with confirmation depth 2 below
+    finality depth 3, a lock is relayed, minted and finalized while a legal
+    origin reorg can still orphan it. The run and the check both fail with
+    exactly a retracted finalized status and an unbacked wrapped supply."""
+    path = SCENARIO_DIR / "failing" / "unfinal_lock_reorged.json"
+    result = Runner(load_scenario(str(path))).run()
+    assert result.exit_code == 1
+    assert [(v["invariant"], v["detail"].split(": ", 1)[1])
+            for v in result.violations] == [
+        ("status_machine", "finalized status retracted"),
+        ("assertion", "backing failed: locked 0 vs wrapped supply 100"),
+    ]
+    text = "\n".join(result.trace_lines()) + "\n"
+    assert check_trace_text(text) == (1, result.violations)
+    assert reference.evaluate_records(reference.parse_trace(text)) == \
+        result.violations
 
 
 def test_check_flags_duplicate_execution(tmp_path):

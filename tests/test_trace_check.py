@@ -19,7 +19,7 @@ from hypothesis import example, given, strategies as st
 from swapgate.cli import load_scenario
 from swapgate.errors import MalformedTrace
 from swapgate import trace
-from swapgate.scenario import Runner
+from swapgate.scenario import Runner, Scenario
 from swapgate.trace import (
     canonical_block_lists,
     check_trace_text,
@@ -136,6 +136,30 @@ def illegal_transition(records, rng):
     return "status_machine"
 
 
+def insert_revert(records, rng, finalizing, to):
+    """A revert right after a transition, retracting the status it set."""
+    tick = rng.choice([r for r in records if r["op"] == "tick" and any(
+        not t["revert"] and (t["to"] == "finalized") == finalizing
+        for t in r["transitions"])])
+    transitions = tick["transitions"]
+    index = rng.choice([i for i, t in enumerate(transitions)
+                        if not t["revert"]
+                        and (t["to"] == "finalized") == finalizing])
+    done = transitions[index]
+    transitions.insert(index + 1, {
+        "chain": done["chain"], "from": done["to"], "reason": "tampered",
+        "revert": True, "swap_id": done["swap_id"], "to": to})
+    return "status_machine"
+
+
+def retract_finalized(records, rng):
+    return insert_revert(records, rng, True, None)
+
+
+def revert_to_processed(records, rng):
+    return insert_revert(records, rng, False, "processed")
+
+
 def fail_assert(records, rng):
     asserts = [r for r in records if r["op"] == "assert"]
     if asserts:
@@ -162,7 +186,7 @@ def drop_block(records, rng):
 
 
 TAMPERS = [break_conservation, double_execution, illegal_transition,
-           fail_assert, drop_block]
+           retract_finalized, revert_to_processed, fail_assert, drop_block]
 BASES = ["happy_path", "round_trip", "reorg_before_conf", "happy:5",
          "reorg:4"]
 
@@ -199,6 +223,40 @@ def test_several_faults_agree(name):
         assert invariants <= reported
 
 
+@pytest.mark.parametrize("tamper,detail", [
+    (retract_finalized, "finalized status retracted"),
+    (revert_to_processed, "revert to unexpected status processed"),
+])
+def test_revert_tampers_are_named(tamper, detail):
+    records, text, _ = tampered("happy_path", [tamper], random.Random(0))
+    [violation] = assert_agrees(records, text)
+    assert violation["invariant"] == "status_machine"
+    assert violation["detail"].endswith(detail)
+
+
+def test_forged_quorum_fails_no_forged_accepted():
+    """Two of three oracles double every amount and meet threshold 2, so
+    their forged payload is delivered and minted; the assertion names the
+    forged pulse, and both evaluators report it alone."""
+    scenario = load_scenario("happy_path").to_json()
+    scenario["oracles"] = {"count": 3, "threshold": 2, "behaviors": [
+        "honest", "wrong_amount", "wrong_amount"]}
+    scenario["timeline"] = [
+        {"op": "user_lock", "sender": "alice", "token": "T", "amount": 100,
+         "receiver": "bob"},
+        {"op": "produce_block", "chain": 0, "count": 7},
+        {"op": "relay_round", "source": 0, "target": 1},
+        {"op": "produce_block", "chain": 1},
+        {"op": "assert", "check": "no_forged_accepted"},
+    ]
+    result = Runner(Scenario.from_json(scenario)).run()
+    assert result.exit_code == 1
+    [violation] = assert_agrees(result.records, trace_text(result))
+    assert violation["invariant"] == "assertion"
+    assert violation["detail"] == ("step 4: no_forged_accepted failed: "
+                                   "forged pulse 1 accepted on chain 1")
+
+
 def test_malformed_event_in_an_orphaned_block_is_malformed():
     """Every block's events are read as the block arrives, so a malformed
     one is found off the canonical branch too; the multi-pass check read
@@ -233,13 +291,27 @@ def test_first_fault_in_file_order_is_reported():
 BOUNDARIES = ["\n", "\r\n", "\r", "\n\n", "\x0b", "\x0c", "\x1c", "\x85",
               " ", "\r\r\n", "\n  \n"]
 
+# what a fault makes of the line it hits: cut short (not JSON), JSON that is
+# not an object, an object with no `op`, or a record other than the header
+# (a fault only as the first record, or as the last, which must be `end`)
+FAULTS = {"cut": lambda line: line[:-1], "not_an_object": lambda _: '"op"',
+          "no_op": lambda _: '{"x": 1}',
+          "not_the_header": lambda _: '{"op": "tick"}'}
 
-@example(seps=["\n\n", "\r\n", "\x85"], bad=3, trailing="\n", chunk=1)
+
+@example(seps=["\n\n", "\r\n", "\x85"], bad=3, trailing="\n", chunk=1,
+         fault="cut")
+@example(seps=["\n", "\r\n"], bad=1, trailing="\n", chunk=7,
+         fault="not_an_object")
+@example(seps=["\n", "\n"], bad=1, trailing="", chunk=3, fault="no_op")
+@example(seps=["\r\n", "\n"], bad=0, trailing="", chunk=5,
+         fault="not_the_header")
 @given(seps=st.lists(st.sampled_from(BOUNDARIES), min_size=1, max_size=40),
        bad=st.one_of(st.none(), st.integers(0, 40)),
        trailing=st.sampled_from(["", "\n", "\r\n", "\n\n"]),
-       chunk=st.integers(1, 4000))
-def test_reader_numbers_lines_as_the_reference(seps, bad, trailing, chunk):
+       chunk=st.integers(1, 4000), fault=st.sampled_from(sorted(FAULTS)))
+def test_reader_numbers_lines_as_the_reference(seps, bad, trailing, chunk,
+                                               fault):
     """Any mix of line boundaries and blank lines, split into chunks of any
     size, at line ends (a text) or anywhere (a file read a chunk at a time):
     the records agree, or the one fault is reported with the same line
@@ -247,7 +319,7 @@ def test_reader_numbers_lines_as_the_reference(seps, bad, trailing, chunk):
     lines = base_text("happy_path").splitlines()
     lines = lines[:len(seps)] + lines[-1:] if len(seps) < len(lines) else lines
     if bad is not None and bad < len(lines):
-        lines[bad] = lines[bad][:-1]
+        lines[bad] = FAULTS[fault](lines[bad])
     text = "".join(line + sep for line, sep in zip(lines, seps + ["\n"] * len(lines)))
     text = text.rstrip("\n") + trailing
     cut = [text[i:i + chunk] for i in range(0, len(text), chunk)]
