@@ -48,13 +48,16 @@ lies above final_height, so its re-splice of the canonical list is bounded
 by the finality depth.
 
 The replay starts from a checkpoint: the replay's own state at the highest
-block it has replayed that was at or below final_height (at first its own
-clone of the genesis state, so that the replay never holds a state object
-of the chain's). A reorg therefore costs the blocks since the
-last one plus the finality depth, not the chain height, and the check is
-still the replay from genesis: the checkpoint state was built only by
-replaying from genesis, never taken from the incremental states, and a
-block at or below final_height stays canonical for good.
+block it has replayed that was at or below final_height. At first that is
+its own build of the genesis state: the chain is handed a genesis builder
+and calls it twice, once for states and once for the replay. So the replay
+never holds a state object of the chain's, and a clone() that shares a map
+with its parent shares it within one side only, where the self-check sees
+it. A reorg therefore costs the blocks since the last one plus the
+finality depth, not the chain height, and the check is still the replay
+from genesis: the checkpoint state was built only by replaying from
+genesis, never taken from the incremental states, and a block at or below
+final_height stays canonical for good.
 """
 
 from __future__ import annotations
@@ -167,10 +170,11 @@ class ReorgInfo:
 class EmbeddedState(Protocol):
     """What a Chain needs of its per-block state.
 
-    clone() returns a copy that later transactions can change without
-    touching the original. The chain never changes a state it has stored,
-    and shares one between a block without transactions and its parent;
-    callers only read them. A state is a dataclass whose equality (==)
+    clone() is how a block starts from its parent: it returns a copy that
+    later transactions can change without touching the original. Genesis
+    comes from the chain's genesis builder, not from a clone (see Chain).
+    The chain never changes a state it has stored, and shares one between
+    a block without transactions and its parent; callers only read them. A state is a dataclass whose equality (==)
     compares every field; the replay self-check relies on that, and on a
     mismatch names the top-level fields that differ (dataclasses.fields).
     """
@@ -224,6 +228,10 @@ class Chain:
     it is refused with the chain left exactly as it was, pending txs
     included, and states holds genesis plus every block at or above it.
 
+    genesis is a zero-argument builder of the genesis state. The chain
+    calls it twice and clones neither result: one build is the genesis
+    block's state, the other the replay's first checkpoint.
+
     accounts is handed to every block's context: a table in which contract
     code builds one account object per (chain, address) for the whole run
     (ledger.account_id), so that every record of an account shares its
@@ -231,8 +239,9 @@ class Chain:
     block builds equal values whether the table holds them or not.
     """
 
-    def __init__(self, chain_id: int, genesis_state: Any, apply_tx: ApplyTx,
-                 finality_depth: int, accounts: dict | None = None):
+    def __init__(self, chain_id: int, genesis: Callable[[], Any],
+                 apply_tx: ApplyTx, finality_depth: int,
+                 accounts: dict | None = None):
         self.chain_id = chain_id
         self._apply_tx = apply_tx
         self.finality_depth = finality_depth
@@ -241,10 +250,10 @@ class Chain:
         genesis_digest = sha256(b"genesis" + struct.pack(">B", chain_id))
         g_hash = block_hash(GENESIS_PARENT, 0, [genesis_digest])
         g_ref = BlockRef(chain_id, "main", 0, g_hash)
-        genesis = Block(g_ref, GENESIS_PARENT, [], [])
+        g_block = Block(g_ref, GENESIS_PARENT, [], [])
 
-        self.blocks: dict[bytes, Block] = {g_hash: genesis}
-        self.states: dict[bytes, Any] = {g_hash: genesis_state.clone()}
+        self.blocks: dict[bytes, Block] = {g_hash: g_block}
+        self.states: dict[bytes, Any] = {g_hash: genesis()}
         # the hashes of the blocks produced at each height above genesis (a
         # twin's twice), so a height that falls below final_height drops at once
         self._by_height: dict[int, list[bytes]] = {}
@@ -255,12 +264,12 @@ class Chain:
         # at and below this height the canonical chain never changes; it is
         # set with the canonical tip, so it is worked out once per block
         self.final_height = 0
-        self._canonical: list[Block] = [genesis]
+        self._canonical: list[Block] = [g_block]
         self._swap_events: dict[bytes, list[ChainEvent]] = {}
         self.last_reorg: ReorgInfo | None = None
         # the replay's checkpoint: (block, the replay's state at it); its own
-        # clone, so that the replay shares no state object with self.states
-        self._replayed: tuple[Block, Any] = (genesis, genesis_state.clone())
+        # build, so that the replay shares no state object with self.states
+        self._replayed: tuple[Block, Any] = (g_block, genesis())
 
     # --- transaction queue -------------------------------------------------
 
@@ -482,7 +491,7 @@ class Chain:
         The checkpoint starts at genesis and moves up to the highest block
         this replay passes at or below final_height; such a block can never
         be abandoned, so the result equals a replay from genesis. The
-        checkpoint starts from the replay's own clone of the genesis state,
+        checkpoint starts from the replay's own build of the genesis state,
         and _apply_block never changes its parent state, so the checkpoint
         state is never changed. The result may be the
         checkpoint state itself (no block above it, or none with a

@@ -1,7 +1,8 @@
 """Error hierarchy shared by the gateway contracts and the scenario tooling.
 
-Contract-level errors carry a stable ``code`` string so that failed
-transactions can be recorded in blocks and traces without losing the reason.
+Contract-level errors carry a stable ``code`` string, the class name, so
+that failed transactions can be recorded in blocks and traces without
+losing the reason.
 """
 
 
@@ -9,6 +10,10 @@ class GatewayError(Exception):
     """Base for every recoverable contract/protocol error."""
 
     code = "GatewayError"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
 
     def __str__(self) -> str:
         detail = super().__str__()
@@ -18,93 +23,93 @@ class GatewayError(Exception):
 # --- ledger ---------------------------------------------------------------
 
 class InsufficientBalance(GatewayError):
-    code = "InsufficientBalance"
+    pass
 
 
 class InsufficientLocked(GatewayError):
-    code = "InsufficientLocked"
+    pass
 
 
 class ZeroAmount(GatewayError):
-    code = "ZeroAmount"
+    pass
 
 
 class WrongChain(GatewayError):
-    code = "WrongChain"
+    pass
 
 
 class NotAuthorized(GatewayError):
-    code = "NotAuthorized"
+    pass
 
 
 class NotWrappedToken(GatewayError):
-    code = "NotWrappedToken"
+    pass
 
 
 class UnknownToken(GatewayError):
-    code = "UnknownToken"
+    pass
 
 
 # --- chain ----------------------------------------------------------------
 
 class UnknownBranch(GatewayError):
-    code = "UnknownBranch"
+    pass
 
 
 class HeightBeyondTip(GatewayError):
-    code = "HeightBeyondTip"
+    pass
 
 
 class BeyondFinality(GatewayError):
-    code = "BeyondFinality"
+    pass
 
 
 # --- ports ----------------------------------------------------------------
 
 class WrongChainReceiver(GatewayError):
-    code = "WrongChainReceiver"
+    pass
 
 
 class AmountTooLarge(GatewayError):
-    code = "AmountTooLarge"
+    pass
 
 
 class DuplicateExecution(GatewayError):
-    code = "DuplicateExecution"
+    pass
 
 
 class UnknownSwap(GatewayError):
-    code = "UnknownSwap"
+    pass
 
 
 # --- nebula ---------------------------------------------------------------
 
 class InsufficientSignatures(GatewayError):
-    code = "InsufficientSignatures"
+    pass
 
 
 class InvalidSignature(GatewayError):
-    code = "InvalidSignature"
+    pass
 
 
 class StaleHeight(GatewayError):
-    code = "StaleHeight"
+    pass
 
 
 class FutureHeight(GatewayError):
-    code = "FutureHeight"
+    pass
 
 
 class DuplicatePulse(GatewayError):
-    code = "DuplicatePulse"
+    pass
 
 
 class UnknownPulse(GatewayError):
-    code = "UnknownPulse"
+    pass
 
 
 class MalformedPayload(GatewayError):
-    code = "MalformedPayload"
+    pass
 
 
 # --- scenario tooling -----------------------------------------------------

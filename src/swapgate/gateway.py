@@ -1,9 +1,9 @@
 """Wiring between the chain simulator and the gateway contracts.
 
 Defines the transaction vocabulary, the per-branch embedded state (ledger,
-token registry, the chain's one port, verification contract) and the
-dispatcher that the chain invokes for every transaction inside block
-application.
+token table, the chain's one port, verification contract), the dispatcher
+that the chain invokes for every transaction inside block application, and
+build_chains, which hands each chain a builder of its genesis state.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .chain import BlockCtx, Chain
 from .crypto import built_once
 from .encoding import PayloadEntry
 from .errors import WrongChain
-from .ledger import AccountId, Ledger, TokenId, TokenRegistry
+from .ledger import AccountId, Ledger, TokenId
 from .nebula import NEBULA_ADDRESS, NebulaState, OracleRoster
 from .ports import (DESTINATION, IB_PORT_ADDRESS, LU_PORT_ADDRESS, ORIGIN,
                     IssueBurnPort, LockUnlockPort)
@@ -110,17 +110,18 @@ Tx = LockTx | BurnTx | PulseTx | SendDataTx
 @dataclass
 class GatewayState:
     """Everything a branch snapshot carries besides the blocks themselves:
-    the ledger, the token registry, the chain's one port (lock-unlock on the
-    origin, issue-burn on the destination) and the verification contract.
-    Two states are equal when all four components are (see EmbeddedState)."""
+    the ledger, the tokens the chain knows (symbol to TokenId), the chain's
+    one port (lock-unlock on the origin, issue-burn on the destination) and
+    the verification contract. Two states are equal when all four
+    components are (see EmbeddedState)."""
 
     ledger: Ledger
-    tokens: TokenRegistry
+    tokens: dict[str, TokenId]
     port: LockUnlockPort | IssueBurnPort
     nebula: NebulaState
 
     def clone(self) -> "GatewayState":
-        return GatewayState(self.ledger.clone(), self.tokens.clone(),
+        return GatewayState(self.ledger.clone(), dict(self.tokens),
                             self.port.clone(), self.nebula.clone())
 
 
@@ -162,32 +163,36 @@ def build_chains(roster: OracleRoster,
                  tokens: list[TokenId],
                  initial_balances: list[tuple[TokenId, AccountId, int]],
                  accounts: dict | None = None) -> dict[int, Chain]:
-    """Create the origin and destination chains with their genesis states;
-    the dicts map chain id to that chain's setting. Both chains share
-    `accounts`, the run's one AccountId per (chain, address) (see
-    ledger.account_id)."""
-    origin_registry = TokenRegistry()
+    """Create the origin and destination chains; the dicts map chain id to
+    that chain's setting. The tokens and balances are checked once, here;
+    each chain is then handed a builder of its genesis state, from plain
+    parts, which it calls once for its own genesis and once for its replay
+    (see Chain). Both chains share `accounts`, the run's one AccountId per
+    (chain, address) (see ledger.account_id)."""
+    known: dict[str, TokenId] = {}
     for token in tokens:
         if token.chain != ORIGIN:
             raise ValueError(f"original token {token.symbol!r} must live on "
                              f"chain {ORIGIN}")
-        origin_registry.register(token)
-
-    origin_ledger = Ledger(ORIGIN, lock_authority=LU_PORT_ADDRESS)
-    destination_ledger = Ledger(DESTINATION, mint_authority=IB_PORT_ADDRESS)
-    for token, account, amount in initial_balances:
+        if known.setdefault(token.symbol, token) != token:
+            raise ValueError(f"conflicting registration for {token.symbol!r}")
+    for _, account, _ in initial_balances:
         if account.chain != ORIGIN:
             raise ValueError("initial balances are seeded on the origin chain")
-        origin_ledger.credit_initial(token, account, amount)
 
-    states = {
-        ORIGIN: GatewayState(
-            origin_ledger, origin_registry, LockUnlockPort(),
-            NebulaState(ORIGIN, roster, relevance_window[ORIGIN])),
-        DESTINATION: GatewayState(
-            destination_ledger, TokenRegistry(), IssueBurnPort(),
-            NebulaState(DESTINATION, roster, relevance_window[DESTINATION])),
-    }
+    def origin() -> GatewayState:
+        ledger = Ledger(ORIGIN, lock_authority=LU_PORT_ADDRESS)
+        for token, account, amount in initial_balances:
+            ledger.credit_initial(token, account, amount)
+        return GatewayState(ledger, dict(known), LockUnlockPort(),
+                            NebulaState(ORIGIN, roster, relevance_window[ORIGIN]))
+
+    def destination() -> GatewayState:
+        return GatewayState(
+            Ledger(DESTINATION, mint_authority=IB_PORT_ADDRESS), {},
+            IssueBurnPort(),
+            NebulaState(DESTINATION, roster, relevance_window[DESTINATION]))
+
     accounts = {} if accounts is None else accounts
-    return {cid: Chain(cid, state, apply_tx, finality_depth[cid], accounts)
-            for cid, state in states.items()}
+    return {cid: Chain(cid, genesis, apply_tx, finality_depth[cid], accounts)
+            for cid, genesis in ((ORIGIN, origin), (DESTINATION, destination))}

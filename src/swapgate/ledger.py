@@ -4,6 +4,8 @@ Amounts are unsigned integers in minimal units. Maps are kept sparse (zero
 entries are pruned, all by _add) so that two ledgers with the same holdings
 compare equal. Past genesis seeding, balances change only through the pool
 and supply operations, each gated to the configured port contract address.
+The tokens a chain knows are not kept here: they are a plain symbol to
+TokenId dict in the chain's state (gateway.GatewayState.tokens).
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from .errors import (
     InsufficientLocked,
     NotAuthorized,
     NotWrappedToken,
-    UnknownToken,
     WrongChain,
     ZeroAmount,
 )
@@ -63,35 +64,6 @@ class TokenId:
 
 def wrapped_symbol(original: str) -> str:
     return WRAPPED_PREFIX + original
-
-
-@dataclass
-class TokenRegistry:
-    """Symbols known on one chain. Registration is append-only."""
-
-    tokens: dict[str, TokenId] = field(default_factory=dict)
-
-    def register(self, token: TokenId) -> TokenId:
-        existing = self.tokens.get(token.symbol)
-        if existing is not None:
-            # a token registered again is most often the very object held
-            if existing is not token and existing != token:
-                raise ValueError(f"conflicting registration for {token.symbol!r}")
-            return existing
-        self.tokens[token.symbol] = token
-        return token
-
-    def get(self, symbol: str) -> TokenId | None:
-        return self.tokens.get(symbol)
-
-    def require(self, symbol: str) -> TokenId:
-        token = self.tokens.get(symbol)
-        if token is None:
-            raise UnknownToken(f"token {symbol!r} is not registered")
-        return token
-
-    def clone(self) -> "TokenRegistry":
-        return TokenRegistry(dict(self.tokens))
 
 
 def _add(counts: dict, key, delta: int) -> None:

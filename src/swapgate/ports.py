@@ -33,6 +33,11 @@ status lives in chain state, hence is rolled back by reorgs together with
 the assets, and the duplicate guard refuses any swap whose id is
 Processed, which makes execution exactly-once per branch. _admit refuses
 before the ledger call, so an entry it refuses changes nothing.
+
+A port is handed the chain's token table, a plain dict from symbol to
+TokenId (gateway.GatewayState.tokens). Lock and burn only read it; the
+issue-burn port adds a wrapped token the first time it mints one, after the
+mint has succeeded.
 """
 
 from __future__ import annotations
@@ -54,8 +59,7 @@ from .errors import (
     WrongChainReceiver,
     ZeroAmount,
 )
-from .ledger import (AccountId, Ledger, TokenId, TokenRegistry, account_id,
-                     wrapped_symbol)
+from .ledger import AccountId, Ledger, TokenId, account_id, wrapped_symbol
 from .nebula import NEBULA_ADDRESS
 
 ORIGIN = 0
@@ -183,14 +187,16 @@ class LockUnlockPort(_PortBase):
     counterpart_chain = DESTINATION
     address = LU_PORT_ADDRESS
 
-    def lock(self, ledger: Ledger, registry: TokenRegistry, ctx: BlockCtx,
+    def lock(self, ledger: Ledger, tokens: dict[str, TokenId], ctx: BlockCtx,
              sender: AccountId, symbol: str, amount: int,
              receiver: AccountId) -> bytes:
         _check_amount("lock", amount)
         if receiver.chain != self.counterpart_chain:
             raise WrongChainReceiver(
                 f"receiver must live on chain {self.counterpart_chain}")
-        token = registry.require(symbol)
+        token = tokens.get(symbol)
+        if token is None:
+            raise UnknownToken(f"token {symbol!r} is not registered")
         if token.is_wrapped:
             raise UnknownToken(f"{symbol!r} is wrapped; lock the original token")
         ledger.lock(token, sender, amount, caller=self.address)
@@ -198,7 +204,7 @@ class LockUnlockPort(_PortBase):
                               Direction.ORIGIN_TO_DESTINATION, sender,
                               receiver, amount, token)
 
-    def execute_attested(self, ledger: Ledger, registry: TokenRegistry,
+    def execute_attested(self, ledger: Ledger, tokens: dict[str, TokenId],
                          ctx: BlockCtx, entry: PayloadEntry,
                          caller: bytes) -> bytes:
         self._admit(entry, caller, Direction.DESTINATION_TO_ORIGIN)
@@ -206,7 +212,7 @@ class LockUnlockPort(_PortBase):
             raise UnknownSwap(
                 f"attested token originates on chain {entry.origin_chain}, "
                 f"not here")
-        token = registry.get(entry.symbol)
+        token = tokens.get(entry.symbol)
         if token is None or token.is_wrapped:
             raise UnknownSwap(f"no original token {entry.symbol!r} on this chain")
         receiver = account_id(ctx.accounts, self.chain_id, entry.receiver)
@@ -226,7 +232,7 @@ class IssueBurnPort(_PortBase):
     counterpart_chain = ORIGIN
     address = IB_PORT_ADDRESS
 
-    def execute_attested(self, ledger: Ledger, registry: TokenRegistry,
+    def execute_attested(self, ledger: Ledger, tokens: dict[str, TokenId],
                          ctx: BlockCtx, entry: PayloadEntry,
                          caller: bytes) -> bytes:
         self._admit(entry, caller, Direction.ORIGIN_TO_DESTINATION)
@@ -235,22 +241,22 @@ class IssueBurnPort(_PortBase):
                 f"this gateway does not serve tokens from chain "
                 f"{entry.origin_chain}")
         symbol = wrapped_symbol(entry.symbol)
-        wrapped = registry.get(symbol) or TokenId(
+        wrapped = tokens.get(symbol) or TokenId(
             symbol, self.chain_id,
             wrapped_of=TokenId(entry.symbol, entry.origin_chain))
         receiver = account_id(ctx.accounts, self.chain_id, entry.receiver)
         # Mint first: it rejects a bad entry before changing anything, and
         # only then is a first transfer's wrapped token registered.
         ledger.mint(wrapped, receiver, entry.amount, caller=self.address)
-        registry.register(wrapped)
+        tokens[symbol] = wrapped
         return self._executed(ctx, EventKind.MINT_EXECUTED, entry, receiver,
                               wrapped)
 
-    def burn(self, ledger: Ledger, registry: TokenRegistry, ctx: BlockCtx,
+    def burn(self, ledger: Ledger, tokens: dict[str, TokenId], ctx: BlockCtx,
              holder: AccountId, symbol: str, amount: int,
              receiver: AccountId) -> bytes:
         _check_amount("burn", amount)
-        token = registry.get(symbol)
+        token = tokens.get(symbol)
         if token is None:
             raise UnknownToken(f"token {symbol!r} is not registered here")
         if not token.is_wrapped:

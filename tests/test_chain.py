@@ -254,7 +254,7 @@ def append_then_check(state, tx, ctx):
 
 
 def test_tx_rejected_after_mutating_leaves_no_trace():
-    chain = Chain(7, ListState(), append_then_check, finality_depth=6)
+    chain = Chain(7, ListState, append_then_check, finality_depth=6)
     for value in (1, -1, 2, -2, 3):
         chain.submit(ValueTx(value))
     ref = chain.produce_block()

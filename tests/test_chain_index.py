@@ -193,7 +193,7 @@ def refused(call, chain: Chain) -> None:
 
 
 def replay(ops, bound: int = UNBOUNDED) -> None:
-    chain = Chain(5, Values(), apply_event_tx, finality_depth=bound)
+    chain = Chain(5, Values, apply_event_tx, finality_depth=bound)
     ref = Reference(chain)
     reorg = None
     check(chain, ref, reorg, bound)
@@ -244,7 +244,7 @@ def test_equal_height_flip_and_twin_block():
                ("produce", 1, []), ("produce", 0, [EventTx(1, swap)]),
                ("fork", 0, None), ("produce", 2, [])]
         replay(ops)
-        chain = Chain(5, Values(), apply_event_tx, finality_depth=UNBOUNDED)
+        chain = Chain(5, Values, apply_event_tx, finality_depth=UNBOUNDED)
         chain.produce_block()
         chain.fork_at(0, "rival")
         chain.submit(EventTx(0, swap))
@@ -256,7 +256,7 @@ def test_equal_height_flip_and_twin_block():
 def test_refused_block_leaves_its_pending_txs_queued():
     """A refused block takes no pending tx; the next accepted block
     includes them."""
-    chain = Chain(5, Values(), apply_event_tx, finality_depth=SMALL)
+    chain = Chain(5, Values, apply_event_tx, finality_depth=SMALL)
     chain.produce_block()
     chain.fork_at(1, "alt")
     chain.extend("main", 3)               # final height 2: alt is dead
@@ -271,7 +271,7 @@ def test_refused_block_leaves_its_pending_txs_queued():
 def test_deep_twin_of_a_final_block_is_refused():
     """An empty block on a branch rooted at height 5 would be the twin of
     canonical block 6; with tip 20 and depth 6 that block is final."""
-    chain = Chain(5, Values(), apply_event_tx, finality_depth=6)
+    chain = Chain(5, Values, apply_event_tx, finality_depth=6)
     chain.submit(EventTx(0, 0))
     chain.extend("main", 8)
     chain.fork_at(5, "x")
@@ -284,7 +284,7 @@ def test_deep_twin_of_a_final_block_is_refused():
 def test_block_on_a_branch_forked_below_the_final_height_is_refused():
     """alt's tip is at the final height, but alt meets the canonical chain
     below it, so alt can never become canonical."""
-    chain = Chain(5, Values(), apply_event_tx, finality_depth=SMALL)
+    chain = Chain(5, Values, apply_event_tx, finality_depth=SMALL)
     chain.extend("main", 3)
     chain.fork_at(1, "alt")
     chain.submit(EventTx(0, 0))
@@ -296,7 +296,7 @@ def test_block_on_a_branch_forked_below_the_final_height_is_refused():
 
 @pytest.mark.parametrize("height", [-2, 4])
 def test_fork_outside_the_canonical_heights_is_refused(height):
-    chain = Chain(5, Values(), apply_event_tx, finality_depth=6)
+    chain = Chain(5, Values, apply_event_tx, finality_depth=6)
     chain.extend("main", 3)
     before = copy.deepcopy(vars(chain))
     with pytest.raises(HeightBeyondTip, match=r"outside 0\.\.3"):

@@ -73,7 +73,7 @@ def test_gateway_fork_choice_matches_scan(timeline):
 def test_twin_tie_falls_back_to_creation_order():
     """An exact tie on (height, tip hash) is a twin block; of the branches
     holding it, the one created first is canonical."""
-    chain = Chain(5, Values(), apply_event_tx, finality_depth=UNBOUNDED)
+    chain = Chain(5, Values, apply_event_tx, finality_depth=UNBOUNDED)
     with scan_checked() as produced:
         chain.produce_block()                   # main@1
         chain.fork_at(0, "newer")

@@ -14,7 +14,6 @@ from swapgate import (
     NEBULA_ADDRESS,
     PayloadEntry,
     SwapStatus,
-    TokenRegistry,
     derive_swap_id,
 )
 from swapgate.chain import BlockCtx, BlockRef
@@ -226,7 +225,7 @@ def test_burn_non_wrapped_rejected(world):
                          ctx_for(world.destination), BOB, "T", 10, ALICE)
     # a registered but unwrapped token is rejected for what it is
     from swapgate.ledger import TokenId
-    dstate.tokens.register(TokenId("NATIVE", 1))
+    dstate.tokens["NATIVE"] = TokenId("NATIVE", 1)
     with pytest.raises(NotWrappedToken):
         dstate.port.burn(dstate.ledger, dstate.tokens,
                          ctx_for(world.destination), BOB, "NATIVE", 10, ALICE)
@@ -386,7 +385,7 @@ def test_zero_amount_entry_for_new_token_leaves_no_state(world):
     assert (pulse.status, reveal.status) == ("ok", "ok")
     assert reveal.extra == {"entry_outcomes": ["ZeroAmount"]}
     after = world.destination.canonical_state
-    assert after.tokens == tokens == TokenRegistry()
+    assert after.tokens == tokens == {}
     assert after.ledger == ledger
     assert after.port.swaps == {}
 

@@ -68,12 +68,13 @@ def test_checkpoint_leaves_genesis_and_shares_no_state():
         assert all(state is not kept for kept in chain.states.values())
 
 
-def test_checkpoint_starts_from_its_own_genesis_clone():
+def test_checkpoint_starts_from_its_own_genesis_build():
     """Empty blocks store their parent's state object, so the stored genesis
     state is the state of every empty block above it too. The checkpoint
-    starts from a clone of it instead: otherwise a state corrupted in place
-    would be corrupted on the replay side as well, and the self-check would
-    stay silent (test_state_equality)."""
+    starts from its own build of genesis instead, from the chain's genesis
+    builder: otherwise a state corrupted in place, or a map that clone()
+    shares, would be corrupted on the replay side as well, and the
+    self-check would stay silent (test_state_equality)."""
     origin = World().origin
     block, state = origin._replayed
     assert block is origin.canonical_chain()[0]

@@ -11,10 +11,13 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from swapgate import (Chain, Direction, EventKind, LockTx, PayloadEntry,
-                      SwapStatus, TokenId, payload_hash)
+from swapgate import (Chain, Direction, EventKind, Ledger, LockTx,
+                      PayloadEntry, SwapStatus, TokenId, payload_hash)
+from swapgate.ports import _PortBase
+from swapgate.scenario import Runner
 
 from conftest import ALICE, BOB, World
+from scenario_gen import reorg_scenario
 
 
 ENTRY = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x01" * 32, "T",
@@ -52,11 +55,11 @@ def bump_supply(s):
 
 
 def add_token(s):
-    s.tokens.tokens["X"] = TokenId("X", 0)
+    s.tokens["X"] = TokenId("X", 0)
 
 
 def change_token(s):
-    s.tokens.tokens["T"] = TokenId("T", 1)
+    s.tokens["T"] = TokenId("T", 1)
 
 
 def change_record(s):
@@ -141,7 +144,7 @@ def append_shared(state, tx, ctx):
 
 
 def test_aliasing_bug_caught_by_replay_self_check():
-    chain = Chain(3, Counts(), append_shared, finality_depth=6)
+    chain = Chain(3, Counts, append_shared, finality_depth=6)
     chain.submit(AddTx("a", 1))
     chain.produce_block()                  # list for "a" created at height 1
     chain.submit(AddTx("a", 2))
@@ -163,7 +166,7 @@ def test_aliasing_bug_caught_after_checkpoint_left_genesis():
     """test_aliasing_bug_caught_by_replay_self_check on a chain whose
     checkpoint has moved up: the replay no longer starts at genesis, and
     the shared list still makes it disagree."""
-    chain = Chain(3, Counts(), append_shared, finality_depth=1)
+    chain = Chain(3, Counts, append_shared, finality_depth=1)
     for height in range(1, 4):               # a new list per block: no sharing
         chain.submit(AddTx(f"k{height}", height))
         chain.produce_block()
@@ -200,3 +203,32 @@ def test_self_check_names_the_differing_gateway_component(world):
     with pytest.raises(RuntimeError) as caught:
         origin.extend("alt", 2)
     assert str(caught.value).endswith("differing: port")
+
+
+def sharing(owner, method, name):
+    """owner.method, except that the copy it returns holds its parent's
+    `name` map itself: a clone() that shares one mutable map."""
+    clone = getattr(owner, method)
+
+    def shared(self):
+        copy = clone(self)
+        setattr(copy, name, getattr(self, name))
+        return copy
+    return shared
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+@pytest.mark.parametrize("owner, method, name, component", [
+    (Ledger, "clone", "locked", "ledger"),
+    (_PortBase, "_clone", "swaps", "port"),
+], ids=["ledger-locked", "port-swaps"])
+def test_self_check_sees_a_map_that_clone_shares(owner, method, name,
+                                                 component, seed, monkeypatch):
+    """The replay starts from its own build of genesis, not a clone of the
+    chain's, so a map that clone() shares is shared within each side only
+    and the two sides disagree after a reorg. Were the replay's genesis a
+    clone of the chain's, both sides would hold the one map and the
+    self-check would stay silent."""
+    monkeypatch.setattr(owner, method, sharing(owner, method, name))
+    with pytest.raises(RuntimeError, match=f"differing: {component}$"):
+        Runner(reorg_scenario(seed)).run()
