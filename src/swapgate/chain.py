@@ -30,12 +30,15 @@ so each block pushes at most the one height below the new horizon out of
 reach, and its states are dropped from a per-height bucket.
 
 The chain keeps the canonical branch as one list of blocks indexed by
-height, plus an index from swap id to that swap's canonical events. When
-the tip extends, the list grows by one block. On a reorg it is spliced:
-the new tip is walked back until it meets the list, the list is cut
-there and the new blocks are appended; the meeting height is the fork
-height. Both indexes change only by the blocks cut and appended, so the
-cost follows the reorg depth, not the chain height.
+height, plus an index from swap id to that swap's canonical events. A
+block walks its parent back until it meets the list, which it must do
+anyway to find its fork height, and when the block takes the tip that
+walk is the splice: the list is cut at the fork height and the block and
+the walked blocks are appended. So a block that extends the tip walks no
+block, cuts nothing and is appended, and its own BlockRef is the tip. A
+reorg is the old tip no longer being on the list. Both indexes change
+only by the blocks cut and appended, so the cost follows the reorg depth,
+not the chain height.
 
 After every reorg the chain checks itself: it replays the canonical chain
 and requires the result to equal the incremental tip state; on a mismatch
@@ -174,9 +177,11 @@ class EmbeddedState(Protocol):
     later transactions can change without touching the original. Genesis
     comes from the chain's genesis builder, not from a clone (see Chain).
     The chain never changes a state it has stored, and shares one between
-    a block without transactions and its parent; callers only read them. A state is a dataclass whose equality (==)
-    compares every field; the replay self-check relies on that, and on a
-    mismatch names the top-level fields that differ (dataclasses.fields).
+    a block without transactions and its parent; callers only read them.
+
+    A state is a dataclass whose equality (==) compares every field; the
+    replay self-check relies on that, and on a mismatch names the
+    top-level fields that differ (dataclasses.fields).
     """
 
     def clone(self) -> "EmbeddedState": ...
@@ -204,11 +209,11 @@ class BlockCtx:
         return event
 
 
+_HEIGHT = struct.Struct(">Q")
+
+
 def block_hash(parent_hash: bytes, height: int, tx_digests: list[bytes]) -> bytes:
-    material = parent_hash + struct.pack(">Q", height)
-    for d in tx_digests:
-        material += d
-    return sha256(material)
+    return sha256(b"".join((parent_hash, _HEIGHT.pack(height), *tx_digests)))
 
 
 ApplyTx = Callable[[Any, Any, BlockCtx], dict | None]
@@ -283,7 +288,8 @@ class Chain:
             raise UnknownBranch(f"chain {self.chain_id} has no branch {branch!r}")
         parent_hash = self.branches[branch]
         parent = self.blocks[parent_hash]
-        fork_height = parent.ref.height - len(self.off_canonical(parent))
+        above = self.off_canonical(parent)
+        fork_height = parent.ref.height - len(above)
         final = self.final_height
         if fork_height < final:
             raise BeyondFinality(
@@ -310,7 +316,7 @@ class Chain:
         self.states[new_hash] = state
         self._by_height.setdefault(height, []).append(new_hash)
         self.branches[branch] = new_hash
-        self._recompute_canonical(branch)
+        self._recompute_canonical(block, above)
         if self.final_height > final:
             for dropped in self._by_height.pop(final, ()):
                 self.states.pop(dropped, None)
@@ -370,31 +376,37 @@ class Chain:
 
     # --- canonical selection -----------------------------------------------
 
-    def _recompute_canonical(self, branch: str) -> None:
-        """Apply the canonical rule after `branch` got a new tip.
+    def _recompute_canonical(self, block: Block, above: list[Block]) -> None:
+        """Apply the canonical rule after `block` became its branch's tip;
+        `above` is its parent's off_canonical walk.
 
         Only that tip moved, and every other branch tip already lost to the
         canonical tip, so the new tip is compared with the canonical tip
         alone. On an exact tie (a twin of the canonical tip) the older of the
         two branches wins, as in a scan of every branch in creation order.
+        When the block wins, the blocks to append are the block and `above`;
+        otherwise the old tip stays, and is walked only to re-append what a
+        twin cut from the list (see produce_block).
         """
         prev_tip = self._canonical_tip
-        tip_hash = self.branches[branch]
-        block = self.blocks[tip_hash]
-        key = (-block.ref.height, tip_hash)
+        ref = block.ref
+        key = (-ref.height, ref.block_hash)
         prev_key = (-prev_tip.height, prev_tip.block_hash)
         if key == prev_key:
             name = next(n for n in self.branches
-                        if n in (branch, prev_tip.branch))
+                        if n in (ref.branch, prev_tip.branch))
         else:
-            name = branch if key < prev_key else prev_tip.branch
-        block = self.blocks[self.branches[name]]
-        self._canonical_tip = BlockRef(self.chain_id, name, block.ref.height,
-                                       block.ref.block_hash)
-        self.final_height = max(0, block.ref.height - self.finality_depth)
+            name = ref.branch if key < prev_key else prev_tip.branch
+        winner = self.blocks[self.branches[name]]
+        tip = winner.ref
+        if tip.branch != name:
+            # a twin stored under another branch's name
+            tip = BlockRef(self.chain_id, name, tip.height, tip.block_hash)
+        self._canonical_tip = tip
+        self.final_height = max(0, tip.height - self.finality_depth)
 
-        added = self.off_canonical(block)
-        fork_height = block.ref.height - len(added)
+        added = [block, *above] if winner is block else self.off_canonical(winner)
+        fork_height = tip.height - len(added)
         self._truncate(fork_height)
         for block in reversed(added):
             self._canonical.append(block)
@@ -404,11 +416,13 @@ class Chain:
 
         self.last_reorg = None
         if not self.is_canonical(prev_tip):
-            self.last_reorg = ReorgInfo(prev_tip, self._canonical_tip, fork_height)
+            self.last_reorg = ReorgInfo(prev_tip, tip, fork_height)
             self._verify_replay()
 
     def _truncate(self, height: int) -> None:
         """Cut the canonical list above `height` and unindex its events."""
+        if height + 1 >= len(self._canonical):
+            return
         for block in reversed(self._canonical[height + 1:]):
             for event in reversed(block.events):
                 if event.swap_id is not None:
@@ -459,10 +473,15 @@ class Chain:
         """The genesis block's state, which is never dropped or changed."""
         return self.states[self._canonical[0].ref.block_hash]
 
-    def events_since(self, cursor: int) -> list[ChainEvent]:
-        """Canonical events above `cursor`, in (height, intra-block) order."""
+    def events_since(self, cursor: int, upto: int | None = None
+                     ) -> list[ChainEvent]:
+        """Canonical events above height `cursor` and at or below `upto`
+        (the tip if None), in (height, intra-block) order."""
+        end = len(self._canonical)
+        if upto is not None:
+            end = min(end, upto + 1)
         out: list[ChainEvent] = []
-        for height in range(max(cursor + 1, 0), len(self._canonical)):
+        for height in range(max(cursor + 1, 0), end):
             out.extend(self._canonical[height].events)
         return out
 

@@ -5,7 +5,7 @@
     swapgate list-scenarios
 
 Exit codes: 0 all assertions and invariants hold, 1 a check failed,
-2 invalid scenario or malformed trace.
+2 invalid scenario, malformed trace or a trace file that cannot be written.
 """
 
 from __future__ import annotations
@@ -50,7 +50,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"invalid scenario: {result.error}", file=sys.stderr)
         return 2
     if args.trace:
-        write_trace(result.records, args.trace)
+        try:
+            write_trace(result.records, args.trace)
+        except OSError as exc:
+            print(f"cannot write trace: {exc}", file=sys.stderr)
+            return 2
         print(f"trace written to {args.trace}", file=sys.stderr)
     else:
         write_records(result.records, sys.stdout)

@@ -20,7 +20,10 @@ the last canonical block it read. When the cursor block is no longer
 canonical, however many reorgs happened since, the cursor walks back to the
 newest of its ancestors that still is: the fork height. The swaps named in
 the orphaned blocks it passes are revisited, and the events above the fork
-height are read again for new registrations. A swap's first canonical
+height are read again for new registrations. A cursor that is still
+canonical is not walked, and a chain whose cursor is its tip is not read.
+When no swap is open and no block was orphaned, the tick ends there: it
+has nothing to revisit and emits nothing. A swap's first canonical
 registration and execution come from the chain's own swap index
 (Chain.swap_events). A view keeps the registration it found, and while the
 swap is Processed the height of its execution: both stay canonical until a
@@ -86,6 +89,13 @@ class StatusController:
         """
         order = [chains[chain_id] for chain_id in sorted(chains)]
         assert len(order) == 2, "controller expects exactly two chains"
+        touched: set[bytes] = set()
+        for chain in order:
+            self._advance(chain, touched)
+        result = TickResult()
+        if not (self._open or touched):
+            # nothing to revisit, and no view can have lost its registration
+            return result
         first, second = order
         # per registering chain: the chain that executes its swaps, with that
         # chain's tip and final heights, which stay put for the whole tick
@@ -95,10 +105,6 @@ class StatusController:
             second.chain_id: (first, first.canonical_tip.height,
                               first.final_height),
         }
-        result = TickResult()
-        touched: set[bytes] = set()
-        for chain in order:
-            touched |= self._advance(chain)
         views = self.views
         live: list[ChainEvent] = []
         for swap_id in self._open | touched:
@@ -184,24 +190,27 @@ class StatusController:
 
     # --- helpers -----------------------------------------------------------
 
-    def _advance(self, chain: Chain) -> set[bytes]:
+    def _advance(self, chain: Chain, touched: set[bytes]) -> None:
         """Walk this chain's cursor back to the newest block it read that is
         still canonical, note the new registrations above it and move the
-        cursor to the tip. Returns the swaps named in the orphaned blocks
-        the walk passed."""
+        cursor to the tip. Adds to `touched` the swaps named in the
+        orphaned blocks the walk passed."""
         cursor = self._cursors.get(chain.chain_id)
-        touched: set[bytes] = set()
         height = -1
         if cursor is not None:
-            orphaned = chain.off_canonical(cursor)
-            touched.update(event.swap_id for block in orphaned
-                           for event in block.events
-                           if event.swap_id is not None)
-            height = cursor.ref.height - len(orphaned)
-        self._open.update(event.swap_id for event in chain.events_since(height)
-                          if event.kind in REGISTRATION_KINDS)
-        self._cursors[chain.chain_id] = chain.blocks[chain.canonical_tip.block_hash]
-        return touched
+            height = cursor.ref.height
+            if not chain.is_canonical(cursor.ref):
+                orphaned = chain.off_canonical(cursor)
+                for block in orphaned:
+                    touched.update(event.swap_id for event in block.events
+                                   if event.swap_id is not None)
+                height -= len(orphaned)
+        tip = chain.canonical_tip
+        if height < tip.height:
+            for event in chain.events_since(height):
+                if event.kind in REGISTRATION_KINDS:
+                    self._open.add(event.swap_id)
+            self._cursors[chain.chain_id] = chain.blocks[tip.block_hash]
 
     @staticmethod
     def _transition(result: TickResult, view: _SwapView,

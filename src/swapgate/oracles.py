@@ -21,6 +21,11 @@ so that runs stay replayable:
                     newest MAX_ENTRIES entries, the most a payload carries
     equivocator     endorses both the honest payload and a perturbed twin
 
+A round that extracts nothing asks no oracle, unless a replayer is on the
+roster: it is the one profile that endorses a payload without an
+extraction. An extraction reads only the confirmed blocks above its
+cursor, and none when there are none and no re-attestation is pending.
+
 Each entry is packed once, on first use (see encoding), so a round packs
 only its own new entries and the twins it perturbs. A replayer's round
 still joins and hashes the kept bytes of its whole endorsed history, at
@@ -119,6 +124,10 @@ class OracleNetwork:
         self.cursors: dict[int, tuple[int, int]] = {}
         self.replay_history: dict[int, list[PayloadEntry]] = {}
         self.reattest_requests: set[bytes] = set()
+        # a replayer is the one profile that endorses a payload in a round
+        # whose extraction is empty
+        self._replays = any(o.behavior == Behavior.REPLAYER
+                            for o in self.oracles)
 
     # --- extraction ---------------------------------------------------------
 
@@ -140,16 +149,21 @@ class OracleNetwork:
         upper = self._confirmed_upper(chain)
         start = self.cursors.get(chain.chain_id, (1, 0))
         height, index = start
-        picked = [event for event in chain.events_since(height - 1)
-                  if event.block.height <= upper
-                  and event.kind in REGISTRATION_KINDS
+        requests = self.reattest_requests
+        if height > upper and not requests:
+            return []   # nothing confirmed above the cursor, nothing to re-attest
+        picked = [event for event in chain.events_since(height - 1, upper)
+                  if event.kind in REGISTRATION_KINDS
                   and (event.index >= index or event.block.height > height)]
-        seen = {event.swap_id for event in picked}
-        for swap_id in self.reattest_requests - seen:
-            first = chain.first_event(swap_id, REGISTRATION_KINDS)
-            if first is not None and first.block.height <= upper:
-                picked.append(first)
-        picked.sort(key=lambda event: (event.block.height, event.index))
+        if requests:
+            # the events above are in canonical order; a re-attestation
+            # lies behind the cursor and is merged in
+            seen = {event.swap_id for event in picked}
+            for swap_id in requests - seen:
+                first = chain.first_event(swap_id, REGISTRATION_KINDS)
+                if first is not None and first.block.height <= upper:
+                    picked.append(first)
+            picked.sort(key=lambda event: (event.block.height, event.index))
         stop = (upper + 1, 0)
         if len(picked) > MAX_ENTRIES:
             left_out = picked[MAX_ENTRIES]
@@ -169,6 +183,9 @@ class OracleNetwork:
 
     def relay_round(self, source: Chain, target: Chain) -> RoundReport:
         reference_entries = self.extract(source)
+        if not reference_entries and not self._replays:
+            return RoundReport(source.chain_id, target.chain_id, None, [],
+                               "empty")
         history = self.replay_history.setdefault(source.chain_id, [])
         reference_hash = (sha256(encode_payload(reference_entries))
                           if reference_entries else None)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import trace as trace_mod
-from .chain import (EXECUTION_KINDS, REGISTRATION_KINDS, BlockRef, Chain,
-                    EventKind)
+from .chain import (EXECUTION_KINDS, REGISTRATION_KINDS, Block, BlockRef,
+                    Chain, EventKind)
 from .controller import StatusController
 from .crypto import oracle_secret, sha256
 from .errors import BeyondFinality, HeightBeyondTip, InvalidScenario
@@ -435,6 +435,9 @@ class Runner:
             {cid: p.relevance_window for cid, p in params.items()},
             {cid: p.finality_depth for cid, p in params.items()},
             tokens, initial, self.accounts)
+        # each chain with its key in a canonical section, in chain id order
+        self._sections = [(str(cid), chain)
+                          for cid, chain in sorted(self.chains.items())]
         self.controller = StatusController(
             {cid: p.recovery_timeout for cid, p in params.items()})
 
@@ -461,8 +464,7 @@ class Runner:
     # --- trace helpers -------------------------------------------------------
 
     def _canonical_json(self) -> dict:
-        return {str(cid): self._summary(chain)
-                for cid, chain in sorted(self.chains.items())}
+        return {key: self._summary(chain) for key, chain in self._sections}
 
     def _accounting(self, chain: Chain, state: GatewayState) -> dict:
         """The ledger accounting of one of the chain's states. The chain's
@@ -499,17 +501,18 @@ class Runner:
         self._last[chain.chain_id] = (state, accounting, tip, summary)
         return summary
 
-    def _block_json(self, chain: Chain, ref: BlockRef) -> dict:
-        out = chain.blocks[ref.block_hash].to_json()
-        out["accounting"] = self._accounting(chain, chain.states[ref.block_hash])
+    def _block_json(self, chain: Chain, block: Block) -> dict:
+        out = block.to_json()
+        out["accounting"] = self._accounting(
+            chain, chain.states[block.ref.block_hash])
         return out
 
     def _header_record(self) -> dict:
         genesis = {}
-        for cid, chain in sorted(self.chains.items()):
+        for key, chain in self._sections:
             # written before any block: the canonical tip is genesis
             summary = self._summary(chain)
-            genesis[str(cid)] = {
+            genesis[key] = {
                 "hash": summary["tip"],
                 "accounting": summary["accounting"],
             }
@@ -522,8 +525,9 @@ class Runner:
             "genesis": genesis,
         }
 
-    def _resolve_new_swaps(self, chain: Chain, ref) -> None:
-        block = chain.blocks[ref.block_hash]
+    def _resolve_new_swaps(self, block: Block) -> None:
+        if not block.receipts:
+            return
         # the id the port stored, by its kept hex string, which the receipt
         # holds too
         registered = {event.swap_id.hex(): event.swap_id
@@ -573,10 +577,10 @@ class Runner:
         blocks = []
         reorg = None
         for _ in range(count):
-            ref = chain.produce_block(branch)
+            block = chain.blocks[chain.produce_block(branch).block_hash]
             reorg = self._reorg_record(chain) or reorg
-            self._resolve_new_swaps(chain, ref)
-            blocks.append(self._block_json(chain, ref))
+            self._resolve_new_swaps(block)
+            blocks.append(self._block_json(chain, block))
         self.records.append({
             "op": op, "step": index, "chain": chain.chain_id,
             "branch": branch, "blocks": blocks, "reorg": reorg,

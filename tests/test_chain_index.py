@@ -164,6 +164,10 @@ def check(chain: Chain, ref: Reference, expected_reorg, bound: int) -> None:
     for cursor in range(-2, tip.height + 2):
         assert chain.events_since(cursor) == \
             [e for e in events if e.block.height > cursor]
+        # an upper bound as the oracles use it: the tip minus a depth
+        for upto in (cursor + 2, tip.height - 3):
+            assert chain.events_since(cursor, upto) == \
+                [e for e in events if cursor < e.block.height <= upto]
     on_chain = {block.ref.block_hash for block in canonical}
     swap_ids = set()
     for block in chain.blocks.values():

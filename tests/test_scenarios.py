@@ -322,6 +322,17 @@ def test_cli_run_scenario_file(tmp_path):
     assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl")]) == 0
 
 
+def test_cli_run_unwritable_trace_exit_2(tmp_path, capsys):
+    """A trace path that cannot be opened is one stderr line and exit 2,
+    not a traceback and exit 1, the code of a failed check."""
+    path = tmp_path / "no_such_dir" / "t.jsonl"
+    assert main(["run", "happy_path", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("cannot write trace: ")
+    assert str(path) in err[0]
+    assert not path.parent.exists()
+
+
 def test_cli_run_unknown_scenario(capsys):
     assert main(["run", "no_such_thing"]) == 2
 

@@ -3,13 +3,14 @@
     python3 tools/mutants.py
 
 Each entry names a file under src/, an exact snippet of it, the snippet
-that replaces it, an oracle and the outcome recorded for that mutant. For
-each entry the script copies src/ to a temporary directory, applies the
-edit there (the old snippet must occur exactly once) and runs the oracle
-on the copy in a child process. The tree itself is never edited. It exits
-1 if a snippet no longer matches or an outcome differs from the recorded
-one: a refactor that silently stops catching a mutant shows up, and so
-does one that starts catching a known hole, whose entry is then updated.
+that replaces it, an oracle and the outcome recorded for that mutant. The
+script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
+directory; for each entry it applies the edit there (the old snippet must
+occur exactly once), runs the oracle on the copy in a child process and
+undoes the edit. The tree itself is never edited. It exits 1 if a snippet
+no longer matches or an outcome differs from the recorded one: a refactor
+that silently stops catching a mutant shows up, and so does one that
+starts catching a known hole, whose entry is then updated.
 
 Oracles:
   selfcheck  the number of tests/scenario_gen.reorg_scenario seeds 1-10
@@ -18,6 +19,10 @@ Oracles:
              other RuntimeError counts as not caught. It is deterministic,
              so the outcome is an exact count. The unmutated tree must
              give 0.
+  tier1      the tier-1 tests, `pytest -x -q` on the copy under the
+             derandomized "ci" hypothesis profile: "caught" if a test
+             fails, "survives" if all pass. The first failing test is
+             printed. The unmutated tree must give "survives".
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +61,39 @@ MUTANTS = [
      "return GatewayState(self.ledger.clone(), dict(self.tokens),",
      "return GatewayState(self.ledger.clone(), self.tokens,",
      "selfcheck", 2),
+    # the self-check misses it (above), the tests do not
+    ("NebulaState.pulses shared", "swapgate/nebula.py",
+     "self.pulse_count, dict(self.pulses))",
+     "self.pulse_count, self.pulses)",
+     "tier1", "caught"),
+    # a twin of the tip keeps the tip and takes nothing off the list, but
+    # lies below the old tip's height
+    ("reorg test from the fork height", "swapgate/chain.py",
+     "if not self.is_canonical(prev_tip):",
+     "if fork_height < prev_tip.height:",
+     "tier1", "caught"),
+    # a twin of the tip is stored under the newer branch's name, while the
+    # older branch keeps the tip
+    ("tip is the winner's own ref whatever its branch", "swapgate/chain.py",
+     "        if tip.branch != name:\n"
+     "            # a twin stored under another branch's name\n"
+     "            tip = BlockRef(self.chain_id, name, tip.height, tip.block_hash)\n",
+     "",
+     "tier1", "caught"),
+    # the early returns of a step that carries nothing, each missing one
+    # of its conditions
+    ("quiet tick ignores open swaps", "swapgate/controller.py",
+     "if not (self._open or touched):",
+     "if not touched:",
+     "tier1", "caught"),
+    ("empty extraction ignores re-attestations", "swapgate/oracles.py",
+     "if height > upper and not requests:",
+     "if height > upper:",
+     "tier1", "caught"),
+    ("empty round ignores a replayer", "swapgate/oracles.py",
+     "if not reference_entries and not self._replays:",
+     "if not reference_entries:",
+     "tier1", "caught"),
 ]
 
 SELFCHECK = """
@@ -70,41 +109,59 @@ for seed in range(1, 11):
 print(caught)
 """
 
-ORACLES = {"selfcheck": SELFCHECK}
+# each oracle's outcome on the unmutated tree
+CLEAN = {"selfcheck": 0, "tier1": "survives"}
 
 
-def run_oracle(oracle: str, src: Path) -> int | str:
-    """The oracle's outcome on the tree at `src`, or its error output."""
+def run_oracle(oracle: str, tree: Path) -> tuple[int | str, str]:
+    """The oracle's outcome on the copy at `tree`, or its error output,
+    and a note to print with it."""
     # no bytecode: a mutant and the next one of the same file may share
     # its size and modification time, and so a stale cache entry
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tests")]))
-    done = subprocess.run([sys.executable, "-c", ORACLES[oracle]], env=env,
-                          cwd=src, capture_output=True, text=True)
-    if done.returncode != 0:
-        return done.stderr.strip().splitlines()[-1]
-    return int(done.stdout)
+               PYTHONPATH=os.pathsep.join([str(tree / "src"),
+                                           str(tree / "tests")]),
+               HYPOTHESIS_PROFILE="ci")
+    command = (["-c", SELFCHECK] if oracle == "selfcheck" else
+               ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"])
+    done = subprocess.run([sys.executable, *command], env=env, cwd=tree,
+                          capture_output=True, text=True)
+    lines = (done.stdout + done.stderr).strip().splitlines()
+    if oracle == "selfcheck":
+        return (lines[-1] if done.returncode else int(done.stdout)), ""
+    if done.returncode == 0:
+        return "survives", ""
+    failed = [line.split()[1] for line in lines
+              if line.startswith(("FAILED ", "ERROR "))]
+    if done.returncode != 1 or not failed:    # not a failing test: an error
+        return lines[-1], ""
+    return "caught", f"first failure {failed[0]}"
 
 
 def main() -> int:
     failures = 0
 
-    def report(name: str, oracle: str, outcome: int | str,
-               expected: int) -> None:
+    def report(name: str, oracle: str, expected: int | str) -> None:
         nonlocal failures
+        start = time.perf_counter()
+        outcome, note = run_oracle(oracle, tree)
+        seconds = time.perf_counter() - start
         ok = outcome == expected
         failures += not ok
+        note = f", {note}" if note else ""
         print(f"{'ok' if ok else 'FAIL':4}  {name}: {oracle} {outcome} "
-              f"(recorded {expected})", flush=True)
+              f"(recorded {expected}; {seconds:.1f} s{note})", flush=True)
 
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(ROOT / "src", src,
-                        ignore=shutil.ignore_patterns("__pycache__"))
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for part in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / part, tree / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", tree)
         for oracle in sorted({entry[4] for entry in MUTANTS}):
-            report("unmutated", oracle, run_oracle(oracle, src), 0)
+            report("unmutated", oracle, CLEAN[oracle])
         for name, file, old, new, oracle, expected in MUTANTS:
-            path = src / file
+            path = tree / "src" / file
             original = path.read_text(encoding="utf-8")
             if original.count(old) != 1:
                 failures += 1
@@ -113,7 +170,7 @@ def main() -> int:
                 continue
             path.write_text(original.replace(old, new), encoding="utf-8")
             try:
-                report(name, oracle, run_oracle(oracle, src), expected)
+                report(name, oracle, expected)
             finally:
                 path.write_text(original, encoding="utf-8")
     return 1 if failures else 0
