@@ -223,10 +223,10 @@ class Chain:
     """One simulated blockchain with fork/reorg support.
 
     apply_tx(state, tx, ctx) mutates state in place and emits events via
-    ctx; it raises GatewayError to reject the transaction. Rejected
-    transactions are still included in the block, marked with the error
-    code, and leave state untouched: the block is rebuilt from its parent
-    state without them (see _apply_block).
+    ctx; it raises GatewayError to refuse the transaction, and only before
+    it has changed the state or emitted an event. A refused transaction is
+    still included in the block, marked with the error code, and changes
+    nothing: that is apply_tx's rule alone, the chain has no rollback.
 
     final_height, the canonical tip height minus finality_depth, is the
     one horizon: a block or fork that would meet the canonical chain below
@@ -328,29 +328,23 @@ class Chain:
 
         A block without txs changes nothing, so it returns parent_state
         itself: such blocks share their parent's state object, which is safe
-        because no stored state is ever changed. A rejected tx may leave the
-        working copy half-mutated, so the copy is dropped: the parent is
-        cloned again and the accepted txs re-applied under a fresh context,
-        which rebuilds the same state and events.
+        because no stored state is ever changed. Otherwise the parent is
+        cloned once and each tx applied once: apply_tx raises GatewayError
+        only before it has changed the state or emitted an event (see
+        Chain), so a refused tx leaves its receipt and nothing else.
         """
         if not txs:
             return parent_state, [], []
         state = parent_state.clone()
         ctx = BlockCtx(ref, self.accounts)
-        accepted: list = []
         receipts: list[TxReceipt] = []
         for tx in txs:
             try:
                 extra = self._apply_tx(state, tx, ctx)
             except GatewayError as err:
-                state = parent_state.clone()
-                ctx = BlockCtx(ref, self.accounts)
-                for done in accepted:
-                    self._apply_tx(state, done, ctx)
                 receipts.append(TxReceipt(tx, err.code, detail=str(err)))
-                continue
-            accepted.append(tx)
-            receipts.append(TxReceipt(tx, "ok", extra=extra))
+            else:
+                receipts.append(TxReceipt(tx, "ok", extra=extra))
         return state, receipts, ctx.events
 
     def fork_at(self, height: int, name: str) -> str:

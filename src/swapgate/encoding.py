@@ -26,6 +26,7 @@ keeps nothing.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -116,7 +117,7 @@ class PayloadEntry(_KeptForms):
         }
 
 
-def encode_payload(entries: list[PayloadEntry]) -> bytes:
+def encode_payload(entries: Sequence[PayloadEntry]) -> bytes:
     if not entries:
         raise MalformedPayload("payload must contain at least one entry")
     if len(entries) > MAX_ENTRIES:
@@ -173,5 +174,5 @@ def decode_payload(data: bytes) -> list[PayloadEntry]:
     return entries
 
 
-def payload_hash(entries: list[PayloadEntry]) -> bytes:
+def payload_hash(entries: Sequence[PayloadEntry]) -> bytes:
     return sha256(encode_payload(entries))

@@ -126,7 +126,12 @@ class GatewayState:
 
 
 def apply_tx(state: GatewayState, tx: Tx, ctx: BlockCtx) -> dict | None:
-    """Contract dispatcher invoked by Chain for every transaction."""
+    """Contract dispatcher invoked by Chain for every transaction.
+
+    A refusal is a GatewayError raised before the state is changed or an
+    event emitted: every contract checks first and writes after, so a
+    refused tx changes nothing and the chain keeps no rollback (see Chain).
+    """
     port = state.port
     if isinstance(tx, LockTx):
         if not isinstance(port, LockUnlockPort):
@@ -147,7 +152,7 @@ def apply_tx(state: GatewayState, tx: Tx, ctx: BlockCtx) -> dict | None:
     if isinstance(tx, SendDataTx):
         # each port refuses the direction it does not execute (UnknownSwap)
         outcomes = state.nebula.submit_send_data(
-            ctx, list(tx.entries),
+            ctx, tx.entries,
             router=lambda entry: port.execute_attested(
                 state.ledger, state.tokens, ctx, entry, caller=NEBULA_ADDRESS))
         return {"entry_outcomes": outcomes}

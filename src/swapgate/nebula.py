@@ -21,7 +21,7 @@ collected for one chain or height cannot be replayed on another.
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .chain import BlockCtx, EventKind
@@ -119,7 +119,7 @@ class NebulaState:
         })
         return self.pulse_count
 
-    def submit_send_data(self, ctx: BlockCtx, entries: list[PayloadEntry],
+    def submit_send_data(self, ctx: BlockCtx, entries: Sequence[PayloadEntry],
                          router) -> list[str]:
         """Reveal a payload, consume the open pulse committed to its hash and
         route the payload entry by entry.
@@ -144,7 +144,7 @@ class NebulaState:
             "pulse_id": pulse_id,
             "data_hash": data_hash.hex(),
             "entries": len(entries),
-            "outcomes": list(outcomes),
+            "outcomes": outcomes,
         })
         return outcomes
 

@@ -119,8 +119,8 @@ class OracleNetwork:
         self.roster = roster
         self.confirmation_depth = dict(confirmation_depth)
         # per source chain: the position (block height, event index) of the
-        # first event not yet extracted, and every entry extracted so far
-        # (what a replayer re-emits)
+        # first event not yet extracted, and, with a replayer on the roster,
+        # every entry extracted so far (what it re-emits)
         self.cursors: dict[int, tuple[int, int]] = {}
         self.replay_history: dict[int, list[PayloadEntry]] = {}
         self.reattest_requests: set[bytes] = set()
@@ -186,7 +186,9 @@ class OracleNetwork:
         if not reference_entries and not self._replays:
             return RoundReport(source.chain_id, target.chain_id, None, [],
                                "empty")
-        history = self.replay_history.setdefault(source.chain_id, [])
+        # only a replayer reads the history, so only its network keeps one
+        history = (self.replay_history.setdefault(source.chain_id, [])
+                   if self._replays else [])
         reference_hash = (sha256(encode_payload(reference_entries))
                           if reference_entries else None)
 
@@ -200,7 +202,8 @@ class OracleNetwork:
                           else sha256(encode_payload(candidate)))
                 by_payload.setdefault(digest, candidate)
                 endorsements.setdefault(digest, set()).add(oracle.index)
-        history.extend(reference_entries)
+        if self._replays:
+            history.extend(reference_entries)
 
         # the most endorsed candidate first, ties broken by the smaller digest
         ranked = sorted(endorsements.items(),

@@ -137,7 +137,9 @@ def _walk(parents: dict[str, str], heights: dict[str, int],
     `parents` and `heights` hold each recorded block's parent hash and
     height by hash. Returns each chain's block hashes from genesis up, and
     a block_linkage violation for each chain whose walk reaches a hash no
-    record holds."""
+    record holds, or a parent not recorded exactly one height below its
+    child. Each step goes one height down, so no walk can run in a cycle
+    and none takes more steps than there are blocks."""
     violations: list[dict] = []
     chains: dict[int, list[str]] = {}
     for chain_id, tip in sorted(tips.items()):
@@ -145,11 +147,15 @@ def _walk(parents: dict[str, str], heights: dict[str, int],
         cursor = tip
         while True:
             if cursor not in heights:
-                violations.append({
-                    "invariant": "block_linkage",
-                    "detail": f"chain {chain_id}: block {cursor} referenced "
-                              f"but never recorded",
-                })
+                fault = f"block {cursor} referenced but never recorded"
+            elif hashes and heights[cursor] != heights[hashes[-1]] - 1:
+                fault = (f"block {hashes[-1]} at height {heights[hashes[-1]]} "
+                         f"has parent {cursor} at height {heights[cursor]}")
+            else:
+                fault = None
+            if fault:
+                violations.append({"invariant": "block_linkage",
+                                   "detail": f"chain {chain_id}: {fault}"})
                 break
             hashes.append(cursor)
             if heights[cursor] == 0:
@@ -164,8 +170,6 @@ def canonical_block_lists(records: Iterable[dict]
                           ) -> tuple[dict[int, list[dict]], list[dict]]:
     """Reconstruct each chain's final canonical block list from the trace."""
     blocks: dict[str, dict] = {}
-    parents: dict[str, str] = {}
-    heights: dict[str, int] = {}
     tips: dict[int, str] = {}
     for position, record in enumerate(records):
         recorded = record.get("blocks", [])
@@ -173,14 +177,13 @@ def canonical_block_lists(records: Iterable[dict]
             genesis = _genesis_blocks(record)
             tips.update((block["chain"], block["hash"]) for block in genesis)
             recorded = genesis + recorded
-        for block in recorded:
-            block_hash = block["hash"]
-            blocks[block_hash] = block
-            parents[block_hash] = block["parent"]
-            heights[block_hash] = block["height"]
+        blocks.update((block["hash"], block) for block in recorded)
         for chain_key, summary in record.get("canonical", {}).items():
             tips[int(chain_key)] = summary["tip"]
-    chains, violations = _walk(parents, heights, tips)
+    chains, violations = _walk(
+        {block_hash: block["parent"] for block_hash, block in blocks.items()},
+        {block_hash: block["height"] for block_hash, block in blocks.items()},
+        tips)
     return ({chain_id: [blocks[h] for h in hashes]
              for chain_id, hashes in chains.items()}, violations)
 

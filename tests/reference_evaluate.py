@@ -90,6 +90,17 @@ def canonical_block_lists(records: list[dict]) -> tuple[dict[int, list[dict]], l
                               f"but never recorded",
                 })
                 break
+            # a parent must lie exactly one height below its child, which
+            # also ends a walk that a cycle of parent links would repeat
+            child = sequence[-1] if sequence else None
+            if child is not None and block["height"] != child["height"] - 1:
+                violations.append({
+                    "invariant": "block_linkage",
+                    "detail": f"chain {chain_id}: block {child['hash']} at "
+                              f"height {child['height']} has parent "
+                              f"{cursor} at height {block['height']}",
+                })
+                break
             sequence.append(block)
             if block["height"] == 0:
                 break

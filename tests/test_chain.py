@@ -202,7 +202,7 @@ def test_pending_consumed_once_not_requeued_after_reorg(world):
 
 
 def test_rejected_tx_mid_block_matches_block_without_it():
-    """Rolling back a rejected tx leaves exactly the state, events and
+    """A tx refused mid-block leaves exactly the state, events and
     receipts of the block built without it (block hashes aside)."""
     with_reject, without = World(), World()
     for tx in (lock_tx(10), lock_tx(10**9), lock_tx(20)):
@@ -244,22 +244,39 @@ class ValueTx:
         return {"value": self.value}
 
 
-def append_then_check(state, tx, ctx):
-    """Mutates state and emits an event before rejecting negative values."""
-    state.values.append(tx.value)
-    ctx.emit(EventKind.LOCK_REGISTERED, None, {"value": tx.value})
+def check_then_append(state, tx, ctx):
+    """Refuses negative values before it changes the state or emits an
+    event, as every contract does (see Chain)."""
     if tx.value < 0:
         raise ZeroAmount("negative value")
+    state.values.append(tx.value)
+    ctx.emit(EventKind.LOCK_REGISTERED, None, {"value": tx.value})
     return {"count": len(state.values)}
 
 
-def test_tx_rejected_after_mutating_leaves_no_trace():
-    chain = Chain(7, ListState, append_then_check, finality_depth=6)
+def test_tx_refused_before_writing_leaves_only_its_receipt():
+    """A block clones its parent once and applies each tx once, refused
+    ones included, and so does the replay; a refused tx leaves its receipt
+    and nothing else, so the accepted txs' event indices stay contiguous."""
+    clones, applied = [], []
+
+    class CountedState(ListState):
+        def clone(self):
+            clones.append(self)
+            return CountedState(list(self.values))
+
+    def apply(state, tx, ctx):
+        applied.append(tx.value)
+        return check_then_append(state, tx, ctx)
+
+    chain = Chain(7, CountedState, apply, finality_depth=6)
     for value in (1, -1, 2, -2, 3):
         chain.submit(ValueTx(value))
     ref = chain.produce_block()
     block = chain.blocks[ref.block_hash]
 
+    assert len(clones) == 1
+    assert applied == [1, -1, 2, -2, 3]
     assert chain.canonical_state.values == [1, 2, 3]
     assert [(e.index, e.payload["value"]) for e in block.events] == \
         [(0, 1), (1, 2), (2, 3)]
@@ -268,6 +285,8 @@ def test_tx_rejected_after_mutating_leaves_no_trace():
         ("ZeroAmount", None), ("ok", {"count": 3})]
     assert chain.states[chain.canonical_chain()[0].ref.block_hash].values == []
     assert chain.replay_canonical().values == [1, 2, 3]
+    assert len(clones) == 2
+    assert applied == [1, -1, 2, -2, 3] * 2
 
 
 def test_parent_state_unchanged_by_child_and_sibling_blocks(world):
@@ -285,7 +304,7 @@ def test_parent_state_unchanged_by_child_and_sibling_blocks(world):
     child = dest.produce_block()
     sibling = dest.fork_at(parent.height, "alt")
     dest.submit(reveal)
-    dest.submit(reveal)                   # UnknownPulse: rolled back
+    dest.submit(reveal)                   # UnknownPulse: refused
     dest.extend(sibling, 2)               # alt wins: replay self-check runs
 
     assert dest.states[parent.block_hash] == before

@@ -6,9 +6,10 @@ the canonical tip is its own tip (no second BlockRef) and walks only its
 parent; a tick reads a chain only when it has new blocks, and walks its
 cursor back only when the cursor block was orphaned; a round that extracts
 nothing asks no oracle unless a replayer, which endorses its history
-without an extraction, is on the roster. The calls counted here are the
-ones these paths no longer make; what they return is unchanged, and the
-pinned digests check the traces.
+without an extraction, is on the roster; without a replayer the network
+keeps no history of extracted entries either. The calls counted here are
+the ones these paths no longer make; what they return is unchanged, and
+the pinned digests check the traces.
 """
 
 from collections import Counter
@@ -16,8 +17,10 @@ from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 from swapgate import Behavior, Chain, LockTx, oracles
+from swapgate.cli import load_scenario
 from swapgate.crypto import sha256
 from swapgate.encoding import encode_payload
+from swapgate.scenario import Runner
 
 from conftest import ALICE, BOB, World
 from test_oracles import lock_and_confirm
@@ -129,3 +132,13 @@ def test_an_empty_round_still_carries_the_replayers_history():
         "count": 1,
         "forged": True,
     }]
+
+
+def test_a_network_without_a_replayer_keeps_no_history():
+    """Only a replayer reads the entries extracted in earlier rounds, so an
+    all-honest run relays in both directions and keeps none of them."""
+    runner = Runner(load_scenario("round_trip"))
+    assert runner.run().exit_code == 0
+    assert {r.source for r in runner.reports if r.outcome == "submitted"} \
+        == {0, 1}
+    assert runner.network.replay_history == {}

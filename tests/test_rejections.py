@@ -1,15 +1,17 @@
 """Every refusal leaves the state it was tried on untouched.
 
-A rejected transaction is rolled back by the chain, which rebuilds its
-block without it. A rejected payload entry is not: submit_send_data records
-the entry's code and routes its siblings on the same state. So a port that
-wrote before it refused would corrupt state silently. Each case tries one
-refusal on a clone of a canonical state, through gateway.apply_tx or
-through the router a reveal calls for each entry, and requires the clone to
-equal a deep copy taken before, with no event emitted. The cases cover
-every code a transaction or an entry can be refused with, the paths no
-scenario reaches included. Two refusals outside a state close the file:
-fork_at with a branch name in use, and build_chains with a bad genesis.
+Refused transactions and refused payload entries follow one rule: a
+contract refuses before it writes. Nothing undoes a refusal: the chain
+applies the next tx of the block to the same state, and submit_send_data
+records the entry's code and routes its siblings on the same state. So a
+contract that wrote before it refused would corrupt state silently. Each
+case tries one refusal on a clone of a canonical state, through
+gateway.apply_tx or through the router a reveal calls for each entry, and
+requires the clone to equal a deep copy taken before, with no event
+emitted. The cases cover every code a transaction or an entry can be
+refused with, the paths no scenario reaches included. Two refusals outside
+a state close the file: fork_at with a branch name in use, and
+build_chains with a bad genesis.
 """
 
 import copy

@@ -185,8 +185,28 @@ def drop_block(records, rng):
     return "block_linkage"
 
 
-TAMPERS = [break_conservation, double_execution, illegal_transition,
-           retract_finalized, revert_to_processed, fail_assert, drop_block]
+def self_parent(records, rng):
+    # a canonical block names itself as its parent
+    block = rng.choice(canonical_blocks(records))
+    block["parent"] = block["hash"]
+    return "block_linkage"
+
+
+def parent_cycle(records, rng):
+    # a canonical block names its child as its parent: a cycle of two
+    chains, _ = reference.canonical_block_lists(records)
+    lower, upper = rng.choice([pair for blocks in chains.values()
+                               for pair in zip(blocks[1:], blocks[2:])])
+    lower["parent"] = upper["hash"]
+    return "block_linkage"
+
+
+# tampers run in this order: a revert picks a transition that
+# illegal_transition may change, and each cut ends the canonical walk that
+# the tampers before it pick from
+CUTS = [drop_block, self_parent, parent_cycle]
+TAMPERS = [break_conservation, double_execution, retract_finalized,
+           revert_to_processed, illegal_transition, fail_assert, *CUTS]
 BASES = ["happy_path", "round_trip", "reorg_before_conf", "happy:5",
          "reorg:4"]
 
@@ -209,15 +229,19 @@ def test_one_fault_agrees(name, tamper):
 
 @pytest.mark.parametrize("name", BASES)
 def test_several_faults_agree(name):
+    faults = TAMPERS[:-len(CUTS)]
     for seed in range(8):
         rng = random.Random(seed)
-        chosen = rng.sample(TAMPERS, rng.randint(2, len(TAMPERS)))
-        chosen.append(rng.choice(TAMPERS[:-1]))
-        # a dropped block cuts the canonical walk the others pick from
+        chosen = rng.sample(faults, rng.randint(1, len(faults)))
+        chosen.append(rng.choice(faults))
         chosen.sort(key=TAMPERS.index)
+        # one cut at most, and last, after the others have picked
+        cut = rng.choice([None, *CUTS])
+        if cut:
+            chosen.append(cut)
         records, text, invariants = tampered(name, chosen, rng)
-        if drop_block in chosen:
-            # the walk stops at the gap, so no execution below it counts
+        if cut:
+            # the walk stops at the cut, so no execution below it counts
             invariants.discard("exactly_once")
         reported = {v["invariant"] for v in assert_agrees(records, text)}
         assert invariants <= reported
@@ -255,6 +279,23 @@ def test_forged_quorum_fails_no_forged_accepted():
     assert violation["invariant"] == "assertion"
     assert violation["detail"] == ("step 4: no_forged_accepted failed: "
                                    "forged pulse 1 accepted on chain 1")
+
+
+def test_self_parent_block_at_the_tip_is_named():
+    """A block recorded as its own parent, made the final tip: the walk
+    stops at it instead of going round for ever."""
+    records = reference.parse_trace(base_text("happy_path"))
+    tip = records[-1]["canonical"]["0"]
+    loop = "ab" * 32
+    records[-1]["blocks"] = [{"chain": 0, "hash": loop, "parent": loop,
+                              "height": tip["height"] + 1}]
+    tip["tip"] = loop
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    [violation] = assert_agrees(records, text)
+    assert violation == {
+        "invariant": "block_linkage",
+        "detail": f"chain 0: block {loop} at height {tip['height'] + 1} "
+                  f"has parent {loop} at height {tip['height'] + 1}"}
 
 
 def test_malformed_event_in_an_orphaned_block_is_malformed():

@@ -94,6 +94,14 @@ MUTANTS = [
      "if not reference_entries and not self._replays:",
      "if not reference_entries:",
      "tier1", "caught"),
+    # a refused tx changes nothing only because each contract refuses
+    # before it writes; this lock writes the pool before the balance check
+    ("lock writes before it refuses", "swapgate/ledger.py",
+     "        self._debit(token.symbol, owner.address, amount)\n"
+     "        _add(self.locked, token.symbol, amount)\n",
+     "        _add(self.locked, token.symbol, amount)\n"
+     "        self._debit(token.symbol, owner.address, amount)\n",
+     "tier1", "caught"),
 ]
 
 SELFCHECK = """
