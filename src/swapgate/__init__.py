@@ -40,7 +40,6 @@ from .oracles import (
     Behavior,
     OracleIdentity,
     OracleNetwork,
-    RoundReport,
 )
 from .ports import (
     IB_PORT_ADDRESS,

@@ -35,7 +35,7 @@ the history, up to that bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .chain import REGISTRATION_KINDS, Chain, ChainEvent, EventKind
@@ -80,32 +80,24 @@ def entry_from_event(event: ChainEvent) -> PayloadEntry:
     )
 
 
-@dataclass
-class RoundReport:
-    source: int
-    target: int
-    reference_hash: str | None          # hash of the honest extraction, if any
-    candidates: list[dict]              # [{hash, count, forged}]
-    outcome: str                        # "submitted" | "no_quorum" | "empty"
-    chosen_hash: str | None = None
-    forged_chosen: bool = False
-    signers: list[int] = field(default_factory=list)
-    declared_height: int | None = None
-    entries: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "source": self.source,
-            "target": self.target,
-            "reference_hash": self.reference_hash,
-            "candidates": self.candidates,
-            "outcome": self.outcome,
-            "chosen_hash": self.chosen_hash,
-            "forged_chosen": self.forged_chosen,
-            "signers": self.signers,
-            "declared_height": self.declared_height,
-            "entries": self.entries,
-        }
+def round_report(source: int, target: int, reference_hash: str | None,
+                 candidates: list[dict], outcome: str) -> dict:
+    """The trace report of a relay round that submits nothing: `outcome` is
+    "empty" or "no_quorum". A submitted round fills in the last five keys
+    of this same dict. `reference_hash` is the hash of the honest
+    extraction, if any, and `candidates` is [{hash, count, forged}]."""
+    return {
+        "source": source,
+        "target": target,
+        "reference_hash": reference_hash,
+        "candidates": candidates,
+        "outcome": outcome,
+        "chosen_hash": None,
+        "forged_chosen": False,
+        "signers": [],
+        "declared_height": None,
+        "entries": [],
+    }
 
 
 class OracleNetwork:
@@ -181,11 +173,13 @@ class OracleNetwork:
 
     # --- one relay round ------------------------------------------------------
 
-    def relay_round(self, source: Chain, target: Chain) -> RoundReport:
+    def relay_round(self, source: Chain, target: Chain) -> dict:
+        """One round from `source` to `target`; its report, see
+        round_report, is the dict the trace records."""
         reference_entries = self.extract(source)
         if not reference_entries and not self._replays:
-            return RoundReport(source.chain_id, target.chain_id, None, [],
-                               "empty")
+            return round_report(source.chain_id, target.chain_id, None, [],
+                                "empty")
         # only a replayer reads the history, so only its network keeps one
         history = (self.replay_history.setdefault(source.chain_id, [])
                    if self._replays else [])
@@ -217,13 +211,10 @@ class OracleNetwork:
             for digest, endorsers in ranked
         ]
 
-        report = RoundReport(
-            source=source.chain_id,
-            target=target.chain_id,
-            reference_hash=reference_hash.hex() if reference_hash else None,
-            candidates=candidates_json,
-            outcome="empty" if not endorsements else "no_quorum",
-        )
+        report = round_report(
+            source.chain_id, target.chain_id,
+            reference_hash.hex() if reference_hash else None,
+            candidates_json, "empty" if not endorsements else "no_quorum")
         if not endorsements:
             return report
 
@@ -259,12 +250,12 @@ class OracleNetwork:
         for entry in reference_entries:
             self.reattest_requests.discard(entry.swap_id)
 
-        report.outcome = "submitted"
-        report.chosen_hash = digest.hex()
-        report.forged_chosen = digest != reference_hash
-        report.signers = sorted(idx for idx, _ in signatures)
-        report.declared_height = declared_height
-        report.entries = [e.to_json() for e in chosen]
+        report["outcome"] = "submitted"
+        report["chosen_hash"] = digest.hex()
+        report["forged_chosen"] = digest != reference_hash
+        report["signers"] = sorted(idx for idx, _ in signatures)
+        report["declared_height"] = declared_height
+        report["entries"] = [e.to_json() for e in chosen]
         return report
 
 

@@ -30,7 +30,7 @@ from .errors import BeyondFinality, HeightBeyondTip, InvalidScenario
 from .gateway import BurnTx, GatewayState, LockTx, build_chains
 from .ledger import AccountId, TokenId, account_id, wrapped_symbol
 from .nebula import OracleRoster, default_threshold
-from .oracles import Behavior, OracleIdentity, OracleNetwork, RoundReport
+from .oracles import Behavior, OracleIdentity, OracleNetwork
 from .ports import DESTINATION, ORIGIN
 
 # The keys each timeline op may carry; an assert step's keys depend on its
@@ -398,7 +398,9 @@ class Runner:
       to the header's genesis and to the records of the blocks on the
       same state object;
     - a swap's id string (encoding.SwapId): its receipt, registration and
-      execution events, round report entry and controller transitions.
+      execution events, round report entry and controller transitions;
+    - a relay round's report, the one dict `relay_round` returns: its
+      record and `self.reports`, which the relay asserts read.
     Copy a record before changing it.
     """
 
@@ -442,7 +444,7 @@ class Runner:
             {cid: p.recovery_timeout for cid, p in params.items()})
 
         self.records: list[dict] = []
-        self.reports: list[RoundReport] = []
+        self.reports: list[dict] = []
         self.swap_ids: list[bytes | None] = []
         self._tx_handles: dict[int, int] = {}  # id(tx) -> user step handle
         # chain id -> (a state, its accounting, and once a canonical section
@@ -631,18 +633,12 @@ class Runner:
             report = self.network.relay_round(
                 self.chains[step["source"]], self.chains[step["target"]])
             self.reports.append(report)
-            self.records.append({
-                "op": op, "step": index, "report": report.to_json(),
-            })
+            self.records.append({"op": op, "step": index, "report": report})
         elif op == "tick":
             result = self.controller.tick(self.chains)
             for swap_id in result.requeue:
                 self.network.request_reattestation(swap_id)
-            self.records.append({
-                "op": op, "step": index,
-                "transitions": result.transitions,
-                "stuck": result.stuck,
-            })
+            self.records.append({"op": op, "step": index, **result.to_json()})
         elif op == "assert":
             ok, detail = self._evaluate_assert(step)
             args = {k: v for k, v in step.items() if k not in ("op", "check")}
@@ -699,13 +695,13 @@ class Runner:
                     return False, f"chain {cid} ledger differs from initial state"
             return True, "ledgers identical to initial state"
         if check == "relay_outcome":
-            report = self.reports[step["round"]]
-            return report.outcome == step["expect"], f"outcome {report.outcome}"
+            outcome = self.reports[step["round"]]["outcome"]
+            return outcome == step["expect"], f"outcome {outcome}"
         if check == "no_forged_accepted":
             forged = {
-                (r.chosen_hash, r.declared_height, r.target)
+                (r["chosen_hash"], r["declared_height"], r["target"])
                 for r in self.reports
-                if r.outcome == "submitted" and r.forged_chosen
+                if r["outcome"] == "submitted" and r["forged_chosen"]
             }
             if forged:
                 for cid, chain in sorted(self.chains.items()):

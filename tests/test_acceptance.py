@@ -127,8 +127,8 @@ def test_criterion_2_byzantine_minority_safety():
                 result = runner.run()
                 assert result.exit_code == 0, (behaviors, result.error)
                 for report in runner.reports:
-                    assert not (report.outcome == "submitted"
-                                and report.forged_chosen), behaviors
+                    assert not (report["outcome"] == "submitted"
+                                and report["forged_chosen"]), behaviors
                 assert backing_holds_throughout(result.records, ["T"]), behaviors
                 checked += 1
     assert checked == 1526  # sum of C(5,k) * 5^k for k in 0..3
@@ -138,7 +138,8 @@ def test_criterion_2_byzantine_minority_safety():
         result = runner.run()
         assert result.exit_code == 0, name
         for report in runner.reports:
-            assert not (report.outcome == "submitted" and report.forged_chosen), name
+            assert not (report["outcome"] == "submitted"
+                        and report["forged_chosen"]), name
         symbols = load_scenario(name).tokens
         assert backing_holds_throughout(result.records, symbols), name
     elapsed = time.monotonic() - started

@@ -84,7 +84,7 @@ def test_stuck_after_timeout_requeues_for_reattestation():
     # recovery: the flagged swap is re-attested and re-mints exactly once
     w.network.request_reattestation(sid)
     report = w.network.relay_round(w.origin, w.destination)
-    assert report.outcome == "submitted"
+    assert report["outcome"] == "submitted"
     w.destination.produce_block(w.destination.canonical_branch)
     mints = [e for e in w.destination.canonical_events()
              if e.kind.value == "MintExecuted" and e.swap_id == sid]

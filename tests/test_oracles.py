@@ -69,9 +69,9 @@ def test_honest_round_submits_and_processes():
     w = World()
     lock_and_confirm(w)
     report = w.network.relay_round(w.origin, w.destination)
-    assert report.outcome == "submitted"
-    assert report.signers == [0, 1, 2, 3, 4]
-    assert not report.forged_chosen
+    assert report["outcome"] == "submitted"
+    assert report["signers"] == [0, 1, 2, 3, 4]
+    assert not report["forged_chosen"]
     w.destination.produce_block()
     assert w.destination.canonical_state.ledger.supply["swT"] == 100
 
@@ -83,8 +83,8 @@ def test_two_wrong_amount_oracles_lose_quorum():
                          Behavior.HONEST, Behavior.HONEST, Behavior.HONEST])
     lock_and_confirm(w)
     report = w.network.relay_round(w.origin, w.destination)
-    assert report.outcome == "no_quorum"
-    counts = {c["hash"]: c["count"] for c in report.candidates}
+    assert report["outcome"] == "no_quorum"
+    counts = {c["hash"]: c["count"] for c in report["candidates"]}
     assert sorted(counts.values(), reverse=True) == [3, 2]
     w.destination.produce_block()
     assert w.destination.canonical_state.ledger.supply == {}
@@ -122,8 +122,8 @@ def test_wrong_receiver_minority_does_not_redirect():
     w = World(behaviors=[Behavior.WRONG_RECEIVER] + [Behavior.HONEST] * 4)
     lock_and_confirm(w)
     report = w.network.relay_round(w.origin, w.destination)
-    assert report.outcome == "submitted"
-    assert report.signers == [1, 2, 3, 4]
+    assert report["outcome"] == "submitted"
+    assert report["signers"] == [1, 2, 3, 4]
     w.destination.produce_block()
     ledger = w.destination.canonical_state.ledger
     assert ledger.balances["swT"] == {BOB.address: 100}
@@ -136,14 +136,15 @@ def test_replayer_reemission_hits_duplicate_guard():
     w = World(behaviors=[Behavior.REPLAYER] * 5)
     lock_and_confirm(w)
     first = w.network.relay_round(w.origin, w.destination)
-    assert first.outcome == "submitted"   # empty history: identical payloads
+    # empty history: identical payloads
+    assert first["outcome"] == "submitted"
     w.destination.produce_block()
     assert w.destination.canonical_state.ledger.supply["swT"] == 100
 
     lock_and_confirm(w, amount=40)
     second = w.network.relay_round(w.origin, w.destination)
-    assert second.outcome == "submitted"
-    assert second.forged_chosen           # contains the replayed entry
+    assert second["outcome"] == "submitted"
+    assert second["forged_chosen"]        # contains the replayed entry
     ref = w.destination.produce_block()
     receipts = w.destination.blocks[ref.block_hash].receipts
     send = [r for r in receipts if r.tx.describe()["kind"] == "send_data"][0]
@@ -173,8 +174,8 @@ def test_replayer_past_the_entry_cap_endorses_the_newest_entries():
     result = runner.run()
     assert result.exit_code == 0, result.violations
     first = runner.reports[0]
-    assert first.outcome == "submitted" and not first.forged_chosen
-    assert [c["count"] for c in first.candidates if c["forged"]] == [1]
+    assert first["outcome"] == "submitted" and not first["forged_chosen"]
+    assert [c["count"] for c in first["candidates"] if c["forged"]] == [1]
 
 
 def lower_entry_cap(monkeypatch, cap):
@@ -212,8 +213,9 @@ def test_honest_extraction_past_the_entry_cap_is_relayed_over_rounds(
     }))
     result = runner.run()
     assert result.exit_code == 0, result.error or result.violations
-    assert [len(r.entries) for r in runner.reports] == [4, 4, 1, 0]
-    assert [r.outcome for r in runner.reports] == ["submitted"] * 3 + ["empty"]
+    assert [len(r["entries"]) for r in runner.reports] == [4, 4, 1, 0]
+    assert [r["outcome"] for r in runner.reports] \
+        == ["submitted"] * 3 + ["empty"]
 
 
 def test_reattestations_go_first_when_a_round_is_past_the_entry_cap(
@@ -309,9 +311,9 @@ def test_equivocator_second_payload_never_accepted():
     w = World(behaviors=[Behavior.EQUIVOCATOR] * 3 + [Behavior.HONEST] * 2)
     lock_and_confirm(w)
     report = w.network.relay_round(w.origin, w.destination)
-    assert report.outcome == "submitted"
-    assert not report.forged_chosen
-    counts = sorted((c["count"] for c in report.candidates), reverse=True)
+    assert report["outcome"] == "submitted"
+    assert not report["forged_chosen"]
+    counts = sorted((c["count"] for c in report["candidates"]), reverse=True)
     assert counts == [5, 3]               # twin stalls below the threshold
     w.destination.produce_block()
     accepted = [e for e in w.destination.canonical_events()
@@ -324,8 +326,8 @@ def test_silent_oracle_signs_nothing():
     w = World(behaviors=[Behavior.SILENT] + [Behavior.HONEST] * 4)
     lock_and_confirm(w)
     report = w.network.relay_round(w.origin, w.destination)
-    assert report.outcome == "submitted"
-    assert 0 not in report.signers
+    assert report["outcome"] == "submitted"
+    assert 0 not in report["signers"]
 
 
 def test_liveness_bound_two_rounds():
@@ -359,7 +361,7 @@ def test_round_reports_deterministic():
         r1 = w.network.relay_round(w.origin, w.destination)
         w.destination.produce_block()
         r2 = w.network.relay_round(w.origin, w.destination)
-        return [r1.to_json(), r2.to_json()]
+        return [r1, r2]
 
     assert play() == play()
 
@@ -375,7 +377,8 @@ def test_reattestation_finds_registration_reincluded_at_new_height():
     w.origin.submit(lock)
     w.origin.produce_block()              # lock at h1
     w.origin.extend("main", 4)            # tip h5: round cursor moves to 3
-    assert w.network.relay_round(w.origin, w.destination).outcome == "submitted"
+    report = w.network.relay_round(w.origin, w.destination)
+    assert report["outcome"] == "submitted"
     w.destination.produce_block()         # mint at destination h1
     w.controller.tick(w.chains)
     sid = w.origin.canonical_events()[0].swap_id
@@ -387,15 +390,15 @@ def test_reattestation_finds_registration_reincluded_at_new_height():
     w.origin.produce_block(alt)           # the lock again, now at h2
     w.origin.extend(alt, 4)               # alt wins at h6
     assert [e.block.height for e in w.origin.swap_events(sid)] == [2]
-    assert w.network.relay_round(w.origin, w.destination).outcome == "empty"
+    assert w.network.relay_round(w.origin, w.destination)["outcome"] == "empty"
 
     w.destination.extend(w.destination.canonical_branch, 6)
     result = w.controller.tick(w.chains)
     assert result.requeue == [sid]
     w.network.request_reattestation(sid)
     report = w.network.relay_round(w.origin, w.destination)
-    assert report.outcome == "submitted"
-    assert [e["swap_id"] for e in report.entries] == [sid.hex()]
+    assert report["outcome"] == "submitted"
+    assert [e["swap_id"] for e in report["entries"]] == [sid.hex()]
     w.destination.produce_block(w.destination.canonical_branch)
     mints = [e for e in w.destination.canonical_events()
              if e.kind == EventKind.MINT_EXECUTED]
@@ -421,12 +424,12 @@ def test_delivery_crossing_a_destination_fork_is_not_wedged():
 
     for amount in (5, 6):
         lock_and_confirm(w, amount)
-        assert w.network.relay_round(w.origin, dest).outcome == "submitted"
+        assert w.network.relay_round(w.origin, dest)["outcome"] == "submitted"
         dest.produce_block()              # mints at destination h1, h2
         tick()
     alt = dest.fork_at(1, "alt")          # keeps the 5-mint, drops the 6-mint
     lock_and_confirm(w, 7)
-    assert w.network.relay_round(w.origin, dest).outcome == "submitted"
+    assert w.network.relay_round(w.origin, dest)["outcome"] == "submitted"
     dest.extend(alt, 2)                   # the 7-delivery lands on alt h2
     assert dest.canonical_branch == alt
 
@@ -458,8 +461,8 @@ def test_pulse_relayed_before_a_fork_is_accepted_on_the_fork():
     dest.extend("main", 3)                # destination tip h3
     lock_and_confirm(w, 100)
     report = w.network.relay_round(w.origin, dest)
-    assert report.outcome == "submitted"
-    assert report.declared_height == 0    # max(0, 3 - 3)
+    assert report["outcome"] == "submitted"
+    assert report["declared_height"] == 0    # max(0, 3 - 3)
     alt = dest.fork_at(1, "alt")
     dest.extend(alt, 3)                   # the delivery lands on alt h2
     assert dest.canonical_branch == alt

@@ -5,7 +5,9 @@ A tx's `describe()`, an account's, a block ref's and a payload entry's
 account object per (chain, address), and the Runner keeps one canonical
 summary per chain while its tip is unchanged, so the records a run holds
 refer to one dict or string per fragment instead of a copy per record.
-The text is unchanged: the pinned digests check that.
+A relay round's report is one dict, which its record and
+`Runner.reports` both hold. The text is unchanged: the pinned digests
+check that.
 """
 
 import importlib.util
@@ -13,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from swapgate.cli import load_scenario
 from swapgate.scenario import Runner, Scenario
 
-from scenario_gen import random_happy_scenario
+from scenario_gen import random_happy_scenario, reorg_scenario
 
 # distinct dicts reachable from the records of random_happy_scenario(seed=1,
 # swaps=200); they hold 7,080 once written out, the records held 6,289
@@ -146,6 +149,31 @@ def test_runner_swap_ids_are_the_ports_ids():
               for swap_id in chain.canonical_state.port.swaps}
     assert len(runner.swap_ids) == 1224
     assert all(id(swap_id) in stored for swap_id in runner.swap_ids)
+
+
+@pytest.mark.parametrize("make, outcome", [
+    (lambda: load_scenario("happy_path"), "submitted"),
+    (lambda: reorg_scenario(1), "empty"),
+], ids=["happy_path", "reorg_scenario"])
+def test_round_report_is_its_record_and_the_runners(make, outcome):
+    """Each relay round's record holds the very dict `relay_round` returned,
+    and `Runner.reports` holds that same dict, for a run with a submitted
+    round and one with empty rounds."""
+    runner = Runner(make())
+    relay_round = runner.network.relay_round
+    returned: list[dict] = []
+
+    def kept_relay_round(source, target):
+        returned.append(relay_round(source, target))
+        return returned[-1]
+
+    runner.network.relay_round = kept_relay_round
+    assert runner.run().exit_code == 0
+    reports = [r["report"] for r in runner.records if r["op"] == "relay_round"]
+    assert len(reports) == len(runner.reports) == len(returned)
+    for k, report in enumerate(reports):
+        assert report is runner.reports[k] and report is returned[k]
+    assert any(report["outcome"] == outcome for report in reports)
 
 
 def test_distinct_dicts_reachable_from_the_records(records):

@@ -94,6 +94,18 @@ MUTANTS = [
      "if not reference_entries and not self._replays:",
      "if not reference_entries:",
      "tier1", "caught"),
+    # the self-check catches it on only 2 of 10 seeds (above), the tests
+    # catch it
+    ("GatewayState.tokens shared", "swapgate/gateway.py",
+     "return GatewayState(self.ledger.clone(), dict(self.tokens),",
+     "return GatewayState(self.ledger.clone(), self.tokens,",
+     "tier1", "caught"),
+    # the relay assert reads the round's report by key; this one takes
+    # every submitted round, honest ones included, for a forged one
+    ("no_forged_accepted counts every submitted round", "swapgate/scenario.py",
+     'if r["outcome"] == "submitted" and r["forged_chosen"]',
+     'if r["outcome"] == "submitted"',
+     "tier1", "caught"),
     # a refused tx changes nothing only because each contract refuses
     # before it writes; this lock writes the pool before the balance check
     ("lock writes before it refuses", "swapgate/ledger.py",
