@@ -115,10 +115,11 @@ class ChainEvent:
     payload: dict
 
     def to_json(self) -> dict:
+        """The event inside its block's record, which states the block: so
+        the event's own `block` is left out."""
         return {
             "kind": self.kind.value,
             "swap_id": self.swap_id.hex() if self.swap_id else None,
-            "block": self.block.to_json(),
             "index": self.index,
             "payload": self.payload,
         }
@@ -131,8 +132,8 @@ class TxReceipt:
     detail: str | None = None
     extra: dict | None = None  # e.g. per-entry outcomes of a reveal tx
 
-    def to_json(self) -> dict:
-        out = {"tx": self.tx.describe(), "status": self.status}
+    def to_json(self, tx_dict: dict) -> dict:
+        out = {"tx": tx_dict, "status": self.status}
         if self.detail:
             out["detail"] = self.detail
         if self.extra:
@@ -147,14 +148,17 @@ class Block:
     receipts: list[TxReceipt]
     events: list[ChainEvent]
 
-    def to_json(self) -> dict:
+    def to_json(self, tx_json: Callable[[Any], dict]) -> dict:
+        """The block's trace form; tx_json(tx) is what a receipt records
+        of its tx, either its describe() or a reference to the record that
+        already states it (see scenario.Runner)."""
         return {
             "chain": self.ref.chain,
             "branch": self.ref.branch,
             "height": self.ref.height,
             "hash": self.ref.block_hash.hex(),
             "parent": self.parent_hash.hex(),
-            "txs": [r.to_json() for r in self.receipts],
+            "txs": [r.to_json(tx_json(r.tx)) for r in self.receipts],
             "events": [e.to_json() for e in self.events],
         }
 

@@ -383,16 +383,19 @@ class RunResult:
 class Runner:
     """Executes one scenario deterministically.
 
+    A block's receipt of a lock, burn or reveal holds a reference to the
+    record that submitted the tx (see swapgate.trace), built once, when
+    the tx is submitted; a pulse's receipt holds its `describe()`.
+
     The trace records it builds are read-only: each JSON fragment of an
     immutable value is built once and shared by every record that holds
     it. Records share
-    - a tx's `describe()`: the user record, the block's receipt and the
-      block digest;
+    - a tx's `describe()`: the user record and the block digest;
     - an account's `to_json()`: the run keeps one AccountId per (chain,
       address), which the ports' attested executions use too, so every tx
       and event of an account;
-    - a block ref's `to_json()`: every event of a block;
-    - a payload entry's `to_json()`: the round report and the reveal tx;
+    - a payload entry's `to_json()`: the round report and the reveal's
+      digest;
     - a chain's canonical summary (tip, height, branch, accounting), kept
       per chain while its tip is unchanged; its accounting dict also goes
       to the header's genesis and to the records of the blocks on the
@@ -447,6 +450,8 @@ class Runner:
         self.reports: list[dict] = []
         self.swap_ids: list[bytes | None] = []
         self._tx_handles: dict[int, int] = {}  # id(tx) -> user step handle
+        # id(tx) -> what its receipt records, from submission to inclusion
+        self._tx_refs: dict[int, dict] = {}
         # chain id -> (a state, its accounting, and once a canonical section
         # has read them, the tip and its summary), see _accounting, _summary
         self._last: dict[int, tuple[GatewayState, dict, BlockRef | None,
@@ -503,8 +508,15 @@ class Runner:
         self._last[chain.chain_id] = (state, accounting, tip, summary)
         return summary
 
+    def _receipt_tx(self, tx) -> dict:
+        """What a receipt records of its tx: the reference built when the
+        runner submitted it, or, for a pulse, its describe(). A tx is
+        included once, so its reference goes with it."""
+        ref = self._tx_refs.pop(id(tx), None)
+        return tx.describe() if ref is None else ref
+
     def _block_json(self, chain: Chain, block: Block) -> dict:
-        out = block.to_json()
+        out = block.to_json(self._receipt_tx)
         out["accounting"] = self._accounting(
             chain, chain.states[block.ref.block_hash])
         return out
@@ -520,6 +532,7 @@ class Runner:
             }
         return {
             "op": "header",
+            "format": trace_mod.TRACE_FORMAT,
             "name": self.scenario.name,
             "seed": self.seed,
             "chains": [c.to_json() for c in self.scenario.chains],
@@ -625,13 +638,22 @@ class Runner:
                     receiver=self._account_id(ORIGIN, step["receiver"]),
                 )
             self.chains[tx.chain].submit(tx)
+            described = tx.describe()
+            self._tx_refs[id(tx)] = {"kind": described["kind"], "step": index}
             # the swap's id is known once its block includes the tx
             self._tx_handles[id(tx)] = len(self.swap_ids)
             self.swap_ids.append(None)
-            self.records.append({"op": op, "step": index, "tx": tx.describe()})
+            self.records.append({"op": op, "step": index, "tx": described})
         elif op == "relay_round":
-            report = self.network.relay_round(
-                self.chains[step["source"]], self.chains[step["target"]])
+            target = self.chains[step["target"]]
+            report = self.network.relay_round(self.chains[step["source"]],
+                                              target)
+            if report["outcome"] == "submitted":
+                # the round submits its pulse, then its reveal
+                reveal = target.pending[-1]
+                self._tx_refs[id(reveal)] = {
+                    "kind": "send_data", "round": index,
+                    "submitter": reveal.submitter}
             self.reports.append(report)
             self.records.append({"op": op, "step": index, "report": report})
         elif op == "tick":

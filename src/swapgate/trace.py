@@ -7,6 +7,16 @@ verdicts. `evaluate_records` is the single implementation of the built-in
 invariants; the runner calls it on its own records at the end of a run and
 `check_trace` calls it on a file's records, so the two can never disagree.
 
+A trace states each fact once. Its header names the format, TRACE_FORMAT,
+and a trace of any other format is malformed. An event sits inside its
+block's record and names no block. A block's receipt of a lock or burn
+names the user record that submitted the tx, {"kind", "step"}, and a
+receipt of a reveal names the relay round that submitted it, {"kind":
+"send_data", "round", "submitter"}, whose report lists the reveal's
+entries; a pulse's receipt states its tx. A reference that names no earlier
+record submitting a tx of its kind to the block's chain is a
+`tx_reference` violation.
+
 A check is one pass. `iter_trace` yields each record as its line is parsed
 and validated, from text read a chunk at a time (`check_trace` reads a file
 _CHUNK characters at a time), and `evaluate_records` folds it into every
@@ -36,6 +46,15 @@ from .errors import MalformedTrace
 EXECUTION_EVENT_KINDS = tuple(kind.value for kind in EXECUTION_KINDS)
 REGISTRATION_EVENT_KINDS = tuple(kind.value for kind in REGISTRATION_KINDS)
 
+# the format the header names; a reader reads this one alone
+TRACE_FORMAT = 2
+
+# the key under which a receipt's reference names the step of the record
+# that submitted its tx, by tx kind; a pulse's receipt holds no reference
+_REFERENCE_KEYS = {"lock": "step", "burn": "step", "send_data": "round"}
+# the kind of tx each user record submits
+_USER_OPS = {"user_lock": "lock", "user_burn": "burn"}
+
 # characters of trace text read and split into lines at a time
 _CHUNK = 1 << 16
 
@@ -63,9 +82,9 @@ def iter_trace(chunks: Iterable[str]) -> Iterator[dict]:
     anywhere, one at a time, each validated as it is read.
 
     Raises MalformedTrace at the first fault in file order: a line that is
-    not a JSON object with an `op`, a first record that is not the header,
-    and, once the text is exhausted, an empty trace or a last record that
-    is not `end`."""
+    not a JSON object with an `op`, a first record that is not the header
+    or names another format than TRACE_FORMAT, and, once the text is
+    exhausted, an empty trace or a last record that is not `end`."""
     started = False
     last_op = None
     for lineno, line in enumerate(_lines(chunks), start=1):
@@ -77,8 +96,13 @@ def iter_trace(chunks: Iterable[str]) -> Iterator[dict]:
             raise MalformedTrace(f"line {lineno}: {exc}") from None
         if not isinstance(record, dict) or "op" not in record:
             raise MalformedTrace(f"line {lineno}: not a trace record")
-        if not started and record["op"] != "header":
-            raise MalformedTrace("trace does not start with a header record")
+        if not started:
+            if record["op"] != "header":
+                raise MalformedTrace("trace does not start with a header record")
+            if record.get("format") != TRACE_FORMAT:
+                raise MalformedTrace(
+                    f"trace format {record.get('format')!r} in the header, "
+                    f"expected {TRACE_FORMAT}")
         started, last_op = True, record["op"]
         yield record
     if not started:
@@ -192,7 +216,8 @@ def evaluate_records(records: Iterable[dict]) -> list[dict]:
     """Re-evaluate the built-in global invariants over trace records.
 
     Reports, in order: broken block linkage, per-block token conservation
-    (the genesis blocks last), at-most-once canonical execution per swap,
+    (the genesis blocks last), receipt references that name no earlier
+    record submitting their tx, at-most-once canonical execution per swap,
     the status-machine discipline of controller transitions, and recorded
     assertion verdicts.
 
@@ -202,7 +227,8 @@ def evaluate_records(records: Iterable[dict]) -> list[dict]:
     chain's canonical branch, so memory grows with the number of blocks,
     not with the size of the records. They are kept in flat maps by hash,
     not in an object per block, so that the check adds almost nothing for
-    the cyclic garbage collector to traverse.
+    the cyclic garbage collector to traverse. A reference is checked
+    against the kind and chain of each tx submitted so far, by step.
     """
     parents: dict[str, str] = {}
     heights: dict[str, int] = {}
@@ -213,6 +239,10 @@ def evaluate_records(records: Iterable[dict]) -> list[dict]:
     transitions: list[dict] = []
     assertions: list[dict] = []
     statuses: dict[str, str | None] = {}
+    # step -> (kind, chain) of the tx each user or submitted round record
+    # submitted; a receipt's reference must name one of its own kind and chain
+    submitted: dict[int, tuple[str, int]] = {}
+    references: list[dict] = []
     for position, record in enumerate(records):
         if position == 0:
             for block in _genesis_blocks(record):
@@ -223,6 +253,12 @@ def evaluate_records(records: Iterable[dict]) -> list[dict]:
                 tips[block["chain"]] = block["hash"]
         for block in record.get("blocks", ()):
             _check_conservation(block, conservation)
+            for receipt in block.get("txs", ()):
+                tx = receipt["tx"]
+                key = _REFERENCE_KEYS.get(tx["kind"])
+                if key is not None and \
+                        submitted.get(tx[key]) != (tx["kind"], block["chain"]):
+                    references.append(_reference_violation(block, tx, key))
             block_hash = block["hash"]
             parents[block_hash] = block["parent"]
             heights[block_hash] = block["height"]
@@ -234,7 +270,11 @@ def evaluate_records(records: Iterable[dict]) -> list[dict]:
         for chain_key, summary in record.get("canonical", {}).items():
             tips[int(chain_key)] = summary["tip"]
         op = record.get("op")
-        if op == "tick":
+        if op in _USER_OPS:
+            submitted[record["step"]] = (_USER_OPS[op], record["tx"]["chain"])
+        elif op == "relay_round" and record["report"]["outcome"] == "submitted":
+            submitted[record["step"]] = ("send_data", record["report"]["target"])
+        elif op == "tick":
             for transition in record.get("transitions", []):
                 _check_transition(transition, statuses, transitions)
         elif op == "assert" and not record.get("ok", False):
@@ -246,7 +286,7 @@ def evaluate_records(records: Iterable[dict]) -> list[dict]:
             })
 
     canonical, violations = _walk(parents, heights, tips)
-    violations += conservation + genesis_conservation
+    violations += conservation + genesis_conservation + references
     # exactly-once execution on the final canonical branches
     exec_counts: dict[str, int] = {}
     for hashes in canonical.values():
@@ -273,6 +313,16 @@ def _check_conservation(block: dict, violations: list[dict]) -> None:
                           f"{acct['supply']} != locked {acct['locked']} + "
                           f"held {acct['balances_sum']}",
             })
+
+
+def _reference_violation(block: dict, tx: dict, key: str) -> dict:
+    return {
+        "invariant": "tx_reference",
+        "detail": f"chain {block['chain']} block {block['hash'][:16]} "
+                  f"height {block['height']}: {tx['kind']} tx names {key} "
+                  f"{tx[key]}, but no earlier record at that step submitted "
+                  f"a {tx['kind']} tx to this chain",
+    }
 
 
 def _check_transition(transition: dict, statuses: dict[str, str | None],

@@ -6,6 +6,11 @@ single pass: `parse_trace` builds the whole record list first, and
 `evaluate_records` walks it five times (blocks, tips, conservation,
 transitions, assertions). `tests/test_trace_check.py` requires the two to
 return equal violation lists, order included. Do not optimise this file.
+
+It reads only the trace format TRACE_FORMAT, in which a block's receipt of
+a lock, burn or reveal names the earlier record that submitted the tx. One
+more walk checks those references: for each one it searches all the
+records before the block's, where the streaming check keeps a map by step.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import json
 from swapgate.errors import MalformedTrace
 
 EXECUTION_EVENT_KINDS = ("MintExecuted", "UnlockExecuted")
+
+TRACE_FORMAT = 2
 
 _STATUS_NEXT = {None: "registered", "registered": "processed",
                 "processed": "finalized"}
@@ -36,6 +43,10 @@ def parse_trace(text: str) -> list[dict]:
         raise MalformedTrace("empty trace")
     if records[0].get("op") != "header":
         raise MalformedTrace("trace does not start with a header record")
+    if records[0].get("format") != TRACE_FORMAT:
+        raise MalformedTrace(
+            f"trace format {records[0].get('format')!r} in the header, "
+            f"expected {TRACE_FORMAT}")
     if records[-1].get("op") != "end":
         raise MalformedTrace("trace is truncated: no end record")
     return records
@@ -113,9 +124,9 @@ def canonical_block_lists(records: list[dict]) -> tuple[dict[int, list[dict]], l
 def evaluate_records(records: list[dict]) -> list[dict]:
     """Re-evaluate the built-in global invariants over trace records.
 
-    Checks, in order: per-block token conservation, at-most-once canonical
-    execution per swap, the status-machine discipline of controller
-    transitions, and recorded assertion verdicts.
+    Checks, in order: per-block token conservation, receipt references,
+    at-most-once canonical execution per swap, the status-machine
+    discipline of controller transitions, and recorded assertion verdicts.
     """
     violations: list[dict] = []
     canonical, linkage_violations = canonical_block_lists(records)
@@ -131,6 +142,13 @@ def evaluate_records(records: list[dict]) -> list[dict]:
             "chain": int(chain_key), "hash": info["hash"], "height": 0,
             "accounting": info.get("accounting", {}),
         }, violations)
+
+    # every recorded block's receipts, in file order
+    for position, record in enumerate(records):
+        for block in record.get("blocks", []):
+            for receipt in block.get("txs", []):
+                _check_reference(block, receipt["tx"], records[:position],
+                                 violations)
 
     # exactly-once execution on the final canonical branches
     exec_counts: dict[str, int] = {}
@@ -178,6 +196,39 @@ def _check_conservation(block: dict, violations: list[dict]) -> None:
                           f"{acct['supply']} != locked {acct['locked']} + "
                           f"held {acct['balances_sum']}",
             })
+
+
+def _submits(record: dict, kind: str, chain: int) -> bool:
+    """Whether `record` submitted a tx of `kind` to `chain`."""
+    if kind == "send_data":
+        return (record.get("op") == "relay_round"
+                and record["report"]["outcome"] == "submitted"
+                and record["report"]["target"] == chain)
+    return (record.get("op") == "user_" + kind
+            and record["tx"]["chain"] == chain)
+
+
+def _check_reference(block: dict, tx: dict, earlier: list[dict],
+                     violations: list[dict]) -> None:
+    """A lock's or burn's reference names the step of an earlier user
+    record of its kind, a reveal's the step of an earlier submitted relay
+    round, each to the block's chain; a pulse names nothing."""
+    if tx["kind"] in ("lock", "burn"):
+        key = "step"
+    elif tx["kind"] == "send_data":
+        key = "round"
+    else:
+        return
+    if not any(record.get("step") == tx[key]
+               and _submits(record, tx["kind"], block["chain"])
+               for record in earlier):
+        violations.append({
+            "invariant": "tx_reference",
+            "detail": f"chain {block['chain']} block {block['hash'][:16]} "
+                      f"height {block['height']}: {tx['kind']} tx names "
+                      f"{key} {tx[key]}, but no earlier record at that step "
+                      f"submitted a {tx['kind']} tx to this chain",
+        })
 
 
 def _check_transition(transition: dict, statuses: dict[str, str | None],

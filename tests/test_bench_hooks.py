@@ -6,24 +6,39 @@ A rename or a method moved to a base class breaks the traced benchmark
 only when it runs; these checks read both files, unchanged, and fail at
 once instead. The counter hooks read state fields (`.pulses`, `.swaps`,
 `.last_reorg`), so they are also run once over two bundled scenarios.
+perfbench/measure.py reads its swap and tx facts back from trace fields,
+so `facts()` runs over two runs' records too: a format change that drops
+a field it reads fails here.
 """
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
+
+import pytest
 
 from swapgate import Runner
 from swapgate.cli import load_scenario
 
+from scenario_gen import reorg_scenario
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_spans():
+def load_perfbench(name: str):
+    """perfbench/<name>.py, unchanged, as its own module; registered
+    before it runs, as its dataclasses need."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", PERFBENCH / "spans.py")
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_perfbench("spans")
 
 
 def test_every_span_target_is_defined_on_its_owner():
@@ -78,3 +93,27 @@ def test_every_counter_the_benchmark_reads_is_recorded():
             assert Runner(load_scenario(name)).run().exit_code == 0
     assert [name for name in calls if name not in recorder.calls] == []
     assert [name for name in counters if name not in recorder.counts] == []
+
+
+@pytest.mark.parametrize("make, executed, pulses, applied", [
+    (lambda: load_scenario("happy_path"), 1, 1, 3),
+    (lambda: reorg_scenario(1, 20), 33, 18, 80),
+], ids=["happy_path", "reorg_scenario"])
+def test_measure_facts_read_the_trace(make, executed, pulses, applied):
+    """The swaps executed, the tx counters by kind and status, and the
+    latencies that measure.facts() reads from a run's records; every tx
+    of both runs is applied, and each submitted round's pulse and reveal
+    accepted."""
+    facts = load_perfbench("measure").facts
+    scenario = make()
+    result = Runner(scenario).run()
+    assert result.exit_code == 0
+    found = facts(result.records, scenario.timeline)
+    assert found["executed"] == executed
+    counts = found["counts"]
+    for kind in ("pulse", "reveal"):
+        assert counts[f"nebula.{kind}.txs"] == pulses
+        assert counts[f"nebula.{kind}.accepted"] == pulses
+    assert counts["chain.tx.applied"] == applied
+    assert not any(name.startswith("chain.tx.rejected.") for name in counts)
+    assert len(found["latencies"]) == executed

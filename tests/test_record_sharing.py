@@ -1,13 +1,13 @@
 """Trace records share each JSON fragment of an immutable value.
 
-A tx's `describe()`, an account's, a block ref's and a payload entry's
-`to_json()` and a swap id's hex string are built once, a run keeps one
-account object per (chain, address), and the Runner keeps one canonical
-summary per chain while its tip is unchanged, so the records a run holds
-refer to one dict or string per fragment instead of a copy per record.
-A relay round's report is one dict, which its record and
-`Runner.reports` both hold. The text is unchanged: the pinned digests
-check that.
+A tx's `describe()`, an account's and a payload entry's `to_json()` and a
+swap id's hex string are built once, a run keeps one account object per
+(chain, address), and the Runner keeps one canonical summary per chain
+while its tip is unchanged, so the records a run holds refer to one dict
+or string per fragment instead of a copy per record. A relay round's
+report is one dict, which its record and `Runner.reports` both hold. A
+user tx's receipt holds a reference to its user record, built once when
+the tx is submitted. The text is unchanged: the pinned digests check that.
 """
 
 import importlib.util
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from swapgate.cli import load_scenario
+from swapgate.ports import DESTINATION, ORIGIN
 from swapgate.scenario import Runner, Scenario
 
 from scenario_gen import random_happy_scenario, reorg_scenario
@@ -23,35 +24,58 @@ from scenario_gen import random_happy_scenario, reorg_scenario
 # distinct dicts reachable from the records of random_happy_scenario(seed=1,
 # swaps=200); they hold 7,080 once written out, the records held 6,289
 # before fragments were shared and 4,164 before the ports shared their
-# receivers
-DISTINCT_DICTS_CEILING = 3964
+# receivers. Events naming no block took the 128 block ref dicts off the
+# 3,964 of then, and each of the 200 user txs' receipts holds a reference
+# dict of its own
+DISTINCT_DICTS_CEILING = 4036
 
 
 @pytest.fixture(scope="module")
-def records():
-    result = Runner(random_happy_scenario(seed=1, swaps=200)).run()
+def run():
+    """The records of a 200-swap happy run, and by user step the reference
+    the runner held for its tx right after submitting it."""
+    runner = Runner(random_happy_scenario(seed=1, swaps=200))
+    built: dict[int, dict] = {}
+    dispatch = runner._execute_step
+
+    def execute_step(index: int, step: dict) -> None:
+        dispatch(index, step)
+        if step["op"] in ("user_lock", "user_burn"):
+            chain = ORIGIN if step["op"] == "user_lock" else DESTINATION
+            tx = runner.chains[chain].pending[-1]
+            built[index] = runner._tx_refs[id(tx)]
+
+    runner._execute_step = execute_step
+    result = runner.run()
     assert result.exit_code == 0
-    return result.records
+    return result.records, built
+
+
+@pytest.fixture(scope="module")
+def records(run):
+    return run[0]
 
 
 def blocks(records):
     return [block for record in records for block in record.get("blocks", ())]
 
 
-def test_user_record_tx_is_its_receipt_tx(records):
-    receipts = {id(receipt["tx"]) for block in blocks(records)
-                for receipt in block["txs"]}
-    user = [r["tx"] for r in records if r["op"] in ("user_lock", "user_burn")]
-    assert len(user) == 200
-    assert all(id(tx) in receipts for tx in user)
-
-
-def test_events_of_a_block_share_one_block_dict(records):
-    busy = [block for block in blocks(records) if len(block["events"]) > 1]
-    assert busy
-    for block in busy:
-        first = block["events"][0]["block"]
-        assert all(event["block"] is first for event in block["events"])
+def test_each_user_record_is_referenced_by_one_receipt(run):
+    """A lock's or burn's receipt names its user record's step; the
+    reference is the dict built when the tx was submitted, one per tx."""
+    records, built = run
+    user_steps = [r["step"] for r in records
+                  if r["op"] in ("user_lock", "user_burn")]
+    assert len(user_steps) == 200 and sorted(built) == user_steps
+    referring: dict[int, list[dict]] = {}
+    for block in blocks(records):
+        for receipt in block["txs"]:
+            if receipt["tx"]["kind"] in ("lock", "burn"):
+                referring.setdefault(receipt["tx"]["step"], []).append(
+                    receipt["tx"])
+    assert sorted(referring) == user_steps
+    for step, refs in referring.items():
+        assert len(refs) == 1 and refs[0] is built[step]
 
 
 def test_canonical_summary_is_shared_while_the_tip_is_unchanged(records):

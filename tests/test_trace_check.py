@@ -10,6 +10,7 @@ and for traces tampered with one fault or several.
 import functools
 import json
 import random
+import re
 import tracemalloc
 from unittest import mock
 
@@ -171,12 +172,61 @@ def fail_assert(records, rng):
     return "assertion"
 
 
+def submitters(records):
+    """step -> (kind, chain) of each tx a user or relay_round record
+    submitted."""
+    out = {}
+    for record in records:
+        if record["op"] in ("user_lock", "user_burn"):
+            out[record["step"]] = (record["op"][len("user_"):],
+                                   record["tx"]["chain"])
+        elif record["op"] == "relay_round" \
+                and record["report"]["outcome"] == "submitted":
+            out[record["step"]] = ("send_data", record["report"]["target"])
+    return out
+
+
+def receipts_of(records, kinds):
+    """(block chain, tx) of each receipt of a tx of one of `kinds`."""
+    return [(block["chain"], receipt["tx"]) for block in all_blocks(records)
+            for receipt in block["txs"] if receipt["tx"]["kind"] in kinds]
+
+
+def unsubmitted_steps(records, kind, chain):
+    """The steps of the records that submitted no tx of `kind` to `chain`."""
+    named = submitters(records)
+    return [r["step"] for r in records
+            if "step" in r and named.get(r["step"]) != (kind, chain)]
+
+
+# each reference tamper leaves its reference broken, whether it was sound
+# or already broken by an earlier pick
+
+
+def dangling_user_ref(records, rng):
+    chain, tx = rng.choice(receipts_of(records, ("lock", "burn")))
+    other = {"lock": "burn", "burn": "lock"}[tx["kind"]]
+    if rng.random() < 0.5 and \
+            submitters(records).get(tx["step"]) != (other, chain):
+        # the kind the step's record did not submit: the wrong kind
+        tx["kind"] = other
+    else:
+        tx["step"] = rng.choice(unsubmitted_steps(records, tx["kind"], chain))
+    return "tx_reference"
+
+
+def dangling_round_ref(records, rng):
+    chain, tx = rng.choice(receipts_of(records, ("send_data",)))
+    tx["round"] = rng.choice(unsubmitted_steps(records, "send_data", chain))
+    return "tx_reference"
+
+
 def drop_block(records, rng):
-    # a block with no execution and no conservation fault, so that the
-    # other tampers' faults stay in the trace
+    # a block with no tx, so no execution or reference, and no
+    # conservation fault, so that the other tampers' faults stay in the
+    # trace
     gone = rng.choice([
-        b for b in canonical_blocks(records) if not any(
-            e["kind"] in reference.EXECUTION_EVENT_KINDS for e in b["events"])
+        b for b in canonical_blocks(records) if not b["txs"]
         and all(a["supply"] == a["locked"] + a["balances_sum"]
                 for a in b["accounting"].values())])["hash"]
     for record in records:
@@ -206,7 +256,8 @@ def parent_cycle(records, rng):
 # the tampers before it pick from
 CUTS = [drop_block, self_parent, parent_cycle]
 TAMPERS = [break_conservation, double_execution, retract_finalized,
-           revert_to_processed, illegal_transition, fail_assert, *CUTS]
+           revert_to_processed, illegal_transition, fail_assert,
+           dangling_user_ref, dangling_round_ref, *CUTS]
 BASES = ["happy_path", "round_trip", "reorg_before_conf", "happy:5",
          "reorg:4"]
 
@@ -256,6 +307,40 @@ def test_revert_tampers_are_named(tamper, detail):
     [violation] = assert_agrees(records, text)
     assert violation["invariant"] == "status_machine"
     assert violation["detail"].endswith(detail)
+
+
+@pytest.mark.parametrize("tamper,named", [
+    (dangling_user_ref, "(lock|burn) tx names step"),
+    (dangling_round_ref, "(send_data) tx names round"),
+])
+def test_reference_tampers_are_named(tamper, named):
+    """happy_path's one lock and one reveal, each referring to a record
+    that submitted no such tx to its block's chain."""
+    for seed in range(3):
+        records, text, _ = tampered("happy_path", [tamper], random.Random(seed))
+        [violation] = assert_agrees(records, text)
+        assert violation["invariant"] == "tx_reference"
+        assert re.search(rf": {named} \d+, but no earlier record at that "
+                         rf"step submitted a \1 tx to this chain$",
+                         violation["detail"])
+
+
+@pytest.mark.parametrize("version", [None, 1, 3, "2"])
+def test_a_trace_of_another_format_is_malformed(version):
+    """A run's text with the header's format removed, as the traces
+    written before it was added, or set to another one."""
+    records = reference.parse_trace(base_text("happy_path"))
+    if version is None:
+        del records[0]["format"]
+    else:
+        records[0]["format"] = version
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    message = (f"trace format {version!r} in the header, expected "
+               f"{trace.TRACE_FORMAT}")
+    for read in (check_trace_text, reference.parse_trace):
+        with pytest.raises(MalformedTrace) as raised:
+            read(text)
+        assert str(raised.value) == message
 
 
 def test_forged_quorum_fails_no_forged_accepted():

@@ -114,6 +114,13 @@ MUTANTS = [
      "        _add(self.locked, token.symbol, amount)\n"
      "        self._debit(token.symbol, owner.address, amount)\n",
      "tier1", "caught"),
+    # a receipt's reference is checked for its chain but not its kind: the
+    # dangling_user_ref tamper of tests/test_trace_check.py turns a lock's
+    # reference into a burn's of the same step
+    ("reference check accepts the wrong kind", "swapgate/trace.py",
+     'submitted.get(tx[key]) != (tx["kind"], block["chain"])',
+     'submitted.get(tx[key], (None, None))[1] != block["chain"]',
+     "tier1", "caught"),
 ]
 
 SELFCHECK = """
