@@ -10,7 +10,7 @@ fully replayable timeline.
 """
 
 from .chain import Block, BlockRef, Chain, ChainEvent, EventKind
-from .controller import StatusController, TickResult
+from .controller import StatusController
 from .encoding import (
     Direction,
     PayloadEntry,

@@ -148,17 +148,17 @@ class Block:
     receipts: list[TxReceipt]
     events: list[ChainEvent]
 
-    def to_json(self, tx_json: Callable[[Any], dict]) -> dict:
-        """The block's trace form; tx_json(tx) is what a receipt records
-        of its tx, either its describe() or a reference to the record that
-        already states it (see scenario.Runner)."""
+    def to_json(self, txs: list[dict]) -> dict:
+        """The block's trace form; txs[i] is what receipt i records of its
+        tx, either its describe() or a reference to the record that already
+        states it (see scenario.Runner)."""
         return {
             "chain": self.ref.chain,
             "branch": self.ref.branch,
             "height": self.ref.height,
             "hash": self.ref.block_hash.hex(),
             "parent": self.parent_hash.hex(),
-            "txs": [r.to_json(tx_json(r.tx)) for r in self.receipts],
+            "txs": [r.to_json(tx) for r, tx in zip(self.receipts, txs)],
             "events": [e.to_json() for e in self.events],
         }
 

@@ -5,13 +5,14 @@
     swapgate list-scenarios
 
 Exit codes: 0 all assertions and invariants hold, 1 a check failed,
-2 invalid scenario, malformed trace or a trace file that cannot be written.
+2 invalid scenario, malformed trace or a trace that cannot be written (to
+its file or to stdout, a closed pipe included).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -31,12 +32,11 @@ def load_scenario(spec: str) -> Scenario:
     if path.exists():
         return Scenario.load(path)
     bundled = resources.files("swapgate") / "scenarios" / f"{spec}.json"
-    if bundled.is_file():
-        obj = json.loads(bundled.read_text(encoding="utf-8"))
-        return Scenario.from_json(obj)
-    raise InvalidScenario(
-        f"{spec!r} is neither a scenario file nor a bundled scenario "
-        f"(see `swapgate list-scenarios`)")
+    if not bundled.is_file():
+        raise InvalidScenario(
+            f"{spec!r} is neither a scenario file nor a bundled scenario "
+            f"(see `swapgate list-scenarios`)")
+    return Scenario.load(bundled)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -49,15 +49,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     if result.exit_code == 2:
         print(f"invalid scenario: {result.error}", file=sys.stderr)
         return 2
-    if args.trace:
-        try:
+    try:
+        if args.trace:
             write_trace(result.records, args.trace)
-        except OSError as exc:
-            print(f"cannot write trace: {exc}", file=sys.stderr)
-            return 2
+        else:
+            write_records(result.records, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.trace:
+            # a closed pipe: what stdout still buffers goes nowhere, so
+            # that the interpreter's flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write trace: {exc}", file=sys.stderr)
+        return 2
+    if args.trace:
         print(f"trace written to {args.trace}", file=sys.stderr)
-    else:
-        write_records(result.records, sys.stdout)
     for violation in result.violations:
         print(f"violation [{violation['invariant']}]: {violation['detail']}",
               file=sys.stderr)

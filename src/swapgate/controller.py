@@ -6,8 +6,11 @@ execution event is canonical, Finalized once that event sits at or below
 the executing chain's final height (Chain.final_height, the tip minus its
 finality depth), and flagged stuck when it has sat unexecuted past the
 recovery timeout (measured in blocks of the chain that should execute it).
-A flagged swap is handed back to the oracle network for re-attestation; the
-executing port's duplicate guard makes a re-delivered entry harmless.
+A tick returns {"transitions": [...], "stuck": [...]}, the lists its trace
+record holds; each names a swap by the kept hex string of its registration's
+id (encoding.SwapId). The runner hands exactly the swaps the stuck entries
+name back to the oracle network for re-attestation; the executing port's
+duplicate guard makes a re-delivered entry harmless.
 
 If an execution event disappears in a reorg before the controller saw it
 finalize, the view reverts to Registered and the timeout clock keeps
@@ -38,7 +41,7 @@ order the swaps were first observed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chain import EXECUTION_KINDS, REGISTRATION_KINDS, Block, Chain, ChainEvent
 from .ports import SwapStatus
@@ -51,23 +54,10 @@ class _SwapView:
     # the swap's first canonical registration: it stays canonical until a
     # reorg orphans its block, which the cursor walk then names
     registration: ChainEvent
-    # the id as the trace writes it: the registration's SwapId string, which
-    # its receipt, events and round report entry share too
-    swap_hex: str
     # the height of the first canonical execution, read while the swap is
     # Processed; like the registration, it stays until the walk names it
     executed_at: int = -1
     last_stuck_height: int | None = None
-
-
-@dataclass
-class TickResult:
-    transitions: list[dict] = field(default_factory=list)
-    stuck: list[dict] = field(default_factory=list)
-    requeue: list[bytes] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"transitions": self.transitions, "stuck": self.stuck}
 
 
 class StatusController:
@@ -81,8 +71,10 @@ class StatusController:
         view = self.views.get(swap_id)
         return view.status if view else None
 
-    def tick(self, chains: dict[int, Chain]) -> TickResult:
-        """Single controller pass over both chains' new canonical events.
+    def tick(self, chains: dict[int, Chain]) -> dict:
+        """Single controller pass over both chains' new canonical events:
+        {"transitions": [...], "stuck": [...]}, the lists the tick record
+        holds. A stuck entry's `swap_id` names the swap to re-attest.
 
         Idempotent per block height: a second tick without new blocks emits
         nothing.
@@ -92,7 +84,7 @@ class StatusController:
         touched: set[bytes] = set()
         for chain in order:
             self._advance(chain, touched)
-        result = TickResult()
+        result: dict = {"transitions": [], "stuck": []}
         if not (self._open or touched):
             # nothing to revisit, and no view can have lost its registration
             return result
@@ -130,8 +122,7 @@ class StatusController:
             if view is None:
                 view = _SwapView(status=SwapStatus.REGISTERED,
                                  first_seen_exec_height=exec_tip,
-                                 registration=reg_event,
-                                 swap_hex=swap_id.hex())
+                                 registration=reg_event)
                 views[swap_id] = view
                 self._transition(result, view, None, SwapStatus.REGISTERED,
                                  "registration_observed", chain=reg_chain)
@@ -170,12 +161,11 @@ class StatusController:
                 if waited > self.recovery_timeout[exec_chain] and \
                         view.last_stuck_height != exec_tip:
                     view.last_stuck_height = exec_tip
-                    result.stuck.append({
-                        "swap_id": view.swap_hex,
+                    result["stuck"].append({
+                        "swap_id": view.registration.swap_id.hex(),
                         "execution_chain": exec_chain,
                         "waited_blocks": waited,
                     })
-                    result.requeue.append(swap_id)
 
         gone = {swap_id for swap_id in touched if swap_id in self.views
                 and _registration(order, swap_id) is None}
@@ -213,12 +203,12 @@ class StatusController:
             self._cursors[chain.chain_id] = chain.blocks[tip.block_hash]
 
     @staticmethod
-    def _transition(result: TickResult, view: _SwapView,
+    def _transition(result: dict, view: _SwapView,
                     old: SwapStatus | None, new: SwapStatus | None,
                     reason: str, revert: bool = False,
                     chain: int | None = None) -> None:
-        result.transitions.append({
-            "swap_id": view.swap_hex,
+        result["transitions"].append({
+            "swap_id": view.registration.swap_id.hex(),
             "from": old.label if old else None,
             "to": new.label if new else None,
             "reason": reason,

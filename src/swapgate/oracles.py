@@ -19,6 +19,7 @@ so that runs stay replayable:
     wrong_receiver  redirects every entry to a fixed attacker address
     replayer        re-emits everything it ever extracted before, up to the
                     newest MAX_ENTRIES entries, the most a payload carries
+                    and all the network keeps of its history
     equivocator     endorses both the honest payload and a perturbed twin
 
 A round that extracts nothing asks no oracle, unless a replayer is on the
@@ -112,7 +113,8 @@ class OracleNetwork:
         self.confirmation_depth = dict(confirmation_depth)
         # per source chain: the position (block height, event index) of the
         # first event not yet extracted, and, with a replayer on the roster,
-        # every entry extracted so far (what it re-emits)
+        # the newest MAX_ENTRIES entries extracted so far, the most it
+        # re-emits
         self.cursors: dict[int, tuple[int, int]] = {}
         self.replay_history: dict[int, list[PayloadEntry]] = {}
         self.reattest_requests: set[bytes] = set()
@@ -198,6 +200,7 @@ class OracleNetwork:
                 endorsements.setdefault(digest, set()).add(oracle.index)
         if self._replays:
             history.extend(reference_entries)
+            del history[:-MAX_ENTRIES]
 
         # the most endorsed candidate first, ties broken by the smaller digest
         ranked = sorted(endorsements.items(),
@@ -263,8 +266,9 @@ def candidates(behavior: Behavior, entries: list[PayloadEntry],
                history: list[PayloadEntry]) -> list[list[PayloadEntry]]:
     """One oracle's payload candidates for a round whose honest extraction
     is `entries`; `history` holds the earlier rounds' extractions from the
-    same source chain. Honest oracles produce zero or one candidate; the
-    equivocator may produce two."""
+    same source chain, of which a replayer reads at most the newest
+    MAX_ENTRIES (all the network keeps). Honest oracles produce zero or one
+    candidate; the equivocator may produce two."""
     if behavior == Behavior.SILENT:
         return []
     if behavior == Behavior.REPLAYER:

@@ -139,8 +139,11 @@ class Scenario:
 
     @classmethod
     def load(cls, path: str | Path) -> "Scenario":
+        """Read a scenario file; `path` may also be a package resource
+        (importlib.resources), as a bundled scenario is."""
+        source = Path(path) if isinstance(path, str) else path
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
+            obj = json.loads(source.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise InvalidScenario(f"cannot load scenario: {exc}") from None
         if not isinstance(obj, dict):
@@ -403,7 +406,10 @@ class Runner:
     - a swap's id string (encoding.SwapId): its receipt, registration and
       execution events, round report entry and controller transitions;
     - a relay round's report, the one dict `relay_round` returns: its
-      record and `self.reports`, which the relay asserts read.
+      record and `self.reports`, which the relay asserts read;
+    - a tick's `transitions` and `stuck` lists, the ones
+      `StatusController.tick` returns: its record holds them, and the
+      swaps the stuck entries name are the ones re-attested.
     Copy a record before changing it.
     """
 
@@ -449,9 +455,9 @@ class Runner:
         self.records: list[dict] = []
         self.reports: list[dict] = []
         self.swap_ids: list[bytes | None] = []
-        self._tx_handles: dict[int, int] = {}  # id(tx) -> user step handle
-        # id(tx) -> what its receipt records, from submission to inclusion
-        self._tx_refs: dict[int, dict] = {}
+        # id(tx) -> (what its receipt records, its index in swap_ids or
+        # None), from submission to inclusion
+        self._in_flight: dict[int, tuple[dict, int | None]] = {}
         # chain id -> (a state, its accounting, and once a canonical section
         # has read them, the tip and its summary), see _accounting, _summary
         self._last: dict[int, tuple[GatewayState, dict, BlockRef | None,
@@ -508,15 +514,24 @@ class Runner:
         self._last[chain.chain_id] = (state, accounting, tip, summary)
         return summary
 
-    def _receipt_tx(self, tx) -> dict:
-        """What a receipt records of its tx: the reference built when the
-        runner submitted it, or, for a pulse, its describe(). A tx is
-        included once, so its reference goes with it."""
-        ref = self._tx_refs.pop(id(tx), None)
-        return tx.describe() if ref is None else ref
-
     def _block_json(self, chain: Chain, block: Block) -> dict:
-        out = block.to_json(self._receipt_tx)
+        """The block's record. A receipt records of its tx the reference
+        built when the runner submitted it, or, for a pulse, its
+        describe(). A tx is included once, so its in-flight entry goes
+        then, and no id of a freed tx is kept; a user tx that registered
+        its swap fills its swap_ids slot with the id the port stored."""
+        txs = []
+        if block.receipts:
+            # the port's id by its kept hex string, which the receipt holds
+            registered = {event.swap_id.hex(): event.swap_id
+                          for event in block.events
+                          if event.kind in REGISTRATION_KINDS}
+        for receipt in block.receipts:
+            ref, handle = self._in_flight.pop(id(receipt.tx), (None, None))
+            txs.append(receipt.tx.describe() if ref is None else ref)
+            if handle is not None and receipt.status == "ok":
+                self.swap_ids[handle] = registered[receipt.extra["swap_id"]]
+        out = block.to_json(txs)
         out["accounting"] = self._accounting(
             chain, chain.states[block.ref.block_hash])
         return out
@@ -539,21 +554,6 @@ class Runner:
             "oracles": self.scenario.oracles.to_json(),
             "genesis": genesis,
         }
-
-    def _resolve_new_swaps(self, block: Block) -> None:
-        if not block.receipts:
-            return
-        # the id the port stored, by its kept hex string, which the receipt
-        # holds too
-        registered = {event.swap_id.hex(): event.swap_id
-                      for event in block.events
-                      if event.kind in REGISTRATION_KINDS}
-        for receipt in block.receipts:
-            # a user tx is included once: its handle goes with it, so that
-            # no id of a freed tx is kept
-            handle = self._tx_handles.pop(id(receipt.tx), None)
-            if handle is not None and receipt.status == "ok":
-                self.swap_ids[handle] = registered[receipt.extra["swap_id"]]
 
     def _reorg_record(self, chain: Chain) -> dict | None:
         info = chain.last_reorg
@@ -594,7 +594,6 @@ class Runner:
         for _ in range(count):
             block = chain.blocks[chain.produce_block(branch).block_hash]
             reorg = self._reorg_record(chain) or reorg
-            self._resolve_new_swaps(block)
             blocks.append(self._block_json(chain, block))
         self.records.append({
             "op": op, "step": index, "chain": chain.chain_id,
@@ -639,9 +638,9 @@ class Runner:
                 )
             self.chains[tx.chain].submit(tx)
             described = tx.describe()
-            self._tx_refs[id(tx)] = {"kind": described["kind"], "step": index}
             # the swap's id is known once its block includes the tx
-            self._tx_handles[id(tx)] = len(self.swap_ids)
+            self._in_flight[id(tx)] = (
+                {"kind": described["kind"], "step": index}, len(self.swap_ids))
             self.swap_ids.append(None)
             self.records.append({"op": op, "step": index, "tx": described})
         elif op == "relay_round":
@@ -651,16 +650,17 @@ class Runner:
             if report["outcome"] == "submitted":
                 # the round submits its pulse, then its reveal
                 reveal = target.pending[-1]
-                self._tx_refs[id(reveal)] = {
+                self._in_flight[id(reveal)] = ({
                     "kind": "send_data", "round": index,
-                    "submitter": reveal.submitter}
+                    "submitter": reveal.submitter}, None)
             self.reports.append(report)
             self.records.append({"op": op, "step": index, "report": report})
         elif op == "tick":
             result = self.controller.tick(self.chains)
-            for swap_id in result.requeue:
-                self.network.request_reattestation(swap_id)
-            self.records.append({"op": op, "step": index, **result.to_json()})
+            for entry in result["stuck"]:
+                self.network.request_reattestation(
+                    bytes.fromhex(entry["swap_id"]))
+            self.records.append({"op": op, "step": index, **result})
         elif op == "assert":
             ok, detail = self._evaluate_assert(step)
             args = {k: v for k, v in step.items() if k not in ("op", "check")}

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from swapgate import SwapStatus
 from swapgate.chain import EXECUTION_KINDS, REGISTRATION_KINDS
-from swapgate.controller import TickResult
 from swapgate.errors import InvalidScenario
 
 
@@ -42,8 +41,8 @@ class ReferenceController:
         view = self.views.get(swap_id)
         return view.status if view else None
 
-    def tick(self, chains) -> TickResult:
-        result = TickResult()
+    def tick(self, chains) -> dict:
+        result = {"transitions": [], "stuck": []}
         registrations = canonical_firsts(chains, REGISTRATION_KINDS)
         executions = canonical_firsts(chains, EXECUTION_KINDS)
 
@@ -87,12 +86,11 @@ class ReferenceController:
                 if waited > self.policies[exec_chain].recovery_timeout and \
                         view.last_stuck_height != exec_tip:
                     view.last_stuck_height = exec_tip
-                    result.stuck.append({
+                    result["stuck"].append({
                         "swap_id": swap_id.hex(),
                         "execution_chain": exec_chain,
                         "waited_blocks": waited,
                     })
-                    result.requeue.append(swap_id)
 
         for swap_id in list(self.views):
             if swap_id not in registrations:
@@ -103,7 +101,7 @@ class ReferenceController:
 
 
 def transition(result, swap_id, old, new, reason, revert=False, chain=None):
-    result.transitions.append({
+    result["transitions"].append({
         "swap_id": swap_id.hex(),
         "from": old.label if old else None,
         "to": new.label if new else None,

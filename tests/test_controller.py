@@ -35,7 +35,7 @@ def test_finalizes_exactly_at_depth():
     w.destination.produce_block()          # depth 3 = fin_depth
     result = w.controller.tick(w.chains)
     assert w.controller.status_of(sid) == SwapStatus.FINALIZED
-    finalizers = [t for t in result.transitions if t["to"] == "finalized"]
+    finalizers = [t for t in result["transitions"] if t["to"] == "finalized"]
     assert finalizers and finalizers[0]["reason"] == "execution_depth_3"
 
 
@@ -43,10 +43,10 @@ def test_tick_idempotent_within_height():
     w = World()
     sid = processed_swap(w)
     first = w.controller.tick(w.chains)
-    assert first.transitions
+    assert first["transitions"]
     second = w.controller.tick(w.chains)
-    assert second.transitions == []
-    assert second.stuck == []
+    assert second["transitions"] == []
+    assert second["stuck"] == []
     assert w.controller.status_of(sid) == SwapStatus.PROCESSED
 
 
@@ -59,7 +59,7 @@ def test_revert_on_execution_reorg():
     fork = w.destination.fork_at(0, "alt")
     w.destination.extend(fork, 2)          # mint reorged out
     result = w.controller.tick(w.chains)
-    reverted = [t for t in result.transitions if t["revert"]]
+    reverted = [t for t in result["transitions"] if t["revert"]]
     assert reverted == [{
         "swap_id": sid.hex(), "from": "processed", "to": "registered",
         "reason": "execution_reorged", "revert": True, "chain": 1,
@@ -78,8 +78,7 @@ def test_stuck_after_timeout_requeues_for_reattestation():
     for _ in range(6):
         w.destination.produce_block(w.destination.canonical_branch)
     result = w.controller.tick(w.chains)
-    assert [s["swap_id"] for s in result.stuck] == [sid.hex()]
-    assert result.requeue == [sid]
+    assert [s["swap_id"] for s in result["stuck"]] == [sid.hex()]
 
     # recovery: the flagged swap is re-attested and re-mints exactly once
     w.network.request_reattestation(sid)
@@ -100,7 +99,7 @@ def test_no_stuck_before_timeout():
     for _ in range(6):
         w.destination.produce_block()
     result = w.controller.tick(w.chains)   # waited 6 == timeout, not over it
-    assert result.stuck == []
+    assert result["stuck"] == []
 
 
 def test_registration_reorged_drops_record():
@@ -111,7 +110,7 @@ def test_registration_reorged_drops_record():
     fork = w.origin.fork_at(0, "alt")
     w.origin.extend(fork, 2)
     result = w.controller.tick(w.chains)
-    retractions = [t for t in result.transitions
+    retractions = [t for t in result["transitions"]
                    if t["reason"] == "registration_reorged"]
     assert len(retractions) == 1
     assert retractions[0]["to"] is None
@@ -133,7 +132,7 @@ def test_reorg_below_finalized_execution_is_refused():
         fork = w.destination.fork_at(0, "alt")   # the mint is at height 1
         w.destination.extend(fork, 5)
     result = w.controller.tick(w.chains)
-    assert (result.transitions, result.stuck) == ([], [])
+    assert result == {"transitions": [], "stuck": []}
     assert w.controller.status_of(sid) == SwapStatus.FINALIZED
 
 
@@ -149,7 +148,7 @@ def test_each_chain_finalizes_at_its_own_depth():
         for _ in range(blocks):
             chain.produce_block()
             result = w.controller.tick(w.chains)
-            reasons.append([t["reason"] for t in result.transitions
+            reasons.append([t["reason"] for t in result["transitions"]
                             if t["swap_id"] == swap_id.hex()
                             and t["to"] == "finalized"])
         return reasons

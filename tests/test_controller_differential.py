@@ -1,8 +1,8 @@
 """The incremental status controller against the full-rescan reference.
 
 Both controllers watch the same two chains and are ticked together; after
-every tick their results, requeues and per-swap views (statuses and view
-order) must be identical. The timelines fork both chains, so origin forks
+every tick the dicts they return (transitions and stuck swaps) and their
+per-swap views (statuses and view order) must be identical. The timelines fork both chains, so origin forks
 orphan registrations and destination forks orphan mints, land several
 reorgs between two ticks, tick with no new block, and keep finalized swaps
 around while later reorgs happen. The chains refuse any reorg deeper than
@@ -40,15 +40,15 @@ class Twins:
         """Tick both controllers and require identical outcomes."""
         new = self.w.controller.tick(self.w.chains)
         old = self.reference.tick(self.w.chains)
-        assert new.to_json() == old.to_json()
-        assert new.requeue == old.requeue
+        assert new == old
         assert list(self.w.controller.views) == list(self.reference.views)
         for swap_id in self.reference.views:
             assert self.w.controller.status_of(swap_id) == \
                 self.reference.status_of(swap_id)
-        for swap_id in new.requeue:
-            self.w.network.request_reattestation(swap_id)
-        self.ticks.append(new.to_json())
+        for entry in new["stuck"]:
+            self.w.network.request_reattestation(
+                bytes.fromhex(entry["swap_id"]))
+        self.ticks.append(new)
 
     def fork(self, chain_id: int, depth: int, extend: int = 0) -> str:
         chain = self.w.chains[chain_id]

@@ -242,6 +242,40 @@ def test_reattestations_go_first_when_a_round_is_past_the_entry_cap(
     assert [e.amount for e in w.network.extract(w.origin)] == [1]
 
 
+def test_replayer_history_keeps_only_the_entries_it_endorses(monkeypatch):
+    """A replayer endorses at most the newest MAX_ENTRIES entries of its
+    history, so the network keeps only those: the history stays at the
+    cap, and each round the replayer endorses the payload it would from
+    every entry extracted so far."""
+    lower_entry_cap(monkeypatch, 3)
+    w = World(behaviors=[Behavior.HONEST] * 4 + [Behavior.REPLAYER])
+    extracted = []          # every entry extracted so far, none dropped
+    endorsed = []           # per round: (from the kept history, from all)
+    asked = {}
+    real = oracles.candidates
+
+    def candidates(behavior, entries, history):
+        asked["entries"] = entries
+        if behavior == Behavior.REPLAYER:
+            endorsed.append((real(behavior, entries, history),
+                             real(behavior, entries, list(extracted))))
+        return real(behavior, entries, history)
+
+    monkeypatch.setattr(oracles, "candidates", candidates)
+    for amounts in ([1, 2], [3], [4, 5], [], [6]):
+        for amount in amounts:
+            w.origin.submit(LockTx(0, ALICE, "T", amount, BOB))
+        w.origin.produce_block()
+        w.origin.extend("main", w.conf_depth)
+        w.network.relay_round(w.origin, w.destination)
+        extracted.extend(asked.pop("entries"))
+        assert len(w.network.replay_history[0]) == min(len(extracted), 3)
+    assert [e.amount for e in extracted] == [1, 2, 3, 4, 5, 6]
+    assert [e.amount for e in w.network.replay_history[0]] == [4, 5, 6]
+    assert len(endorsed) == 5
+    assert all(kept == full for kept, full in endorsed)
+
+
 def count_packing(monkeypatch) -> list:
     """Wrap the first step of packing an entry, its validation, which runs
     once per packing: every entry packed is appended to the returned list,
@@ -394,7 +428,7 @@ def test_reattestation_finds_registration_reincluded_at_new_height():
 
     w.destination.extend(w.destination.canonical_branch, 6)
     result = w.controller.tick(w.chains)
-    assert result.requeue == [sid]
+    assert [bytes.fromhex(s["swap_id"]) for s in result["stuck"]] == [sid]
     w.network.request_reattestation(sid)
     report = w.network.relay_round(w.origin, w.destination)
     assert report["outcome"] == "submitted"
@@ -419,8 +453,8 @@ def test_delivery_crossing_a_destination_fork_is_not_wedged():
     dest = w.destination
 
     def tick():
-        for swap_id in w.controller.tick(w.chains).requeue:
-            w.network.request_reattestation(swap_id)
+        for entry in w.controller.tick(w.chains)["stuck"]:
+            w.network.request_reattestation(bytes.fromhex(entry["swap_id"]))
 
     for amount in (5, 6):
         lock_and_confirm(w, amount)

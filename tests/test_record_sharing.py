@@ -5,7 +5,8 @@ swap id's hex string are built once, a run keeps one account object per
 (chain, address), and the Runner keeps one canonical summary per chain
 while its tip is unchanged, so the records a run holds refer to one dict
 or string per fragment instead of a copy per record. A relay round's
-report is one dict, which its record and `Runner.reports` both hold. A
+report is one dict, which its record and `Runner.reports` both hold, and a
+tick's record holds the lists `StatusController.tick` returned. A
 user tx's receipt holds a reference to its user record, built once when
 the tx is submitted. The text is unchanged: the pinned digests check that.
 """
@@ -43,7 +44,7 @@ def run():
         if step["op"] in ("user_lock", "user_burn"):
             chain = ORIGIN if step["op"] == "user_lock" else DESTINATION
             tx = runner.chains[chain].pending[-1]
-            built[index] = runner._tx_refs[id(tx)]
+            built[index] = runner._in_flight[id(tx)][0]
 
     runner._execute_step = execute_step
     result = runner.run()
@@ -93,8 +94,8 @@ def test_canonical_summary_is_shared_while_the_tip_is_unchanged(records):
 
 
 def test_transitions_share_the_swap_id_and_label_strings(records):
-    """The controller builds a swap's id string once per view, and a status
-    label is one string; the happy run has no reorg, so one view each."""
+    """A transition names its swap by the kept id string of the swap's
+    registration (encoding.SwapId), and a status label is one string."""
     strings: dict[str, set[int]] = {}
     for record in records:
         for transition in record.get("transitions", ()):
@@ -198,6 +199,55 @@ def test_round_report_is_its_record_and_the_runners(make, outcome):
     for k, report in enumerate(reports):
         assert report is runner.reports[k] and report is returned[k]
     assert any(report["outcome"] == outcome for report in reports)
+
+
+def kept_ticks(runner: Runner) -> list[tuple[dict, set[bytes]]]:
+    """Make each controller tick of `runner` note what it returned and the
+    network's re-attestation requests right after the tick step."""
+    tick = runner.controller.tick
+    dispatch = runner._execute_step
+    ticks: list[tuple[dict, set[bytes]]] = []
+
+    def kept_tick(chains):
+        ticks.append((tick(chains), set()))
+        return ticks[-1][0]
+
+    def execute_step(index: int, step: dict) -> None:
+        dispatch(index, step)
+        if step["op"] == "tick":
+            ticks[-1][1].update(runner.network.reattest_requests)
+
+    runner.controller.tick = kept_tick
+    runner._execute_step = execute_step
+    return ticks
+
+
+def test_tick_record_holds_the_lists_tick_returned():
+    """A tick's record holds the very `transitions` and `stuck` lists that
+    `StatusController.tick` returned."""
+    runner = Runner(load_scenario("stuck_swap_recovery"))
+    ticks = kept_ticks(runner)
+    assert runner.run().exit_code == 0
+    recorded = [r for r in runner.records if r["op"] == "tick"]
+    assert len(recorded) == len(ticks)
+    for record, (returned, _) in zip(recorded, ticks):
+        assert record["transitions"] is returned["transitions"]
+        assert record["stuck"] is returned["stuck"]
+    assert any(returned["stuck"] for returned, _ in ticks)
+
+
+def test_every_stuck_swap_is_requested_for_reattestation():
+    """Right after a tick, the network has a re-attestation request for
+    every swap the tick listed as stuck."""
+    runner = Runner(load_scenario("stuck_swap_recovery"))
+    ticks = kept_ticks(runner)
+    assert runner.run().exit_code == 0
+    stuck = 0
+    for returned, requests in ticks:
+        for entry in returned["stuck"]:
+            assert bytes.fromhex(entry["swap_id"]) in requests
+            stuck += 1
+    assert stuck > 0
 
 
 def test_distinct_dicts_reachable_from_the_records(records):

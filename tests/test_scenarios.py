@@ -3,10 +3,16 @@ CLI surface."""
 
 import json
 import copy
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import swapgate
+from swapgate import cli
 from swapgate.cli import bundled_scenario_names, load_scenario, main
 from swapgate.crypto import canonical_json
 from swapgate.errors import InvalidScenario, MalformedTrace
@@ -333,6 +339,49 @@ def test_cli_run_unwritable_trace_exit_2(tmp_path, capsys):
     assert not path.parent.exists()
 
 
+def test_cli_run_closed_stdout_exit_2():
+    """A stdout that cannot be written, a pipe whose reader is gone before
+    the run writes, is an unwritable trace too: one stderr line and exit
+    2, not a BrokenPipeError traceback and exit 1, and no "Exception
+    ignored" at interpreter exit."""
+    src = str(Path(swapgate.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "swapgate.cli", "run", "happy_path"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    err = done.stderr.splitlines()
+    assert done.returncode == 2, done.stderr
+    assert len(err) == 1 and err[0].startswith("cannot write trace: "), err
+
+
+@pytest.mark.parametrize("content", [b"{", b"\xff", b"[]"],
+                         ids=["not_json", "not_utf8", "not_object"])
+def test_cli_bundled_scenario_fails_as_a_file_does(tmp_path, monkeypatch,
+                                                   capsys, content):
+    """A bundled scenario is read by Scenario.load, as a file is: one that
+    cannot be loaded is an invalid scenario (exit 2), not a crash."""
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "broken.json").write_bytes(content)
+    (tmp_path / "broken.json").write_bytes(content)
+    monkeypatch.setattr(cli, "resources",
+                        SimpleNamespace(files=lambda package: tmp_path))
+    with pytest.raises(InvalidScenario) as bundled:
+        load_scenario("broken")
+    with pytest.raises(InvalidScenario) as file:
+        load_scenario(str(tmp_path / "broken.json"))
+    assert str(bundled.value) == str(file.value)
+    assert main(["run", "broken"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"invalid scenario: {bundled.value}"]
+
+
 def test_cli_run_unknown_scenario(capsys):
     assert main(["run", "no_such_thing"]) == 2
 
@@ -521,7 +570,7 @@ def test_swap_handles_go_once_their_txs_are_included():
     runner = Runner(Scenario.from_json(scenario))
     assert runner.run().exit_code == 0
     pending = runner.chains[0].pending
-    assert list(runner._tx_handles) == [id(tx) for tx in pending]
+    assert list(runner._in_flight) == [id(tx) for tx in pending]
     assert runner.swap_ids[1] is not None and runner.swap_ids[2] is None
 
 

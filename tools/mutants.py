@@ -121,6 +121,17 @@ MUTANTS = [
      'submitted.get(tx[key]) != (tx["kind"], block["chain"])',
      'submitted.get(tx[key], (None, None))[1] != block["chain"]',
      "tier1", "caught"),
+    # the tick's stuck entries are the only requeue list: this runner
+    # records them but asks the network to re-attest none
+    ("Runner requeues nothing after a tick", "swapgate/scenario.py",
+     'for entry in result["stuck"]:',
+     "for entry in []:",
+     "tier1", "caught"),
+    # a refused user tx registers no swap, so its swap_ids slot stays None
+    ("swap id resolved whatever the receipt's status", "swapgate/scenario.py",
+     'if handle is not None and receipt.status == "ok":',
+     "if handle is not None:",
+     "tier1", "caught"),
 ]
 
 SELFCHECK = """
