@@ -195,13 +195,13 @@ class EmbeddedState(Protocol):
 
 class BlockCtx:
     """Per-block application context handed to contract code. `accounts`
-    is the run's table of account objects, the same for every block (see
-    Chain)."""
+    is the chain's own table of account objects, the same for every block
+    of that chain (see Chain)."""
 
-    def __init__(self, block_ref: BlockRef, accounts: dict | None = None):
+    def __init__(self, block_ref: BlockRef, accounts: dict):
         self.block_ref = block_ref
         self.events: list[ChainEvent] = []
-        self.accounts = {} if accounts is None else accounts
+        self.accounts = accounts
 
     @property
     def height(self) -> int:
@@ -241,20 +241,19 @@ class Chain:
     calls it twice and clones neither result: one build is the genesis
     block's state, the other the replay's first checkpoint.
 
-    accounts is handed to every block's context: a table in which contract
-    code builds one account object per (chain, address) for the whole run
-    (ledger.account_id), so that every record of an account shares its
-    JSON. It is not state: the chain neither clones nor compares it, and a
-    block builds equal values whether the table holds them or not.
+    accounts is the chain's own table, handed to every block's context, in
+    which contract code builds one account object per address on this
+    chain (ledger.account_id), so that every record of an account shares
+    its JSON. It is not state: the chain neither clones nor compares it,
+    and a block builds equal values whether the table holds them or not.
     """
 
     def __init__(self, chain_id: int, genesis: Callable[[], Any],
-                 apply_tx: ApplyTx, finality_depth: int,
-                 accounts: dict | None = None):
+                 apply_tx: ApplyTx, finality_depth: int):
         self.chain_id = chain_id
         self._apply_tx = apply_tx
         self.finality_depth = finality_depth
-        self.accounts = {} if accounts is None else accounts
+        self.accounts: dict = {}
 
         genesis_digest = sha256(b"genesis" + struct.pack(">B", chain_id))
         g_hash = block_hash(GENESIS_PARENT, 0, [genesis_digest])

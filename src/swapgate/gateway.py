@@ -166,14 +166,14 @@ def build_chains(roster: OracleRoster,
                  relevance_window: dict[int, int],
                  finality_depth: dict[int, int],
                  tokens: list[TokenId],
-                 initial_balances: list[tuple[TokenId, AccountId, int]],
-                 accounts: dict | None = None) -> dict[int, Chain]:
+                 initial_balances: list[tuple[TokenId, AccountId, int]]
+                 ) -> dict[int, Chain]:
     """Create the origin and destination chains; the dicts map chain id to
     that chain's setting. The tokens and balances are checked once, here;
     each chain is then handed a builder of its genesis state, from plain
     parts, which it calls once for its own genesis and once for its replay
-    (see Chain). Both chains share `accounts`, the run's one AccountId per
-    (chain, address) (see ledger.account_id)."""
+    (see Chain). Each chain keeps its own table of AccountIds (see
+    Chain)."""
     known: dict[str, TokenId] = {}
     for token in tokens:
         if token.chain != ORIGIN:
@@ -198,6 +198,5 @@ def build_chains(roster: OracleRoster,
             IssueBurnPort(),
             NebulaState(DESTINATION, roster, relevance_window[DESTINATION]))
 
-    accounts = {} if accounts is None else accounts
-    return {cid: Chain(cid, genesis, apply_tx, finality_depth[cid], accounts)
+    return {cid: Chain(cid, genesis, apply_tx, finality_depth[cid])
             for cid, genesis in ((ORIGIN, origin), (DESTINATION, destination))}

@@ -41,9 +41,9 @@ class AccountId:
 
 
 def account_id(accounts: dict, chain: int, address: bytes) -> AccountId:
-    """The one AccountId of (chain, address) in `accounts`, a run's table
-    of them, made on first use: every tx, event and trace record of the
-    account then shares its JSON dict."""
+    """The one AccountId of (chain, address) in `accounts`, the chain's
+    table of them (see Chain), made on first use: every tx, event and
+    trace record of the account then shares its JSON dict."""
     key = (chain, address)
     account = accounts.get(key)
     if account is None:

@@ -394,9 +394,9 @@ class Runner:
     immutable value is built once and shared by every record that holds
     it. Records share
     - a tx's `describe()`: the user record and the block digest;
-    - an account's `to_json()`: the run keeps one AccountId per (chain,
-      address), which the ports' attested executions use too, so every tx
-      and event of an account;
+    - an account's `to_json()`: each chain keeps one AccountId per
+      address, which the runner and the ports' attested executions both
+      take from it, so every tx and event of an account;
     - a payload entry's `to_json()`: the round report and the reveal's
       digest;
     - a chain's canonical summary (tip, height, branch, accounting), kept
@@ -430,14 +430,10 @@ class Runner:
                                 for cid, p in params.items()},
         )
 
-        # the run's one AccountId per (chain, address), which the chains'
-        # contracts share, and each account spec's, see _account_id
-        self.accounts: dict[tuple[int, bytes], AccountId] = {}
-        self._by_spec: dict[tuple[int, str], AccountId] = {}
         tokens = [TokenId(symbol, ORIGIN) for symbol in scenario.tokens]
         initial = [
             (TokenId(b["token"], ORIGIN),
-             self._account_id(ORIGIN, b["account"]),
+             AccountId(ORIGIN, resolve_address(b["account"])),
              b["amount"])
             for b in scenario.balances
         ]
@@ -445,7 +441,7 @@ class Runner:
             roster,
             {cid: p.relevance_window for cid, p in params.items()},
             {cid: p.finality_depth for cid, p in params.items()},
-            tokens, initial, self.accounts)
+            tokens, initial)
         # each chain with its key in a canonical section, in chain id order
         self._sections = [(str(cid), chain)
                           for cid, chain in sorted(self.chains.items())]
@@ -464,15 +460,11 @@ class Runner:
                                     dict | None]] = {}
 
     def _account_id(self, chain_id: int, spec: str) -> AccountId:
-        """The one AccountId of an account spec on a chain: each spec is
-        resolved once, and every tx and event of the account, the ports'
+        """The one AccountId of an account spec on a chain, from that
+        chain's table: every tx and event of the account, the ports'
         attested executions included, shares its JSON dict."""
-        key = (chain_id, spec)
-        account = self._by_spec.get(key)
-        if account is None:
-            account = self._by_spec[key] = account_id(
-                self.accounts, chain_id, resolve_address(spec))
-        return account
+        return account_id(self.chains[chain_id].accounts, chain_id,
+                          resolve_address(spec))
 
     # --- trace helpers -------------------------------------------------------
 

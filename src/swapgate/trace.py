@@ -113,9 +113,10 @@ def iter_trace(chunks: Iterable[str]) -> Iterator[dict]:
 
 def _lines(chunks: Iterable[str]) -> Iterator[str]:
     """The `splitlines()` of the text that `chunks` make up, a chunk at a
-    time, so that the lines of a large trace are never all held at once.
-    A "\n" is a line boundary wherever the text was cut, so each chunk is
-    split up to its last one and the rest is carried into the next."""
+    time, so that the lines of a trace file read in chunks are never all
+    held at once. A "\n" is a line boundary wherever the text was cut, so
+    each chunk is split up to its last one and the rest is carried into
+    the next."""
     carry = ""
     for chunk in chunks:
         cut = chunk.rfind("\n") + 1
@@ -127,18 +128,8 @@ def _lines(chunks: Iterable[str]) -> Iterator[str]:
     yield from carry.splitlines()
 
 
-def _text_chunks(text: str) -> Iterator[str]:
-    """`text` in chunks of at least _CHUNK characters, each ending just
-    after a "\n" (the last one excepted), so that `_lines` copies none."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        yield text[start:end]
-        start = end
-
-
 def parse_trace(text: str) -> list[dict]:
-    return list(iter_trace(_text_chunks(text)))
+    return list(iter_trace((text,)))
 
 
 def _genesis_blocks(header: dict) -> list[dict]:
@@ -368,8 +359,9 @@ def _check_transition(transition: dict, statuses: dict[str, str | None],
 
 def check_trace_text(text: str) -> tuple[int, list[dict]]:
     """Read a trace and re-evaluate the invariants in one pass, each record
-    checked as it is parsed. Returns (exit, violations)."""
-    return _check(_text_chunks(text))
+    checked as it is parsed; the text is already held whole, so its lines
+    are split in one go. Returns (exit, violations)."""
+    return _check((text,))
 
 
 def check_trace(path: str | Path) -> tuple[int, list[dict]]:

@@ -205,7 +205,7 @@ def test_criterion_5_nebula_rules():
         return NebulaState(1, roster, window)
 
     def ctx(height):
-        return BlockCtx(BlockRef(1, "main", height, b"\xaa" * 32))
+        return BlockCtx(BlockRef(1, "main", height, b"\xaa" * 32), {})
 
     def sigs(indices, data_hash, height):
         message = ref_pulse_message(data_hash, height, 1)

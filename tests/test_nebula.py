@@ -46,7 +46,7 @@ def make_nebula(window=WINDOW):
 
 
 def ctx_at(height):
-    return BlockCtx(BlockRef(CHAIN_ID, "main", height, b"\xcc" * 32))
+    return BlockCtx(BlockRef(CHAIN_ID, "main", height, b"\xcc" * 32), {})
 
 
 def ref_sigs(indices, data_hash=DATA_HASH, height=0, chain=CHAIN_ID):

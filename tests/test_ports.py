@@ -37,7 +37,7 @@ from reference_codec import ref_swap_id
 def ctx_for(chain):
     tip = chain.canonical_tip
     return BlockCtx(BlockRef(chain.chain_id, "main", tip.height + 1,
-                             b"\xee" * 32))
+                             b"\xee" * 32), chain.accounts)
 
 
 def lock_on(world, amount=100, sender=ALICE, receiver=BOB):

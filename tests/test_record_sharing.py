@@ -1,8 +1,8 @@
 """Trace records share each JSON fragment of an immutable value.
 
 A tx's `describe()`, an account's and a payload entry's `to_json()` and a
-swap id's hex string are built once, a run keeps one account object per
-(chain, address), and the Runner keeps one canonical summary per chain
+swap id's hex string are built once, each chain keeps one account object
+per address, and the Runner keeps one canonical summary per chain
 while its tip is unchanged, so the records a run holds refer to one dict
 or string per fragment instead of a copy per record. A relay round's
 report is one dict, which its record and `Runner.reports` both hold, and a
@@ -133,6 +133,21 @@ def test_one_account_dict_per_chain_and_address(records):
                 if event["kind"] in ("MintExecuted", "UnlockExecuted")]
     assert len(executed) == 200
     assert all(len(ids) == 1 for ids in accounts.values())
+
+
+def test_each_chain_owns_its_account_table():
+    """Each chain keeps its own table of account objects, which holds only
+    that chain's accounts, and the runner takes a spec's account from the
+    table of the chain it lives on; round_trip has accounts on both."""
+    runner = Runner(load_scenario("round_trip"))
+    assert runner.run().exit_code == 0
+    tables = {cid: chain.accounts for cid, chain in runner.chains.items()}
+    assert tables[ORIGIN] is not tables[DESTINATION]
+    for cid, table in tables.items():
+        assert table and all(chain == cid for chain, _ in table)
+    for cid, spec in ((ORIGIN, "alice"), (DESTINATION, "bob")):
+        account = runner._account_id(cid, spec)
+        assert tables[cid][(cid, account.address)] is account
 
 
 def test_one_swap_id_string_per_swap(records):

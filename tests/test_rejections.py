@@ -167,7 +167,8 @@ def test_refusal_leaves_state_untouched(case, run):
     attempt = make(run)
     state = run.world.chains[chain_id].canonical_state.clone()
     before = copy.deepcopy(state)
-    ctx = BlockCtx(BlockRef(chain_id, "main", HEIGHT, b"\xee" * 32))
+    ctx = BlockCtx(BlockRef(chain_id, "main", HEIGHT, b"\xee" * 32),
+                   run.world.chains[chain_id].accounts)
     with pytest.raises(GatewayError) as caught:
         if isinstance(attempt, PayloadEntry):
             state.port.execute_attested(state.ledger, state.tokens, ctx,

@@ -132,6 +132,14 @@ MUTANTS = [
      'if handle is not None and receipt.status == "ok":',
      "if handle is not None:",
      "tier1", "caught"),
+    # a mint's receiver comes from the destination chain's table, the one
+    # the runner's txs of that account use, so the two share one dict
+    ("an attested mint builds its own receiver", "swapgate/ports.py",
+     "receiver = account_id(ctx.accounts, self.chain_id, entry.receiver)\n"
+     "        # Mint first",
+     "receiver = AccountId(self.chain_id, entry.receiver)\n"
+     "        # Mint first",
+     "tier1", "caught"),
 ]
 
 SELFCHECK = """
