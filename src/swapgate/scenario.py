@@ -144,7 +144,9 @@ class Scenario:
         source = Path(path) if isinstance(path, str) else path
         try:
             obj = json.loads(source.read_text(encoding="utf-8"))
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # unreadable, not UTF-8, not JSON, an int too long to convert
+            # or nesting too deep
             raise InvalidScenario(f"cannot load scenario: {exc}") from None
         if not isinstance(obj, dict):
             raise InvalidScenario("scenario file must contain a JSON object")

@@ -26,6 +26,11 @@ the end, so a check's memory grows with the number of blocks, not with the
 records or the text. Writing streams too: `write_records` encodes and
 writes one record's line at a time.
 
+Lines are canonical JSON (`crypto.canonical_json`), and a line reads as
+json.loads reads it (`crypto.parse_json`); orjson writes and reads them
+faster, byte for byte and value for value the same. A trace holds no
+floats, whose text orjson writes otherwise.
+
 Records are read-only. A runner's records share the dicts of repeated
 fragments (see `Runner`), so a change to one would show in every record
 that holds it; a reader that edits records copies them first. Traces are
@@ -34,13 +39,12 @@ UTF-8 files whatever the locale; a file that is not UTF-8 is malformed.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TextIO
 
 from .chain import EXECUTION_KINDS, REGISTRATION_KINDS
-from .crypto import canonical_json
+from .crypto import canonical_json, parse_json
 from .errors import MalformedTrace
 
 EXECUTION_EVENT_KINDS = tuple(kind.value for kind in EXECUTION_KINDS)
@@ -81,18 +85,20 @@ def iter_trace(chunks: Iterable[str]) -> Iterator[dict]:
     """Yield the records of the trace text that `chunks` make up, cut
     anywhere, one at a time, each validated as it is read.
 
-    Raises MalformedTrace at the first fault in file order: a line that is
-    not a JSON object with an `op`, a first record that is not the header
-    or names another format than TRACE_FORMAT, and, once the text is
-    exhausted, an empty trace or a last record that is not `end`."""
+    Raises MalformedTrace at the first fault in file order: a line that
+    json.loads refuses or that is not a JSON object with an `op`, a first
+    record that is not the header or names another format than
+    TRACE_FORMAT, and, once the text is exhausted, an empty trace or a
+    last record that is not `end`."""
     started = False
     last_op = None
     for lineno, line in enumerate(_lines(chunks), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
+            record = parse_json(line)
+        except (ValueError, RecursionError) as exc:
+            # not JSON, an int too long to convert, or nesting too deep
             raise MalformedTrace(f"line {lineno}: {exc}") from None
         if not isinstance(record, dict) or "op" not in record:
             raise MalformedTrace(f"line {lineno}: not a trace record")

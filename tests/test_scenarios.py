@@ -14,7 +14,7 @@ import pytest
 import swapgate
 from swapgate import cli
 from swapgate.cli import bundled_scenario_names, load_scenario, main
-from swapgate.crypto import canonical_json
+from swapgate.crypto import canonical_json, parse_json
 from swapgate.errors import InvalidScenario, MalformedTrace
 from swapgate.scenario import Runner, Scenario
 from swapgate.trace import check_trace_text, parse_trace
@@ -244,18 +244,28 @@ def test_invalid_scenarios_rejected(mutate, message):
 
 
 def test_canonical_json_is_json_dumps_of_every_record():
-    """canonical_json's shared encoder writes the bytes of json.dumps, also
-    for a record whose block and canonical sections share one accounting
-    dict (the Runner computes it once per state)."""
-    shared = 0
-    for name in BUNDLED:
-        for record in run_bundled(name).records:
-            assert canonical_json(record) == json.dumps(
-                record, sort_keys=True, separators=(",", ":"))
+    """canonical_json writes the bytes of json.dumps, and parse_json reads
+    each line as json.loads does, for every record of the bundled
+    scenarios, the regression scenarios and two generated ones, also for a
+    record whose block and canonical sections share one accounting dict
+    (the Runner computes it once per state). rejected_transfers holds
+    amounts of 2**64, which orjson refuses to write, so the stdlib
+    fallback runs inside a real run."""
+    scenarios = ([load_scenario(name) for name in BUNDLED]
+                 + [Scenario.load(path) for path in REGRESSION_SCENARIOS]
+                 + [random_happy_scenario(seed=2), reorg_scenario(seed=2)])
+    shared = refused = 0
+    for scenario in scenarios:
+        for record in Runner(scenario).run().records:
+            line = canonical_json(record)
+            assert line == json.dumps(record, sort_keys=True,
+                                      separators=(",", ":"))
+            assert repr(parse_json(line)) == repr(json.loads(line))
+            refused += "18446744073709551616" in line
             for block in record.get("blocks", []):
                 canonical = record["canonical"][str(block["chain"])]
                 shared += block["accounting"] is canonical["accounting"]
-    assert shared
+    assert shared and refused
 
 
 def test_ledger_changes_always_emit_events():
@@ -361,8 +371,12 @@ def test_cli_run_closed_stdout_exit_2():
     assert len(err) == 1 and err[0].startswith("cannot write trace: "), err
 
 
-@pytest.mark.parametrize("content", [b"{", b"\xff", b"[]"],
-                         ids=["not_json", "not_utf8", "not_object"])
+@pytest.mark.parametrize("content", [
+    b"{", b"\xff", b"[]",
+    b'{"name": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+    b'{"seed": ' + b"1" * 5000 + b"}",
+], ids=["not_json", "not_utf8", "not_object", "nested_too_deep",
+        "int_too_long"])
 def test_cli_bundled_scenario_fails_as_a_file_does(tmp_path, monkeypatch,
                                                    capsys, content):
     """A bundled scenario is read by Scenario.load, as a file is: one that
@@ -482,24 +496,33 @@ def _genesis_as_list(records):
     records[0]["genesis"] = list(records[0]["genesis"].values())
 
 
+def _nested_too_deep(records):
+    """A line nested deeper than json.loads can recurse, given as text."""
+    records.insert(1, '{"op":"x","a":' + "[" * 5000 + "]" * 5000 + "}")
+
+
 @pytest.mark.parametrize("tamper", [
     lambda records: records.pop(),          # truncated: no end record
     _drop_block_hash, _drop_supply, _drop_transition_swap_id,
-    _genesis_as_list,
+    _genesis_as_list, _nested_too_deep,
 ], ids=["truncated", "block_hash", "supply", "transition_swap_id",
-        "genesis_list"])
+        "genesis_list", "nested_too_deep"])
 def test_cli_check_malformed_exit_2(tmp_path, capsys, tamper):
-    """A trace that is cut short, or whose records parse but lack a field or
-    hold one of the wrong type, is malformed (exit 2), not a failed check."""
+    """A trace that is cut short, that holds a line json.loads refuses, or
+    whose records parse but lack a field or hold one of the wrong type, is
+    malformed (exit 2), not a failed check: one line on stderr. A str
+    among the tampered records is written as its own line."""
     trace_path = tmp_path / "t.jsonl"
     main(["run", "happy_path", "--trace", str(trace_path)])
     records = [json.loads(line) for line in trace_path.read_text().splitlines()]
     tamper(records)
-    trace_path.write_text(
-        "\n".join(json.dumps(r, sort_keys=True) for r in records) + "\n")
+    trace_path.write_text("\n".join(
+        r if isinstance(r, str) else json.dumps(r, sort_keys=True)
+        for r in records) + "\n")
     capsys.readouterr()
     assert main(["check", str(trace_path)]) == 2
-    assert "malformed trace" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("malformed trace: "), err
 
 
 @pytest.mark.parametrize("command", ["check", "run"])

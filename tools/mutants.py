@@ -140,6 +140,16 @@ MUTANTS = [
      "receiver = AccountId(self.chain_id, entry.receiver)\n"
      "        # Mint first",
      "tier1", "caught"),
+    # orjson writes non-ASCII and DEL raw, where json escapes them
+    ("canonical bytes kept without the ASCII guard", "swapgate/crypto.py",
+     'if raw.isascii() and b"\\x7f" not in raw:',
+     "if True:",
+     "tier1", "caught"),
+    # orjson reads an int beyond 64 bits as a float
+    ("parsed line kept without the round trip", "swapgate/crypto.py",
+     "if written == line.encode():",
+     "if True:",
+     "tier1", "caught"),
 ]
 
 SELFCHECK = """
