@@ -33,10 +33,15 @@ swap is Processed the height of its execution: both stay canonical until a
 reorg orphans their block, and the walk names every such swap, which the
 tick then looks up again. So the tick revisits only the swaps the walk
 passed, the Registered ones, and the Processed ones whose execution has
-become final; the chain order and each chain's counterpart are worked out
-once per tick. Transitions come out in canonical registration order (chain
-by chain), exactly as a full rescan would emit them, and retractions in the
-order the swaps were first observed.
+become final; the chain order, each chain's counterpart and that
+counterpart's tip, final height and recovery timeout are worked out once
+per tick. A swap the walk named is looked up once: the same lookup finds
+the registration it is revisited from, or tells that its view lost it. Per
+visited swap the tick reads the swap's id string and status once, makes
+one execution lookup, and builds nothing but the transitions and stuck
+entries it emits, each a dict literal. Transitions come out in canonical
+registration order (chain by chain), exactly as a full rescan would emit
+them, and retractions in the order the swaps were first observed.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ from dataclasses import dataclass
 
 from .chain import EXECUTION_KINDS, REGISTRATION_KINDS, Block, Chain, ChainEvent
 from .ports import SwapStatus
+
+REGISTERED, PROCESSED, FINALIZED = SwapStatus
 
 
 @dataclass
@@ -84,98 +91,98 @@ class StatusController:
         touched: set[bytes] = set()
         for chain in order:
             self._advance(chain, touched)
-        result: dict = {"transitions": [], "stuck": []}
+        transitions: list[dict] = []
+        stuck: list[dict] = []
+        result = {"transitions": transitions, "stuck": stuck}
         if not (self._open or touched):
             # nothing to revisit, and no view can have lost its registration
             return result
-        first, second = order
-        # per registering chain: the chain that executes its swaps, with that
-        # chain's tip and final heights, which stay put for the whole tick
+        # per registering chain: the chain that executes its swaps, its id,
+        # tip and final heights and recovery timeout, which stay put for the
+        # whole tick
         executor = {
-            first.chain_id: (second, second.canonical_tip.height,
-                             second.final_height),
-            second.chain_id: (first, first.canonical_tip.height,
-                              first.final_height),
-        }
+            reg.chain_id: (on, on.chain_id, on.canonical_tip.height,
+                           on.final_height, self.recovery_timeout[on.chain_id])
+            for reg, on in zip(order, order[::-1])}
         views = self.views
         live: list[ChainEvent] = []
-        for swap_id in self._open | touched:
+        gone: set[bytes] = set()
+        for swap_id in self._open | touched if touched else self._open:
             view = views.get(swap_id)
             if view is None or swap_id in touched:
                 event = _registration(order, swap_id)
                 if event is not None:
                     live.append(event)
+                elif view is not None:
+                    gone.add(swap_id)
             # a Processed swap the walk did not name is visited again only
             # once its execution is final
-            elif view.status != SwapStatus.PROCESSED or view.executed_at <= \
-                    executor[view.registration.block.chain][2]:
+            elif view.status != PROCESSED or view.executed_at <= \
+                    executor[view.registration.block.chain][3]:
                 live.append(view.registration)
-        live.sort(key=lambda e: (e.block.chain, e.block.height, e.index))
+        live.sort(key=_position)
 
         for reg_event in live:
             swap_id = reg_event.swap_id
-            assert swap_id is not None
+            sid = swap_id.hex()
             reg_chain = reg_event.block.chain
-            exec_on, exec_tip, exec_final = executor[reg_chain]
-            exec_chain = exec_on.chain_id
+            exec_on, exec_chain, exec_tip, exec_final, timeout = \
+                executor[reg_chain]
             view = views.get(swap_id)
             if view is None:
-                view = _SwapView(status=SwapStatus.REGISTERED,
-                                 first_seen_exec_height=exec_tip,
-                                 registration=reg_event)
-                views[swap_id] = view
-                self._transition(result, view, None, SwapStatus.REGISTERED,
-                                 "registration_observed", chain=reg_chain)
+                view = views[swap_id] = _SwapView(REGISTERED, exec_tip,
+                                                  reg_event)
+                transitions.append({
+                    "swap_id": sid, "from": None, "to": "registered",
+                    "reason": "registration_observed", "revert": False,
+                    "chain": reg_chain})
             else:
                 view.registration = reg_event
+            status = view.status
 
             exec_event = exec_on.first_event(swap_id, EXECUTION_KINDS)
             if exec_event is not None:
                 height = view.executed_at = exec_event.block.height
-                target = (SwapStatus.FINALIZED if height <= exec_final
-                          else SwapStatus.PROCESSED)
-                if view.status == SwapStatus.REGISTERED and \
-                        target >= SwapStatus.PROCESSED:
-                    self._transition(result, view, SwapStatus.REGISTERED,
-                                     SwapStatus.PROCESSED,
-                                     "execution_canonical", chain=exec_chain)
-                    view.status = SwapStatus.PROCESSED
-                if view.status == SwapStatus.PROCESSED and \
-                        target == SwapStatus.FINALIZED:
-                    self._transition(result, view, SwapStatus.PROCESSED,
-                                     SwapStatus.FINALIZED,
-                                     f"execution_depth_{exec_tip - height}",
-                                     chain=exec_chain)
-                    view.status = SwapStatus.FINALIZED
-                if view.status == SwapStatus.FINALIZED:
+                if status == REGISTERED:
+                    transitions.append({
+                        "swap_id": sid, "from": "registered",
+                        "to": "processed", "reason": "execution_canonical",
+                        "revert": False, "chain": exec_chain})
+                    status = view.status = PROCESSED
+                if status == PROCESSED and height <= exec_final:
+                    transitions.append({
+                        "swap_id": sid, "from": "processed",
+                        "to": "finalized",
+                        "reason": f"execution_depth_{exec_tip - height}",
+                        "revert": False, "chain": exec_chain})
+                    status = view.status = FINALIZED
+                if status == FINALIZED:
                     self._open.discard(swap_id)
             else:
-                assert view.status != SwapStatus.FINALIZED, \
+                assert status != FINALIZED, \
                     "the canonical chain never changes at or below the final height"
-                if view.status == SwapStatus.PROCESSED:
-                    self._transition(result, view, SwapStatus.PROCESSED,
-                                     SwapStatus.REGISTERED, "execution_reorged",
-                                     revert=True, chain=exec_chain)
-                    view.status = SwapStatus.REGISTERED
+                if status == PROCESSED:
+                    transitions.append({
+                        "swap_id": sid, "from": "processed",
+                        "to": "registered", "reason": "execution_reorged",
+                        "revert": True, "chain": exec_chain})
+                    view.status = REGISTERED
                 waited = exec_tip - view.first_seen_exec_height
-                if waited > self.recovery_timeout[exec_chain] and \
-                        view.last_stuck_height != exec_tip:
+                if waited > timeout and view.last_stuck_height != exec_tip:
                     view.last_stuck_height = exec_tip
-                    result["stuck"].append({
-                        "swap_id": view.registration.swap_id.hex(),
-                        "execution_chain": exec_chain,
-                        "waited_blocks": waited,
-                    })
+                    stuck.append({"swap_id": sid, "execution_chain": exec_chain,
+                                  "waited_blocks": waited})
 
-        gone = {swap_id for swap_id in touched if swap_id in self.views
-                and _registration(order, swap_id) is None}
         if gone:
             # views is in observation order: a re-created view is appended
-            for swap_id in [s for s in self.views if s in gone]:
-                view = self.views.pop(swap_id)
+            for swap_id in [s for s in views if s in gone]:
+                view = views.pop(swap_id)
                 self._open.discard(swap_id)
-                self._transition(result, view, view.status, None,
-                                 "registration_reorged", revert=True)
+                transitions.append({
+                    "swap_id": view.registration.swap_id.hex(),
+                    "from": view.status.label, "to": None,
+                    "reason": "registration_reorged", "revert": True,
+                    "chain": None})
         return result
 
     # --- helpers -----------------------------------------------------------
@@ -202,20 +209,6 @@ class StatusController:
                     self._open.add(event.swap_id)
             self._cursors[chain.chain_id] = chain.blocks[tip.block_hash]
 
-    @staticmethod
-    def _transition(result: dict, view: _SwapView,
-                    old: SwapStatus | None, new: SwapStatus | None,
-                    reason: str, revert: bool = False,
-                    chain: int | None = None) -> None:
-        result["transitions"].append({
-            "swap_id": view.registration.swap_id.hex(),
-            "from": old.label if old else None,
-            "to": new.label if new else None,
-            "reason": reason,
-            "revert": revert,
-            "chain": chain,
-        })
-
 
 def _registration(order: list[Chain], swap_id: bytes) -> ChainEvent | None:
     """The swap's first canonical registration on the chains in `order`,
@@ -225,3 +218,9 @@ def _registration(order: list[Chain], swap_id: bytes) -> ChainEvent | None:
         if event is not None:
             return event
     return None
+
+
+def _position(event: ChainEvent) -> tuple[int, int, int]:
+    """An event's canonical position: chain, height, index in its block."""
+    block = event.block
+    return block.chain, block.height, event.index

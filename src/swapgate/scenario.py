@@ -18,6 +18,7 @@ depth), which would break the finalization contract.
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -360,14 +361,15 @@ def _account(spec, what: str) -> None:
         raise InvalidScenario(f"{what}: bad account spec {spec!r}")
 
 
+_HEX_DIGITS = frozenset(string.hexdigits)
+
+
 def resolve_address(spec: str) -> bytes:
-    """An account is either 40 hex chars or an alias hashed to an address;
-    validation has checked that `spec` is a non-empty string."""
-    if len(spec) == 40:
-        try:
-            return bytes.fromhex(spec)
-        except ValueError:
-            pass
+    """An account is either 40 hex digits or an alias hashed to an address;
+    validation has checked that `spec` is a non-empty string. Any other
+    40-character spec is an alias: bytes.fromhex would skip its spaces."""
+    if len(spec) == 40 and _HEX_DIGITS.issuperset(spec):
+        return bytes.fromhex(spec)
     return sha256(b"addr:" + spec.encode("utf-8"))[:20]
 
 

@@ -240,6 +240,12 @@ def evaluate_records(records: Iterable[dict]) -> list[dict]:
     # submitted; a receipt's reference must name one of its own kind and chain
     submitted: dict[int, tuple[str, int]] = {}
     references: list[dict] = []
+    # a canonical section's chain key -> its chain id, each parsed once
+    chain_ids: dict[str, int] = {}
+    # an absent section reads as this: never written to
+    empty: dict = {}
+    reference_keys = _REFERENCE_KEYS.get
+    status_next = _STATUS_NEXT.get
     for position, record in enumerate(records):
         if position == 0:
             for block in _genesis_blocks(record):
@@ -248,11 +254,12 @@ def evaluate_records(records: Iterable[dict]) -> list[dict]:
                 heights[block["hash"]] = 0
                 executed[block["hash"]] = ()
                 tips[block["chain"]] = block["hash"]
-        for block in record.get("blocks", ()):
+        get = record.get
+        for block in get("blocks", ()):
             _check_conservation(block, conservation)
             for receipt in block.get("txs", ()):
                 tx = receipt["tx"]
-                key = _REFERENCE_KEYS.get(tx["kind"])
+                key = reference_keys(tx["kind"])
                 if key is not None and \
                         submitted.get(tx[key]) != (tx["kind"], block["chain"]):
                     references.append(_reference_violation(block, tx, key))
@@ -264,22 +271,52 @@ def evaluate_records(records: Iterable[dict]) -> list[dict]:
                 if event["kind"] in EXECUTION_EVENT_KINDS and event.get("swap_id"):
                     swap_ids += (event["swap_id"],)
             executed[block_hash] = swap_ids
-        for chain_key, summary in record.get("canonical", {}).items():
-            tips[int(chain_key)] = summary["tip"]
-        op = record.get("op")
-        if op in _USER_OPS:
+        for chain_key, summary in get("canonical", empty).items():
+            chain_id = chain_ids.get(chain_key)
+            if chain_id is None:
+                chain_id = chain_ids[chain_key] = int(chain_key)
+            tips[chain_id] = summary["tip"]
+        op = get("op")
+        if op == "tick":
+            # the status machine: each transition must start from the
+            # status the swap's earlier transitions left it in
+            for transition in get("transitions", ()):
+                sid = transition["swap_id"]
+                old, new = transition.get("from"), transition.get("to")
+                current = statuses.get(sid)
+                if old != current:
+                    fault = (f"transition claims status {old}, "
+                             f"view had {current}")
+                elif transition.get("revert"):
+                    # Retractions undo observations lost to a reorg; a
+                    # finalized swap must never be retracted.
+                    if current == "finalized":
+                        fault = "finalized status retracted"
+                    elif new is None:
+                        statuses.pop(sid, None)
+                        continue
+                    elif new == "registered":
+                        statuses[sid] = new
+                        continue
+                    else:
+                        fault = f"revert to unexpected status {new}"
+                elif status_next(current) == new:
+                    statuses[sid] = new
+                    continue
+                else:
+                    fault = f"illegal transition {current} -> {new}"
+                transitions.append({"invariant": "status_machine",
+                                    "detail": f"swap {sid}: {fault}"})
+        elif op in _USER_OPS:
             submitted[record["step"]] = (_USER_OPS[op], record["tx"]["chain"])
         elif op == "relay_round" and record["report"]["outcome"] == "submitted":
             submitted[record["step"]] = ("send_data", record["report"]["target"])
-        elif op == "tick":
-            for transition in record.get("transitions", []):
-                _check_transition(transition, statuses, transitions)
-        elif op == "assert" and not record.get("ok", False):
+        elif op == "assert" and not get("ok", False):
             assertions.append({
                 "invariant": "assertion",
-                "detail": f"step {record.get('step')}: "
-                          f"{record.get('check')} failed: "
-                          f"{record.get('detail', '')}",
+                "detail": f"step {get('step')}: "
+                          f"{get('check')} failed: "
+                          f"{get('detail', '')}",
             })
 
     canonical, violations = _walk(parents, heights, tips)
@@ -320,47 +357,6 @@ def _reference_violation(block: dict, tx: dict, key: str) -> dict:
                   f"{tx[key]}, but no earlier record at that step submitted "
                   f"a {tx['kind']} tx to this chain",
     }
-
-
-def _check_transition(transition: dict, statuses: dict[str, str | None],
-                      violations: list[dict]) -> None:
-    sid = transition["swap_id"]
-    old, new = transition.get("from"), transition.get("to")
-    current = statuses.get(sid)
-    if old != current:
-        violations.append({
-            "invariant": "status_machine",
-            "detail": f"swap {sid}: transition claims status {old}, "
-                      f"view had {current}",
-        })
-        return
-    if transition.get("revert"):
-        # Retractions undo observations lost to a reorg; a finalized swap
-        # must never be retracted.
-        if current == "finalized":
-            violations.append({
-                "invariant": "status_machine",
-                "detail": f"swap {sid}: finalized status retracted",
-            })
-            return
-        if new not in (None, "registered"):
-            violations.append({
-                "invariant": "status_machine",
-                "detail": f"swap {sid}: revert to unexpected status {new}",
-            })
-            return
-        if new is None:
-            statuses.pop(sid, None)
-        else:
-            statuses[sid] = new
-        return
-    if _STATUS_NEXT.get(current) != new:
-        violations.append({
-            "invariant": "status_machine",
-            "detail": f"swap {sid}: illegal transition {current} -> {new}",
-        })
-        return
-    statuses[sid] = new
 
 
 def check_trace_text(text: str) -> tuple[int, list[dict]]:

@@ -137,9 +137,34 @@ def test_finalized_execution_survives_refused_reorg_in_both():
     assert t.w.controller.status_of(sid) == SwapStatus.FINALIZED
 
 
+def test_batch_moves_in_registration_order():
+    """Four locks in one block: one tick registers and processes all four,
+    a later one finalizes all four, each time in registration order."""
+    t = Twins(conf_depth=2, fin_depth=3, timeout=6)
+    for amount in (4, 3, 2, 1):
+        lock(t, amount)
+    t.produce(0, 3)
+    t.relay(0)
+    t.produce(1)
+    t.tick()
+    order = list(t.reference.views)
+    assert len(order) == 4
+    moves = t.ticks[-1]["transitions"]
+    assert [x["reason"] for x in moves] == \
+        ["registration_observed", "execution_canonical"] * 4
+    assert [x["swap_id"] for x in moves[::2]] == [s.hex() for s in order]
+    t.produce(1, 3)
+    t.tick()
+    moves = t.ticks[-1]["transitions"]
+    assert [x["swap_id"] for x in moves] == [s.hex() for s in order]
+    assert {x["to"] for x in moves} == {"finalized"}
+
+
 ops = st.lists(st.tuples(st.one_of(
     st.tuples(st.just("lock"), st.integers(1, 3)),
     st.tuples(st.just("burn"), st.integers(1, 3)),
+    # several locks (chain 0) or burns (chain 1) in one block
+    st.tuples(st.just("batch"), st.integers(0, 1), st.integers(2, 6)),
     st.tuples(st.just("relay"), st.integers(0, 1)),
     st.tuples(st.just("wait"), st.integers(0, 1), st.integers(1, 4)),
     st.tuples(st.just("fork"), st.integers(0, 1), st.integers(1, 4),
@@ -150,8 +175,8 @@ ops = st.lists(st.tuples(st.one_of(
 
 @given(ops)
 def test_random_timelines_match_reference(steps):
-    """Locks and burns relayed between forks of either chain, with a tick
-    after some steps. A fork may tie (and win or lose on its tip hash),
+    """Locks and burns, one or several to a block, relayed between forks of
+    either chain, with a tick after some steps. A fork may tie (and win or lose on its tip hash),
     overtake, or stay behind until a later `grow` step extends it. A fork
     or `grow` step that the chain refuses for going deeper than the
     finality depth changes nothing and is skipped, tick included."""
@@ -170,6 +195,15 @@ def play(steps) -> None:
             elif op == "burn":
                 t.w.destination.submit(BurnTx(1, BOB, "swT", args[0], ALICE))
                 t.produce(1)
+            elif op == "batch":
+                chain, count = args
+                for amount in range(1, count + 1):
+                    if chain == 0:
+                        lock(t, amount)
+                    else:
+                        t.w.destination.submit(
+                            BurnTx(1, BOB, "swT", amount, ALICE))
+                t.produce(chain)
             elif op == "relay":
                 t.produce(args[0], t.w.conf_depth)
                 t.relay(args[0])

@@ -474,6 +474,28 @@ def test_cli_run_field_of_wrong_type_is_invalid(tmp_path, capsys, fields):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+# 40 characters, but a space where a hex digit would be: bytes.fromhex
+# skips it and reads 19 bytes
+SPACED = "aa bbccddeeff00112233445566778899aabbcc "
+
+
+@pytest.mark.parametrize("fields", [
+    {"balances": [{"account": SPACED, "token": "T", "amount": 10}]},
+    {"timeline": [dict(LOCK, receiver=SPACED)]},
+    asserting(check="balance", chain=0, account=SPACED, token="T", expect=0),
+], ids=["balance", "lock receiver", "balance assert"])
+def test_cli_run_forty_character_alias(tmp_path, fields):
+    """A 40-character account spec that is not 40 hex digits is an alias,
+    hashed to an address like any other, not a crash."""
+    assert len(SPACED) == 40
+    scenario = {"tokens": ["T"],
+                "balances": [{"account": "alice", "token": "T", "amount": 10}],
+                **fields}
+    path = tmp_path / "alias.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["run", str(path), "--trace", str(tmp_path / "t.jsonl")]) == 0
+
+
 def _first(records, key):
     """The first value under `key` in any record."""
     return next(r[key] for r in records if r.get(key))
@@ -496,6 +518,15 @@ def _genesis_as_list(records):
     records[0]["genesis"] = list(records[0]["genesis"].values())
 
 
+def _zero(key):
+    """A tamper that sets the first non-empty `key` of a record, or of a
+    block, to 0: present but falsy, which a check must not read as absent."""
+    def tamper(records):
+        holders = records + [b for r in records for b in r.get("blocks", ())]
+        next(h for h in holders if h.get(key))[key] = 0
+    return tamper
+
+
 def _nested_too_deep(records):
     """A line nested deeper than json.loads can recurse, given as text."""
     records.insert(1, '{"op":"x","a":' + "[" * 5000 + "]" * 5000 + "}")
@@ -504,9 +535,11 @@ def _nested_too_deep(records):
 @pytest.mark.parametrize("tamper", [
     lambda records: records.pop(),          # truncated: no end record
     _drop_block_hash, _drop_supply, _drop_transition_swap_id,
-    _genesis_as_list, _nested_too_deep,
+    _genesis_as_list, _nested_too_deep, _zero("accounting"), _zero("txs"),
+    _zero("canonical"), _zero("transitions"),
 ], ids=["truncated", "block_hash", "supply", "transition_swap_id",
-        "genesis_list", "nested_too_deep"])
+        "genesis_list", "nested_too_deep", "accounting_zero", "txs_zero",
+        "canonical_zero", "transitions_zero"])
 def test_cli_check_malformed_exit_2(tmp_path, capsys, tamper):
     """A trace that is cut short, that holds a line json.loads refuses, or
     whose records parse but lack a field or hold one of the wrong type, is

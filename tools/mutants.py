@@ -86,6 +86,18 @@ MUTANTS = [
      "if not (self._open or touched):",
      "if not touched:",
      "tier1", "caught"),
+    # a tick visits its swaps in set order: the transitions of several new
+    # swaps come out in no canonical order
+    ("tick leaves its live swaps unsorted", "swapgate/controller.py",
+     "live.sort(key=_position)",
+     "pass",
+     "tier1", "caught"),
+    # a Processed swap revisited for any reason is finalized at once, its
+    # execution perhaps still above the final height
+    ("Processed swap finalized whatever its height", "swapgate/controller.py",
+     "if status == PROCESSED and height <= exec_final:",
+     "if status == PROCESSED:",
+     "tier1", "caught"),
     ("empty extraction ignores re-attestations", "swapgate/oracles.py",
      "if height > upper and not requests:",
      "if height > upper:",
