@@ -3,14 +3,16 @@
     python3 tools/mutants.py
 
 Each entry names a file under src/, an exact snippet of it, the snippet
-that replaces it, an oracle and the outcome recorded for that mutant. The
-script copies src/, tests/, perfbench/ and pyproject.toml to a temporary
-directory; for each entry it applies the edit there (the old snippet must
-occur exactly once), runs the oracle on the copy in a child process and
-undoes the edit. The tree itself is never edited. It exits 1 if a snippet
-no longer matches or an outcome differs from the recorded one: a refactor
-that silently stops catching a mutant shows up, and so does one that
-starts catching a known hole, whose entry is then updated.
+that replaces it, an oracle and the outcome recorded for that mutant; a
+tier1 entry recorded as "caught" may also name the one test file that
+catches it. The script copies src/, tests/, perfbench/ and pyproject.toml
+to a temporary directory; for each entry it applies the edit there (the
+old snippet must occur exactly once), runs the oracle on the copy in a
+child process and undoes the edit. The tree itself is never edited. It
+exits 1 if a snippet no longer matches or an outcome differs from the
+recorded one: a refactor that silently stops catching a mutant shows up,
+and so does one that starts catching a known hole, whose entry is then
+updated.
 
 Oracles:
   selfcheck  the number of tests/scenario_gen.reorg_scenario seeds 1-10
@@ -22,7 +24,10 @@ Oracles:
   tier1      the tier-1 tests, `pytest -x -q` on the copy under the
              derandomized "ci" hypothesis profile: "caught" if a test
              fails, "survives" if all pass. The first failing test is
-             printed. The unmutated tree must give "survives".
+             printed. An entry that names a test file runs `pytest -x -q
+             <file>` alone, in place of the full run; a "survives" entry
+             and the unmutated tree, which must give "survives", run in
+             full.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# (name, file under src/, old snippet, new snippet, oracle, outcome)
+# (name, file under src/, old snippet, new snippet, oracle, outcome[,
+# the test file that catches it])
 MUTANTS = [
     ("port swaps shared", "swapgate/ports.py",
      "return type(self)(dict(self.swaps), self.next_seq)",
@@ -162,6 +168,38 @@ MUTANTS = [
      "if written == line.encode():",
      "if True:",
      "tier1", "caught"),
+    # a run pauses the cyclic collector and gives it back as it found it
+    ("run leaves the collector paused", "swapgate/scenario.py",
+     "gc.enable()",
+     "pass",
+     "tier1", "caught", "tests/test_run_collector.py"),
+    ("run turns on a collector its caller had off", "swapgate/scenario.py",
+     "            if collecting:\n"
+     "                gc.enable()\n",
+     "            gc.enable()\n",
+     "tier1", "caught", "tests/test_run_collector.py"),
+    ("run never pauses the collector", "swapgate/scenario.py",
+     "gc.disable()",
+     "pass",
+     "tier1", "caught", "tests/test_run_collector.py"),
+    # a balance or pool that reaches zero keeps its entry
+    ("_add keeps zeros", "swapgate/ledger.py",
+     "    if total:\n"
+     "        counts[key] = total\n"
+     "    else:\n"
+     "        del counts[key]\n",
+     "    counts[key] = total\n",
+     "tier1", "caught", "tests/test_ledger.py"),
+    # the exactly_once violations of several swaps come out in dict order
+    ("exactly-once unsorted", "swapgate/trace.py",
+     "for sid, count in sorted(exec_counts.items()):",
+     "for sid, count in exec_counts.items():",
+     "tier1", "caught", "tests/test_trace_check.py"),
+    # each chunk is cut at its last newline, which goes to the next line
+    ("_lines cuts before its newline", "swapgate/trace.py",
+     'cut = chunk.rfind("\\n") + 1',
+     'cut = chunk.rfind("\\n")',
+     "tier1", "caught", "tests/test_trace_check.py"),
 ]
 
 SELFCHECK = """
@@ -181,9 +219,11 @@ print(caught)
 CLEAN = {"selfcheck": 0, "tier1": "survives"}
 
 
-def run_oracle(oracle: str, tree: Path) -> tuple[int | str, str]:
+def run_oracle(oracle: str, tree: Path,
+               tests: list[str]) -> tuple[int | str, str]:
     """The oracle's outcome on the copy at `tree`, or its error output,
-    and a note to print with it."""
+    and a note to print with it; a tier1 run runs only `tests`, if it
+    names any."""
     # no bytecode: a mutant and the next one of the same file may share
     # its size and modification time, and so a stale cache entry
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
@@ -191,7 +231,8 @@ def run_oracle(oracle: str, tree: Path) -> tuple[int | str, str]:
                                            str(tree / "tests")]),
                HYPOTHESIS_PROFILE="ci")
     command = (["-c", SELFCHECK] if oracle == "selfcheck" else
-               ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"])
+               ["-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                *tests])
     done = subprocess.run([sys.executable, *command], env=env, cwd=tree,
                           capture_output=True, text=True)
     lines = (done.stdout + done.stderr).strip().splitlines()
@@ -209,10 +250,11 @@ def run_oracle(oracle: str, tree: Path) -> tuple[int | str, str]:
 def main() -> int:
     failures = 0
 
-    def report(name: str, oracle: str, expected: int | str) -> None:
+    def report(name: str, oracle: str, expected: int | str,
+               tests: list[str]) -> None:
         nonlocal failures
         start = time.perf_counter()
-        outcome, note = run_oracle(oracle, tree)
+        outcome, note = run_oracle(oracle, tree, tests)
         seconds = time.perf_counter() - start
         ok = outcome == expected
         failures += not ok
@@ -227,8 +269,13 @@ def main() -> int:
             shutil.copytree(ROOT / part, tree / part, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", tree)
         for oracle in sorted({entry[4] for entry in MUTANTS}):
-            report("unmutated", oracle, CLEAN[oracle])
-        for name, file, old, new, oracle, expected in MUTANTS:
+            report("unmutated", oracle, CLEAN[oracle], [])
+        for name, file, old, new, oracle, expected, *tests in MUTANTS:
+            if tests and (oracle, expected) != ("tier1", "caught"):
+                failures += 1
+                print(f"FAIL  {name}: only a tier1 entry recorded as "
+                      f"caught may name a test file")
+                continue
             path = tree / "src" / file
             original = path.read_text(encoding="utf-8")
             if original.count(old) != 1:
@@ -238,7 +285,7 @@ def main() -> int:
                 continue
             path.write_text(original.replace(old, new), encoding="utf-8")
             try:
-                report(name, oracle, expected)
+                report(name, oracle, expected, tests)
             finally:
                 path.write_text(original, encoding="utf-8")
     return 1 if failures else 0

@@ -5,12 +5,13 @@
 For each size N it times `Runner(scenario).run()` on
 `random_happy_scenario(seed=1, swaps=N)` (from tests/scenario_gen.py) with
 the roster set to 4 honest oracles plus one `replayer`, threshold 4. Each
-size runs in its own child process, with the garbage collector on. It
-prints one JSON line: the seconds per size and, for each size that doubles
-the one before it, the ratio t(2N)/t(N). A replayer endorses everything
-extracted before, so this is the curve on which a per-round cost that grows
-with history shows. Exits 1 if a child fails or a run exits non-zero.
-Information only: it sets no threshold.
+size runs in its own child process. The harness leaves the garbage
+collector on; `Runner.run` pauses the cyclic collector for the run itself,
+as it does for every caller. It prints one JSON line: the seconds per size
+and, for each size that doubles the one before it, the ratio t(2N)/t(N). A
+replayer endorses everything extracted before, so this is the curve on
+which a per-round cost that grows with history shows. Exits 1 if a child
+fails or a run exits non-zero. Information only: it sets no threshold.
 """
 
 from __future__ import annotations
