@@ -59,7 +59,14 @@ from .errors import (
     WrongChainReceiver,
     ZeroAmount,
 )
-from .ledger import AccountId, Ledger, TokenId, account_id, wrapped_symbol
+from .ledger import (
+    ADDRESS_LEN,
+    AccountId,
+    Ledger,
+    TokenId,
+    account_id,
+    wrapped_symbol,
+)
 from .nebula import NEBULA_ADDRESS
 
 ORIGIN = 0
@@ -84,17 +91,17 @@ class SwapStatus(IntEnum):
 _LABELS = {status: status.name.lower() for status in SwapStatus}
 
 
-# a swap id's material around its three addresses: direction and origin
-# chain, then amount and sequence number
-_ID_HEAD = struct.Struct(">BB")
-_ID_TAIL = struct.Struct(">QQ")
+# a swap id's material, packed at once: direction and origin chain, the
+# port, sender and receiver addresses, then amount and sequence number. Each
+# address field is ADDRESS_LEN wide, the length AccountId enforces and the
+# port addresses have, so the bytes are the addresses themselves.
+_ID = struct.Struct(f">BB{ADDRESS_LEN}s{ADDRESS_LEN}s{ADDRESS_LEN}sQQ")
 
 
 def derive_swap_id(direction: Direction, origin_chain: int, port_address: bytes,
                    sender: bytes, receiver: bytes, amount: int, seq: int) -> SwapId:
-    return SwapId(sha256(b"".join((
-        _ID_HEAD.pack(direction, origin_chain), port_address, sender,
-        receiver, _ID_TAIL.pack(amount, seq)))))
+    return SwapId(sha256(_ID.pack(direction, origin_chain, port_address,
+                                  sender, receiver, amount, seq)))
 
 
 def _check_amount(verb: str, amount: int) -> None:

@@ -372,7 +372,9 @@ _HEX_DIGITS = frozenset(string.hexdigits)
 def resolve_address(spec: str) -> bytes:
     """An account is either 40 hex digits or an alias hashed to an address;
     validation has checked that `spec` is a non-empty string. Any other
-    40-character spec is an alias: bytes.fromhex would skip its spaces."""
+    40-character spec is an alias: bytes.fromhex would skip its spaces.
+    A Runner memoizes it, so a run hashes each spec once (see
+    Runner._account_id); it keeps no state itself."""
     if len(spec) == 40 and _HEX_DIGITS.issuperset(spec):
         return bytes.fromhex(spec)
     return sha256(b"addr:" + spec.encode("utf-8"))[:20]
@@ -405,7 +407,9 @@ class Runner:
     - a tx's `describe()`: the user record and the block digest;
     - an account's `to_json()`: each chain keeps one AccountId per
       address, which the runner and the ports' attested executions both
-      take from it, so every tx and event of an account;
+      take from it, so every tx and event of an account. The runner
+      hashes each account spec to its address once per run and still
+      takes the account from the chain's table;
     - a payload entry's `to_json()`: the round report and the reveal's
       digest;
     - a chain's canonical summary (tip, height, branch, accounting), kept
@@ -443,10 +447,14 @@ class Runner:
                                 for cid, p in params.items()},
         )
 
+        # account spec -> address, filled here for the balances and by
+        # _account_id for the rest: a run hashes each spec once
+        self._addresses = {spec: resolve_address(spec) for spec in
+                           {b["account"] for b in scenario.balances}}
         tokens = [TokenId(symbol, ORIGIN) for symbol in scenario.tokens]
         initial = [
             (TokenId(b["token"], ORIGIN),
-             AccountId(ORIGIN, resolve_address(b["account"])),
+             AccountId(ORIGIN, self._addresses[b["account"]]),
              b["amount"])
             for b in scenario.balances
         ]
@@ -475,9 +483,14 @@ class Runner:
     def _account_id(self, chain_id: int, spec: str) -> AccountId:
         """The one AccountId of an account spec on a chain, from that
         chain's table: every tx and event of the account, the ports'
-        attested executions included, shares its JSON dict."""
-        return account_id(self.chains[chain_id].accounts, chain_id,
-                          resolve_address(spec))
+        attested executions included, shares its JSON dict. The spec is
+        hashed to its address once per run, the first time it is seen;
+        the account still comes from the chain's table, so the same spec
+        on two chains gives two accounts with one address."""
+        address = self._addresses.get(spec)
+        if address is None:
+            address = self._addresses[spec] = resolve_address(spec)
+        return account_id(self.chains[chain_id].accounts, chain_id, address)
 
     # --- trace helpers -------------------------------------------------------
 

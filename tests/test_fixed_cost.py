@@ -7,22 +7,24 @@ parent; a tick reads a chain only when it has new blocks, and walks its
 cursor back only when the cursor block was orphaned; a round that extracts
 nothing asks no oracle unless a replayer, which endorses its history
 without an extraction, is on the roster; without a replayer the network
-keeps no history of extracted entries either. The calls counted here are
-the ones these paths no longer make; what they return is unchanged, and
-the pinned digests check the traces.
+keeps no history of extracted entries either. A run hashes each account
+spec to its address once, however many steps name it. The calls counted
+here are the ones these paths no longer make; what they return is
+unchanged, and the pinned digests check the traces.
 """
 
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from unittest import mock
 
-from swapgate import Behavior, Chain, LockTx, oracles
+from swapgate import Behavior, Chain, LockTx, oracles, scenario
 from swapgate.cli import load_scenario
 from swapgate.crypto import sha256
 from swapgate.encoding import encode_payload
 from swapgate.scenario import Runner
 
 from conftest import ALICE, BOB, World
+from scenario_gen import random_happy_scenario
 from test_oracles import lock_and_confirm
 
 EMPTY_REPORT = {"source": 0, "target": 1, "reference_hash": None,
@@ -141,3 +143,16 @@ def test_a_network_without_a_replayer_keeps_no_history():
     assert {r["source"] for r in runner.reports
             if r["outcome"] == "submitted"} == {0, 1}
     assert runner.network.replay_history == {}
+
+
+def test_a_run_hashes_each_account_spec_once():
+    """The Runner hashes a spec the first time a balance or a step names
+    it, and reuses that address for every later step."""
+    generated = random_happy_scenario(1, 50)
+    names = [b["account"] for b in generated.balances] + [
+        step[key] for step in generated.timeline
+        for key in ("sender", "holder", "receiver", "account") if key in step]
+    with calls((scenario, "resolve_address")) as counted:
+        assert Runner(generated).run().exit_code == 0
+    assert len(names) > 2 * len(set(names))         # specs recur
+    assert 0 < counted["resolve_address"] <= len(set(names))

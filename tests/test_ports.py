@@ -125,11 +125,17 @@ def test_identical_locks_get_distinct_ids(world):
                                      BOB.address, 100, 1)
 
 
-def test_swap_id_matches_reference_derivation():
-    sid = derive_swap_id(Direction.DESTINATION_TO_ORIGIN, 0, IB_PORT_ADDRESS,
-                         BOB.address, ALICE.address, 123, 7)
-    assert sid == ref_swap_id(1, 0, IB_PORT_ADDRESS, BOB.address,
-                              ALICE.address, 123, 7)
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("port", [LU_PORT_ADDRESS, IB_PORT_ADDRESS],
+                         ids=["lu_port", "ib_port"])
+@pytest.mark.parametrize("amount", [1, 123, MAX_AMOUNT])
+@pytest.mark.parametrize("seq", [0, 7, 2**64 - 1])
+def test_swap_id_matches_reference_derivation(direction, port, amount, seq):
+    """The id's preimage is the reference's at the bounds of each field."""
+    sid = derive_swap_id(direction, 0, port, BOB.address, ALICE.address,
+                         amount, seq)
+    assert sid == ref_swap_id(int(direction), 0, port, BOB.address,
+                              ALICE.address, amount, seq)
 
 
 def test_mint_attested_happy(world):

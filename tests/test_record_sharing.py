@@ -18,7 +18,7 @@ import pytest
 
 from swapgate.cli import load_scenario
 from swapgate.ports import DESTINATION, ORIGIN
-from swapgate.scenario import Runner, Scenario
+from swapgate.scenario import Runner, Scenario, resolve_address
 
 from scenario_gen import random_happy_scenario, reorg_scenario
 
@@ -138,7 +138,8 @@ def test_one_account_dict_per_chain_and_address(records):
 def test_each_chain_owns_its_account_table():
     """Each chain keeps its own table of account objects, which holds only
     that chain's accounts, and the runner takes a spec's account from the
-    table of the chain it lives on; round_trip has accounts on both."""
+    table of the chain it lives on, though it hashes the spec once per
+    run; round_trip has accounts on both."""
     runner = Runner(load_scenario("round_trip"))
     assert runner.run().exit_code == 0
     tables = {cid: chain.accounts for cid, chain in runner.chains.items()}
@@ -148,6 +149,16 @@ def test_each_chain_owns_its_account_table():
     for cid, spec in ((ORIGIN, "alice"), (DESTINATION, "bob")):
         account = runner._account_id(cid, spec)
         assert tables[cid][(cid, account.address)] is account
+    # one spec on both chains: two accounts, each from its own chain's
+    # table, with the spec's one address
+    on_origin = runner._account_id(ORIGIN, "bob")
+    on_destination = runner._account_id(DESTINATION, "bob")
+    assert on_origin is not on_destination
+    assert on_origin.address == on_destination.address == \
+        resolve_address("bob")
+    assert tables[ORIGIN][(ORIGIN, on_origin.address)] is on_origin
+    assert tables[DESTINATION][(DESTINATION, on_destination.address)] \
+        is on_destination
 
 
 def test_one_swap_id_string_per_swap(records):

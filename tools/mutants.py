@@ -200,6 +200,22 @@ MUTANTS = [
      'cut = chunk.rfind("\\n") + 1',
      'cut = chunk.rfind("\\n")',
      "tier1", "caught", "tests/test_trace_check.py"),
+    # a run hashes each account spec once: this memo is never filled, so
+    # every step hashes its specs again, with the same addresses
+    ("account memo never filled", "swapgate/scenario.py",
+     "address = self._addresses[spec] = resolve_address(spec)",
+     "address = resolve_address(spec)",
+     "tier1", "caught", "tests/test_fixed_cost.py"),
+    # this memo hands every spec the address of the first spec it holds
+    ("account memo hands back another spec's address", "swapgate/scenario.py",
+     "address = self._addresses.get(spec)",
+     "address = next(iter(self._addresses.values()), None)",
+     "tier1", "caught", "tests/test_record_sharing.py"),
+    # the id's preimage with its two user addresses in the wrong order
+    ("swap id packs the receiver before the sender", "swapgate/ports.py",
+     "sender, receiver, amount, seq)))",
+     "receiver, sender, amount, seq)))",
+     "tier1", "caught", "tests/test_ports.py"),
 ]
 
 SELFCHECK = """
