@@ -102,8 +102,9 @@ def parse_json(line: str) -> Any:
 
 
 def built_once(method: Callable[[Any], T]) -> Callable[[Any], T]:
-    """A frozen value's derived form (its JSON dict, its packed bytes, its
-    hex string), built on the first call and kept on the instance: every
+    """The derived form of a frozen value or of a state its chain has
+    stored (its JSON dict, its packed bytes, its hex string, a state's
+    accounting), built on the first call and kept on the instance: every
     later call returns that same object, so each trace record, receipt,
     digest and payload that holds the value shares one copy. Callers read
     it and never change it. A call that raises keeps nothing, so it raises

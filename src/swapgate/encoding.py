@@ -32,9 +32,9 @@ from enum import IntEnum
 
 from .crypto import built_once, sha256
 from .errors import MalformedPayload
+from .ledger import ADDRESS_LEN
 
 SWAP_ID_LEN = 32
-ADDRESS_LEN = 20
 MAX_AMOUNT = 2**64 - 1
 # the most entries one payload carries: its count is a u16
 MAX_ENTRIES = 0xFFFF

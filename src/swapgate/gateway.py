@@ -124,6 +124,15 @@ class GatewayState:
         return GatewayState(self.ledger.clone(), dict(self.tokens),
                             self.port.clone(), self.nebula.clone())
 
+    @built_once
+    def accounting(self) -> dict:
+        """The ledger's accounting, built on the first call and kept: every
+        record of this state shares one dict. That is right only because
+        the Chain never changes a state it has stored (a block is applied
+        to a clone, which starts without it); a state still being built
+        must not call this."""
+        return self.ledger.accounting()
+
 
 def apply_tx(state: GatewayState, tx: Tx, ctx: BlockCtx) -> dict | None:
     """Contract dispatcher invoked by Chain for every transaction.

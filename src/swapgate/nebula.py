@@ -36,10 +36,11 @@ from .errors import (
     StaleHeight,
     UnknownPulse,
 )
+from .ledger import ADDRESS_LEN
 
 # The contract's reserved address, identical on every chain: the only caller
 # the ports accept for attested executions.
-NEBULA_ADDRESS = sha256(b"contract:nebula")[:20]
+NEBULA_ADDRESS = sha256(b"contract:nebula")[:ADDRESS_LEN]
 
 
 def default_threshold(n: int) -> int:

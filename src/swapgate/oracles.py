@@ -44,9 +44,10 @@ from .crypto import DEFAULT_SCHEME, sha256
 from .encoding import (MAX_AMOUNT, MAX_ENTRIES, Direction, PayloadEntry,
                        encode_payload)
 from .gateway import PulseTx, SendDataTx
+from .ledger import ADDRESS_LEN
 from .nebula import OracleRoster, pulse_message
 
-ATTACKER_ADDRESS = sha256(b"attacker")[:20]
+ATTACKER_ADDRESS = sha256(b"attacker")[:ADDRESS_LEN]
 
 
 class Behavior(str, Enum):

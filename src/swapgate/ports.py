@@ -73,8 +73,8 @@ ORIGIN = 0
 DESTINATION = 1
 
 # Reserved contract addresses, identical on every chain.
-LU_PORT_ADDRESS = sha256(b"contract:lock-unlock-port")[:20]
-IB_PORT_ADDRESS = sha256(b"contract:issue-burn-port")[:20]
+LU_PORT_ADDRESS = sha256(b"contract:lock-unlock-port")[:ADDRESS_LEN]
+IB_PORT_ADDRESS = sha256(b"contract:issue-burn-port")[:ADDRESS_LEN]
 
 
 class SwapStatus(IntEnum):

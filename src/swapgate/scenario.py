@@ -33,8 +33,9 @@ from .chain import (EXECUTION_KINDS, REGISTRATION_KINDS, Block, BlockRef,
 from .controller import StatusController
 from .crypto import oracle_secret, sha256
 from .errors import BeyondFinality, HeightBeyondTip, InvalidScenario
-from .gateway import BurnTx, GatewayState, LockTx, build_chains
-from .ledger import AccountId, TokenId, account_id, wrapped_symbol
+from .gateway import BurnTx, LockTx, build_chains
+from .ledger import (ADDRESS_LEN, WRAPPED_PREFIX, AccountId, TokenId,
+                     account_id, wrapped_symbol)
 from .nebula import OracleRoster, default_threshold
 from .oracles import Behavior, OracleIdentity, OracleNetwork
 from .ports import DESTINATION, ORIGIN
@@ -199,7 +200,7 @@ class Scenario:
         for symbol in self.tokens:
             if not isinstance(symbol, str) or not 1 <= len(symbol) <= 32:
                 raise InvalidScenario(f"bad token symbol {symbol!r}")
-            if symbol.startswith("sw"):
+            if symbol.startswith(WRAPPED_PREFIX):
                 raise InvalidScenario(
                     f"original token {symbol!r} may not use the wrapped prefix")
             if symbol in seen_tokens:
@@ -262,7 +263,8 @@ class Scenario:
                     user_steps += 1
                 elif op == "user_burn":
                     symbol = step.get("token")
-                    if not isinstance(symbol, str) or not symbol.startswith("sw"):
+                    if not isinstance(symbol, str) or \
+                            not symbol.startswith(WRAPPED_PREFIX):
                         raise InvalidScenario("burn needs a wrapped token symbol")
                     _int(step.get("amount"), "amount")
                     _account(step.get("holder"), "holder")
@@ -375,9 +377,9 @@ def resolve_address(spec: str) -> bytes:
     40-character spec is an alias: bytes.fromhex would skip its spaces.
     A Runner memoizes it, so a run hashes each spec once (see
     Runner._account_id); it keeps no state itself."""
-    if len(spec) == 40 and _HEX_DIGITS.issuperset(spec):
+    if len(spec) == 2 * ADDRESS_LEN and _HEX_DIGITS.issuperset(spec):
         return bytes.fromhex(spec)
-    return sha256(b"addr:" + spec.encode("utf-8"))[:20]
+    return sha256(b"addr:" + spec.encode("utf-8"))[:ADDRESS_LEN]
 
 
 @dataclass
@@ -412,10 +414,11 @@ class Runner:
       takes the account from the chain's table;
     - a payload entry's `to_json()`: the round report and the reveal's
       digest;
+    - a state's accounting, built once by the state
+      (GatewayState.accounting): the records of every block that stores
+      that state, the header's genesis and the canonical summaries;
     - a chain's canonical summary (tip, height, branch, accounting), kept
-      per chain while its tip is unchanged; its accounting dict also goes
-      to the header's genesis and to the records of the blocks on the
-      same state object;
+      per chain while its tip is unchanged;
     - a swap's id string (encoding.SwapId): its receipt, registration and
       execution events, round report entry and controller transitions;
     - a relay round's report, the one dict `relay_round` returns: its
@@ -475,10 +478,9 @@ class Runner:
         # id(tx) -> (what its receipt records, its index in swap_ids or
         # None), from submission to inclusion
         self._in_flight: dict[int, tuple[dict, int | None]] = {}
-        # chain id -> (a state, its accounting, and once a canonical section
-        # has read them, the tip and its summary), see _accounting, _summary
-        self._last: dict[int, tuple[GatewayState, dict, BlockRef | None,
-                                    dict | None]] = {}
+        # chain id -> its canonical tip and summary when last written, see
+        # _summary
+        self._last: dict[int, tuple[BlockRef, dict]] = {}
 
     def _account_id(self, chain_id: int, spec: str) -> AccountId:
         """The one AccountId of an account spec on a chain, from that
@@ -497,39 +499,25 @@ class Runner:
     def _canonical_json(self) -> dict:
         return {key: self._summary(chain) for key, chain in self._sections}
 
-    def _accounting(self, chain: Chain, state: GatewayState) -> dict:
-        """The ledger accounting of one of the chain's states. The chain's
-        last one is kept with its state and reused while blocks share that
-        state object (a block without transactions stores its parent's), so
-        a block record, the canonical section after it and the blocks
-        without transactions that follow share one dict."""
-        last = self._last.get(chain.chain_id)
-        if last is not None and last[0] is state:
-            return last[1]
-        accounting = state.ledger.accounting()
-        self._last[chain.chain_id] = (state, accounting, None, None)
-        return accounting
-
     def _summary(self, chain: Chain) -> dict:
         """The chain's canonical section: its tip, height, branch and the
-        tip state's accounting. It is kept with that accounting and shared
-        by every record written while the tip is unchanged, unless a block
-        on another state has been recorded in between."""
+        tip state's accounting. It is kept and shared by every record
+        written while the tip is unchanged."""
         tip = chain.canonical_tip
         last = self._last.get(chain.chain_id)
-        if last is not None and last[2] is not None \
-                and last[2].block_hash == tip.block_hash \
-                and last[2].branch == tip.branch:
-            return last[3]
-        state = chain.canonical_state
-        accounting = self._accounting(chain, state)
+        # the two fields that tell tips apart: a BlockRef's own == costs
+        # twice as much, and each block step's canonical section pays it
+        # once per chain
+        if last is not None and last[0].block_hash == tip.block_hash \
+                and last[0].branch == tip.branch:
+            return last[1]
         summary = {
             "tip": tip.block_hash.hex(),
             "height": tip.height,
             "branch": tip.branch,
-            "accounting": accounting,
+            "accounting": chain.canonical_state.accounting(),
         }
-        self._last[chain.chain_id] = (state, accounting, tip, summary)
+        self._last[chain.chain_id] = (tip, summary)
         return summary
 
     def _block_json(self, chain: Chain, block: Block) -> dict:
@@ -550,8 +538,7 @@ class Runner:
             if handle is not None and receipt.status == "ok":
                 self.swap_ids[handle] = registered[receipt.extra["swap_id"]]
         out = block.to_json(txs)
-        out["accounting"] = self._accounting(
-            chain, chain.states[block.ref.block_hash])
+        out["accounting"] = chain.states[block.ref.block_hash].accounting()
         return out
 
     def _header_record(self) -> dict:

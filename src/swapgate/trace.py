@@ -43,7 +43,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TextIO
 
-from .chain import EXECUTION_KINDS, REGISTRATION_KINDS
+from .chain import EXECUTION_KINDS, GENESIS_PARENT, REGISTRATION_KINDS
 from .crypto import canonical_json, parse_json
 from .errors import MalformedTrace
 
@@ -144,7 +144,7 @@ def _genesis_blocks(header: dict) -> list[dict]:
         "chain": int(chain_key),
         "height": 0,
         "hash": info["hash"],
-        "parent": "00" * 32,
+        "parent": GENESIS_PARENT.hex(),
         "events": [],
         "txs": [],
         "accounting": info.get("accounting", {}),

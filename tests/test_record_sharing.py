@@ -2,24 +2,29 @@
 
 A tx's `describe()`, an account's and a payload entry's `to_json()` and a
 swap id's hex string are built once, each chain keeps one account object
-per address, and the Runner keeps one canonical summary per chain
-while its tip is unchanged, so the records a run holds refer to one dict
-or string per fragment instead of a copy per record. A relay round's
-report is one dict, which its record and `Runner.reports` both hold, and a
-tick's record holds the lists `StatusController.tick` returned. A
-user tx's receipt holds a reference to its user record, built once when
-the tx is submitted. The text is unchanged: the pinned digests check that.
+per address, a stored state builds its accounting once, and the Runner
+keeps one canonical summary per chain while its tip is unchanged, so the
+records a run holds refer to one dict or string per fragment instead of a
+copy per record. A relay round's report is one dict, which its record and
+`Runner.reports` both hold, and a tick's record holds the lists
+`StatusController.tick` returned. A user tx's receipt holds a reference to
+its user record, built once when the tx is submitted. The text is
+unchanged: the pinned digests check that.
 """
 
+import copy
 import importlib.util
 from pathlib import Path
 
 import pytest
 
+from swapgate.chain import BlockCtx, BlockRef
 from swapgate.cli import load_scenario
+from swapgate.gateway import LockTx, apply_tx
 from swapgate.ports import DESTINATION, ORIGIN
 from swapgate.scenario import Runner, Scenario, resolve_address
 
+from conftest import ALICE, BOB
 from scenario_gen import random_happy_scenario, reorg_scenario
 
 # distinct dicts reachable from the records of random_happy_scenario(seed=1,
@@ -91,6 +96,50 @@ def test_canonical_summary_is_shared_while_the_tip_is_unchanged(records):
                 shared += 1
             last[chain] = summary
     assert shared > 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: reorg_scenario(1, 40),
+    lambda: load_scenario("stuck_swap_recovery"),
+    lambda: load_scenario("reorg_before_conf"),
+], ids=["reorg_scenario", "stuck_swap_recovery", "reorg_before_conf"])
+def test_one_accounting_dict_per_state(make):
+    """A block without txs stores its parent's state, so its record holds
+    the very accounting dict of its parent's record, or of the header's
+    genesis entry, on a fork too; a canonical section holds its tip
+    block's."""
+    runner = Runner(make())
+    assert runner.run().exit_code == 0
+    # (chain, block hash) -> the accounting of its latest record
+    accounting = {(int(key), info["hash"]): info["accounting"]
+                  for key, info in runner.records[0]["genesis"].items()}
+    without_txs = 0
+    for record in runner.records:
+        for block in record.get("blocks", ()):
+            if not block["txs"]:
+                parent = accounting[block["chain"], block["parent"]]
+                assert block["accounting"] is parent
+                without_txs += 1
+            accounting[block["chain"], block["hash"]] = block["accounting"]
+        for key, summary in record.get("canonical", {}).items():
+            assert summary["accounting"] is accounting[int(key),
+                                                       summary["tip"]]
+    assert without_txs > 0
+
+
+def test_accounting_memo_does_not_survive_clone(world):
+    """A state's accounting is built once, and a clone, which a block
+    changes, builds its own."""
+    a = world.origin.canonical_state
+    assert a.accounting() is a.accounting()
+    before = copy.deepcopy(a.accounting())
+    b = a.clone()
+    ctx = BlockCtx(BlockRef(ORIGIN, "main", 1, b"\xee" * 32),
+                   world.origin.accounts)
+    apply_tx(b, LockTx(ORIGIN, ALICE, "T", 100, BOB), ctx)
+    assert b.accounting() == b.ledger.accounting()
+    assert b.accounting() != a.accounting()
+    assert a.accounting() == before
 
 
 def test_transitions_share_the_swap_id_and_label_strings(records):

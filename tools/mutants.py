@@ -216,6 +216,13 @@ MUTANTS = [
      "sender, receiver, amount, seq)))",
      "receiver, sender, amount, seq)))",
      "tier1", "caught", "tests/test_ports.py"),
+    # a stored state builds its accounting once: rebuilt on every call, each
+    # record of the state holds its own equal copy, with the same bytes
+    ("stored state's accounting rebuilt on every call", "swapgate/gateway.py",
+     "    @built_once\n"
+     "    def accounting(self) -> dict:\n",
+     "    def accounting(self) -> dict:\n",
+     "tier1", "caught", "tests/test_record_sharing.py"),
 ]
 
 SELFCHECK = """
