@@ -72,6 +72,11 @@ ASSERT_KEYS = {check: STEP_KEYS["assert"] | needs.keys()
                for check, needs in ASSERT_CHECKS.items()}
 ASSERT_KEYS["backing"].add("relation")
 
+# The range of each count that a run loops over or allocates by, and the
+# reason for its upper bound, which the message names.
+ORACLE_COUNT = (1, 64, "a relay round signs and verifies once per oracle")
+STEP_BLOCKS = (1, 1000, "one trace record holds every block of its step")
+
 
 @dataclass
 class ChainParams:
@@ -98,13 +103,14 @@ class OracleConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "OracleConfig":
         _known_keys(obj, SECTION_KEYS[cls], "oracles")
-        count = _int(obj.get("count", 5), "oracles: count", 1)
+        count = _int(obj.get("count", 5), "oracles: count", *ORACLE_COUNT)
+        # the default roster is built only once its count is bounded
+        behaviors = obj["behaviors"] if "behaviors" in obj else ["honest"] * count
         return cls(
             count=count,
             threshold=_int(obj.get("threshold", default_threshold(count)),
                            "oracles: threshold"),
-            behaviors=list(_shaped(obj.get("behaviors", ["honest"] * count),
-                                   list, "oracles: behaviors")),
+            behaviors=list(_shaped(behaviors, list, "oracles: behaviors")),
         )
 
     def to_json(self) -> dict:
@@ -241,7 +247,7 @@ class Scenario:
                     known = branches[_chain(step.get("chain"))]
                 if op == "produce_block":
                     if "count" in step:
-                        _int(step["count"], "count", 1)
+                        _int(step["count"], "count", *STEP_BLOCKS)
                     if step.get("branch") is not None:
                         _member(step["branch"], known, "unknown branch")
                 elif op == "fork_at":
@@ -254,7 +260,7 @@ class Scenario:
                     known.add(name)
                 elif op == "extend_branch":
                     _member(step.get("branch"), known, "unknown branch")
-                    _int(step.get("count"), "count", 1)
+                    _int(step.get("count"), "count", *STEP_BLOCKS)
                 elif op == "user_lock":
                     _member(step.get("token"), tokens, "unknown token")
                     _int(step.get("amount"), "amount")
@@ -341,11 +347,16 @@ def _shaped(value, kind: type, what: str):
     return value
 
 
-def _int(value, what: str, low: int | None = None) -> int:
-    """`value`, if it is a JSON integer of at least `low`; a JSON true or
-    false is not one, though Python counts bool as int."""
-    if type(value) is not int or (low is not None and value < low):
+def _int(value, what: str, low: int | None = None, high: int | None = None,
+         why: str = "") -> int:
+    """`value`, if it is a JSON integer of at least `low` and at most
+    `high`, whose reason `why` gives; a JSON true or false is not one,
+    though Python counts bool as int."""
+    if type(value) is not int or (low is not None and value < low) or \
+            (high is not None and value > high):
         bound = "" if low is None else f" >= {low}"
+        if high is not None:
+            bound = f" from {low} to {high}: {why}"
         raise InvalidScenario(f"{what} must be an integer{bound}")
     return value
 

@@ -11,6 +11,8 @@ It reads only the trace format TRACE_FORMAT, in which a block's receipt of
 a lock, burn or reveal names the earlier record that submitted the tx. One
 more walk checks those references: for each one it searches all the
 records before the block's, where the streaming check keeps a map by step.
+Another checks backing after each record with a canonical section, where
+the streaming check skips a pair of accountings it has found clean.
 """
 
 from __future__ import annotations
@@ -125,8 +127,9 @@ def evaluate_records(records: list[dict]) -> list[dict]:
     """Re-evaluate the built-in global invariants over trace records.
 
     Checks, in order: per-block token conservation, receipt references,
-    at-most-once canonical execution per swap, the status-machine
-    discipline of controller transitions, and recorded assertion verdicts.
+    at-most-once canonical execution per swap, backing at each canonical
+    state, the status-machine discipline of controller transitions, and
+    recorded assertion verdicts.
     """
     violations: list[dict] = []
     canonical, linkage_violations = canonical_block_lists(records)
@@ -166,6 +169,9 @@ def evaluate_records(records: list[dict]) -> list[dict]:
                           f"canonical branch",
             })
 
+    # backing at every canonical state
+    _check_backing(records, violations)
+
     # controller status machine
     statuses: dict[str, str | None] = {}
     for record in records:
@@ -195,6 +201,44 @@ def _check_conservation(block: dict, violations: list[dict]) -> None:
                           f"height {block['height']}: {symbol} supply "
                           f"{acct['supply']} != locked {acct['locked']} + "
                           f"held {acct['balances_sum']}",
+            })
+
+
+def _check_backing(records: list[dict], violations: list[dict]) -> None:
+    """After every record with a canonical section, each wrapped token's
+    supply in the destination's latest section is at most the locked
+    amount of its original in the origin's latest section (0 where that
+    lists none). A breach is reported once per origin tip, destination tip
+    and symbol, the tips being each chain's latest, or its genesis."""
+    tips = {key: info["hash"]
+            for key, info in records[0].get("genesis", {}).items()}
+    latest: dict[str, dict] = {}
+    reported: set[tuple] = set()
+    for record in records:
+        canonical = record.get("canonical", {})
+        if not canonical:
+            continue
+        for key, summary in canonical.items():
+            tips[key] = summary["tip"]
+            latest[key] = summary
+        locked = latest["0"]["accounting"] if "0" in latest else {}
+        issued = latest["1"]["accounting"] if "1" in latest else {}
+        for symbol, acct in issued.items():
+            if not symbol.startswith("sw"):
+                continue
+            original = symbol[len("sw"):]
+            backed = locked[original]["locked"] if original in locked else 0
+            breach = (tips.get("0"), tips.get("1"), symbol)
+            if acct["supply"] <= backed or breach in reported:
+                continue
+            reported.add(breach)
+            at = f"step {record['step']}" if "step" in record else record["op"]
+            violations.append({
+                "invariant": "backing",
+                "detail": f"{at}: {symbol} supply {acct['supply']} > locked "
+                          f"{backed} of {original} at origin tip "
+                          f"{str(breach[0])[:16]}, destination tip "
+                          f"{str(breach[1])[:16]}",
             })
 
 

@@ -216,24 +216,3 @@ def reorg_scenario(seed: int, rounds: int = 40) -> Scenario:
                      for sender in SENDERS],
         "timeline": timeline,
     })
-
-
-def backing_holds_throughout(records: list[dict], symbols: list[str]) -> bool:
-    """locked(T) on the origin >= supply(swT) on the destination at every
-    canonical state reported in the trace."""
-    locked = {sym: 0 for sym in symbols}
-    supply = {sym: 0 for sym in symbols}
-    for record in records:
-        canonical = record.get("canonical")
-        if not canonical:
-            continue
-        for sym in symbols:
-            if "0" in canonical:
-                locked[sym] = canonical["0"]["accounting"].get(
-                    sym, {}).get("locked", 0)
-            if "1" in canonical:
-                supply[sym] = canonical["1"]["accounting"].get(
-                    "sw" + sym, {}).get("supply", 0)
-            if locked[sym] < supply[sym]:
-                return False
-    return True

@@ -39,7 +39,6 @@ from reference_codec import (
 from scenario_gen import (
     ADVERSARIAL_BEHAVIOR_POOL,
     adversarial_scenario,
-    backing_holds_throughout,
     random_happy_scenario,
 )
 
@@ -69,6 +68,12 @@ def criterion(num, name):
             print(f"\nACCEPTANCE {num} {name}: PASS")
         return wrapper
     return decorate
+
+
+def backing_violations(result) -> list[dict]:
+    """The run's reports that a wrapped supply exceeded the origin's locked
+    amount of its original at some canonical state."""
+    return [v for v in result.violations if v["invariant"] == "backing"]
 
 
 def canonical_execution_counts(chains) -> dict[bytes, int]:
@@ -107,7 +112,7 @@ def test_criterion_1_conservation_quiescence():
             locked = ledger0.locked.get(sym, 0)
             supply = ledger1.supply.get("sw" + sym, 0)
             assert locked == supply, (seed, sym, locked, supply)
-        assert backing_holds_throughout(result.records, scenario.tokens), seed
+        assert not backing_violations(result), seed
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
 
@@ -129,7 +134,7 @@ def test_criterion_2_byzantine_minority_safety():
                 for report in runner.reports:
                     assert not (report["outcome"] == "submitted"
                                 and report["forged_chosen"]), behaviors
-                assert backing_holds_throughout(result.records, ["T"]), behaviors
+                assert not backing_violations(result), behaviors
                 checked += 1
     assert checked == 1526  # sum of C(5,k) * 5^k for k in 0..3
 
@@ -140,8 +145,7 @@ def test_criterion_2_byzantine_minority_safety():
         for report in runner.reports:
             assert not (report["outcome"] == "submitted"
                         and report["forged_chosen"]), name
-        symbols = load_scenario(name).tokens
-        assert backing_holds_throughout(result.records, symbols), name
+        assert not backing_violations(result), name
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"took {elapsed:.1f}s, budget 30s"
 

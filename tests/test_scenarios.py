@@ -85,12 +85,18 @@ def test_unfinal_lock_reorged_pins_the_unsafe_depth_hole():
     """A known hole, pinned and not fixed: with confirmation depth 2 below
     finality depth 3, a lock is relayed, minted and finalized while a legal
     origin reorg can still orphan it. The run and the check both fail with
-    exactly a retracted finalized status and an unbacked wrapped supply."""
+    exactly a wrapped supply the origin no longer backs, once, at the tips
+    of the reorg's step; a retracted finalized status; and the scenario's
+    own backing assert."""
     path = SCENARIO_DIR / "failing" / "unfinal_lock_reorged.json"
     result = Runner(load_scenario(str(path))).run()
     assert result.exit_code == 1
+    [tips] = [r["canonical"] for r in result.records if r.get("step") == 7]
     assert [(v["invariant"], v["detail"].split(": ", 1)[1])
             for v in result.violations] == [
+        ("backing", f"swT supply 100 > locked 0 of T at origin tip "
+                    f"{tips['0']['tip'][:16]}, destination tip "
+                    f"{tips['1']['tip'][:16]}"),
         ("status_machine", "finalized status retracted"),
         ("assertion", "backing failed: locked 0 vs wrapped supply 100"),
     ]
@@ -474,6 +480,58 @@ def test_cli_run_field_of_wrong_type_is_invalid(tmp_path, capsys, fields):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+ORACLES_BOUND = ("oracles: count must be an integer from 1 to 64: a relay "
+                 "round signs and verifies once per oracle")
+BLOCKS_BOUND = ("count must be an integer from 1 to 1000: one trace record "
+                "holds every block of its step")
+FORK = {"op": "fork_at", "chain": 0, "height": 0, "name": "b"}
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"oracles": {"count": 2**64}}, ORACLES_BOUND),
+    ({"oracles": {"count": 2**64, "behaviors": ["honest"]}}, ORACLES_BOUND),
+    ({"oracles": {"count": 65}}, ORACLES_BOUND),
+    ({"timeline": [{"op": "produce_block", "chain": 0, "count": 2**64}]},
+     f"timeline step 0: {BLOCKS_BOUND}"),
+    ({"timeline": [{"op": "produce_block", "chain": 0, "count": 1001}]},
+     f"timeline step 0: {BLOCKS_BOUND}"),
+    ({"timeline": [FORK, {"op": "extend_branch", "chain": 0, "branch": "b",
+                          "count": 2**64}]},
+     f"timeline step 1: {BLOCKS_BOUND}"),
+], ids=["oracles_2^64", "oracles_2^64_with_behaviors", "oracles_65",
+        "produce_2^64", "produce_1001", "extend_2^64"])
+def test_count_beyond_its_bound_is_invalid(tmp_path, capsys, monkeypatch,
+                                           fields, message):
+    """Each count that a run loops over or allocates by has an upper bound,
+    checked before anything is built by it, and the message names its
+    reason. Only validation runs here, never a run, so that a count
+    accepted by mistake fails at once rather than running without end:
+    `swapgate run` exits 2 with one line before its run would start."""
+    scenario = {"tokens": ["T"],
+                "balances": [{"account": "alice", "token": "T", "amount": 10}],
+                **fields}
+    with pytest.raises(InvalidScenario) as raised:
+        Scenario.from_json(scenario)
+    assert str(raised.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario))
+    monkeypatch.setattr(Runner, "run", lambda self: pytest.fail("ran"))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == \
+        [f"invalid scenario: {message}"]
+
+
+def test_counts_at_their_bounds_are_valid():
+    """The bounds themselves are accepted, a default roster of the most
+    oracles included."""
+    scenario = Scenario.from_json({
+        "tokens": ["T"], "oracles": {"count": 64},
+        "timeline": [{"op": "produce_block", "chain": 0, "count": 1000},
+                     FORK, {"op": "extend_branch", "chain": 0, "branch": "b",
+                            "count": 1000}]})
+    assert scenario.oracles.behaviors == ["honest"] * 64
+
+
 # 40 characters, but a space where a hex digit would be: bytes.fromhex
 # skips it and reads 19 bytes
 SPACED = "aa bbccddeeff00112233445566778899aabbcc "
@@ -527,6 +585,13 @@ def _zero(key):
     return tamper
 
 
+def _chain_under_two_keys(records):
+    """A canonical section that names chain 0 again, as "00": no last tip
+    of the two is the chain's."""
+    section = _first(records, "canonical")
+    section["00"] = section["0"]
+
+
 def _nested_too_deep(records):
     """A line nested deeper than json.loads can recurse, given as text."""
     records.insert(1, '{"op":"x","a":' + "[" * 5000 + "]" * 5000 + "}")
@@ -536,10 +601,10 @@ def _nested_too_deep(records):
     lambda records: records.pop(),          # truncated: no end record
     _drop_block_hash, _drop_supply, _drop_transition_swap_id,
     _genesis_as_list, _nested_too_deep, _zero("accounting"), _zero("txs"),
-    _zero("canonical"), _zero("transitions"),
+    _zero("canonical"), _zero("transitions"), _chain_under_two_keys,
 ], ids=["truncated", "block_hash", "supply", "transition_swap_id",
         "genesis_list", "nested_too_deep", "accounting_zero", "txs_zero",
-        "canonical_zero", "transitions_zero"])
+        "canonical_zero", "transitions_zero", "chain_under_two_keys"])
 def test_cli_check_malformed_exit_2(tmp_path, capsys, tamper):
     """A trace that is cut short, that holds a line json.loads refuses, or
     whose records parse but lack a field or hold one of the wrong type, is

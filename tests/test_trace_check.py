@@ -221,6 +221,19 @@ def dangling_round_ref(records, rng):
     return "tx_reference"
 
 
+def unback_wrapped_supply(records, rng):
+    # a wrapped token (swT in the bundled bases) minted beyond what the
+    # origin locks, in one canonical section, with its holdings raised
+    # alike so that the section still conserves
+    acct = rng.choice([
+        acct for r in records if "canonical" in r
+        for symbol, acct in r["canonical"]["1"]["accounting"].items()
+        if symbol.startswith("sw")])
+    acct["supply"] += 10**6
+    acct["balances_sum"] += 10**6
+    return "backing"
+
+
 def drop_block(records, rng):
     # a block with no tx, so no execution or reference, and no
     # conservation fault, so that the other tampers' faults stay in the
@@ -257,7 +270,7 @@ def parent_cycle(records, rng):
 CUTS = [drop_block, self_parent, parent_cycle]
 TAMPERS = [break_conservation, double_execution, retract_finalized,
            revert_to_processed, illegal_transition, fail_assert,
-           dangling_user_ref, dangling_round_ref, *CUTS]
+           dangling_user_ref, dangling_round_ref, unback_wrapped_supply, *CUTS]
 BASES = ["happy_path", "round_trip", "reorg_before_conf", "happy:5",
          "reorg:4"]
 
@@ -325,6 +338,20 @@ def test_reference_tampers_are_named(tamper, named):
                          violation["detail"])
 
 
+def test_backing_tamper_is_named():
+    """happy_path's one mint, raised in one canonical section beyond the
+    origin's lock, its holdings alike: backing is broken, and nothing
+    else."""
+    for seed in range(3):
+        records, text, _ = tampered("happy_path", [unback_wrapped_supply],
+                                    random.Random(seed))
+        [violation] = assert_agrees(records, text)
+        assert violation["invariant"] == "backing"
+        assert re.search(r": swT supply 1000100 > locked 100 of T at origin "
+                         r"tip [0-9a-f]{16}, destination tip [0-9a-f]{16}$",
+                         violation["detail"])
+
+
 @pytest.mark.parametrize("version", [None, 1, 3, "2"])
 def test_a_trace_of_another_format_is_malformed(version):
     """A run's text with the header's format removed, as the traces
@@ -345,8 +372,9 @@ def test_a_trace_of_another_format_is_malformed(version):
 
 def test_forged_quorum_fails_no_forged_accepted():
     """Two of three oracles double every amount and meet threshold 2, so
-    their forged payload is delivered and minted; the assertion names the
-    forged pulse, and both evaluators report it alone."""
+    their forged payload is delivered and minted: both evaluators report
+    the wrapped supply the lock does not back, and the assertion, which
+    names the forged pulse."""
     scenario = load_scenario("happy_path").to_json()
     scenario["oracles"] = {"count": 3, "threshold": 2, "behaviors": [
         "honest", "wrong_amount", "wrong_amount"]}
@@ -360,10 +388,31 @@ def test_forged_quorum_fails_no_forged_accepted():
     ]
     result = Runner(Scenario.from_json(scenario)).run()
     assert result.exit_code == 1
-    [violation] = assert_agrees(result.records, trace_text(result))
-    assert violation["invariant"] == "assertion"
-    assert violation["detail"] == ("step 4: no_forged_accepted failed: "
+    backing, assertion = assert_agrees(result.records, trace_text(result))
+    assert backing["invariant"] == "backing"
+    assert backing["detail"].startswith("step 3: swT supply 200 > locked 100 ")
+    assert assertion["invariant"] == "assertion"
+    assert assertion["detail"] == ("step 4: no_forged_accepted failed: "
                                    "forged pulse 1 accepted on chain 1")
+
+
+def test_compromised_committee_breaks_backing_in_run_and_check():
+    """byzantine_minority with threshold 3 and its asserts stripped: the
+    three oracles that double every amount meet the threshold alone, which
+    the paper's trust assumption excludes but validation accepts. Nothing
+    is asserted, yet the run and the check both fail with the same backing
+    violation."""
+    scenario = load_scenario("byzantine_minority").to_json()
+    scenario["oracles"]["threshold"] = 3
+    scenario["timeline"] = [step for step in scenario["timeline"]
+                            if step["op"] != "assert"]
+    result = Runner(Scenario.from_json(scenario)).run()
+    assert result.exit_code == 1
+    [violation] = result.violations
+    assert violation["invariant"] == "backing"
+    assert violation["detail"].startswith("step 3: swT supply 200 > locked 100 ")
+    assert assert_agrees(result.records, trace_text(result)) == \
+        result.violations
 
 
 def test_self_parent_block_at_the_tip_is_named():

@@ -192,8 +192,15 @@ MUTANTS = [
      "tier1", "caught", "tests/test_ledger.py"),
     # the exactly_once violations of several swaps come out in dict order
     ("exactly-once unsorted", "swapgate/trace.py",
-     "for sid, count in sorted(exec_counts.items()):",
-     "for sid, count in exec_counts.items():",
+     "for sid, count in sorted(exec_counts.items()) if count > 1]",
+     "for sid, count in exec_counts.items() if count > 1]",
+     "tier1", "caught", "tests/test_trace_check.py"),
+    # the backing rule finds a breach where the origin locks more than the
+    # destination has minted of a wrapped token it lists, as while a
+    # second lock of a token is in flight, and none where it has minted more
+    ("backing comparison reversed", "swapgate/trace.py",
+     'if acct["supply"] <= backed:',
+     'if acct["supply"] >= backed:',
      "tier1", "caught", "tests/test_trace_check.py"),
     # each chunk is cut at its last newline, which goes to the next line
     ("_lines cuts before its newline", "swapgate/trace.py",
