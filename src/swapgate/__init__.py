@@ -27,7 +27,7 @@ from .gateway import (
     SendDataTx,
     build_chains,
 )
-from .ledger import AccountId, Ledger, TokenId, wrapped_symbol
+from .ledger import AccountId, Ledger, wrapped_symbol
 from .nebula import (
     NEBULA_ADDRESS,
     NebulaState,

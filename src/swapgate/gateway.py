@@ -1,7 +1,7 @@
 """Wiring between the chain simulator and the gateway contracts.
 
 Defines the transaction vocabulary, the per-branch embedded state (ledger,
-token table, the chain's one port, verification contract), the dispatcher
+the chain's one port, verification contract), the dispatcher
 that the chain invokes for every transaction inside block application, and
 build_chains, which hands each chain a builder of its genesis state.
 """
@@ -14,7 +14,7 @@ from .chain import BlockCtx, Chain
 from .crypto import built_once
 from .encoding import PayloadEntry
 from .errors import WrongChain
-from .ledger import AccountId, Ledger, TokenId
+from .ledger import AccountId, Ledger
 from .nebula import NEBULA_ADDRESS, NebulaState, OracleRoster
 from .ports import (DESTINATION, IB_PORT_ADDRESS, LU_PORT_ADDRESS, ORIGIN,
                     IssueBurnPort, LockUnlockPort)
@@ -110,19 +110,18 @@ Tx = LockTx | BurnTx | PulseTx | SendDataTx
 @dataclass
 class GatewayState:
     """Everything a branch snapshot carries besides the blocks themselves:
-    the ledger, the tokens the chain knows (symbol to TokenId), the chain's
-    one port (lock-unlock on the origin, issue-burn on the destination) and
-    the verification contract. Two states are equal when all four
+    the ledger, the chain's one port (lock-unlock on the origin, issue-burn
+    on the destination), which also keeps the symbols the chain serves, and
+    the verification contract. Two states are equal when all three
     components are (see EmbeddedState)."""
 
     ledger: Ledger
-    tokens: dict[str, TokenId]
     port: LockUnlockPort | IssueBurnPort
     nebula: NebulaState
 
     def clone(self) -> "GatewayState":
-        return GatewayState(self.ledger.clone(), dict(self.tokens),
-                            self.port.clone(), self.nebula.clone())
+        return GatewayState(self.ledger.clone(), self.port.clone(),
+                            self.nebula.clone())
 
     @built_once
     def accounting(self) -> dict:
@@ -145,14 +144,14 @@ def apply_tx(state: GatewayState, tx: Tx, ctx: BlockCtx) -> dict | None:
     if isinstance(tx, LockTx):
         if not isinstance(port, LockUnlockPort):
             raise WrongChain("this chain has no lock-unlock port")
-        swap_id = port.lock(state.ledger, state.tokens, ctx, tx.sender,
-                            tx.symbol, tx.amount, tx.receiver)
+        swap_id = port.lock(state.ledger, ctx, tx.sender, tx.symbol,
+                            tx.amount, tx.receiver)
         return {"swap_id": swap_id.hex()}
     if isinstance(tx, BurnTx):
         if not isinstance(port, IssueBurnPort):
             raise WrongChain("this chain has no issue-burn port")
-        swap_id = port.burn(state.ledger, state.tokens, ctx, tx.holder,
-                            tx.symbol, tx.amount, tx.receiver)
+        swap_id = port.burn(state.ledger, ctx, tx.holder, tx.symbol,
+                            tx.amount, tx.receiver)
         return {"swap_id": swap_id.hex()}
     if isinstance(tx, PulseTx):
         state.nebula.submit_pulse(ctx, tx.data_hash, tx.declared_height,
@@ -163,7 +162,7 @@ def apply_tx(state: GatewayState, tx: Tx, ctx: BlockCtx) -> dict | None:
         outcomes = state.nebula.submit_send_data(
             ctx, tx.entries,
             router=lambda entry: port.execute_attested(
-                state.ledger, state.tokens, ctx, entry, caller=NEBULA_ADDRESS))
+                state.ledger, ctx, entry, caller=NEBULA_ADDRESS))
         return {"entry_outcomes": outcomes}
     raise TypeError(f"unknown transaction type {type(tx).__name__}")
 
@@ -174,37 +173,30 @@ def apply_tx(state: GatewayState, tx: Tx, ctx: BlockCtx) -> dict | None:
 def build_chains(roster: OracleRoster,
                  relevance_window: dict[int, int],
                  finality_depth: dict[int, int],
-                 tokens: list[TokenId],
-                 initial_balances: list[tuple[TokenId, AccountId, int]]
+                 tokens: list[str],
+                 initial_balances: list[tuple[str, AccountId, int]]
                  ) -> dict[int, Chain]:
     """Create the origin and destination chains; the dicts map chain id to
-    that chain's setting. The tokens and balances are checked once, here;
-    each chain is then handed a builder of its genesis state, from plain
-    parts, which it calls once for its own genesis and once for its replay
-    (see Chain). Each chain keeps its own table of AccountIds (see
-    Chain)."""
-    known: dict[str, TokenId] = {}
-    for token in tokens:
-        if token.chain != ORIGIN:
-            raise ValueError(f"original token {token.symbol!r} must live on "
-                             f"chain {ORIGIN}")
-        if known.setdefault(token.symbol, token) != token:
-            raise ValueError(f"conflicting registration for {token.symbol!r}")
+    that chain's setting. `tokens` are the origin's original symbols. The
+    balances are checked once, here; each chain is then handed a builder
+    of its genesis state, from plain parts, which it calls once for its own
+    genesis and once for its replay (see Chain). Each chain keeps its own
+    table of AccountIds (see Chain)."""
     for _, account, _ in initial_balances:
         if account.chain != ORIGIN:
             raise ValueError("initial balances are seeded on the origin chain")
+    originals = frozenset(tokens)
 
     def origin() -> GatewayState:
-        ledger = Ledger(ORIGIN, lock_authority=LU_PORT_ADDRESS)
-        for token, account, amount in initial_balances:
-            ledger.credit_initial(token, account, amount)
-        return GatewayState(ledger, dict(known), LockUnlockPort(),
+        ledger = Ledger(lock_authority=LU_PORT_ADDRESS)
+        for symbol, account, amount in initial_balances:
+            ledger.credit_initial(symbol, account, amount)
+        return GatewayState(ledger, LockUnlockPort(originals=originals),
                             NebulaState(ORIGIN, roster, relevance_window[ORIGIN]))
 
     def destination() -> GatewayState:
         return GatewayState(
-            Ledger(DESTINATION, mint_authority=IB_PORT_ADDRESS), {},
-            IssueBurnPort(),
+            Ledger(mint_authority=IB_PORT_ADDRESS), IssueBurnPort(),
             NebulaState(DESTINATION, roster, relevance_window[DESTINATION]))
 
     return {cid: Chain(cid, genesis, apply_tx, finality_depth[cid])

@@ -4,8 +4,9 @@ Amounts are unsigned integers in minimal units. Maps are kept sparse (zero
 entries are pruned, all by _add) so that two ledgers with the same holdings
 compare equal. Past genesis seeding, balances change only through the pool
 and supply operations, each gated to the configured port contract address.
-The tokens a chain knows are not kept here: they are a plain symbol to
-TokenId dict in the chain's state (gateway.GatewayState.tokens).
+A token is its symbol: an original never carries the WRAPPED_PREFIX, and
+WRAPPED_PREFIX + X is X's wrapped form on the destination chain. Which
+tokens a chain serves is kept by its port (see ports).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .errors import (
     InsufficientLocked,
     NotAuthorized,
     NotWrappedToken,
-    WrongChain,
     ZeroAmount,
 )
 
@@ -51,17 +51,6 @@ def account_id(accounts: dict, chain: int, address: bytes) -> AccountId:
     return account
 
 
-@dataclass(frozen=True)
-class TokenId:
-    symbol: str
-    chain: int
-    wrapped_of: "TokenId | None" = None
-
-    @property
-    def is_wrapped(self) -> bool:
-        return self.wrapped_of is not None
-
-
 def wrapped_symbol(original: str) -> str:
     return WRAPPED_PREFIX + original
 
@@ -86,7 +75,6 @@ class Ledger:
     map once it is empty.
     """
 
-    chain_id: int
     lock_authority: bytes | None = None
     mint_authority: bytes | None = None
     balances: dict[str, dict[bytes, int]] = field(default_factory=dict)
@@ -95,8 +83,8 @@ class Ledger:
 
     # --- queries -------------------------------------------------------------
 
-    def balance(self, token: TokenId, account: AccountId) -> int:
-        return self.balances.get(token.symbol, {}).get(account.address, 0)
+    def balance(self, symbol: str, account: AccountId) -> int:
+        return self.balances.get(symbol, {}).get(account.address, 0)
 
     # --- internal mutators ----------------------------------------------------
 
@@ -117,72 +105,60 @@ class Ledger:
         if amount <= 0:
             raise ZeroAmount(f"amount must be positive, got {amount}")
 
-    def _check_token_chain(self, token: TokenId) -> None:
-        if token.chain != self.chain_id:
-            raise WrongChain(
-                f"token {token.symbol!r} lives on chain {token.chain}, "
-                f"not chain {self.chain_id}")
-
     # --- seeding ---------------------------------------------------------------
 
-    def credit_initial(self, token: TokenId, account: AccountId, amount: int) -> None:
+    def credit_initial(self, symbol: str, account: AccountId, amount: int) -> None:
         """Genesis-time seeding; raises supply along with the balance."""
         self._check_amount(amount)
-        self._check_token_chain(token)
-        self._credit(token.symbol, account.address, amount)
-        _add(self.supply, token.symbol, amount)
+        self._credit(symbol, account.address, amount)
+        _add(self.supply, symbol, amount)
 
     # --- port operations ---------------------------------------------------------
 
-    def lock(self, token: TokenId, owner: AccountId, amount: int,
+    def lock(self, symbol: str, owner: AccountId, amount: int,
              caller: bytes) -> None:
         if self.lock_authority is None or caller != self.lock_authority:
             raise NotAuthorized("only the lock-unlock port may lock funds")
         self._check_amount(amount)
-        self._check_token_chain(token)
-        self._debit(token.symbol, owner.address, amount)
-        _add(self.locked, token.symbol, amount)
+        self._debit(symbol, owner.address, amount)
+        _add(self.locked, symbol, amount)
 
-    def unlock(self, token: TokenId, receiver: AccountId, amount: int,
+    def unlock(self, symbol: str, receiver: AccountId, amount: int,
                caller: bytes) -> None:
         if self.lock_authority is None or caller != self.lock_authority:
             raise NotAuthorized("only the lock-unlock port may unlock funds")
         self._check_amount(amount)
-        self._check_token_chain(token)
-        pool = self.locked.get(token.symbol, 0)
+        pool = self.locked.get(symbol, 0)
         if pool < amount:
             raise InsufficientLocked(
-                f"{token.symbol}: locked pool holds {pool}, needs {amount}")
-        _add(self.locked, token.symbol, -amount)
-        self._credit(token.symbol, receiver.address, amount)
+                f"{symbol}: locked pool holds {pool}, needs {amount}")
+        _add(self.locked, symbol, -amount)
+        self._credit(symbol, receiver.address, amount)
 
-    def mint(self, token: TokenId, receiver: AccountId, amount: int,
+    def mint(self, symbol: str, receiver: AccountId, amount: int,
              caller: bytes) -> None:
         if self.mint_authority is None or caller != self.mint_authority:
             raise NotAuthorized("only the issue-burn port may mint")
-        if not token.is_wrapped:
-            raise NotWrappedToken(f"{token.symbol!r} is not a wrapped token")
+        if not symbol.startswith(WRAPPED_PREFIX):
+            raise NotWrappedToken(f"{symbol!r} is not a wrapped token")
         self._check_amount(amount)
-        self._check_token_chain(token)
-        self._credit(token.symbol, receiver.address, amount)
-        _add(self.supply, token.symbol, amount)
+        self._credit(symbol, receiver.address, amount)
+        _add(self.supply, symbol, amount)
 
-    def burn(self, token: TokenId, owner: AccountId, amount: int,
+    def burn(self, symbol: str, owner: AccountId, amount: int,
              caller: bytes) -> None:
         if self.mint_authority is None or caller != self.mint_authority:
             raise NotAuthorized("only the issue-burn port may burn")
-        if not token.is_wrapped:
-            raise NotWrappedToken(f"{token.symbol!r} is not a wrapped token")
+        if not symbol.startswith(WRAPPED_PREFIX):
+            raise NotWrappedToken(f"{symbol!r} is not a wrapped token")
         self._check_amount(amount)
-        self._check_token_chain(token)
-        self._debit(token.symbol, owner.address, amount)
-        _add(self.supply, token.symbol, -amount)
+        self._debit(symbol, owner.address, amount)
+        _add(self.supply, symbol, -amount)
 
     # --- snapshots -----------------------------------------------------------------
 
     def clone(self) -> "Ledger":
         return Ledger(
-            chain_id=self.chain_id,
             lock_authority=self.lock_authority,
             mint_authority=self.mint_authority,
             balances={sym: dict(per) for sym, per in self.balances.items()},

@@ -4,11 +4,12 @@ The lock-unlock port lives on the origin chain and custodies original
 tokens; the issue-burn port lives on the destination chain and manages the
 wrapped counterparts. Both placements are fixed, so a port class holds its
 chain ids and address as constants, and a port's state is one status per
-swap id (Registered or Processed) plus its sequence counter. A swap id is
-derived on-chain from the initiating transfer's parameters plus the port's
-own sequence counter, so the off-chain extractors and the contracts agree on
-identifiers without any coordination; the id packs the amount as a u64, so a
-larger lock or burn is refused before it changes anything.
+swap id (Registered or Processed), its sequence counter and the symbols it
+serves. A swap id is derived on-chain from the initiating transfer's
+parameters plus the port's own sequence counter, so the off-chain extractors
+and the contracts agree on identifiers without any coordination; the id
+packs the amount as a u64, so a larger lock or burn is refused before it
+changes anything.
 
 The two ports mirror each other, so each protocol step is written once, in
 the shared base, and a port adds only its own token checks and ledger call:
@@ -34,10 +35,13 @@ the assets, and the duplicate guard refuses any swap whose id is
 Processed, which makes execution exactly-once per branch. _admit refuses
 before the ledger call, so an entry it refuses changes nothing.
 
-A port is handed the chain's token table, a plain dict from symbol to
-TokenId (gateway.GatewayState.tokens). Lock and burn only read it; the
-issue-burn port adds a wrapped token the first time it mints one, after the
-mint has succeeded.
+A token is its symbol (see ledger), and each port keeps the symbols it
+serves. The lock-unlock port's originals are fixed at genesis, a frozenset
+that every clone shares. The issue-burn port's wrapped set holds the
+wrapped symbols minted on this branch: it adds one the first time it mints
+it, after the mint has succeeded, and each clone copies the set. Both
+directions' originals live on the origin chain, so a swap id and a
+registration event always name ORIGIN as the origin chain.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from .errors import (
     AmountTooLarge,
     DuplicateExecution,
     NotAuthorized,
-    NotWrappedToken,
     UnknownSwap,
     UnknownToken,
     WrongChainReceiver,
@@ -61,9 +64,9 @@ from .errors import (
 )
 from .ledger import (
     ADDRESS_LEN,
+    WRAPPED_PREFIX,
     AccountId,
     Ledger,
-    TokenId,
     account_id,
     wrapped_symbol,
 )
@@ -122,18 +125,19 @@ class _PortBase:
 
     def _register(self, ctx: BlockCtx, kind: EventKind, direction: Direction,
                   sender: AccountId, receiver: AccountId, amount: int,
-                  original: TokenId) -> bytes:
-        """Register a user-initiated swap once its assets are locked or
-        burned: derive its id from the next sequence number, store it
-        Registered and emit the registration event. Returns the id."""
+                  original: str) -> bytes:
+        """Register a user-initiated swap of the original token `original`
+        once its assets are locked or burned: derive its id from the next
+        sequence number, store it Registered and emit the registration
+        event. Returns the id."""
         seq = self.next_seq
         self.next_seq += 1
-        swap_id = derive_swap_id(direction, original.chain, self.address,
+        swap_id = derive_swap_id(direction, ORIGIN, self.address,
                                  sender.address, receiver.address, amount, seq)
         self._store(swap_id, SwapStatus.REGISTERED)
         ctx.emit(kind, swap_id, {
-            "symbol": original.symbol,
-            "origin_chain": original.chain,
+            "symbol": original,
+            "origin_chain": ORIGIN,
             "sender": sender.to_json(),
             "receiver": receiver.to_json(),
             "amount": amount,
@@ -162,14 +166,14 @@ class _PortBase:
                 f"it only executes {direction.name} swaps")
 
     def _executed(self, ctx: BlockCtx, kind: EventKind, entry: PayloadEntry,
-                  receiver: AccountId, paid: TokenId) -> bytes:
+                  receiver: AccountId, paid: str) -> bytes:
         """Store an attested swap the port has just paid out in `paid` as
         Processed and emit the execution event. It is registered and
         executed within the same transaction: the port first learns of the
         swap from the attested entry itself. Returns the id."""
         self._store(entry.swap_id, SwapStatus.PROCESSED)
         ctx.emit(kind, entry.swap_id, {
-            "symbol": paid.symbol,
+            "symbol": paid,
             "receiver": receiver.to_json(),
             "amount": entry.amount,
         })
@@ -183,100 +187,93 @@ class _PortBase:
             raise RuntimeError(f"swap id collision: {swap_id.hex()}")
         self.swaps[swap_id] = status
 
-    def _clone(self) -> "_PortBase":
-        return type(self)(dict(self.swaps), self.next_seq)
+    def _clone(self, symbols: frozenset[str] | set[str]) -> "_PortBase":
+        """The one place that copies `swaps`; each port's clone hands in
+        its own copy of the symbols it serves."""
+        return type(self)(dict(self.swaps), self.next_seq, symbols)
 
 
+@dataclass
 class LockUnlockPort(_PortBase):
     """Origin-chain port: locks originals on the way out, unlocks on return."""
+
+    originals: frozenset[str] = frozenset()
 
     chain_id = ORIGIN
     counterpart_chain = DESTINATION
     address = LU_PORT_ADDRESS
 
-    def lock(self, ledger: Ledger, tokens: dict[str, TokenId], ctx: BlockCtx,
-             sender: AccountId, symbol: str, amount: int,
-             receiver: AccountId) -> bytes:
+    def lock(self, ledger: Ledger, ctx: BlockCtx, sender: AccountId,
+             symbol: str, amount: int, receiver: AccountId) -> bytes:
         _check_amount("lock", amount)
         if receiver.chain != self.counterpart_chain:
             raise WrongChainReceiver(
                 f"receiver must live on chain {self.counterpart_chain}")
-        token = tokens.get(symbol)
-        if token is None:
+        if symbol not in self.originals:
             raise UnknownToken(f"token {symbol!r} is not registered")
-        if token.is_wrapped:
-            raise UnknownToken(f"{symbol!r} is wrapped; lock the original token")
-        ledger.lock(token, sender, amount, caller=self.address)
+        ledger.lock(symbol, sender, amount, caller=self.address)
         return self._register(ctx, EventKind.LOCK_REGISTERED,
                               Direction.ORIGIN_TO_DESTINATION, sender,
-                              receiver, amount, token)
+                              receiver, amount, symbol)
 
-    def execute_attested(self, ledger: Ledger, tokens: dict[str, TokenId],
-                         ctx: BlockCtx, entry: PayloadEntry,
-                         caller: bytes) -> bytes:
+    def execute_attested(self, ledger: Ledger, ctx: BlockCtx,
+                         entry: PayloadEntry, caller: bytes) -> bytes:
         self._admit(entry, caller, Direction.DESTINATION_TO_ORIGIN)
         if entry.origin_chain != self.chain_id:
             raise UnknownSwap(
                 f"attested token originates on chain {entry.origin_chain}, "
                 f"not here")
-        token = tokens.get(entry.symbol)
-        if token is None or token.is_wrapped:
+        if entry.symbol not in self.originals:
             raise UnknownSwap(f"no original token {entry.symbol!r} on this chain")
         receiver = account_id(ctx.accounts, self.chain_id, entry.receiver)
-        ledger.unlock(token, receiver, entry.amount, caller=self.address)
+        ledger.unlock(entry.symbol, receiver, entry.amount, caller=self.address)
         return self._executed(ctx, EventKind.UNLOCK_EXECUTED, entry, receiver,
-                              token)
+                              entry.symbol)
 
     def clone(self) -> "LockUnlockPort":
-        return self._clone()
+        return self._clone(self.originals)   # fixed at genesis: shared
 
 
+@dataclass
 class IssueBurnPort(_PortBase):
     """Destination-chain port: mints wrapped tokens on attested locks, burns
     them to start the return trip."""
+
+    wrapped: set[str] = field(default_factory=set)
 
     chain_id = DESTINATION
     counterpart_chain = ORIGIN
     address = IB_PORT_ADDRESS
 
-    def execute_attested(self, ledger: Ledger, tokens: dict[str, TokenId],
-                         ctx: BlockCtx, entry: PayloadEntry,
-                         caller: bytes) -> bytes:
+    def execute_attested(self, ledger: Ledger, ctx: BlockCtx,
+                         entry: PayloadEntry, caller: bytes) -> bytes:
         self._admit(entry, caller, Direction.ORIGIN_TO_DESTINATION)
         if entry.origin_chain != self.counterpart_chain:
             raise UnknownToken(
                 f"this gateway does not serve tokens from chain "
                 f"{entry.origin_chain}")
         symbol = wrapped_symbol(entry.symbol)
-        wrapped = tokens.get(symbol) or TokenId(
-            symbol, self.chain_id,
-            wrapped_of=TokenId(entry.symbol, entry.origin_chain))
         receiver = account_id(ctx.accounts, self.chain_id, entry.receiver)
         # Mint first: it rejects a bad entry before changing anything, and
-        # only then is a first transfer's wrapped token registered.
-        ledger.mint(wrapped, receiver, entry.amount, caller=self.address)
-        tokens[symbol] = wrapped
+        # only then is a first transfer's wrapped symbol added.
+        ledger.mint(symbol, receiver, entry.amount, caller=self.address)
+        self.wrapped.add(symbol)
         return self._executed(ctx, EventKind.MINT_EXECUTED, entry, receiver,
-                              wrapped)
+                              symbol)
 
-    def burn(self, ledger: Ledger, tokens: dict[str, TokenId], ctx: BlockCtx,
-             holder: AccountId, symbol: str, amount: int,
-             receiver: AccountId) -> bytes:
+    def burn(self, ledger: Ledger, ctx: BlockCtx, holder: AccountId,
+             symbol: str, amount: int, receiver: AccountId) -> bytes:
         _check_amount("burn", amount)
-        token = tokens.get(symbol)
-        if token is None:
+        if symbol not in self.wrapped:
             raise UnknownToken(f"token {symbol!r} is not registered here")
-        if not token.is_wrapped:
-            raise NotWrappedToken(f"{symbol!r} is not a wrapped token")
-        original = token.wrapped_of
-        assert original is not None
-        if receiver.chain != original.chain:
+        if receiver.chain != self.counterpart_chain:
             raise WrongChainReceiver(
-                f"receiver must live on chain {original.chain}")
-        ledger.burn(token, holder, amount, caller=self.address)
+                f"receiver must live on chain {self.counterpart_chain}")
+        ledger.burn(symbol, holder, amount, caller=self.address)
         return self._register(ctx, EventKind.BURN_REGISTERED,
                               Direction.DESTINATION_TO_ORIGIN, holder,
-                              receiver, amount, original)
+                              receiver, amount,
+                              symbol.removeprefix(WRAPPED_PREFIX))
 
     def clone(self) -> "IssueBurnPort":
-        return self._clone()
+        return self._clone(set(self.wrapped))

@@ -34,8 +34,8 @@ from .controller import StatusController
 from .crypto import oracle_secret, sha256
 from .errors import BeyondFinality, HeightBeyondTip, InvalidScenario
 from .gateway import BurnTx, LockTx, build_chains
-from .ledger import (ADDRESS_LEN, WRAPPED_PREFIX, AccountId, TokenId,
-                     account_id, wrapped_symbol)
+from .ledger import (ADDRESS_LEN, WRAPPED_PREFIX, AccountId, account_id,
+                     wrapped_symbol)
 from .nebula import OracleRoster, default_threshold
 from .oracles import Behavior, OracleIdentity, OracleNetwork
 from .ports import DESTINATION, ORIGIN
@@ -465,10 +465,8 @@ class Runner:
         # _account_id for the rest: a run hashes each spec once
         self._addresses = {spec: resolve_address(spec) for spec in
                            {b["account"] for b in scenario.balances}}
-        tokens = [TokenId(symbol, ORIGIN) for symbol in scenario.tokens]
         initial = [
-            (TokenId(b["token"], ORIGIN),
-             AccountId(ORIGIN, self._addresses[b["account"]]),
+            (b["token"], AccountId(ORIGIN, self._addresses[b["account"]]),
              b["amount"])
             for b in scenario.balances
         ]
@@ -476,7 +474,7 @@ class Runner:
             roster,
             {cid: p.relevance_window for cid, p in params.items()},
             {cid: p.finality_depth for cid, p in params.items()},
-            tokens, initial)
+            scenario.tokens, initial)
         # each chain with its key in a canonical section, in chain id order
         self._sections = [(str(cid), chain)
                           for cid, chain in sorted(self.chains.items())]
@@ -732,13 +730,9 @@ class Runner:
             actual = status.label if status else "unknown"
             return actual == step["expect"], f"port status {actual}"
         if check == "balance":
-            state = self.chains[step["chain"]].canonical_state
-            token = state.tokens.get(step["token"])
-            if token is None:
-                actual = 0
-            else:
-                actual = state.ledger.balance(
-                    token, self._account_id(step["chain"], step["account"]))
+            ledger = self.chains[step["chain"]].canonical_state.ledger
+            actual = ledger.balance(
+                step["token"], self._account_id(step["chain"], step["account"]))
             return actual == step["expect"], f"balance {actual}"
         if check == "locked" or check == "supply":
             ledger = self.chains[step["chain"]].canonical_state.ledger

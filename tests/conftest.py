@@ -12,7 +12,6 @@ from swapgate import (
     PulseTx,
     SendDataTx,
     StatusController,
-    TokenId,
     build_chains,
     default_threshold,
 )
@@ -47,7 +46,7 @@ class World:
         n = len(behaviors)
         secrets = [oracle_secret(i, seed) for i in range(n)]
         self.roster = OracleRoster(tuple(secrets), default_threshold(n))
-        self.token = TokenId("T", 0)
+        self.token = "T"
         if not isinstance(fin_depth, dict):
             fin_depth = {0: fin_depth, 1: fin_depth}
         self.chains = build_chains(

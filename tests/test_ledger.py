@@ -12,18 +12,18 @@ from swapgate.errors import (
     NotAuthorized,
     NotWrappedToken,
 )
-from swapgate.ledger import AccountId, Ledger, TokenId
+from swapgate.ledger import AccountId, Ledger
 
 PORT = bytes.fromhex("01" * 20)
 MINT_PORT = bytes.fromhex("02" * 20)
 A1 = AccountId(0, bytes.fromhex("aa" * 20))
 A2 = AccountId(0, bytes.fromhex("bb" * 20))
-T = TokenId("T", 0)
-SWT = TokenId("swT", 0, wrapped_of=TokenId("T", 1))
+T = "T"
+SWT = "swT"
 
 
 def fresh_ledger(amount=100) -> Ledger:
-    ledger = Ledger(0, lock_authority=PORT, mint_authority=MINT_PORT)
+    ledger = Ledger(lock_authority=PORT, mint_authority=MINT_PORT)
     ledger.credit_initial(T, A1, amount)
     return ledger
 
@@ -56,23 +56,23 @@ def test_lock_requires_port_caller():
 
 
 def test_mint_and_burn_inverse():
-    ledger = Ledger(0, mint_authority=MINT_PORT)
+    ledger = Ledger(mint_authority=MINT_PORT)
     ledger.mint(SWT, A1, 100, caller=MINT_PORT)
     assert ledger.supply["swT"] == 100
     assert ledger.balance(SWT, A1) == 100
     ledger.burn(SWT, A1, 100, caller=MINT_PORT)
     assert ledger.supply.get("swT", 0) == 0
-    assert ledger == Ledger(0, mint_authority=MINT_PORT)
+    assert ledger == Ledger(mint_authority=MINT_PORT)
 
 
 def test_mint_non_wrapped_rejected():
-    ledger = Ledger(0, mint_authority=MINT_PORT)
+    ledger = Ledger(mint_authority=MINT_PORT)
     with pytest.raises(NotWrappedToken):
         ledger.mint(T, A1, 10, caller=MINT_PORT)
 
 
 def test_mint_requires_port_caller():
-    ledger = Ledger(0, mint_authority=MINT_PORT)
+    ledger = Ledger(mint_authority=MINT_PORT)
     with pytest.raises(NotAuthorized):
         ledger.mint(SWT, A1, 10, caller=PORT)
 
@@ -83,7 +83,7 @@ def test_mint_requires_port_caller():
 def test_non_port_callers_never_touch_pools(ops):
     """Gating: arbitrary call sequences from user accounts leave the locked
     pool and the wrapped supply untouched."""
-    ledger = Ledger(0, lock_authority=PORT, mint_authority=MINT_PORT)
+    ledger = Ledger(lock_authority=PORT, mint_authority=MINT_PORT)
     ledger.credit_initial(T, A1, 1000)
     for op, amount in ops:
         try:
@@ -107,7 +107,7 @@ def test_conservation_under_random_port_traffic():
     after every operation. Only gateway rejections are expected: any other
     exception fails the test."""
     rng = random.Random(1234)
-    ledger = Ledger(0, lock_authority=PORT, mint_authority=MINT_PORT)
+    ledger = Ledger(lock_authority=PORT, mint_authority=MINT_PORT)
     ledger.credit_initial(T, A1, 10_000)
     accounts = [A1, A2, AccountId(0, bytes.fromhex("cc" * 20))]
     for _ in range(500):

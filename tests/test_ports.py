@@ -22,7 +22,6 @@ from swapgate.errors import (
     DuplicateExecution,
     InsufficientLocked,
     NotAuthorized,
-    NotWrappedToken,
     UnknownSwap,
     UnknownToken,
     WrongChainReceiver,
@@ -110,7 +109,7 @@ def test_burn_beyond_u64_rejected_before_any_write(world):
 def test_lock_wrong_chain_receiver(world):
     state = world.origin.canonical_state
     with pytest.raises(WrongChainReceiver):
-        state.port.lock(state.ledger, state.tokens, ctx_for(world.origin),
+        state.port.lock(state.ledger, ctx_for(world.origin),
                         ALICE, "T", 10, ALICE)  # receiver on origin chain
 
 
@@ -142,15 +141,13 @@ def test_mint_attested_happy(world):
     event = lock_on(world, 100)
     state = world.destination.canonical_state
     ctx = ctx_for(world.destination)
-    swap_id = state.port.execute_attested(state.ledger, state.tokens, ctx,
+    swap_id = state.port.execute_attested(state.ledger, ctx,
                                           entry_for(event),
                                           caller=NEBULA_ADDRESS)
     assert swap_id == event.swap_id
     assert state.port.swaps[swap_id] == SwapStatus.PROCESSED
     assert state.ledger.supply["swT"] == 100
-    wrapped = state.tokens.get("swT")
-    assert wrapped is not None
-    assert wrapped.wrapped_of.symbol == "T"
+    assert state.port.wrapped == {"swT"}
     assert [e.kind for e in ctx.events] == [EventKind.MINT_EXECUTED]
 
 
@@ -158,7 +155,7 @@ def test_mint_requires_router_caller(world):
     event = lock_on(world, 100)
     state = world.destination.canonical_state
     with pytest.raises(NotAuthorized):
-        state.port.execute_attested(state.ledger, state.tokens,
+        state.port.execute_attested(state.ledger,
                                     ctx_for(world.destination),
                                     entry_for(event), caller=ALICE.address)
 
@@ -167,11 +164,11 @@ def test_mint_replay_rejected(world):
     event = lock_on(world, 100)
     state = world.destination.canonical_state
     entry = entry_for(event)
-    state.port.execute_attested(state.ledger, state.tokens,
+    state.port.execute_attested(state.ledger,
                                 ctx_for(world.destination), entry,
                                 caller=NEBULA_ADDRESS)
     with pytest.raises(DuplicateExecution):
-        state.port.execute_attested(state.ledger, state.tokens,
+        state.port.execute_attested(state.ledger,
                                     ctx_for(world.destination), entry,
                                     caller=NEBULA_ADDRESS)
     assert state.ledger.supply["swT"] == 100
@@ -184,7 +181,7 @@ def test_mint_foreign_chain_token_rejected(world):
                           5, entry.receiver, entry.amount)
     state = world.destination.canonical_state
     with pytest.raises(UnknownToken):
-        state.port.execute_attested(state.ledger, state.tokens,
+        state.port.execute_attested(state.ledger,
                                     ctx_for(world.destination), forged,
                                     caller=NEBULA_ADDRESS)
 
@@ -192,11 +189,11 @@ def test_mint_foreign_chain_token_rejected(world):
 def test_burn_registers_reverse_swap(world):
     event = lock_on(world, 100)
     dstate = world.destination.canonical_state
-    dstate.port.execute_attested(dstate.ledger, dstate.tokens,
+    dstate.port.execute_attested(dstate.ledger,
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
     ctx = ctx_for(world.destination)
-    swap_id = dstate.port.burn(dstate.ledger, dstate.tokens, ctx,
+    swap_id = dstate.port.burn(dstate.ledger, ctx,
                                BOB, "swT", 100, ALICE)
     # the id derives from the return direction and the original token's chain
     assert swap_id == derive_swap_id(Direction.DESTINATION_TO_ORIGIN, 0,
@@ -214,12 +211,12 @@ def test_burn_registers_reverse_swap(world):
 def test_burn_more_than_held(world):
     event = lock_on(world, 100)
     dstate = world.destination.canonical_state
-    dstate.port.execute_attested(dstate.ledger, dstate.tokens,
+    dstate.port.execute_attested(dstate.ledger,
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
     from swapgate.errors import InsufficientBalance
     with pytest.raises(InsufficientBalance):
-        dstate.port.burn(dstate.ledger, dstate.tokens,
+        dstate.port.burn(dstate.ledger,
                          ctx_for(world.destination), BOB, "swT", 500, ALICE)
     assert not dstate.port.swaps.keys() - {event.swap_id}
 
@@ -227,20 +224,14 @@ def test_burn_more_than_held(world):
 def test_burn_non_wrapped_rejected(world):
     dstate = world.destination.canonical_state
     with pytest.raises(UnknownToken):
-        dstate.port.burn(dstate.ledger, dstate.tokens,
+        dstate.port.burn(dstate.ledger,
                          ctx_for(world.destination), BOB, "T", 10, ALICE)
-    # a registered but unwrapped token is rejected for what it is
-    from swapgate.ledger import TokenId
-    dstate.tokens["NATIVE"] = TokenId("NATIVE", 1)
-    with pytest.raises(NotWrappedToken):
-        dstate.port.burn(dstate.ledger, dstate.tokens,
-                         ctx_for(world.destination), BOB, "NATIVE", 10, ALICE)
 
 
 def test_burn_zero_amount(world):
     dstate = world.destination.canonical_state
     with pytest.raises(ZeroAmount):
-        dstate.port.burn(dstate.ledger, dstate.tokens,
+        dstate.port.burn(dstate.ledger,
                          ctx_for(world.destination), BOB, "swT", 0, ALICE)
 
 
@@ -252,18 +243,18 @@ def test_unlock_attested_roundtrip_restores_ledgers(world):
 
     event = lock_on(world, 100)
     dstate = world.destination.canonical_state
-    dstate.port.execute_attested(dstate.ledger, dstate.tokens,
+    dstate.port.execute_attested(dstate.ledger,
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
     burn_ctx = ctx_for(world.destination)
-    burn_id = dstate.port.burn(dstate.ledger, dstate.tokens, burn_ctx,
+    burn_id = dstate.port.burn(dstate.ledger, burn_ctx,
                                BOB, "swT", 100, ALICE)
     burn_event = burn_ctx.events[0]
 
     ostate = world.origin.canonical_state
     back = PayloadEntry(Direction.DESTINATION_TO_ORIGIN, burn_id,
                         "T", 0, ALICE.address, 100)
-    swap_id = ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+    swap_id = ostate.port.execute_attested(ostate.ledger,
                                            ctx_for(world.origin), back,
                                            caller=NEBULA_ADDRESS)
     assert ostate.port.swaps[swap_id] == SwapStatus.PROCESSED
@@ -277,12 +268,12 @@ def test_unlock_replay_rejected(world):
     ostate = world.origin.canonical_state
     entry = PayloadEntry(Direction.DESTINATION_TO_ORIGIN, b"\x11" * 32, "T", 0,
                          ALICE.address, 40)
-    ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+    ostate.port.execute_attested(ostate.ledger,
                                  ctx_for(world.origin), entry,
                                  caller=NEBULA_ADDRESS)
     before = copy.deepcopy(ostate.ledger)
     with pytest.raises(DuplicateExecution):
-        ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+        ostate.port.execute_attested(ostate.ledger,
                                      ctx_for(world.origin), entry,
                                      caller=NEBULA_ADDRESS)
     assert ostate.ledger == before
@@ -296,7 +287,7 @@ def test_unlock_beyond_locked_pool_rejected(world):
     forged = PayloadEntry(Direction.DESTINATION_TO_ORIGIN, b"\x22" * 32, "T", 0,
                           ALICE.address, 101)
     with pytest.raises(InsufficientLocked):
-        ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+        ostate.port.execute_attested(ostate.ledger,
                                      ctx_for(world.origin), forged,
                                      caller=NEBULA_ADDRESS)
     assert ostate.ledger == before
@@ -307,7 +298,7 @@ def test_unlock_requires_router(world):
     entry = PayloadEntry(Direction.DESTINATION_TO_ORIGIN, b"\x33" * 32, "T", 0,
                          ALICE.address, 1)
     with pytest.raises(NotAuthorized):
-        ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+        ostate.port.execute_attested(ostate.ledger,
                                      ctx_for(world.origin), entry,
                                      caller=ALICE.address)
 
@@ -317,7 +308,7 @@ def test_unlock_wrong_direction_rejected(world):
     entry = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x44" * 32, "T", 0,
                          ALICE.address, 1)
     with pytest.raises(UnknownSwap):
-        ostate.port.execute_attested(ostate.ledger, ostate.tokens,
+        ostate.port.execute_attested(ostate.ledger,
                                      ctx_for(world.origin), entry,
                                      caller=NEBULA_ADDRESS)
 
@@ -329,7 +320,7 @@ def test_status_queries(world):
     assert ostate.port.swaps.get(b"\x00" * 32) is None
 
     dstate = world.destination.canonical_state
-    dstate.port.execute_attested(dstate.ledger, dstate.tokens,
+    dstate.port.execute_attested(dstate.ledger,
                                  ctx_for(world.destination), entry_for(event),
                                  caller=NEBULA_ADDRESS)
     assert dstate.port.swaps.get(event.swap_id) == SwapStatus.PROCESSED
@@ -340,12 +331,12 @@ def test_status_never_regresses_on_port(world):
     executed, or stored, again."""
     event = lock_on(world, 100)
     dstate = world.destination.canonical_state
-    swap_id = dstate.port.execute_attested(dstate.ledger, dstate.tokens,
+    swap_id = dstate.port.execute_attested(dstate.ledger,
                                            ctx_for(world.destination),
                                            entry_for(event),
                                            caller=NEBULA_ADDRESS)
     with pytest.raises(DuplicateExecution):
-        dstate.port.execute_attested(dstate.ledger, dstate.tokens,
+        dstate.port.execute_attested(dstate.ledger,
                                      ctx_for(world.destination),
                                      entry_for(event), caller=NEBULA_ADDRESS)
     assert dstate.port.swaps == {swap_id: SwapStatus.PROCESSED}
@@ -369,7 +360,7 @@ def test_attested_execution_stores_one_processed_record(world):
     event = lock_on(world, 100)
     dstate = world.destination.canonical_state
     ctx = ctx_for(world.destination)
-    dstate.port.execute_attested(dstate.ledger, dstate.tokens, ctx,
+    dstate.port.execute_attested(dstate.ledger, ctx,
                                  entry_for(event), caller=NEBULA_ADDRESS)
     assert dstate.port.swaps == {event.swap_id: SwapStatus.PROCESSED}
     assert world.origin.canonical_state.port.swaps == \
@@ -382,7 +373,7 @@ def test_zero_amount_entry_for_new_token_leaves_no_state(world):
     entry = PayloadEntry(Direction.ORIGIN_TO_DESTINATION, b"\x01" * 32, "T",
                          0, BOB.address, 0)
     before = world.destination.canonical_state
-    tokens, ledger = copy.deepcopy((before.tokens, before.ledger))
+    wrapped, ledger = copy.deepcopy((before.port.wrapped, before.ledger))
     for tx in world.attested(1, [entry]):
         world.destination.submit(tx)
     ref = world.destination.produce_block()
@@ -391,7 +382,7 @@ def test_zero_amount_entry_for_new_token_leaves_no_state(world):
     assert (pulse.status, reveal.status) == ("ok", "ok")
     assert reveal.extra == {"entry_outcomes": ["ZeroAmount"]}
     after = world.destination.canonical_state
-    assert after.tokens == tokens == {}
+    assert after.port.wrapped == wrapped == set()
     assert after.ledger == ledger
     assert after.port.swaps == {}
 
@@ -442,4 +433,3 @@ def test_attested_burn_id_sent_to_destination_is_refused(world):
     after = world.destination.canonical_state
     assert after.ledger == before.ledger
     assert after.port == before.port
-    assert after.tokens == before.tokens

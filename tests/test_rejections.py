@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 from swapgate import (NEBULA_ADDRESS, BurnTx, Direction, LockTx, PayloadEntry,
-                      SendDataTx, TokenId, build_chains)
+                      SendDataTx, build_chains)
 from swapgate.chain import BlockCtx, BlockRef
 from swapgate.encoding import MAX_AMOUNT
 from swapgate.errors import GatewayError, UnknownBranch
@@ -171,8 +171,8 @@ def test_refusal_leaves_state_untouched(case, run):
                    run.world.chains[chain_id].accounts)
     with pytest.raises(GatewayError) as caught:
         if isinstance(attempt, PayloadEntry):
-            state.port.execute_attested(state.ledger, state.tokens, ctx,
-                                        attempt, caller=NEBULA_ADDRESS)
+            state.port.execute_attested(state.ledger, ctx, attempt,
+                                        caller=NEBULA_ADDRESS)
         else:
             apply_tx(state, attempt, ctx)
     assert caught.value.code == code
@@ -190,15 +190,9 @@ def test_fork_at_a_name_in_use_changes_nothing(world):
     assert origin.branches == branches
 
 
-T = TokenId("T", 0)
-
-
 @pytest.mark.parametrize("tokens, balances, message", [
-    ([T, TokenId("T", 0, wrapped_of=TokenId("T", 1))], [],
-     "conflicting registration for 'T'"),
-    ([TokenId("T", 1)], [], "must live on chain 0"),
-    ([T], [(T, BOB, 5)], "seeded on the origin chain"),
-], ids=["symbol-twice", "token-on-destination", "balance-on-destination"])
+    (["T"], [("T", BOB, 5)], "seeded on the origin chain"),
+], ids=["balance-on-destination"])
 def test_build_chains_refuses_a_bad_genesis(tokens, balances, message, world):
     with pytest.raises(ValueError, match=message):
         build_chains(world.roster, {0: 10, 1: 10}, {0: 3, 1: 3}, tokens,
@@ -207,5 +201,5 @@ def test_build_chains_refuses_a_bad_genesis(tokens, balances, message, world):
 
 def test_build_chains_accepts_a_token_given_twice(world):
     chains = build_chains(world.roster, {0: 10, 1: 10}, {0: 3, 1: 3},
-                          [T, TokenId("T", 0)], [(T, ALICE, 5)])
-    assert chains[0].canonical_state.tokens == {"T": T}
+                          ["T", "T"], [("T", ALICE, 5)])
+    assert chains[0].canonical_state.port.originals == {"T"}

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import swapgate
-from swapgate import cli
+from swapgate import EventKind, SwapStatus, cli
 from swapgate.cli import bundled_scenario_names, load_scenario, main
 from swapgate.crypto import canonical_json, parse_json
 from swapgate.errors import InvalidScenario, MalformedTrace
@@ -104,6 +104,38 @@ def test_unfinal_lock_reorged_pins_the_unsafe_depth_hole():
     assert check_trace_text(text) == (1, result.violations)
     assert reference.evaluate_records(reference.parse_trace(text)) == \
         result.violations
+
+
+def test_byzantine_minority_without_asserts_pins_the_liveness_hole():
+    """A known hole, pinned and not fixed: a swap registered on the
+    origin's final canonical branch and never executed fails nothing. In
+    byzantine_minority with its asserts stripped, three of five oracles
+    attest a wrong amount, so no round reaches quorum; the run and the
+    check both exit 0, while the end record shows T locked 100 on the
+    origin and nothing minted on the destination. A liveness rule at
+    `end` turns this into a violation."""
+    obj = load_scenario("byzantine_minority").to_json()
+    obj["timeline"] = [s for s in obj["timeline"] if s["op"] != "assert"]
+    runner = Runner(Scenario.from_json(obj))
+    result = runner.run()
+    assert (result.exit_code, result.violations) == (0, [])
+    text = "\n".join(result.trace_lines()) + "\n"
+    assert check_trace_text(text) == (0, [])
+
+    [swap_id] = runner.swap_ids
+    origin, destination = runner.chains[0], runner.chains[1]
+    [registered] = origin.swap_events(swap_id)
+    assert registered.kind == EventKind.LOCK_REGISTERED
+    assert registered.block.height <= origin.final_height
+    assert origin.canonical_state.port.swaps == \
+        {swap_id: SwapStatus.REGISTERED}
+    assert destination.swap_events(swap_id) == []
+    assert destination.canonical_state.port.swaps == {}
+    end = result.records[-1]
+    assert end["op"] == "end"
+    assert end["canonical"]["0"]["accounting"] == {
+        "T": {"supply": 1000, "locked": 100, "balances_sum": 900}}
+    assert end["canonical"]["1"]["accounting"] == {}
 
 
 def test_check_flags_duplicate_execution(tmp_path):

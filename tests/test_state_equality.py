@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from swapgate import (Chain, Direction, EventKind, Ledger, LockTx,
-                      PayloadEntry, SwapStatus, TokenId, payload_hash)
+                      PayloadEntry, SwapStatus, payload_hash)
 from swapgate.ports import _PortBase
 from swapgate.scenario import Runner
 
@@ -54,12 +54,16 @@ def bump_supply(s):
     s.ledger.supply["swT"] += 1
 
 
-def add_token(s):
-    s.tokens["X"] = TokenId("X", 0)
+def add_original(s):
+    s.port.originals |= {"X"}
 
 
-def change_token(s):
-    s.tokens["T"] = TokenId("T", 1)
+def change_original(s):
+    s.port.originals = frozenset({"U"})
+
+
+def add_wrapped(s):
+    s.port.wrapped.add("swX")
 
 
 def change_record(s):
@@ -85,12 +89,13 @@ def drop_open_pulses(s):
 
 
 ORIGIN_CASES = [
-    ("ledger", bump_balance), ("ledger", bump_locked), ("tokens", add_token),
-    ("tokens", change_token), ("port", change_record), ("port", bump_seq),
+    ("ledger", bump_balance), ("ledger", bump_locked), ("port", add_original),
+    ("port", change_original), ("port", change_record), ("port", bump_seq),
 ]
 DESTINATION_CASES = [
-    ("ledger", bump_supply), ("nebula", bump_pulse_count),
-    ("nebula", unconsume_pulse), ("nebula", drop_open_pulses),
+    ("ledger", bump_supply), ("port", add_wrapped),
+    ("nebula", bump_pulse_count), ("nebula", unconsume_pulse),
+    ("nebula", drop_open_pulses),
 ]
 
 
@@ -210,8 +215,8 @@ def sharing(owner, method, name):
     `name` map itself: a clone() that shares one mutable map."""
     clone = getattr(owner, method)
 
-    def shared(self):
-        copy = clone(self)
+    def shared(self, *args):
+        copy = clone(self, *args)
         setattr(copy, name, getattr(self, name))
         return copy
     return shared

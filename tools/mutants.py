@@ -46,8 +46,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # the test file that catches it])
 MUTANTS = [
     ("port swaps shared", "swapgate/ports.py",
-     "return type(self)(dict(self.swaps), self.next_seq)",
-     "return type(self)(self.swaps, self.next_seq)",
+     "return type(self)(dict(self.swaps), self.next_seq, symbols)",
+     "return type(self)(self.swaps, self.next_seq, symbols)",
      "selfcheck", 10),
     ("per-token balances shared", "swapgate/ledger.py",
      "balances={sym: dict(per) for sym, per in self.balances.items()},",
@@ -63,21 +63,22 @@ MUTANTS = [
      "self.pulse_count, dict(self.pulses))",
      "self.pulse_count, self.pulses)",
      "selfcheck", 0),
-    ("GatewayState.tokens shared", "swapgate/gateway.py",
-     "return GatewayState(self.ledger.clone(), dict(self.tokens),",
-     "return GatewayState(self.ledger.clone(), self.tokens,",
+    # the wrapped symbols a destination branch has minted
+    ("IssueBurnPort.wrapped shared", "swapgate/ports.py",
+     "return self._clone(set(self.wrapped))",
+     "return self._clone(self.wrapped)",
      "selfcheck", 2),
     # the self-check misses it (above), the tests do not
     ("NebulaState.pulses shared", "swapgate/nebula.py",
      "self.pulse_count, dict(self.pulses))",
      "self.pulse_count, self.pulses)",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_chain.py"),
     # a twin of the tip keeps the tip and takes nothing off the list, but
     # lies below the old tip's height
     ("reorg test from the fork height", "swapgate/chain.py",
      "if not self.is_canonical(prev_tip):",
      "if fork_height < prev_tip.height:",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_chain_index.py"),
     # a twin of the tip is stored under the newer branch's name, while the
     # older branch keeps the tip
     ("tip is the winner's own ref whatever its branch", "swapgate/chain.py",
@@ -85,71 +86,71 @@ MUTANTS = [
      "            # a twin stored under another branch's name\n"
      "            tip = BlockRef(self.chain_id, name, tip.height, tip.block_hash)\n",
      "",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_chain_index.py"),
     # the early returns of a step that carries nothing, each missing one
     # of its conditions
     ("quiet tick ignores open swaps", "swapgate/controller.py",
      "if not (self._open or touched):",
      "if not touched:",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_acceptance.py"),
     # a tick visits its swaps in set order: the transitions of several new
     # swaps come out in no canonical order
     ("tick leaves its live swaps unsorted", "swapgate/controller.py",
      "live.sort(key=_position)",
      "pass",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_controller_differential.py"),
     # a Processed swap revisited for any reason is finalized at once, its
     # execution perhaps still above the final height
     ("Processed swap finalized whatever its height", "swapgate/controller.py",
      "if status == PROCESSED and height <= exec_final:",
      "if status == PROCESSED:",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_acceptance.py"),
     ("empty extraction ignores re-attestations", "swapgate/oracles.py",
      "if height > upper and not requests:",
      "if height > upper:",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_acceptance.py"),
     ("empty round ignores a replayer", "swapgate/oracles.py",
      "if not reference_entries and not self._replays:",
      "if not reference_entries:",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_fixed_cost.py"),
     # the self-check catches it on only 2 of 10 seeds (above), the tests
     # catch it
-    ("GatewayState.tokens shared", "swapgate/gateway.py",
-     "return GatewayState(self.ledger.clone(), dict(self.tokens),",
-     "return GatewayState(self.ledger.clone(), self.tokens,",
-     "tier1", "caught"),
+    ("IssueBurnPort.wrapped shared", "swapgate/ports.py",
+     "return self._clone(set(self.wrapped))",
+     "return self._clone(self.wrapped)",
+     "tier1", "caught", "tests/test_state_equality.py"),
     # the relay assert reads the round's report by key; this one takes
     # every submitted round, honest ones included, for a forged one
     ("no_forged_accepted counts every submitted round", "swapgate/scenario.py",
      'if r["outcome"] == "submitted" and r["forged_chosen"]',
      'if r["outcome"] == "submitted"',
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_acceptance.py"),
     # a refused tx changes nothing only because each contract refuses
     # before it writes; this lock writes the pool before the balance check
     ("lock writes before it refuses", "swapgate/ledger.py",
-     "        self._debit(token.symbol, owner.address, amount)\n"
-     "        _add(self.locked, token.symbol, amount)\n",
-     "        _add(self.locked, token.symbol, amount)\n"
-     "        self._debit(token.symbol, owner.address, amount)\n",
-     "tier1", "caught"),
+     "        self._debit(symbol, owner.address, amount)\n"
+     "        _add(self.locked, symbol, amount)\n",
+     "        _add(self.locked, symbol, amount)\n"
+     "        self._debit(symbol, owner.address, amount)\n",
+     "tier1", "caught", "tests/test_chain.py"),
     # a receipt's reference is checked for its chain but not its kind: the
     # dangling_user_ref tamper of tests/test_trace_check.py turns a lock's
     # reference into a burn's of the same step
     ("reference check accepts the wrong kind", "swapgate/trace.py",
      'submitted.get(tx[key]) != (tx["kind"], block["chain"])',
      'submitted.get(tx[key], (None, None))[1] != block["chain"]',
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_trace_check.py"),
     # the tick's stuck entries are the only requeue list: this runner
     # records them but asks the network to re-attest none
     ("Runner requeues nothing after a tick", "swapgate/scenario.py",
      'for entry in result["stuck"]:',
      "for entry in []:",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_acceptance.py"),
     # a refused user tx registers no swap, so its swap_ids slot stays None
     ("swap id resolved whatever the receipt's status", "swapgate/scenario.py",
      'if handle is not None and receipt.status == "ok":',
      "if handle is not None:",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_run_collector.py"),
     # a mint's receiver comes from the destination chain's table, the one
     # the runner's txs of that account use, so the two share one dict
     ("an attested mint builds its own receiver", "swapgate/ports.py",
@@ -157,17 +158,17 @@ MUTANTS = [
      "        # Mint first",
      "receiver = AccountId(self.chain_id, entry.receiver)\n"
      "        # Mint first",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_record_sharing.py"),
     # orjson writes non-ASCII and DEL raw, where json escapes them
     ("canonical bytes kept without the ASCII guard", "swapgate/crypto.py",
      'if raw.isascii() and b"\\x7f" not in raw:',
      "if True:",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_json_codec.py"),
     # orjson reads an int beyond 64 bits as a float
     ("parsed line kept without the round trip", "swapgate/crypto.py",
      "if written == line.encode():",
      "if True:",
-     "tier1", "caught"),
+     "tier1", "caught", "tests/test_json_codec.py"),
     # a run pauses the cyclic collector and gives it back as it found it
     ("run leaves the collector paused", "swapgate/scenario.py",
      "gc.enable()",
