@@ -50,17 +50,20 @@ so the two must build equal states. No state names a block at all. A twin
 lies above final_height, so its re-splice of the canonical list is bounded
 by the finality depth.
 
-The replay starts from a checkpoint: the replay's own state at the highest
-block it has replayed that was at or below final_height. At first that is
-its own build of the genesis state: the chain is handed a genesis builder
-and calls it twice, once for states and once for the replay. So the replay
-never holds a state object of the chain's, and a clone() that shares a map
-with its parent shares it within one side only, where the self-check sees
-it. A reorg therefore costs the blocks since the last one plus the
-finality depth, not the chain height, and the check is still the replay
-from genesis: the checkpoint state was built only by replaying from
-genesis, never taken from the incremental states, and a block at or below
-final_height stays canonical for good.
+The replay resumes from its last tip, the last block it reached, while that
+block is canonical, so each canonical block is replayed once; a reorg that
+orphans the last tip falls back to the checkpoint, the replay's own state
+at the highest block it has replayed or started from that was at or below
+final_height. At first both are its own build of the genesis state: the
+chain is handed a genesis builder and calls it twice, once for states and
+once for the replay. So the replay never holds a state object of the
+chain's, and a clone() that shares a map with its parent shares it within
+one side only, where the self-check sees it. A reorg therefore costs the
+blocks since the last one, not the chain height, and the check is still
+the replay from genesis: both kept states were built only by replaying
+from genesis, never taken from the incremental states, a canonical block's
+state depends only on its ancestors, and a block at or below final_height
+stays canonical for good.
 """
 
 from __future__ import annotations
@@ -239,7 +242,7 @@ class Chain:
 
     genesis is a zero-argument builder of the genesis state. The chain
     calls it twice and clones neither result: one build is the genesis
-    block's state, the other the replay's first checkpoint.
+    block's state, the other the replay's first checkpoint and last tip.
 
     accounts is the chain's own table, handed to every block's context, in
     which contract code builds one account object per address on this
@@ -278,6 +281,8 @@ class Chain:
         # the replay's checkpoint: (block, the replay's state at it); its own
         # build, so that the replay shares no state object with self.states
         self._replayed: tuple[Block, Any] = (g_block, genesis())
+        # the replay's last tip: the last block it reached, and its state
+        self._replay_tip: tuple[Block, Any] = self._replayed
 
     # --- transaction queue -------------------------------------------------
 
@@ -502,15 +507,18 @@ class Chain:
 
     def replay_canonical(self) -> Any:
         """Re-derive the canonical tip state by applying the transactions
-        of the canonical blocks above the checkpoint to its state.
+        of the canonical blocks above the replay's start to its state.
 
-        The checkpoint starts at genesis and moves up to the highest block
-        this replay passes at or below final_height; such a block can never
-        be abandoned, so the result equals a replay from genesis. The
-        checkpoint starts from the replay's own build of the genesis state,
-        and _apply_block never changes its parent state, so the checkpoint
-        state is never changed. The result may be the
-        checkpoint state itself (no block above it, or none with a
+        The start is the replay's last tip when that block is still
+        canonical, and otherwise its checkpoint. The checkpoint starts at
+        genesis and moves up to the highest block this replay passes or
+        starts from at or below final_height; such a block can never be
+        abandoned. A canonical block's state depends only on its ancestors,
+        so either start gives the replay from genesis. Both kept states
+        come only from the replay's own applies, starting from its own build
+        of the genesis state, and _apply_block never changes its parent
+        state, so neither is ever changed. The result may be the kept tip's
+        or the checkpoint's state itself (no block above it, or none with a
         transaction): read it, don't change it.
         """
         block, state = self._replayed
@@ -518,12 +526,17 @@ class Chain:
             raise RuntimeError(
                 f"chain {self.chain_id}: replay checkpoint at height "
                 f"{block.ref.height} is no longer canonical")
+        if self.is_canonical(self._replay_tip[0].ref):
+            block, state = self._replay_tip
         final = self.final_height
+        if block.ref.height <= final:
+            self._replayed = (block, state)
         for block in self._canonical[block.ref.height + 1:]:
             state, _, _ = self._apply_block(
                 state, block.ref, [r.tx for r in block.receipts])
             if block.ref.height <= final:
                 self._replayed = (block, state)
+        self._replay_tip = (block, state)
         return state
 
     def _verify_replay(self) -> None:

@@ -1,10 +1,10 @@
 """Reference model of the reorg self-check's replay: always from genesis.
 
-Chain.replay_canonical starts from a checkpoint near the finality depth.
-This is how it worked before: fold the chain's own block application over
-every canonical block above genesis, starting from the genesis state. The
-differential tests require the two replays and the incremental tip state
-to be equal.
+Chain.replay_canonical resumes from the last block it reached, or falls
+back to a checkpoint near the finality depth. This is how it worked before
+either: fold the chain's own block application over every canonical block
+above genesis, starting from the genesis state. The differential tests
+require the two replays and the incremental tip state to be equal.
 """
 
 

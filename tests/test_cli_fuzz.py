@@ -1,11 +1,16 @@
 """The command line fuzzed: a mutated bundled scenario or trace gives an
 exit code, never a traceback.
 
-A mutant is a bundled scenario file, or the trace of a bundled scenario,
-with one to three values replaced, deleted or duplicated anywhere in its
-JSON. `swapgate run` of a scenario mutant exits 0, 1 or 2, and an exit 2
-prints exactly one stderr line; when it exits 0 or 1, `swapgate check` of
-the trace it wrote exits with the same code. `swapgate check` of a trace
+A mutant is a bundled scenario file (also with its roster given by its
+count alone), or the trace of a bundled scenario, with one to three values
+replaced, deleted or duplicated anywhere in its JSON. A third of the time
+the value is drawn among the scalar leaves alone, where one field's value
+is what matters, and a third of the time among the integers at a key that
+validation bounds, which it replaces by an edge of a bound or an integer
+past 64 bits: so a lost or raised bound shows up as a failing example.
+`swapgate run` of a scenario mutant exits 0, 1 or 2, and an exit 2 prints
+exactly one stderr line; when it exits 0 or 1, `swapgate check` of the
+trace it wrote exits with the same code. `swapgate check` of a trace
 mutant exits 0, 1 or 2. Each example runs under a wall-clock bound kept by
 an interval timer (SIGALRM), which starts no thread or process, so that a
 run that never ends fails the example instead of hanging the suite.
@@ -23,7 +28,7 @@ from hypothesis import given, strategies as st
 
 from swapgate import cli
 from swapgate.cli import bundled_scenario_names, load_scenario
-from swapgate.scenario import Runner
+from swapgate.scenario import ORACLE_COUNT, STEP_BLOCKS, Runner
 
 # far above any example's run time, which is milliseconds
 EXAMPLE_SECONDS = 30
@@ -36,6 +41,22 @@ VALUES = st.one_of(
     st.integers(-3, 1001),
     st.text(max_size=4),
 )
+
+# the keys whose integer validation bounds, and the values tried there: the
+# edges of each such range and two integers past 64 bits. None lies between
+# the upper bounds and 2**63, where a count whose bound is lost would
+# allocate gigabytes (["honest"] * count) before it failed.
+BOUNDED_KEYS = {"count"}
+EDGES = sorted({edge for low, high, _ in (ORACLE_COUNT, STEP_BLOCKS)
+                for edge in (low - 1, low, high, high + 1)} | {2**63, 2**64})
+
+# the slots a mutation draws from, by (value, key): every one, the scalar
+# leaves, or the integers at a bounded key, which it sets to an edge
+AMONG = {
+    "any": lambda value, key: True,
+    "leaf": lambda value, key: not isinstance(value, (dict, list)),
+    "bounded": lambda value, key: key in BOUNDED_KEYS and type(value) is int,
+}
 
 
 @contextlib.contextmanager
@@ -81,8 +102,14 @@ def mutate(data, doc):
         found = slots(doc, [])
         if not found:
             return
-        container, key = found[data.draw(
-            st.integers(0, len(found) - 1), label="slot")]
+        among = data.draw(st.sampled_from(list(AMONG)), label="slot among")
+        pool = [(container, key) for container, key in found
+                if AMONG[among](container[key], key)] or found
+        container, key = pool[data.draw(
+            st.integers(0, len(pool) - 1), label="slot")]
+        if among == "bounded" and AMONG[among](container[key], key):
+            container[key] = data.draw(st.sampled_from(EDGES), label="edge")
+            continue
         how = data.draw(st.sampled_from(["replace", "delete", "duplicate"]),
                         label="how")
         if how == "replace":
@@ -104,8 +131,15 @@ def mutate(data, doc):
 
 @cache
 def bundled_documents():
-    return {name: load_scenario(name).to_json()
-            for name in bundled_scenario_names()}
+    """Each bundled scenario, and the same with its roster given by its
+    count alone, as a scenario file may give it: all honest, at the
+    default threshold."""
+    documents = {}
+    for name in bundled_scenario_names():
+        doc = documents[name] = load_scenario(name).to_json()
+        documents[f"{name}, oracles by count"] = {
+            **doc, "oracles": {"count": doc["oracles"]["count"]}}
+    return documents
 
 
 @cache

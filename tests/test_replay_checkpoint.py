@@ -1,13 +1,17 @@
-"""The reorg self-check's replay from its checkpoint.
+"""The reorg self-check's replay from its last tip or its checkpoint.
 
-Chain.replay_canonical replays from the deepest block it has passed at most
-finality_depth below the tip, not from genesis. After every reorg of a
-generated, adversarial or regression run it must equal the replay from
-genesis (reference_replay) and the incremental tip state; a rejected tx
-above the checkpoint must roll back on the replay side without touching
-the checkpoint; and a checkpoint that is no longer canonical is refused.
-test_state_equality checks that a state bug still makes the self-check
-raise once the checkpoint has left genesis.
+Chain.replay_canonical resumes from the last block it reached, its last
+tip, while that block is canonical, so each canonical block is replayed
+once; a reorg that orphans the last tip falls back to the checkpoint, the
+deepest block the replay has passed at most finality_depth below the tip.
+After every reorg of a generated, adversarial or regression run it must
+equal the replay from genesis (reference_replay) and the incremental tip
+state; no block is replayed twice on the generated reorg runs; the
+fallback gives the same result; a rejected tx above the checkpoint must
+roll back on the replay side without touching the checkpoint; and a
+checkpoint that is no longer canonical is refused. test_state_equality
+checks that a state bug still makes the self-check raise once the
+checkpoint has left genesis.
 """
 
 import copy
@@ -56,16 +60,83 @@ def test_checkpoint_replay_equals_genesis_replay(key, monkeypatch):
         assert_replay_matches_genesis(chain)
 
 
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_replay_applies_each_block_once(seed, monkeypatch):
+    """Over a reorg-heavy run, no replay applies a block that an earlier
+    replay of the same chain has applied: each resumes from its last tip."""
+    applied = []
+    inside = []
+    apply, replay = Chain._apply_block, Chain.replay_canonical
+
+    def counting_apply(chain, parent_state, ref, txs):
+        if inside:
+            applied.append((chain.chain_id, ref.block_hash))
+        return apply(chain, parent_state, ref, txs)
+
+    def counting_replay(chain):
+        inside.append(chain)
+        try:
+            return replay(chain)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(Chain, "_apply_block", counting_apply)
+    monkeypatch.setattr(Chain, "replay_canonical", counting_replay)
+    assert Runner(reorg_scenario(seed)).run().exit_code == 0
+    assert applied
+    assert len(set(applied)) == len(applied)
+
+
+def extend_checked(chain, branch, count):
+    """Extend `branch`, and after each reorg require the replay to equal
+    the replay from genesis and the incremental tip state."""
+    for _ in range(count):
+        chain.produce_block(branch)
+        if chain.last_reorg is not None:
+            assert_replay_matches_genesis(chain)
+
+
+def test_replay_falls_back_when_its_last_tip_is_orphaned():
+    """A second reorg orphans the block where the first replay ended, so
+    the second replay starts from the checkpoint, below the fork."""
+    origin = World(fin_depth=3).origin
+    for amount in (1, 2, 3, 4):
+        origin.submit(lock(amount))
+        origin.produce_block()
+    origin.fork_at(3, "a")
+    origin.submit(lock(5))
+    extend_checked(origin, "a", 2)           # a outgrows main
+    assert origin.canonical_branch == "a"
+    last_tip, _ = origin._replay_tip
+    assert origin.is_canonical(last_tip.ref) and last_tip.ref.height > 3
+    fork = last_tip.ref.height - 1
+    assert origin._replayed[0].ref.height < fork
+
+    origin.fork_at(fork, "b")
+    origin.submit(lock(6))
+    extend_checked(origin, "b", origin.canonical_tip.height - fork + 1)
+    assert origin.canonical_branch == "b"
+    assert not origin.is_canonical(last_tip.ref)
+    assert origin._replay_tip[0].ref.block_hash \
+        == origin.canonical_tip.block_hash
+    assert_replay_matches_genesis(origin)
+
+
 def test_checkpoint_leaves_genesis_and_shares_no_state():
-    """After a reorg-heavy run each chain's checkpoint is above genesis and
-    its state is the replay's own, not one of the incremental states."""
+    """After a reorg-heavy run each chain's checkpoint is above genesis,
+    its last tip is canonical, and both states are the replay's own, not
+    incremental states."""
     runner = Runner(reorg_scenario(3))
     assert runner.run().exit_code == 0
     for chain in runner.chains.values():
         block, state = chain._replayed
+        tip, tip_state = chain._replay_tip
         assert block.ref.height > 0
         assert chain.is_canonical(block.ref)
-        assert all(state is not kept for kept in chain.states.values())
+        assert chain.is_canonical(tip.ref)
+        assert tip.ref.height >= block.ref.height
+        for kept in chain.states.values():
+            assert state is not kept and tip_state is not kept
 
 
 def test_checkpoint_starts_from_its_own_genesis_build():

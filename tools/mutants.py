@@ -87,6 +87,19 @@ MUTANTS = [
      "            tip = BlockRef(self.chain_id, name, tip.height, tip.block_hash)\n",
      "",
      "tier1", "caught", "tests/test_chain_index.py"),
+    # the replay resumes from the last block it reached: a tip that a reorg
+    # has orphaned holds the abandoned branch's state
+    ("replay resumes from its last tip without checking that it is "
+     "canonical", "swapgate/chain.py",
+     "if self.is_canonical(self._replay_tip[0].ref):",
+     "if True:",
+     "tier1", "caught", "tests/test_replay_checkpoint.py"),
+    # a replay that never keeps its tip starts from genesis every time, and
+    # so applies each canonical block again
+    ("replay never keeps its last tip", "swapgate/chain.py",
+     "self._replay_tip = (block, state)",
+     "pass",
+     "tier1", "caught", "tests/test_replay_checkpoint.py"),
     # the early returns of a step that carries nothing, each missing one
     # of its conditions
     ("quiet tick ignores open swaps", "swapgate/controller.py",
