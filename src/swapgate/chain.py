@@ -42,7 +42,11 @@ not the chain height.
 
 After every reorg the chain checks itself: it replays the canonical chain
 and requires the result to equal the incremental tip state; on a mismatch
-it names the top-level state fields that differ. Embedded states are
+it names the top-level state fields that differ. The replay builds only
+state: a replayed block goes through the same apply loop as a produced
+one, with a ReplayCtx in place of a BlockCtx, which builds no event and no
+receipt, since the check reads neither. It still clones its parent for
+each block with transactions, as production does. Embedded states are
 therefore dataclasses that compare by value (see EmbeddedState), and what
 they store must not depend on the branch a block was produced on: a block
 produced again on another branch has the same hash and replaces its twin,
@@ -197,23 +201,56 @@ class EmbeddedState(Protocol):
 
 
 class BlockCtx:
-    """Per-block application context handed to contract code. `accounts`
-    is the chain's own table of account objects, the same for every block
-    of that chain (see Chain)."""
+    """Per-block application context handed to contract code, which keeps
+    what the block records: each event contract code emits, and one receipt
+    per tx, which the chain hands it as the tx's outcome. `accounts` is the
+    chain's own table of account objects, the same for every block of that
+    chain (see Chain).
+
+    Contract code treats `emit` as write-only: it never reads `ctx.events`
+    or asks for the event back, because the replay's context (ReplayCtx)
+    keeps none.
+    """
 
     def __init__(self, block_ref: BlockRef, accounts: dict):
         self.block_ref = block_ref
         self.events: list[ChainEvent] = []
         self.accounts = accounts
+        self.receipts: list[TxReceipt] = []
 
     @property
     def height(self) -> int:
         return self.block_ref.height
 
-    def emit(self, kind: EventKind, swap_id: bytes | None, payload: dict) -> ChainEvent:
-        event = ChainEvent(kind, swap_id, self.block_ref, len(self.events), payload)
-        self.events.append(event)
-        return event
+    def emit(self, kind: EventKind, swap_id: bytes | None, payload: dict) -> None:
+        self.events.append(
+            ChainEvent(kind, swap_id, self.block_ref, len(self.events), payload))
+
+    def applied(self, tx: Any, extra: dict | None) -> None:
+        self.receipts.append(TxReceipt(tx, "ok", extra=extra))
+
+    def refused(self, tx: Any, err: GatewayError) -> None:
+        self.receipts.append(TxReceipt(tx, err.code, detail=str(err)))
+
+
+class ReplayCtx(BlockCtx):
+    """The reorg self-check's context, which keeps nothing: contract code
+    sees the same height, block_ref and accounts as in BlockCtx, but `emit`
+    builds no event and a tx's outcome builds no receipt. The self-check
+    compares states only (see Chain.replay_canonical)."""
+
+    def __init__(self, block_ref: BlockRef, accounts: dict):
+        self.block_ref = block_ref
+        self.accounts = accounts
+
+    def emit(self, kind: EventKind, swap_id: bytes | None, payload: dict) -> None:
+        pass
+
+    def applied(self, tx: Any, extra: dict | None) -> None:
+        pass
+
+    def refused(self, tx: Any, err: GatewayError) -> None:
+        pass
 
 
 _HEIGHT = struct.Struct(">Q")
@@ -311,10 +348,10 @@ class Chain:
         ref = BlockRef(self.chain_id, branch, height, new_hash)
         txs = self.pending
         self.pending = []
-        state, receipts, events = self._apply_block(
-            self.states[parent_hash], ref, txs)
+        ctx = BlockCtx(ref, self.accounts)
+        state = self._apply_block(self.states[parent_hash], ctx, txs)
 
-        block = Block(ref, parent_hash, receipts, events)
+        block = Block(ref, parent_hash, ctx.receipts, ctx.events)
         if self.is_canonical(ref):
             # a canonical block produced again on another branch has the
             # same hash; self.blocks keeps the new object, so the list drops
@@ -330,30 +367,29 @@ class Chain:
                 self.states.pop(dropped, None)
         return ref
 
-    def _apply_block(self, parent_state: Any, ref: BlockRef, txs: list
-                     ) -> tuple[Any, list[TxReceipt], list[ChainEvent]]:
-        """Apply txs in order to a clone of parent_state, which stays untouched.
+    def _apply_block(self, parent_state: Any, ctx: BlockCtx, txs: list) -> Any:
+        """Apply txs in order to a clone of parent_state, which stays
+        untouched, and return the new state; ctx keeps what the block records
+        of them, a BlockCtx its receipts and events, a ReplayCtx nothing.
 
         A block without txs changes nothing, so it returns parent_state
         itself: such blocks share their parent's state object, which is safe
         because no stored state is ever changed. Otherwise the parent is
         cloned once and each tx applied once: apply_tx raises GatewayError
         only before it has changed the state or emitted an event (see
-        Chain), so a refused tx leaves its receipt and nothing else.
+        Chain), so a refused tx leaves its outcome and nothing else.
         """
         if not txs:
-            return parent_state, [], []
+            return parent_state
         state = parent_state.clone()
-        ctx = BlockCtx(ref, self.accounts)
-        receipts: list[TxReceipt] = []
         for tx in txs:
             try:
                 extra = self._apply_tx(state, tx, ctx)
             except GatewayError as err:
-                receipts.append(TxReceipt(tx, err.code, detail=str(err)))
+                ctx.refused(tx, err)
             else:
-                receipts.append(TxReceipt(tx, "ok", extra=extra))
-        return state, receipts, ctx.events
+                ctx.applied(tx, extra)
+        return state
 
     def fork_at(self, height: int, name: str) -> str:
         """Create a branch rooted at the canonical block at `height`."""
@@ -520,6 +556,9 @@ class Chain:
         state, so neither is ever changed. The result may be the kept tip's
         or the checkpoint's state itself (no block above it, or none with a
         transaction): read it, don't change it.
+
+        Each block is applied with a ReplayCtx, so the replay builds only
+        state: no event and no receipt, which the comparison never reads.
         """
         block, state = self._replayed
         if not self.is_canonical(block.ref):
@@ -532,8 +571,8 @@ class Chain:
         if block.ref.height <= final:
             self._replayed = (block, state)
         for block in self._canonical[block.ref.height + 1:]:
-            state, _, _ = self._apply_block(
-                state, block.ref, [r.tx for r in block.receipts])
+            state = self._apply_block(state, ReplayCtx(block.ref, self.accounts),
+                                      [r.tx for r in block.receipts])
             if block.ref.height <= final:
                 self._replayed = (block, state)
         self._replay_tip = (block, state)

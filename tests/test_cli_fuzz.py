@@ -30,8 +30,10 @@ from swapgate import cli
 from swapgate.cli import bundled_scenario_names, load_scenario
 from swapgate.scenario import ORACLE_COUNT, STEP_BLOCKS, Runner
 
-# far above any example's run time, which is milliseconds
-EXAMPLE_SECONDS = 30
+# far above any CLI call's run time (the slowest took under 0.1 s under
+# "deep" and `python -X dev`), and short, because shrinking an example that
+# never ends runs each candidate that still hangs until the bound
+EXAMPLE_SECONDS = 3
 
 # replacement values: every JSON type, and the edges of the ranges the
 # validation bounds (counts, amounts, depths, symbols, branch names)

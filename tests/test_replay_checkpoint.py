@@ -6,20 +6,23 @@ once; a reorg that orphans the last tip falls back to the checkpoint, the
 deepest block the replay has passed at most finality_depth below the tip.
 After every reorg of a generated, adversarial or regression run it must
 equal the replay from genesis (reference_replay) and the incremental tip
-state; no block is replayed twice on the generated reorg runs; the
-fallback gives the same result; a rejected tx above the checkpoint must
-roll back on the replay side without touching the checkpoint; and a
-checkpoint that is no longer canonical is refused. test_state_equality
-checks that a state bug still makes the self-check raise once the
-checkpoint has left genesis.
+state; no block is replayed twice on the generated reorg runs, and no
+replay builds an event or a receipt; the fallback gives the same result;
+a rejected tx above the checkpoint must roll back on the replay side
+without touching the checkpoint; and a checkpoint that is no longer
+canonical is refused. test_state_equality checks that a state bug still
+makes the self-check raise once the checkpoint has left genesis.
 """
 
 import copy
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from swapgate import Chain, LockTx
+from swapgate import chain as chain_module
+from swapgate.chain import ChainEvent, ReplayCtx, TxReceipt
 from swapgate.cli import load_scenario
 from swapgate.scenario import Runner
 
@@ -63,15 +66,38 @@ def test_checkpoint_replay_equals_genesis_replay(key, monkeypatch):
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_replay_applies_each_block_once(seed, monkeypatch):
     """Over a reorg-heavy run, no replay applies a block that an earlier
-    replay of the same chain has applied: each resumes from its last tip."""
+    replay of the same chain has applied: each resumes from its last tip.
+    The replay builds one ReplayCtx per block it applies, and nothing else
+    does."""
     applied = []
-    inside = []
-    apply, replay = Chain._apply_block, Chain.replay_canonical
+    init = ReplayCtx.__init__
 
-    def counting_apply(chain, parent_state, ref, txs):
-        if inside:
-            applied.append((chain.chain_id, ref.block_hash))
-        return apply(chain, parent_state, ref, txs)
+    def counting_init(ctx, block_ref, accounts):
+        applied.append((block_ref.chain, block_ref.block_hash))
+        init(ctx, block_ref, accounts)
+
+    monkeypatch.setattr(ReplayCtx, "__init__", counting_init)
+    assert Runner(reorg_scenario(seed)).run().exit_code == 0
+    assert applied
+    assert len(set(applied)) == len(applied)
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_replay_builds_only_state(seed, monkeypatch):
+    """No replay builds a ChainEvent or a TxReceipt: the self-check
+    compares states only, so a replayed block builds its state and nothing
+    else. The replay still equals the replay from genesis after every
+    reorg."""
+    built = Counter()
+    inside = []
+    checked = []
+    replay, verify = Chain.replay_canonical, Chain._verify_replay
+
+    def counting(kind):
+        def build(*args, **kwargs):
+            built[kind.__name__, "replay" if inside else "production"] += 1
+            return kind(*args, **kwargs)
+        return build
 
     def counting_replay(chain):
         inside.append(chain)
@@ -80,11 +106,19 @@ def test_replay_applies_each_block_once(seed, monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(Chain, "_apply_block", counting_apply)
+    def verify_against_genesis(chain):
+        verify(chain)
+        assert_replay_matches_genesis(chain)
+        checked.append(chain.chain_id)
+
+    for kind in (ChainEvent, TxReceipt):
+        monkeypatch.setattr(chain_module, kind.__name__, counting(kind))
     monkeypatch.setattr(Chain, "replay_canonical", counting_replay)
+    monkeypatch.setattr(Chain, "_verify_replay", verify_against_genesis)
     assert Runner(reorg_scenario(seed)).run().exit_code == 0
-    assert applied
-    assert len(set(applied)) == len(applied)
+    assert checked
+    assert built["ChainEvent", "production"] and built["TxReceipt", "production"]
+    assert (built["ChainEvent", "replay"], built["TxReceipt", "replay"]) == (0, 0)
 
 
 def extend_checked(chain, branch, count):

@@ -100,6 +100,34 @@ MUTANTS = [
      "self._replay_tip = (block, state)",
      "pass",
      "tier1", "caught", "tests/test_replay_checkpoint.py"),
+    # the replay's context keeps nothing, but contract code must still see
+    # the block's height in it: at height 0 every replayed pulse is refused
+    # as FutureHeight
+    ("replay context's height pinned to 0", "swapgate/chain.py",
+     "class ReplayCtx(BlockCtx):\n",
+     "class ReplayCtx(BlockCtx):\n    height = 0\n",
+     "tier1", "caught", "tests/test_replay_checkpoint.py"),
+    # the replay changes the state it starts from, its checkpoint's or its
+    # last tip's, so a later replay starts from a state that is not its block's
+    ("replay applies into its parent state without cloning it",
+     "swapgate/chain.py",
+     "state = parent_state.clone()",
+     "state = (parent_state if isinstance(ctx, ReplayCtx)\n"
+     "                 else parent_state.clone())",
+     "tier1", "caught", "tests/test_replay_checkpoint.py"),
+    # on an exact tie (a twin of the canonical tip) the older branch keeps
+    # the tip, as in a scan of every branch in creation order
+    ("fork-choice tie goes to the new branch", "swapgate/chain.py",
+     "            name = next(n for n in self.branches\n"
+     "                        if n in (ref.branch, prev_tip.branch))\n",
+     "            name = ref.branch\n",
+     "tier1", "caught", "tests/test_fork_choice.py"),
+    # the genesis blocks' conservation is reported after every other
+    # block's, as the trace states them
+    ("genesis conservation checked first", "swapgate/trace.py",
+     '"block_linkage conservation genesis tx_reference "',
+     '"block_linkage genesis conservation tx_reference "',
+     "tier1", "caught", "tests/test_trace_check.py"),
     # the early returns of a step that carries nothing, each missing one
     # of its conditions
     ("quiet tick ignores open swaps", "swapgate/controller.py",
